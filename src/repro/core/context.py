@@ -218,26 +218,6 @@ class AnalysisContext:
             self._views[key] = value
             return True
 
-    def invalidate_views(self, kind: str) -> int:
-        """Drop every materialised view whose key kind is ``kind``.
-
-        The sharded layer uses this when a layout change (an appended
-        shard) retroactively invalidates a view that was computed under
-        the old layout — e.g. the last shard's interior snapshot grid,
-        whose upper bound moves when a shard is appended after it.
-        Returns the number of views dropped.
-        """
-        with self._meta_lock:
-            doomed = [
-                key
-                for key in self._views
-                if (key[0] if isinstance(key, tuple) and key else str(key)) == kind
-            ]
-            for key in doomed:
-                del self._views[key]
-                self._key_locks.pop(key, None)
-        return len(doomed)
-
     # -- attack groupings --------------------------------------------------
 
     def _groups_by(self, key: str, column: np.ndarray) -> dict[int, np.ndarray]:
@@ -667,10 +647,10 @@ class ShardedAnalysisContext:
     The two views that cross shard boundaries are handled explicitly:
     interval arrays gain the boundary gaps, and the collaboration/chain
     scans rescan only the targets whose attacks could link across a
-    boundary.  Hourly-snapshot dispersions are evaluated per shard on
-    each shard's *interior* grid (snapshots whose 24-hour lookback stays
-    inside the shard) plus one boundary-strip pass on the merged
-    context.
+    boundary.  Views no experiment reads — the hourly-snapshot
+    dispersions and the per-botnet grouping — are neither built per
+    shard nor merged: they build lazily on the merged context, with the
+    same kernel a flat context uses.
 
     The reduce is tree-structured: the small re-reduction state of every
     shard (:class:`~repro.core.merge.ShardPartial`) combines over
@@ -709,9 +689,6 @@ class ShardedAnalysisContext:
         self._partials: dict[tuple[int, int], Any] = {}
         #: The last finalised merge: (shard signatures, merged context).
         self._finalized: tuple[tuple, AnalysisContext] | None = None
-        #: Shards whose interior snapshot views were computed when they
-        #: were the last shard and are stale under the grown layout.
-        self._stale_interiors: set[int] = set()
         #: Merged columns with reserved tail capacity so an append only
         #: copies the new shard's rows (see colstore.GrowableConcat).
         self._growable: _colstore.GrowableConcat | None = None
@@ -751,16 +728,9 @@ class ShardedAnalysisContext:
                 self._shared_coords = None
                 self._partials = {}
                 self._finalized = None
-                self._stale_interiors = set()
                 self._merged = None
             elif appended:
-                old_n = len(self._shard_ctxs)
                 self._shard_ctxs.extend([None] * appended)
-                if old_n:
-                    # The former last shard's interior snapshot grid ran
-                    # to +inf; under the new layout its tail snapshots
-                    # belong to the boundary strip.
-                    self._stale_interiors.add(old_n - 1)
                 self._merged = None
         return appended
 
@@ -793,41 +763,16 @@ class ShardedAnalysisContext:
         groups = ctx._groups_by("family_attack_index", ctx.dataset.family_idx)
         return [ctx.dataset.family_name(k) for k in sorted(groups)]
 
-    def _interior_ts(self, index: int) -> np.ndarray:
-        """Grid snapshots whose 24-hour lookback stays inside shard ``index``."""
-        from ..monitor.snapshots import LOOKBACK_SECONDS
-        from . import geolocation as _geolocation
-
-        grid = _geolocation._snapshot_grid(self._store.window)
-        edges = np.asarray(self._store.edges, dtype=float)
-        lo = -np.inf if index == 0 else float(edges[index]) + LOOKBACK_SECONDS
-        hi = np.inf if index == self.n_shards - 1 else float(edges[index + 1])
-        return grid[(grid >= lo) & (grid < hi)]
-
-    def _strip_ts(self) -> np.ndarray:
-        """Grid snapshots interior to no shard (the boundary strips)."""
-        from . import geolocation as _geolocation
-
-        grid = _geolocation._snapshot_grid(self._store.window)
-        covered = np.zeros(grid.size, dtype=bool)
-        for index in range(self.n_shards):
-            covered |= np.isin(grid, self._interior_ts(index))
-        return grid[~covered]
-
     def shard_snapshot_dispersions(
         self, index: int, family: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's interior-grid snapshot dispersion series."""
-        ctx = self.shard_context(index)
+        """One shard's hourly-snapshot dispersion series, built lazily.
 
-        def build() -> tuple[np.ndarray, np.ndarray]:
-            from . import geolocation as _geolocation
-
-            return _geolocation._snapshot_dispersions(
-                ctx, family, ts=self._interior_ts(index)
-            )
-
-        return ctx.view(("snapshot_dispersions_interior", family), build)
+        Nothing in the package calls this: no experiment reads snapshot
+        dispersions, so neither :meth:`build` nor :meth:`merged` derives
+        them, and the merged context builds its own on demand.
+        """
+        return self.shard_context(index).snapshot_dispersions(family)
 
     def shard_scan_events(self, index: int, kind: str) -> list:
         """One shard's collaboration/chain events, rebased to global rows.
@@ -953,8 +898,9 @@ class ShardedAnalysisContext:
         :meth:`refresh` adopted appended shards, the previous merged
         context is extended incrementally when the layout allows it
         (same window/registries, non-empty new shards) — only the new
-        seams are stitched and only grid snapshots whose lookback
-        reaches the new rows are recomputed.
+        seams are stitched.  Views the seeding skips (hourly-snapshot
+        dispersions, the per-botnet grouping) build lazily on the
+        returned context.
         """
         if self._merged is not None:
             return self._merged
@@ -1047,20 +993,12 @@ class ShardedAnalysisContext:
 
     def _finalize_full(self, partial) -> AnalysisContext:
         """Assemble the merged context from scratch (all K shards)."""
-        from . import geolocation as _geolocation
         from . import merge as _merge
         from . import shift as _shift
         from ..io import colstore as _colstore
 
         reg = _obs_registry()
         merged_views = reg.counter("shard.merge.views")
-        for index in sorted(self._stale_interiors):
-            if index < len(self._shard_ctxs) and self._shard_ctxs[index] is not None:
-                self._shard_ctxs[index].invalidate_views(
-                    "snapshot_dispersions_interior"
-                )
-        self._stale_interiors.clear()
-
         shards = [self.shard_context(k) for k in range(self.n_shards)]
         self._growable = _colstore.GrowableConcat([c.dataset for c in shards])
         self._view_bufs = {}
@@ -1076,7 +1014,6 @@ class ShardedAnalysisContext:
         grouped_by_target: dict[int, np.ndarray] = {}
         for gkey, column in (
             ("family_attack_index", "family_idx"),
-            ("botnet_attack_index", "botnet_id"),
             ("target_attack_index", "target_idx"),
         ):
             parts = [
@@ -1136,7 +1073,6 @@ class ShardedAnalysisContext:
         for k in range(self.n_shards):
             for family in self.shard_families(k):
                 present.setdefault(family, []).append(k)
-        strip_ts = self._strip_ts()
         for family, in_shards in present.items():
             here = [shards[k] for k in in_shards]
             starts_parts = [c.family_starts(family) for c in here]
@@ -1186,14 +1122,6 @@ class ShardedAnalysisContext:
             seed(
                 ("weekly_shift", family),
                 _shift._finish_weekly_shift(ds, family, *pairs),
-            )
-            interiors = [
-                self.shard_snapshot_dispersions(k, family) for k in in_shards
-            ]
-            strip = _geolocation._snapshot_dispersions(ctx, family, ts=strip_ts)
-            seed(
-                ("snapshot_dispersions", family),
-                _merge.merge_snapshot_dispersions(interiors + [strip]),
             )
         return ctx
 
@@ -1263,14 +1191,10 @@ class ShardedAnalysisContext:
         """Extend the previous merged context by the appended shards.
 
         The previous merged context acts as one big left operand: its
-        linear views concatenate with the new shards' views, the scan
-        stitch probes only the new seams, and of the snapshot grid only
-        timestamps whose 24-hour lookback reaches the new rows are
-        recomputed (every earlier snapshot sees an unchanged window, and
-        timestamp-partitioned evaluation is exactly what the interior/
-        strip machinery already pins as bitwise-safe).
+        linear views concatenate with the new shards' views and the scan
+        stitch probes only the new seams.  Nothing is carried for the
+        views the seeding skips; they build lazily on the new context.
         """
-        from . import geolocation as _geolocation
         from . import merge as _merge
         from . import shift as _shift
         from ..io import colstore as _colstore
@@ -1305,7 +1229,6 @@ class ShardedAnalysisContext:
         grouped_by_target: dict[int, np.ndarray] = {}
         for gkey, column in (
             ("family_attack_index", "family_idx"),
-            ("botnet_attack_index", "botnet_id"),
             ("target_attack_index", "target_idx"),
         ):
             parts = [
@@ -1387,22 +1310,9 @@ class ShardedAnalysisContext:
 
         prev_keys = set(prev_ctx.view_keys())
         new_families: dict[str, list[AnalysisContext]] = {}
-        new_family_indices: dict[str, list[int]] = {}
         for k, shard in zip(new_indices, new_shards):
             for family in self.shard_families(k):
                 new_families.setdefault(family, []).append(shard)
-                new_family_indices.setdefault(family, []).append(k)
-        cutoff = float(ds.start[bases[1]])
-        # Snapshots before the cutoff see an unchanged 24 h window and
-        # keep their previous values; of the rest, each new shard's
-        # interior hours were already evaluated in the map phase, so
-        # only the seam strips (lookbacks that straddle a new edge) are
-        # recomputed on the merged context.
-        grid = _geolocation._snapshot_grid(self._store.window)
-        covered = np.zeros(grid.size, dtype=bool)
-        for k in new_indices:
-            covered |= np.isin(grid, self._interior_ts(k))
-        strip_ts = grid[(grid >= cutoff) & ~covered]
         for family in partial.families:
             # A battery run on the previous context lazily builds empty
             # views for families it hasn't seen yet, so key presence
@@ -1517,24 +1427,6 @@ class ShardedAnalysisContext:
                 ("weekly_shift", family),
                 _shift._finish_weekly_shift(ds, family, *pairs),
             )
-            if in_prev:
-                prev_ts, prev_values = prev_ctx.snapshot_dispersions(family)
-                cut = int(np.searchsorted(prev_ts, cutoff, side="left"))
-                parts = [(prev_ts[:cut], prev_values[:cut])]
-                parts += [
-                    self.shard_snapshot_dispersions(k, family)
-                    for k in new_family_indices.get(family, [])
-                ]
-                parts.append(
-                    _geolocation._snapshot_dispersions(ctx, family, ts=strip_ts)
-                )
-                seed(
-                    ("snapshot_dispersions", family),
-                    _merge.merge_snapshot_dispersions(parts),
-                )
-            # A family first seen in the appended shards has no previous
-            # series to extend; its view builds lazily with the full
-            # kernel, which is the flat computation itself.
         return ctx
 
     def merged_reference(self) -> AnalysisContext:
@@ -1546,7 +1438,6 @@ class ShardedAnalysisContext:
         Builds a fresh context on every call (never cached, no counters)
         so CI's merge-parity step can diff it against :meth:`merged`.
         """
-        from . import geolocation as _geolocation
         from . import merge as _merge
         from . import shift as _shift
 
@@ -1563,7 +1454,6 @@ class ShardedAnalysisContext:
         seed(("bot_coords_radians",), self._shared_bot_coords())
         for gkey, column in (
             ("family_attack_index", "family_idx"),
-            ("botnet_attack_index", "botnet_id"),
             ("target_attack_index", "target_idx"),
         ):
             parts = [
@@ -1636,7 +1526,6 @@ class ShardedAnalysisContext:
         for k in range(self.n_shards):
             for family in self.shard_families(k):
                 present.setdefault(family, []).append(k)
-        strip_ts = self._strip_ts()
         for family, in_shards in present.items():
             here = [shards[k] for k in in_shards]
             seed(
@@ -1682,14 +1571,6 @@ class ShardedAnalysisContext:
                 ("weekly_shift", family),
                 _shift._finish_weekly_shift(ds, family, *pairs),
             )
-            interiors = [
-                self.shard_snapshot_dispersions(k, family) for k in in_shards
-            ]
-            strip = _geolocation._snapshot_dispersions(ctx, family, ts=strip_ts)
-            seed(
-                ("snapshot_dispersions", family),
-                _merge.merge_snapshot_dispersions(interiors + [strip]),
-            )
         return ctx
 
 
@@ -1708,7 +1589,6 @@ def _shard_build_worker(
     with _obs_registry().span(f"shard:{index}"):
         ds = ctx.dataset
         ctx._groups_by("family_attack_index", ds.family_idx)
-        ctx._groups_by("botnet_attack_index", ds.botnet_id)
         ctx._groups_by("target_attack_index", ds.target_idx)
         ctx.attack_intervals()
         ctx.durations()
@@ -1734,7 +1614,6 @@ def _shard_build_worker(
             ctx.family_target_country_counts(family)
             ctx.daily_distribution(family)
             ctx.weekly_shift_pairs(family)
-            sctx.shard_snapshot_dispersions(index, family)
     return [(k, v) for k, v in ctx.materialized().items() if k not in before]
 
 

@@ -139,26 +139,15 @@ def snapshot_dispersions(
     return AnalysisContext.of(source).snapshot_dispersions(family)
 
 
-def _snapshot_grid(window) -> np.ndarray:
-    """The full hourly snapshot timestamps of an observation window."""
-    from ..simulation.clock import SECONDS_PER_HOUR
-
-    return window.start + np.arange(1, window.n_hours + 1, dtype=float) * SECONDS_PER_HOUR
-
-
 def _snapshot_dispersions(
-    ctx: AnalysisContext, family: str, ts: np.ndarray | None = None
+    ctx: AnalysisContext, family: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The raw computation behind :func:`snapshot_dispersions`.
 
-    ``ts=None`` evaluates the window's full hourly grid.  Passing an
-    explicit (sorted) subset of grid timestamps evaluates only those
-    snapshots — the sharded merge uses this for per-shard interior grids
-    and for the boundary strips it recomputes on the merged context.
-    Each snapshot's value depends only on its own 24-hour bot set, so
-    any partition of the grid concatenates back bitwise-identically.
+    Evaluates every snapshot on the window's hourly grid.
     """
     from ..monitor.snapshots import LOOKBACK_SECONDS
+    from ..simulation.clock import SECONDS_PER_HOUR
 
     ds = ctx.dataset
     idx = ctx.family_attacks(family)
@@ -169,10 +158,7 @@ def _snapshot_dispersions(
     window = ds.window
 
     # All snapshot windows at once: attacks starting in (t - 24h, t].
-    if ts is None:
-        ts = _snapshot_grid(window)
-    else:
-        ts = np.asarray(ts, dtype=float)
+    ts = window.start + np.arange(1, window.n_hours + 1, dtype=float) * SECONDS_PER_HOUR
     lo = np.searchsorted(starts, ts - LOOKBACK_SECONDS, side="right")
     hi = np.searchsorted(starts, ts, side="right")
     nonempty = hi > lo

@@ -59,7 +59,6 @@ __all__ = [
     "finish_daily_distribution",
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
-    "merge_snapshot_dispersions",
     "find_boundary_suspects",
     "merge_scan_events",
     "rebase_scan_events",
@@ -336,21 +335,6 @@ def merge_protocol_popularity(
 ) -> dict[Protocol, int]:
     """Sum per-shard Fig 1 protocol totals (all protocols, zeros kept)."""
     return {proto: sum(int(p[proto]) for p in parts) for proto in Protocol}
-
-
-def merge_snapshot_dispersions(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-shard-interior plus boundary-strip snapshot series.
-
-    Every grid timestamp is evaluated by exactly one part (a shard's
-    interior or the merged-context strip pass), so a stable sort by
-    timestamp is a pure permutation back into grid order.
-    """
-    ts = np.concatenate([p[0] for p in parts])
-    values = np.concatenate([p[1] for p in parts])
-    order = np.argsort(ts, kind="stable")
-    return ts[order], values[order]
 
 
 # -- boundary-stitched scans -----------------------------------------------

@@ -86,6 +86,22 @@ def _collect_views(ctx: AnalysisContext, families: list[str]) -> dict:
     return out
 
 
+def _unread_view_keys(sctx: ShardedAnalysisContext, merged: AnalysisContext) -> list:
+    """Materialised keys of views no experiment reads, on any context.
+
+    Hourly-snapshot dispersions and the per-botnet grouping must stay
+    lazy: neither the shard builds nor the merge may derive them.
+    """
+    ctxs = [sctx.shard_context(k) for k in range(sctx.n_shards)] + [merged]
+    found = []
+    for ctx in ctxs:
+        for key in ctx.view_keys():
+            head = str(key[0] if isinstance(key, tuple) and key else key)
+            if head.startswith("snapshot_dispersions") or head == "botnet_attack_index":
+                found.append(key)
+    return found
+
+
 class TestMergedParity:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_every_seeded_view_matches_unsharded(self, small_ds, k):
@@ -111,6 +127,8 @@ class TestMergedParity:
         assert ("collaborations",) in keys
         assert ("chains",) in keys
         assert ("attack_intervals",) in keys
+        run_all(merged, jobs=1)
+        assert _unread_view_keys(sctx, merged) == []
 
     def test_battery_renders_identically(self, small_ds):
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=4))
@@ -281,6 +299,20 @@ class TestIncrementalRemerge:
         want = _collect_views(fresh, families)
         for label in want:
             _assert_view_equal(label, got[label], want[label])
+
+    def test_remerge_builds_no_unread_views(self, small_ds, tmp_path):
+        tail = _append_store(tmp_path / "store", small_ds, 4)
+        sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
+        sctx.build(jobs=1)
+        run_all(sctx.merged(), jobs=1)
+
+        append_shard(tmp_path / "store", tail)
+        assert sctx.refresh() == 1
+        sctx.build(jobs=1)
+        merged = sctx.merged()
+        assert sctx.last_merge_stats["mode"] == "incremental"
+        run_all(merged, jobs=1)
+        assert _unread_view_keys(sctx, merged) == []
 
     def test_family_first_seen_only_in_appended_shard(self, small_ds, tmp_path):
         """A battery run before the append must not poison the re-merge.
