@@ -87,8 +87,8 @@ def _detect_collaborations(
     botnet dedupe is a second lexsort plus a first-occurrence mask,
     and the duration filter broadcasts each run's first-member duration
     with ``np.repeat``.  Only surviving events (a few hundred at full
-    scale) are materialised in Python.  Pinned equal to
-    :func:`_reference_detect_collaborations` by the parity tests.
+    scale) are materialised in Python.  Pinned equal to the per-target
+    loop in ``tests/oracles/kernels.py`` by the parity tests.
     """
     n = ds.n_attacks
     if n == 0:
@@ -162,54 +162,6 @@ def _detect_collaborations(
                 is_inter_family=len(families) > 1,
             )
         )
-    events.sort(key=lambda e: e.start)
-    return events
-
-
-def _reference_detect_collaborations(
-    ds, start_window: float, duration_window: float
-) -> list[CollabEvent]:
-    """Reference implementation (pre-vectorization); kept for parity tests."""
-    events: list[CollabEvent] = []
-    order = np.lexsort((ds.start, ds.target_idx))
-    targets = ds.target_idx[order]
-    boundaries = np.flatnonzero(np.diff(targets) != 0) + 1
-    for group in np.split(order, boundaries):
-        if group.size < 2:
-            continue
-        starts = ds.start[group]
-        # Runs of near-simultaneous starts on this target.
-        run_break = np.flatnonzero(np.diff(starts) > start_window) + 1
-        for run in np.split(group, run_break):
-            if run.size < 2:
-                continue
-            base_duration = float(ds.end[run[0]] - ds.start[run[0]])
-            keep: list[int] = []
-            seen_botnets: set[int] = set()
-            for i in run:
-                botnet = int(ds.botnet_id[i])
-                duration = float(ds.end[i] - ds.start[i])
-                if botnet in seen_botnets:
-                    continue
-                if abs(duration - base_duration) > duration_window:
-                    continue
-                seen_botnets.add(botnet)
-                keep.append(int(i))
-            if len(keep) < 2:
-                continue
-            families = tuple(
-                sorted({ds.family_name(int(ds.family_idx[i])) for i in keep})
-            )
-            events.append(
-                CollabEvent(
-                    attack_indices=tuple(keep),
-                    target_index=int(ds.target_idx[keep[0]]),
-                    families=families,
-                    botnet_ids=tuple(int(ds.botnet_id[i]) for i in keep),
-                    start=float(min(ds.start[i] for i in keep)),
-                    is_inter_family=len(families) > 1,
-                )
-            )
     events.sort(key=lambda e: e.start)
     return events
 

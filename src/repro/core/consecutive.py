@@ -88,8 +88,8 @@ def _detect_chains(ds, margin: float, min_length: int) -> list[AttackChain]:
     more than a second apart (simultaneous attacks are collaborations,
     not stages).  Chains are the maximal linked runs, so one adjacent
     link mask plus a ``cumsum`` segment labelling replaces the
-    per-attack Python walk.  Pinned equal to
-    :func:`_reference_detect_chains` by the parity tests.
+    per-attack Python walk.  Pinned equal to that walk, kept in
+    ``tests/oracles/kernels.py``, by the parity tests.
     """
     n = ds.n_attacks
     if n == 0:
@@ -133,49 +133,6 @@ def _detect_chains(ds, margin: float, min_length: int) -> list[AttackChain]:
                 gaps=tuple(float(g) for g in gaps[lo : hi - 1]),
             )
         )
-    chains.sort(key=lambda c: c.start)
-    return chains
-
-
-def _reference_detect_chains(ds, margin: float, min_length: int) -> list[AttackChain]:
-    """Reference implementation (pre-vectorization); kept for parity tests."""
-    chains: list[AttackChain] = []
-    order = np.lexsort((ds.start, ds.target_idx))
-    targets = ds.target_idx[order]
-    boundaries = np.flatnonzero(np.diff(targets) != 0) + 1
-    for group in np.split(order, boundaries):
-        if group.size < min_length:
-            continue
-        current: list[int] = [int(group[0])]
-        gaps: list[float] = []
-
-        def flush() -> None:
-            if len(current) >= min_length:
-                chains.append(
-                    AttackChain(
-                        attack_indices=tuple(current),
-                        target_index=int(ds.target_idx[current[0]]),
-                        families=tuple(
-                            ds.family_name(int(ds.family_idx[i])) for i in current
-                        ),
-                        start=float(ds.start[current[0]]),
-                        end=float(ds.end[current[-1]]),
-                        gaps=tuple(gaps),
-                    )
-                )
-
-        for i in group[1:]:
-            prev = current[-1]
-            gap = float(ds.start[i] - ds.end[prev])
-            starts_apart = float(ds.start[i] - ds.start[prev])
-            if abs(gap) <= margin and starts_apart > 1.0:
-                current.append(int(i))
-                gaps.append(gap)
-            else:
-                flush()
-                current = [int(i)]
-                gaps = []
-        flush()
     chains.sort(key=lambda c: c.start)
     return chains
 

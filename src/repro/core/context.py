@@ -644,10 +644,11 @@ class ShardedAnalysisContext:
     concatenated dataset, which downstream consumers (the experiment
     battery, the report renderers) use unchanged.
 
-    The two views that cross shard boundaries are handled explicitly:
-    interval arrays gain the boundary gaps, and the collaboration/chain
-    scans rescan only the targets whose attacks could link across a
-    boundary.  Views no experiment reads — the hourly-snapshot
+    Every merge is the extend step of :func:`repro.core.merge.extend_view`:
+    a left operand (shard 0, or the previous merged context) grows by
+    the shards after it.  Interval arrays gain the boundary gaps, and
+    the collaboration/chain scans regenerate only the runs that cross a
+    seam.  Views no experiment reads — the hourly-snapshot
     dispersions and the per-botnet grouping — are neither built per
     shard nor merged: they build lazily on the merged context, with the
     same kernel a flat context uses.
@@ -892,15 +893,14 @@ class ShardedAnalysisContext:
         to an unsharded build over the concatenated dataset.
 
         The re-reduction views combine through a memoized tree reduce
-        (``jobs`` bounds the per-level fan-out); the boundary stitch is
-        the vectorised crossing-run pass of
-        :func:`repro.core.merge.stitch_scan_events`.  After
-        :meth:`refresh` adopted appended shards, the previous merged
-        context is extended incrementally when the layout allows it
-        (same window/registries, non-empty new shards) — only the new
-        seams are stitched.  Views the seeding skips (hourly-snapshot
-        dispersions, the per-botnet grouping) build lazily on the
-        returned context.
+        (``jobs`` bounds the per-level fan-out); everything else takes
+        the extend step of :func:`repro.core.merge.extend_view`, with
+        shard 0 as the left operand.  After :meth:`refresh` adopted
+        appended shards, the previous merged context is the left operand
+        instead when the layout allows it (same window and registries) —
+        only the appended rows are copied and only the new seams are
+        stitched.  Views the seeding skips (hourly-snapshot dispersions,
+        the per-botnet grouping) build lazily on the returned context.
         """
         if self._merged is not None:
             return self._merged
@@ -927,10 +927,11 @@ class ShardedAnalysisContext:
                     and sigs[:n_prev] == prev_sigs
                     and self._append_compatible(prev_ctx, n_prev)
                 ):
-                    ctx = self._finalize_append(prev_ctx, n_prev, partial)
+                    ctx = self._extend(prev_ctx, n_prev, partial)
                     mode = "incremental"
             if ctx is None:
-                ctx = self._finalize_full(partial)
+                self._view_bufs = {}
+                ctx = self._extend(self.shard_context(0), 1, partial)
             self._finalized = (sigs, ctx)
             self.last_merge_stats = {
                 "mode": mode,
@@ -953,187 +954,79 @@ class ShardedAnalysisContext:
         for k in range(n_prev, self.n_shards):
             sds = self.shard_context(k).dataset
             if (
-                sds.n_attacks == 0
-                or list(sds.families) != list(pds.families)
+                list(sds.families) != list(pds.families)
                 or sds.victims.n_targets != pds.victims.n_targets
                 or sds.bots.lat.size != pds.bots.lat.size
             ):
                 return False
         return True
 
-    def _grow(self, key: Hashable, pieces: list[np.ndarray]) -> np.ndarray:
-        """Concatenate ``pieces`` into a fresh growable buffer under ``key``.
+    def _grow(self, key: Hashable, old: np.ndarray | None, pieces: list) -> np.ndarray:
+        """``old`` followed by ``pieces``, in a growable buffer under ``key``.
 
-        Bitwise the same array ``np.concatenate(pieces)`` yields (one
-        copy of each piece, in order), but with reserved tail capacity
-        so :meth:`_regrow` can extend it in place on the next append.
+        Extends the buffer in place when ``old`` is its current view and
+        it has room; otherwise copies everything into a fresh buffer
+        (headroom restored).  Bitwise the array ``np.concatenate`` would
+        build.
         """
         from . import merge as _merge
 
-        if not pieces:
-            return np.zeros(0)
-        gb = _merge.GrowBuffer(pieces)
-        self._view_bufs[key] = gb
-        return gb.view
-
-    def _regrow(
-        self, key: Hashable, prev: np.ndarray, pieces: list[np.ndarray]
-    ) -> np.ndarray:
-        """Extend ``key``'s buffer by ``pieces`` when ``prev`` is its view.
-
-        Falls back to a fresh buffer (one full copy, headroom restored)
-        when the buffer is missing, was superseded, or is out of room.
-        """
         gb = self._view_bufs.get(key)
-        if gb is not None and gb.view is prev:
+        if gb is not None and gb.view is old:
             out = gb.extend(pieces)
             if out is not None:
                 return out
-        return self._grow(key, [prev, *pieces])
+        if old is not None:
+            pieces = [old, *pieces]
+        elif not pieces:
+            return np.zeros(0)  # a family's only attack has no interval
+        gb = self._view_bufs[key] = _merge.GrowBuffer(pieces)
+        return gb.view
 
-    def _finalize_full(self, partial) -> AnalysisContext:
-        """Assemble the merged context from scratch (all K shards)."""
+    def _extend(self, prev: AnalysisContext, first: int, partial) -> AnalysisContext:
+        """Extend ``prev`` — the merge of shards ``[0, first)`` — by the rest.
+
+        The full merge passes shard 0 itself (its indices are already
+        global); the incremental re-merge passes the previous merged
+        context.  Re-reductions come from the tree partial, the other
+        views from :func:`repro.core.merge.extend_view`, and the scans
+        from the seam stitch.
+        """
         from . import merge as _merge
         from . import shift as _shift
         from ..io import colstore as _colstore
 
+        parts = [self.shard_context(k) for k in range(first, self.n_shards)]
+        rows = [c.dataset for c in parts]
+        ds = None
+        if self._growable is not None and self._growable.dataset is prev.dataset:
+            # The previous merged columns sit in buffers with reserved
+            # headroom: copy only the appended shards' rows.
+            ds = self._growable.extend(rows)
+        if ds is None:
+            self._growable = _colstore.GrowableConcat([prev.dataset, *rows])
+            ds = self._growable.dataset
+        ctx = AnalysisContext.of(ds)
         reg = _obs_registry()
         merged_views = reg.counter("shard.merge.views")
-        shards = [self.shard_context(k) for k in range(self.n_shards)]
-        self._growable = _colstore.GrowableConcat([c.dataset for c in shards])
-        self._view_bufs = {}
-        ds = self._growable.dataset
-        ctx = AnalysisContext.of(ds)
-        bases = [int(b) for b in self._store.shard_bases()]
 
         def seed(key: Hashable, value: Any) -> None:
             if ctx.seed_view(key, value):
                 merged_views.inc()
 
+        def extend(key: tuple, old: Any) -> None:
+            seed(key, _merge.extend_view(key, old, prev, parts, ds, self._grow))
+
         seed(("bot_coords_radians",), self._shared_bot_coords())
-        grouped_by_target: dict[int, np.ndarray] = {}
-        for gkey, column in (
-            ("family_attack_index", "family_idx"),
-            ("target_attack_index", "target_idx"),
-        ):
-            parts = [
-                c._groups_by(gkey, getattr(c.dataset, column)) for c in shards
-            ]
-            groups = _merge.merge_grouped_indices(parts, bases)
-            seed((gkey,), groups)
-            if gkey == "target_attack_index":
-                grouped_by_target = groups
-        seed(
+        for key in (
+            ("family_attack_index",),
+            ("target_attack_index",),
             ("attack_intervals",),
-            self._grow(
-                ("attack_intervals",),
-                _merge.interval_pieces(
-                    [c.dataset.start for c in shards],
-                    [c.attack_intervals() for c in shards],
-                ),
-            ),
-        )
-        seed(
             ("durations",),
-            self._grow(("durations",), [c.durations() for c in shards]),
-        )
-        seed(
             ("target_country_idx",),
-            self._grow(
-                ("target_country_idx",),
-                [c.target_country_idx() for c in shards],
-            ),
-        )
-        seed(
             ("target_org_idx",),
-            self._grow(("target_org_idx",), [c.target_org_idx() for c in shards]),
-        )
-        days = self._grow(
-            ("daily_days",),
-            [((ds.start - ds.window.start) // 86400).astype(np.int64)],
-        )
-        self._seed_partial_views(ctx, seed, partial, ds, days)
-        # Walks ascending org order over the seeded marginal — the
-        # same order the unsharded builder uses.
-        ctx.victim_org_type_counts()
-
-        self._seed_stitched_scans(
-            ctx,
-            seed,
-            ds,
-            grouped_by_target,
-            bases,
-            lambda kind: [
-                self.shard_scan_events(k, kind) for k in range(self.n_shards)
-            ],
-            prev_events=None,
-        )
-
-        present: dict[str, list[int]] = {}
-        for k in range(self.n_shards):
-            for family in self.shard_families(k):
-                present.setdefault(family, []).append(k)
-        for family, in_shards in present.items():
-            here = [shards[k] for k in in_shards]
-            starts_parts = [c.family_starts(family) for c in here]
-            seed(
-                ("family_starts", family),
-                self._grow(("family_starts", family), starts_parts),
-            )
-            seed(
-                ("family_intervals", family, True),
-                self._grow(
-                    ("family_intervals", family, True),
-                    _merge.interval_pieces(
-                        starts_parts,
-                        [c.family_intervals(family) for c in here],
-                    ),
-                ),
-            )
-            seed(
-                ("durations", family),
-                self._grow(
-                    ("durations", family), [c.durations(family) for c in here]
-                ),
-            )
-            off_pieces, flat_pieces = _merge.csr_pieces(
-                [c.family_participants(family) for c in here]
-            )
-            fp_key = ("family_participants", family)
-            seed(
-                fp_key,
-                (
-                    self._grow((fp_key, 0), off_pieces),
-                    self._grow((fp_key, 1), flat_pieces),
-                ),
-            )
-            disp = [c.attack_dispersions(family) for c in here]
-            disp_key = ("attack_dispersions", family)
-            seed(
-                disp_key,
-                (
-                    self._grow((disp_key, 0), [p[0] for p in disp]),
-                    self._grow((disp_key, 1), [p[1] for p in disp]),
-                ),
-            )
-            self._seed_partial_family_views(seed, partial, ds, family)
-            pairs = partial.weekly_pairs[family]
-            seed(("weekly_shift_pairs", family), pairs)
-            seed(
-                ("weekly_shift", family),
-                _shift._finish_weekly_shift(ds, family, *pairs),
-            )
-        return ctx
-
-    def _seed_partial_views(self, ctx, seed, partial, ds, days=None) -> None:
-        """Seed the global re-reduction views from the tree partial.
-
-        ``days`` optionally passes the per-attack day column kept in a
-        growable buffer so the busiest-day re-derivation skips its
-        full-column pass on re-merges.
-        """
-        from . import merge as _merge
-
+        ):
+            extend(key, _merge.view_value(prev, key))
         seed(("target_country_counts",), partial.target_country_counts)
         seed(("target_org_counts",), partial.target_org_counts)
         seed(("protocol_breakdown",), partial.protocol_breakdown)
@@ -1141,431 +1034,58 @@ class ShardedAnalysisContext:
         seed(
             ("daily_distribution", None),
             _merge.finish_daily_distribution(
-                partial.daily_counts[None], ds, None, days=days
+                partial.daily_counts[None], ds, None, prev.daily_distribution(None)
             ),
         )
-
-    def _seed_partial_family_views(self, seed, partial, ds, family: str) -> None:
-        from . import merge as _merge
-
-        seed(
-            ("family_target_country_counts", family),
-            partial.family_country_counts[family],
-        )
-        seed(
-            ("daily_distribution", family),
-            _merge.finish_daily_distribution(
-                partial.daily_counts[family], ds, family
-            ),
-        )
-
-    def _seed_stitched_scans(
-        self, ctx, seed, ds, grouped_by_target, bases, parts_of, prev_events
-    ) -> None:
-        """Seed collaborations/chains via the vectorised boundary stitch."""
-        from . import merge as _merge
-
-        reg = _obs_registry()
-        stitched_targets: set[int] = set()
-        for kind in ("collaborations", "chains"):
-            if prev_events is None:
-                events, targets = _merge.stitch_scan_events(
-                    parts_of(kind), ds, grouped_by_target, bases, kind
-                )
-            else:
-                events, targets = _merge.seam_stitch_scan_events(
-                    prev_events[kind],
-                    parts_of(kind),
-                    ds,
-                    grouped_by_target,
-                    bases,
-                    kind,
-                )
-            stitched_targets |= targets
-            seed((kind,), events)
-        reg.counter("shard.merge.stitched_targets").inc(len(stitched_targets))
-
-    def _finalize_append(
-        self, prev_ctx: AnalysisContext, n_prev: int, partial
-    ) -> AnalysisContext:
-        """Extend the previous merged context by the appended shards.
-
-        The previous merged context acts as one big left operand: its
-        linear views concatenate with the new shards' views and the scan
-        stitch probes only the new seams.  Nothing is carried for the
-        views the seeding skips; they build lazily on the new context.
-        """
-        from . import merge as _merge
-        from . import shift as _shift
-        from ..io import colstore as _colstore
-
-        reg = _obs_registry()
-        merged_views = reg.counter("shard.merge.views")
-        new_indices = list(range(n_prev, self.n_shards))
-        new_shards = [self.shard_context(k) for k in new_indices]
-        pds = prev_ctx.dataset
-        ds = None
-        if self._growable is not None and self._growable.dataset is pds:
-            # Fast path: the previous merged columns sit in buffers with
-            # reserved headroom — copy only the appended shards' rows.
-            ds = self._growable.extend([c.dataset for c in new_shards])
-        if ds is None:
-            # Headroom exhausted (or prev context predates the buffers):
-            # one full copy, which also restores the reserve.
-            self._growable = _colstore.GrowableConcat(
-                [pds] + [c.dataset for c in new_shards]
-            )
-            ds = self._growable.dataset
-        ctx = AnalysisContext.of(ds)
-        bases = [0]
-        for part in [prev_ctx] + new_shards[:-1]:
-            bases.append(bases[-1] + int(part.dataset.n_attacks))
-
-        def seed(key: Hashable, value: Any) -> None:
-            if ctx.seed_view(key, value):
-                merged_views.inc()
-
-        seed(("bot_coords_radians",), self._shared_bot_coords())
-        grouped_by_target: dict[int, np.ndarray] = {}
-        for gkey, column in (
-            ("family_attack_index", "family_idx"),
-            ("target_attack_index", "target_idx"),
-        ):
-            parts = [
-                c._groups_by(gkey, getattr(c.dataset, column))
-                for c in [prev_ctx] + new_shards
-            ]
-            groups = _merge.merge_grouped_indices(parts, bases)
-            seed((gkey,), groups)
-            if gkey == "target_attack_index":
-                grouped_by_target = groups
-        empty = np.zeros(0)
-        seed(
-            ("attack_intervals",),
-            self._regrow(
-                ("attack_intervals",),
-                prev_ctx.attack_intervals(),
-                # An empty leading diff array yields only the pieces
-                # after the previous merged part: the seam gap plus the
-                # new shards' gap arrays.
-                _merge.interval_pieces(
-                    [pds.start] + [c.dataset.start for c in new_shards],
-                    [empty] + [c.attack_intervals() for c in new_shards],
-                ),
-            ),
-        )
-        seed(
-            ("durations",),
-            self._regrow(
-                ("durations",),
-                prev_ctx.durations(),
-                [c.durations() for c in new_shards],
-            ),
-        )
-        seed(
-            ("target_country_idx",),
-            self._regrow(
-                ("target_country_idx",),
-                prev_ctx.target_country_idx(),
-                [c.target_country_idx() for c in new_shards],
-            ),
-        )
-        seed(
-            ("target_org_idx",),
-            self._regrow(
-                ("target_org_idx",),
-                prev_ctx.target_org_idx(),
-                [c.target_org_idx() for c in new_shards],
-            ),
-        )
-        days = None
-        day_buf = self._view_bufs.get(("daily_days",))
-        if day_buf is not None and day_buf.n == pds.n_attacks:
-            days = day_buf.extend(
-                [
-                    ((c.dataset.start - ds.window.start) // 86400).astype(np.int64)
-                    for c in new_shards
-                ]
-            )
-        if days is None:
-            days = self._grow(
-                ("daily_days",),
-                [((ds.start - ds.window.start) // 86400).astype(np.int64)],
-            )
-        self._seed_partial_views(ctx, seed, partial, ds, days)
+        # Walks ascending org order over the seeded marginal — the
+        # same order the unsharded builder uses.
         ctx.victim_org_type_counts()
 
-        self._seed_stitched_scans(
-            ctx,
-            seed,
-            ds,
-            grouped_by_target,
-            bases,
-            lambda kind: [self.shard_scan_events(k, kind) for k in new_indices],
-            prev_events={
-                "collaborations": prev_ctx.collaborations(),
-                "chains": prev_ctx.chains(),
-            },
-        )
+        bases = np.cumsum([0] + [c.dataset.n_attacks for c in [prev, *parts[:-1]]])
+        grouped = ctx._groups_by("target_attack_index", ds.target_idx)
+        part_targets = [
+            c._groups_by("target_attack_index", c.dataset.target_idx).keys()
+            for c in parts
+        ]
+        stitched: set[int] = set()
+        for kind in ("collaborations", "chains"):
+            events, targets = _merge.seam_stitch_scan_events(
+                getattr(prev, kind)(),
+                [self.shard_scan_events(k, kind) for k in range(first, self.n_shards)],
+                ds,
+                grouped,
+                bases,
+                kind,
+                part_targets,
+            )
+            stitched |= targets
+            seed((kind,), events)
+        reg.counter("shard.merge.stitched_targets").inc(len(stitched))
 
-        prev_keys = set(prev_ctx.view_keys())
-        new_families: dict[str, list[AnalysisContext]] = {}
-        for k, shard in zip(new_indices, new_shards):
-            for family in self.shard_families(k):
-                new_families.setdefault(family, []).append(shard)
         for family in partial.families:
             # A battery run on the previous context lazily builds empty
-            # views for families it hasn't seen yet, so key presence
-            # alone is not evidence the family has rows to extend.
-            in_prev = (
-                ("family_starts", family) in prev_keys
-                and prev_ctx.family_starts(family).size > 0
-            )
-            here = new_families.get(family, [])
-            new_starts = [c.family_starts(family) for c in here]
-            new_fp = [c.family_participants(family) for c in here]
-            new_disp = [c.attack_dispersions(family) for c in here]
-            fp_key = ("family_participants", family)
-            disp_key = ("attack_dispersions", family)
-            if in_prev:
-                prev_starts = prev_ctx.family_starts(family)
-                seed(
-                    ("family_starts", family),
-                    self._regrow(("family_starts", family), prev_starts, new_starts),
-                )
-                seed(
-                    ("family_intervals", family, True),
-                    self._regrow(
-                        ("family_intervals", family, True),
-                        prev_ctx.family_intervals(family),
-                        _merge.interval_pieces(
-                            [prev_starts] + new_starts,
-                            [empty] + [c.family_intervals(family) for c in here],
-                        ),
-                    ),
-                )
-                seed(
-                    ("durations", family),
-                    self._regrow(
-                        ("durations", family),
-                        prev_ctx.durations(family),
-                        [c.durations(family) for c in here],
-                    ),
-                )
-                # The previous offsets are already global (their own
-                # merge rebased them from zero), so rebasing the new
-                # shards' offsets continues from the previous flat end.
-                prev_fp = prev_ctx.family_participants(family)
-                off_pieces: list[np.ndarray] = []
-                base = prev_fp[0][-1]
-                for offsets, _flat in new_fp:
-                    off_pieces.append(offsets[1:] + base)
-                    base = base + offsets[-1]
-                seed(
-                    fp_key,
-                    (
-                        self._regrow((fp_key, 0), prev_fp[0], off_pieces),
-                        self._regrow(
-                            (fp_key, 1), prev_fp[1], [f for _o, f in new_fp]
-                        ),
-                    ),
-                )
-                prev_disp = prev_ctx.attack_dispersions(family)
-                seed(
-                    disp_key,
-                    (
-                        self._regrow(
-                            (disp_key, 0), prev_disp[0], [p[0] for p in new_disp]
-                        ),
-                        self._regrow(
-                            (disp_key, 1), prev_disp[1], [p[1] for p in new_disp]
-                        ),
-                    ),
-                )
-            else:
-                # Family first seen in the appended shards: fresh buffers.
-                seed(
-                    ("family_starts", family),
-                    self._grow(("family_starts", family), new_starts),
-                )
-                seed(
-                    ("family_intervals", family, True),
-                    self._grow(
-                        ("family_intervals", family, True),
-                        _merge.interval_pieces(
-                            new_starts,
-                            [c.family_intervals(family) for c in here],
-                        ),
-                    ),
-                )
-                seed(
-                    ("durations", family),
-                    self._grow(
-                        ("durations", family),
-                        [c.durations(family) for c in here],
-                    ),
-                )
-                off_pieces, flat_pieces = _merge.csr_pieces(new_fp)
-                seed(
-                    fp_key,
-                    (
-                        self._grow((fp_key, 0), off_pieces),
-                        self._grow((fp_key, 1), flat_pieces),
-                    ),
-                )
-                seed(
-                    disp_key,
-                    (
-                        self._grow((disp_key, 0), [p[0] for p in new_disp]),
-                        self._grow((disp_key, 1), [p[1] for p in new_disp]),
-                    ),
-                )
-            self._seed_partial_family_views(seed, partial, ds, family)
-            pairs = partial.weekly_pairs[family]
-            seed(("weekly_shift_pairs", family), pairs)
-            seed(
-                ("weekly_shift", family),
-                _shift._finish_weekly_shift(ds, family, *pairs),
-            )
-        return ctx
-
-    def merged_reference(self) -> AnalysisContext:
-        """The retained serial left-fold merge (the parity reference).
-
-        This is the pre-tree implementation, kept verbatim as the
-        ``_reference_*``-style pin for :meth:`merged`: a serial walk
-        over all K shards with the conservative boundary-suspect rescan.
-        Builds a fresh context on every call (never cached, no counters)
-        so CI's merge-parity step can diff it against :meth:`merged`.
-        """
-        from . import merge as _merge
-        from . import shift as _shift
-
-        for index in range(self.n_shards):
-            self.build_shard(index)
-
-        ds = self._store.merged_dataset()
-        ctx = AnalysisContext.of(ds)
-        bases = [int(b) for b in self._store.shard_bases()]
-        shards = [self.shard_context(k) for k in range(self.n_shards)]
-        shard_ds = [c.dataset for c in shards]
-        seed = ctx.seed_view
-
-        seed(("bot_coords_radians",), self._shared_bot_coords())
-        for gkey, column in (
-            ("family_attack_index", "family_idx"),
-            ("target_attack_index", "target_idx"),
-        ):
-            parts = [
-                c._groups_by(gkey, getattr(c.dataset, column)) for c in shards
-            ]
-            seed((gkey,), _merge.merge_grouped_indices(parts, bases))
-        seed(
-            ("attack_intervals",),
-            _merge.merge_intervals(
-                [c.dataset.start for c in shards],
-                [c.attack_intervals() for c in shards],
-            ),
-        )
-        seed(("durations",), _merge.merge_concat([c.durations() for c in shards]))
-        seed(
-            ("target_country_idx",),
-            _merge.merge_concat([c.target_country_idx() for c in shards]),
-        )
-        seed(
-            ("target_org_idx",),
-            _merge.merge_concat([c.target_org_idx() for c in shards]),
-        )
-        seed(
-            ("target_country_counts",),
-            _merge.merge_counts([c.target_country_counts() for c in shards]),
-        )
-        seed(
-            ("target_org_counts",),
-            _merge.merge_counts([c.target_org_counts() for c in shards]),
-        )
-        seed(
-            ("protocol_breakdown",),
-            _merge.merge_protocol_breakdown(
-                [c.protocol_breakdown() for c in shards]
-            ),
-        )
-        seed(
-            ("protocol_popularity",),
-            _merge.merge_protocol_popularity(
-                [c.protocol_popularity() for c in shards]
-            ),
-        )
-        seed(
-            ("daily_distribution", None),
-            _merge.merge_daily_distributions(
-                [c.daily_distribution(None) for c in shards], ds, None
-            ),
-        )
-        ctx.victim_org_type_counts()
-
-        suspect = _merge.find_boundary_suspects(shard_ds, ds.victims.n_targets)
-        seed(
-            ("collaborations",),
-            _merge.merge_scan_events(
-                [c.collaborations() for c in shards],
-                bases,
-                suspect,
-                ds,
-                "collaborations",
-            ),
-        )
-        seed(
-            ("chains",),
-            _merge.merge_scan_events(
-                [c.chains() for c in shards], bases, suspect, ds, "chains"
-            ),
-        )
-
-        present: dict[str, list[int]] = {}
-        for k in range(self.n_shards):
-            for family in self.shard_families(k):
-                present.setdefault(family, []).append(k)
-        for family, in_shards in present.items():
-            here = [shards[k] for k in in_shards]
-            seed(
+            # views for families it has not seen yet, so the left operand
+            # counts as holding the family only when it has its rows.
+            in_prev = prev.family_attacks(family).size > 0
+            for key in (
                 ("family_starts", family),
-                _merge.merge_concat([c.family_starts(family) for c in here]),
-            )
-            seed(
                 ("family_intervals", family, True),
-                _merge.merge_intervals(
-                    [c.family_starts(family) for c in here],
-                    [c.family_intervals(family) for c in here],
-                ),
-            )
-            seed(
                 ("durations", family),
-                _merge.merge_concat([c.durations(family) for c in here]),
-            )
-            seed(
                 ("family_participants", family),
-                _merge.merge_csr([c.family_participants(family) for c in here]),
-            )
-            seed(
                 ("attack_dispersions", family),
-                _merge.merge_series([c.attack_dispersions(family) for c in here]),
-            )
+            ):
+                extend(key, _merge.view_value(prev, key) if in_prev else None)
             seed(
                 ("family_target_country_counts", family),
-                _merge.merge_counts(
-                    [c.family_target_country_counts(family) for c in here]
-                ),
+                partial.family_country_counts[family],
             )
             seed(
                 ("daily_distribution", family),
-                _merge.merge_daily_distributions(
-                    [c.daily_distribution(family) for c in here], ds, family
+                _merge.finish_daily_distribution(
+                    partial.daily_counts[family], ds, family
                 ),
             )
-            pairs = _merge.merge_weekly_pairs(
-                [c.weekly_shift_pairs(family) for c in here]
-            )
+            pairs = partial.weekly_pairs[family]
             seed(("weekly_shift_pairs", family), pairs)
             seed(
                 ("weekly_shift", family),

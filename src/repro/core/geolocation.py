@@ -215,36 +215,6 @@ def _snapshot_dispersions(
     return np.concatenate(out_times), np.concatenate(out_values)
 
 
-def _reference_snapshot_dispersions(
-    source: AnalysisSource, family: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference per-snapshot loop (pre-vectorization); kept for parity tests.
-
-    The batched kernel and this loop sum floating-point terms in
-    different orders, so parity is asserted with ``np.allclose`` rather
-    than bitwise equality.
-    """
-    from ..geo.haversine import dispersion_km
-    from ..monitor.snapshots import iter_hourly_snapshots
-
-    ctx = AnalysisContext.of(source)
-    ds = ctx.dataset
-    idx = ctx.family_attacks(family)
-    if idx.size == 0:
-        raise ValueError(f"family {family!r} launched no attacks")
-    offsets, flat = ctx.family_participants(family)
-    times: list[float] = []
-    values: list[float] = []
-    for snap in iter_hourly_snapshots(ds.start[idx], offsets, flat, ds.window, family):
-        if snap.n_bots < 2:
-            continue
-        times.append(snap.timestamp)
-        values.append(
-            dispersion_km(ds.bots.lat[snap.bot_indices], ds.bots.lon[snap.bot_indices])
-        )
-    return np.asarray(times), np.asarray(values)
-
-
 @dataclass(frozen=True)
 class DispersionProfile:
     """Fig 9-11 headline numbers for one family."""

@@ -1,36 +1,50 @@
-"""Mergeable-result combinators for sharded analysis (map-reduce views).
+"""The extend step: old views + new rows -> new views, for every plane.
 
-Each combinator takes the per-shard value of one derived view and
-reconstructs the value a single :class:`~repro.core.context.AnalysisContext`
-over the merged dataset would compute — **bitwise** identical, pinned by
-the shard-merge parity tests (``tests/core/test_shard_merge.py``).
+The sharded merge, the incremental re-merge after an appended shard and
+the streaming carry after an append all do the same thing: a context
+over the leading rows (the *left operand*, its index-valued views
+already global) grows by the rows that follow it, which arrive as one or
+more *right parts*, each an :class:`~repro.core.context.AnalysisContext`
+in time order.  :func:`extend_view` is that step for one view, and every
+path takes it:
 
-The trivially mergeable views are concatenations (durations, per-family
-starts, dispersion series) or re-reductions (marginal counts, weekly
-(week, bot) pair tables, daily histograms).  Two families of views need
-care at shard boundaries:
+* the full merge uses shard 0 as the left operand (its indices are
+  already global) and shards ``1..K-1`` as the right parts;
+* the re-merge uses the previous merged context and the appended shards;
+* the stream carry uses the previous snapshot's context and the appended
+  rows as a one-part slice.
 
-* **Intervals** — consecutive-gap arrays gain one extra gap per shard
-  boundary (last start of the previous non-empty shard to the first
-  start of the next one).
-* **Collaboration / chain scans** — a run of attacks on one target can
-  straddle a boundary.  :func:`find_boundary_suspects` flags every
-  target whose shard-edge attacks *could* link under the paper's
-  windows; events on non-suspect targets pass through with their attack
-  indices rebased, suspect targets are rescanned on the merged columns
-  (a per-target-independent computation, so the rescan of the suspect
-  subset equals the global scan restricted to those targets).
+The result must be **bitwise** what a flat
+:class:`~repro.core.context.AnalysisContext` builds over all the rows,
+pinned by the shard-merge and stream parity tests.  The view kinds fall
+into three shapes:
 
-All index-valued outputs are **global** attack indices: shard ``k``'s
-local index ``i`` maps to ``bases[k] + i`` where ``bases`` are the
-cumulative shard sizes.
+* **Concatenations** (durations, per-family starts, victim columns, CSR
+  participants, dispersion series) return the new pieces through the
+  caller's ``grow`` callback, so the caller picks the storage: the
+  sharded merge keeps them in :class:`GrowBuffer` tails, the stream
+  concatenates.  Interval arrays add one boundary gap per seam.
+* **Re-reductions** (groupings, marginal counts, protocol tables, daily
+  histograms) re-reduce the left value with the parts' values.  The
+  sharded merge takes its re-reductions, and the weekly (week, bot) pair
+  tables, from the :class:`ShardPartial` the tree reduce combines
+  instead; both use the combinators below.
+* **Scans** (collaborations, chains) can link across a seam:
+  :func:`seam_stitch_scan_events` probes each seam for the runs that
+  cross it and regenerates only those.
+
+All index-valued outputs are global attack indices: a right part's
+local index ``i`` maps to ``base + i``, where ``base`` is the number of
+rows before the part.  The serial fold with the conservative
+boundary-suspect rescan that this replaced is kept in
+``tests/oracles/merge_fold.py`` as the comparison target.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -41,29 +55,24 @@ from .collaboration import (
     CollabEvent,
     _detect_collaborations,
 )
-from .consecutive import CHAIN_MARGIN_SECONDS, AttackChain, _detect_chains
+from .consecutive import CHAIN_MARGIN_SECONDS, AttackChain
 from .overview import DailyDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from .context import AnalysisContext
     from .dataset import AttackDataset
 
 __all__ = [
+    "view_value",
+    "extend_view",
     "merge_grouped_indices",
-    "merge_concat",
-    "merge_series",
-    "merge_csr",
     "merge_counts",
-    "merge_intervals",
+    "interval_pieces",
     "merge_weekly_pairs",
-    "merge_daily_distributions",
     "finish_daily_distribution",
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
-    "find_boundary_suspects",
-    "merge_scan_events",
     "rebase_scan_events",
-    "scan_order",
-    "stitch_scan_events",
     "seam_stitch_scan_events",
     "ShardPartial",
     "make_shard_partial",
@@ -72,21 +81,13 @@ __all__ = [
 ]
 
 
-# -- plain concatenations --------------------------------------------------
-
-
-def merge_concat(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard arrays in shard (chronological) order."""
-    return np.concatenate(list(parts))
-
-
 class GrowBuffer:
     """A 1-D concatenation with reserved tail capacity.
 
     Concat-shaped merged views (durations, per-family starts, CSR flats,
     dispersion series, ...) are suffix-extended by an append: the merged
     array after one more shard is the old array plus the new shard's
-    rows.  Rebuilding them with :func:`merge_concat` re-copies every row
+    rows.  Rebuilding them with ``np.concatenate`` re-copies every row
     on every re-merge.  A ``GrowBuffer`` copies the pieces once into a
     buffer with ``reserve`` fractional headroom; later appends write
     only the new pieces into the reserved tail, and the previously
@@ -116,68 +117,130 @@ class GrowBuffer:
         return self.view
 
 
-def merge_series(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge aligned ``(timestamps, values)`` pairs by concatenation.
+# -- the extend step -------------------------------------------------------
 
-    Shards partition by start time, so shard-order concatenation of
-    chronological per-shard series is the global chronological series.
+#: Grouping views and the attack column each one groups by.
+_GROUPINGS = {
+    "family_attack_index": "family_idx",
+    "botnet_attack_index": "botnet_id",
+    "target_attack_index": "target_idx",
+}
+
+
+def view_value(ctx: "AnalysisContext", key: tuple) -> Any:
+    """The value of view ``key`` on ``ctx``, built through its accessor.
+
+    Every view key is ``(accessor name, *accessor args)``, except the
+    groupings, which are keyed by their view name alone.
     """
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    head = key[0]
+    if head in _GROUPINGS:
+        return ctx._groups_by(head, getattr(ctx.dataset, _GROUPINGS[head]))
+    return getattr(ctx, head)(*key[1:])
+
+
+def extend_view(
+    key: tuple,
+    old: Any,
+    prev: "AnalysisContext",
+    parts: Sequence["AnalysisContext"],
+    ds: "AttackDataset",
+    grow: Callable[[Any, "np.ndarray | None", list], np.ndarray],
+) -> Any:
+    """View ``key`` over ``prev``'s rows followed by every part's rows.
+
+    ``prev`` is the left operand, a context over the leading rows of
+    ``ds``; ``old`` is its value of ``key``, or ``None`` when it has no
+    rows of the view's family.  ``parts`` are contexts over the rows that
+    follow, in time order.  Concatenation-shaped views come back from
+    ``grow(key, old, pieces)``, which stores ``old`` followed by the new
+    pieces as the caller sees fit; two-array views (CSR participants,
+    dispersion series) grow each component under ``(key, 0)`` and
+    ``(key, 1)``.  Raises ``ValueError`` for a view kind with no extend
+    rule.
+    """
+    head, args = key[0], key[1:]
+    if head in _GROUPINGS:
+        sizes = [c.dataset.n_attacks for c in (prev, *parts)]
+        bases = np.cumsum([0, *sizes[:-1]])
+        groups = [view_value(c, key) for c in parts]
+        return merge_grouped_indices([old, *groups], bases)
+    family = args[0] if args else None
+    if family is not None:
+        # Family views raise or come back empty on a part without the
+        # family; such a part contributes nothing.
+        parts = [c for c in parts if c.family_attacks(family).size]
+    if head in ("attack_intervals", "family_intervals"):
+        if head == "attack_intervals":
+            starts = [prev.dataset.start, *(c.dataset.start for c in parts)]
+            gaps = [c.attack_intervals() for c in parts]
+        else:
+            prev_starts = np.zeros(0) if old is None else prev.family_starts(family)
+            starts = [prev_starts, *(c.family_starts(family) for c in parts)]
+            gaps = [c.family_intervals(family) for c in parts]
+        # An empty leading gap array yields only the pieces after the
+        # left operand: one boundary gap per seam plus the parts' gaps.
+        pieces = interval_pieces(starts, [np.zeros(0), *gaps])
+        if head == "family_intervals" and not args[1]:
+            pieces = [p[p > 0] for p in pieces]
+        return grow(key, old, pieces)
+    values = [view_value(c, key) for c in parts]
+    if head in ("durations", "family_starts", "target_country_idx", "target_org_idx"):
+        return grow(key, old, values)
+    if head in ("family_participants", "attack_dispersions"):
+        columns = ([v[0] for v in values], [v[1] for v in values])
+        if head == "family_participants":
+            # ``flat`` holds global bot indices (the registries are
+            # shared); only the offsets continue from the left operand's
+            # flat end.
+            base = np.int64(0) if old is None else old[0][-1]
+            offsets = [np.zeros(1, dtype=np.int64)] if old is None else []
+            for part_offsets in columns[0]:
+                offsets.append(part_offsets[1:] + base)
+                base = base + part_offsets[-1]
+            columns = (offsets, columns[1])
+        olds = (None, None) if old is None else old
+        return tuple(grow((key, i), olds[i], columns[i]) for i in (0, 1))
+    olds = [] if old is None else [old]
+    if head in ("target_country_counts", "target_org_counts", "family_target_country_counts"):
+        return merge_counts(olds + values)
+    if head == "protocol_breakdown":
+        return merge_protocol_breakdown(olds + values)
+    if head == "protocol_popularity":
+        return merge_protocol_popularity(olds + values)
+    if head == "daily_distribution":
+        # Padded to the window: a carry past a grown stream window adds
+        # days even when no part has rows of the family.
+        counts = np.zeros(ds.window.n_days, dtype=np.int64)
+        for dist in olds + values:
+            counts = _pad_sum(counts, dist.counts)
+        return finish_daily_distribution(counts, ds, family, old)
+    raise ValueError(f"no extend rule for view {key!r}")
 
 
 def merge_grouped_indices(
     parts: Sequence[dict[int, np.ndarray]], bases: Sequence[int]
 ) -> dict[int, np.ndarray]:
-    """Merge per-shard grouping dicts (column value -> attack indices).
+    """Merge grouping dicts (column value -> attack indices) in row order.
 
-    Per-shard groups hold local indices in chronological order; rebasing
-    and concatenating in shard order keeps each group chronological.
-    The output dict is built in ascending key order — the same insertion
-    order the unsharded ``np.split`` grouping pass produces.
+    ``parts[0]`` is the left operand: its indices are already global
+    (``bases[0]`` is 0) and its arrays are reused as they are.  Each
+    later part's local indices are rebased by its base and appended to
+    their group, which keeps every group chronological.  The output dict
+    is in ascending key order — the same insertion order the unsharded
+    ``np.split`` grouping pass produces.
     """
-    keys = sorted({k for part in parts for k in part})
-    out: dict[int, np.ndarray] = {}
-    for key in keys:
-        pieces = [
-            part[key] + np.int64(base)
-            for part, base in zip(parts, bases)
-            if key in part
-        ]
-        out[key] = np.concatenate(pieces)
+    out = dict(parts[0])
+    tails: dict[int, list[np.ndarray]] = {}
+    for part, base in zip(parts[1:], bases[1:]):
+        for key, idx in part.items():
+            tails.setdefault(key, []).append(idx + np.int64(base))
+    for key, tail in tails.items():
+        head = out.get(key)
+        out[key] = np.concatenate(tail if head is None else [head, *tail])
+    if len(out) > len(parts[0]):
+        out = dict(sorted(out.items()))
     return out
-
-
-def csr_pieces(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The ``(offset_pieces, flat_pieces)`` of the merged CSR layout.
-
-    Exposed separately from :func:`merge_csr` so the incremental merge
-    can write the pieces into growable buffers instead of concatenating.
-    """
-    offset_pieces = [np.zeros(1, dtype=np.int64)]
-    base = np.int64(0)
-    for offsets, _flat in parts:
-        offset_pieces.append(offsets[1:] + base)
-        base += offsets[-1]
-    return offset_pieces, [flat for _offsets, flat in parts]
-
-
-def merge_csr(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-shard CSR ``(offsets, flat)`` layouts in shard order.
-
-    ``flat`` entries are global bot indices (the registries are shared
-    across shards), so only the offsets need rebasing.
-    """
-    offset_pieces, flat_pieces = csr_pieces(parts)
-    return np.concatenate(offset_pieces), np.concatenate(flat_pieces)
 
 
 # -- re-reductions ---------------------------------------------------------
@@ -203,12 +266,12 @@ def merge_counts(
 def interval_pieces(
     starts_parts: Sequence[np.ndarray], diff_parts: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """The concat pieces of the merged gap array (see merge_intervals).
+    """The concat pieces of the merged consecutive-gap array.
 
-    Passing an empty diff array for an already-merged leading part
-    yields only the pieces *after* it — one boundary gap per seam plus
-    the new parts' gap arrays — which is what the incremental merge
-    appends to its growable buffer.
+    ``np.diff`` is an elementwise subtraction, so the global gap array is
+    exactly the per-part gap arrays interleaved with one boundary gap
+    (first start of a non-empty part minus the last start of the
+    previous non-empty one) per seam.
     """
     pieces: list[np.ndarray] = []
     prev_last: float | None = None
@@ -221,22 +284,6 @@ def interval_pieces(
             pieces.append(diffs)
         prev_last = float(starts[-1])
     return pieces
-
-
-def merge_intervals(
-    starts_parts: Sequence[np.ndarray], diff_parts: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Merge per-shard consecutive-gap arrays, adding the boundary gaps.
-
-    ``np.diff`` is an elementwise subtraction, so the global gap array is
-    exactly the per-shard gap arrays interleaved with one boundary gap
-    (first start of a non-empty shard minus the last start of the
-    previous non-empty one) per internal boundary.
-    """
-    pieces = interval_pieces(starts_parts, diff_parts)
-    if not pieces:
-        return np.zeros(0)
-    return np.concatenate(pieces)
 
 
 def merge_weekly_pairs(
@@ -262,41 +309,31 @@ def merge_weekly_pairs(
     return weeks_u, w_sorted[first], b_sorted[first]
 
 
-def merge_daily_distributions(
-    parts: Sequence[DailyDistribution], ds: "AttackDataset", family: str | None
-) -> DailyDistribution:
-    """Pad-sum per-shard daily histograms and recompute the headline.
-
-    The counts are integer sums, so the padded sum is exact; the busiest
-    day's top family is re-derived with the unsharded kernel's own
-    expression over the merged columns (one vectorised pass).
-    """
-    n_days = max(p.counts.size for p in parts)
-    counts = np.zeros(n_days, dtype=parts[0].counts.dtype)
-    for p in parts:
-        counts[: p.counts.size] += p.counts
-    return finish_daily_distribution(counts, ds, family)
-
-
 def finish_daily_distribution(
     counts: np.ndarray,
     ds: "AttackDataset",
     family: str | None,
-    days: np.ndarray | None = None,
+    prev: DailyDistribution | None = None,
 ) -> DailyDistribution:
     """Build a :class:`DailyDistribution` from already-summed day counts.
 
-    ``days`` optionally supplies the per-attack day index column (the
-    same elementwise expression computed below) so re-merges can keep it
-    in a growable buffer instead of recomputing it over every row.
+    The counts are integer sums, so they are exact; the busiest day's
+    top family is re-derived with the unsharded kernel's own expression
+    over the merged columns.  ``prev`` is the left operand's distribution:
+    when the busiest day is unchanged and gained no rows, its top family
+    stands and the column pass is skipped.
     """
     max_day = int(np.argmax(counts))
     if family is not None:
         top_family = family if counts[max_day] > 0 else ""
+    elif (
+        prev is not None
+        and max_day == prev.max_day_index
+        and counts[max_day] == prev.max_per_day
+    ):
+        top_family = prev.max_day_top_family
     else:
-        if days is None:
-            days = ((ds.start - ds.window.start) // 86400).astype(np.int64)
-        on_max = days == max_day
+        on_max = ((ds.start - ds.window.start) // 86400).astype(np.int64) == max_day
         if on_max.any():
             fams, fam_counts = np.unique(ds.family_idx[on_max], return_counts=True)
             top_family = ds.family_name(int(fams[np.argmax(fam_counts)]))
@@ -337,65 +374,13 @@ def merge_protocol_popularity(
     return {proto: sum(int(p[proto]) for p in parts) for proto in Protocol}
 
 
-# -- boundary-stitched scans -----------------------------------------------
-
-
-def _target_segments(
-    ds,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-target scan-edge state: (targets, first start, last start, last end).
-
-    ``last end`` is the end of the last-*started* attack — the attack the
-    chain kernel would link the next shard's first attack against.
-    """
-    n = ds.n_attacks
-    if n == 0:
-        empty_f = np.zeros(0)
-        return np.zeros(0, dtype=np.int64), empty_f, empty_f, empty_f
-    order = np.lexsort((ds.start, ds.target_idx))
-    targets = ds.target_idx[order]
-    starts = ds.start[order]
-    ends = ds.end[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = targets[1:] != targets[:-1]
-    firsts = np.flatnonzero(new)
-    lasts = np.concatenate((firsts[1:], [n])) - 1
-    return (
-        targets[firsts].astype(np.int64),
-        starts[firsts],
-        starts[lasts],
-        ends[lasts],
-    )
-
-
-def find_boundary_suspects(datasets: Sequence, n_targets: int) -> np.ndarray:
-    """Boolean mask of targets whose scans may link across a boundary.
-
-    Walks the shards in time order carrying, per target, the start and
-    end of its last-started attack so far.  A target becomes suspect when
-    its first attack in a later shard falls within the collaboration
-    start window of the carried start, or within the chain margin of the
-    carried end (conservative: the chain kernel's additional >1 s
-    stagger condition is ignored — the rescan settles it exactly).
-    """
-    last_start = np.full(n_targets, -np.inf)
-    last_end = np.full(n_targets, -np.inf)
-    seen = np.zeros(n_targets, dtype=bool)
-    suspect = np.zeros(n_targets, dtype=bool)
-    for ds in datasets:
-        targets, first_start, seg_last_start, seg_last_end = _target_segments(ds)
-        if targets.size == 0:
-            continue
-        cross = seen[targets] & (
-            (first_start - last_start[targets] <= START_WINDOW_SECONDS)
-            | (np.abs(first_start - last_end[targets]) <= CHAIN_MARGIN_SECONDS)
-        )
-        suspect[targets[cross]] = True
-        seen[targets] = True
-        last_start[targets] = seg_last_start
-        last_end[targets] = seg_last_end
-    return suspect
+# -- seam-stitched scans ---------------------------------------------------
+#
+# Parts are contiguous time slices, so a part's per-target rows are a
+# contiguous run of that target's global rows, its scan events are
+# consistent fragments of the global ones, and any fragment of a run
+# that crosses a seam is dropped and the run regenerated from the
+# merged columns.
 
 
 class _AttackSlice:
@@ -418,74 +403,6 @@ class _AttackSlice:
 
     def family_name(self, family_id: int) -> str:
         return self._ds.family_name(family_id)
-
-
-def merge_scan_events(
-    parts: Sequence[list],
-    bases: Sequence[int],
-    suspect: np.ndarray,
-    merged_ds,
-    kind: str,
-) -> "list[CollabEvent] | list[AttackChain]":
-    """Merge per-shard collaboration/chain event lists.
-
-    Events on non-suspect targets pass through with rebased attack
-    indices; suspect targets are rescanned on the merged columns and the
-    rescan's local indices mapped back through the row subset.  Both
-    scans group strictly per target, so the union reproduces the global
-    scan; the final sort key ``(start, target)`` matches the global
-    enumeration order exactly (runs are enumerated target-major, so the
-    global ``sort(key=start)`` leaves equal-start events in ascending
-    target order).
-    """
-    events = []
-    for shard_events, base in zip(parts, bases):
-        offset = int(base)
-        for event in shard_events:
-            if suspect[event.target_index]:
-                continue
-            events.append(
-                dataclasses.replace(
-                    event,
-                    attack_indices=tuple(int(i) + offset for i in event.attack_indices),
-                )
-            )
-    if suspect.any():
-        rows = np.flatnonzero(suspect[merged_ds.target_idx])
-        shim = _AttackSlice(merged_ds, rows)
-        if kind == "collaborations":
-            rescanned = _detect_collaborations(
-                shim, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
-            )
-        elif kind == "chains":
-            rescanned = _detect_chains(shim, CHAIN_MARGIN_SECONDS, 2)
-        else:
-            raise ValueError(f"unknown scan kind {kind!r}")
-        for event in rescanned:
-            events.append(
-                dataclasses.replace(
-                    event,
-                    attack_indices=tuple(
-                        int(rows[i]) for i in event.attack_indices
-                    ),
-                )
-            )
-    events.sort(key=lambda e: (e.start, e.target_index))
-    return events
-
-
-# -- vectorised boundary stitch --------------------------------------------
-#
-# The suspect-rescan path above is the retained reference: simple, pinned
-# by the parity tests, and O(per-event Python work).  The functions below
-# reproduce it with array passes: rebasing happens once per shard build
-# (:func:`rebase_scan_events`), and the merge regenerates only the runs
-# that actually cross a shard boundary instead of every run on a suspect
-# target.  Both paths are exact — shards are contiguous time slices, so a
-# shard's per-target rows are a contiguous run of that target's global
-# rows, local scan events are consistent fragments of global ones, and
-# any fragment belonging to a boundary-crossing run is dropped and
-# regenerated from the merged columns.
 
 
 def rebase_scan_events(events: Sequence, base: int) -> list:
@@ -526,40 +443,6 @@ def rebase_scan_events(events: Sequence, base: int) -> list:
                 )
             )
     return out
-
-
-def scan_order(grouped: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Scan enumeration order from a merged target grouping dict.
-
-    The kernels enumerate rows by ``lexsort((start, target_idx))``.  The
-    dataset is globally start-sorted, so each target's ascending-index
-    group *is* its start order (stable ties included), and the groups are
-    already keyed ascending — target-major concatenation reproduces the
-    lexsort without sorting anything.
-    """
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(list(grouped.values()))
-
-
-def _linked_mask(
-    targets: np.ndarray, starts: np.ndarray, ends: np.ndarray, kind: str
-) -> np.ndarray:
-    """Adjacent-pair link mask in scan order (``mask[i]`` links ``i, i+1``).
-
-    For collaborations a "link" means *same run* (start-window adjacency);
-    for chains it is the kernel's chain-link predicate.
-    """
-    same_target = targets[1:] == targets[:-1]
-    if kind == "collaborations":
-        return same_target & (starts[1:] - starts[:-1] <= START_WINDOW_SECONDS)
-    if kind == "chains":
-        return (
-            same_target
-            & (np.abs(starts[1:] - ends[:-1]) <= CHAIN_MARGIN_SECONDS)
-            & (starts[1:] - starts[:-1] > 1.0)
-        )
-    raise ValueError(f"unknown scan kind {kind!r}")
 
 
 def _materialize_row_runs(ds, row_segs: Sequence[np.ndarray], kind: str) -> list:
@@ -648,62 +531,6 @@ def _merge_sorted_events(kept: list, fresh: list) -> list:
     return out
 
 
-def stitch_scan_events(
-    parts: Sequence[list],
-    ds,
-    grouped: dict[int, np.ndarray],
-    bases: Sequence[int],
-    kind: str,
-) -> tuple[list, set[int]]:
-    """Merge per-shard event lists already carrying global attack indices.
-
-    Vectorised replacement for :func:`merge_scan_events`: one array pass
-    finds the runs whose rows span more than one shard, every per-shard
-    event belonging to such a run is dropped, and only those runs are
-    regenerated from the merged columns.  Returns ``(events, targets)``
-    where ``targets`` is the set of target ids that needed stitching.
-
-    When nothing crosses a boundary, the shard-order concatenation is
-    already globally sorted (per-shard lists are start-sorted and shard
-    start ranges are disjoint) and is returned as-is.
-    """
-    n = int(ds.n_attacks)
-    if n == 0:
-        return [], set()
-    order = scan_order(grouped, n)
-    targets = ds.target_idx[order]
-    starts = ds.start[order]
-    ends = ds.end[order]
-    linked = _linked_mask(targets, starts, ends, kind)
-    bases_arr = np.asarray(list(bases), dtype=np.int64)
-    part_of = np.searchsorted(bases_arr, order, side="right") - 1
-    cross_adj = linked & (part_of[1:] != part_of[:-1])
-    if not cross_adj.any():
-        return [e for part in parts for e in part], set()
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = ~linked
-    run_id = np.cumsum(new_run) - 1
-    crossing = np.zeros(int(run_id[-1]) + 1, dtype=bool)
-    crossing[run_id[1:][cross_adj]] = True
-    in_crossing = np.zeros(n, dtype=bool)
-    in_crossing[order[crossing[run_id]]] = True
-    kept = [
-        e
-        for part in parts
-        for e in part
-        if not in_crossing[e.attack_indices[0]]
-    ]
-    run_first = np.flatnonzero(new_run)
-    run_last = np.concatenate((run_first[1:], [n]))
-    segs = [
-        order[run_first[r] : run_last[r]] for r in np.flatnonzero(crossing)
-    ]
-    fresh = _materialize_row_runs(ds, segs, kind)
-    stitched = {int(ds.target_idx[seg[0]]) for seg in segs}
-    return _merge_sorted_events(kept, fresh), stitched
-
-
 def seam_stitch_scan_events(
     prev_events: Sequence,
     new_parts: Sequence[list],
@@ -711,19 +538,23 @@ def seam_stitch_scan_events(
     grouped: dict[int, np.ndarray],
     bases: Sequence[int],
     kind: str,
+    part_targets: Sequence,
 ) -> tuple[list, set[int]]:
-    """Incremental stitch after an append: touch only the new seams.
+    """Merge scan events across the seams of consecutive row ranges.
 
-    ``prev_events`` is the previous merged context's event list (rows
-    ``[0, bases[1])``); ``new_parts`` are the appended shards' rebased
-    lists.  Instead of an O(n) scan, each seam is probed per target: a
-    searchsorted into the target's merged row group finds the adjacent
-    pair straddling the seam, and the run is grown outwards only while
-    the link predicate holds.  Dropped previous events all have
-    ``start >= `` the earliest crossing run's first start, so the kept
-    prefix is a bisect, not a filter.
+    ``prev_events`` is the left operand's event list (rows
+    ``[0, bases[1])``); ``new_parts`` are the right parts' lists, already
+    rebased to global rows, and ``part_targets[j]`` the targets with
+    rows in part ``j``.  An adjacent pair of a run that crosses a seam
+    straddles the seam of the part holding its later row, and that part
+    holds the target — so each seam is probed only for its own part's
+    targets: a searchsorted into the target's merged row group finds the
+    pair, and the run is grown outwards only while the link predicate
+    holds.  Returns ``(events, targets)`` where ``targets`` is the set of
+    target ids that needed stitching.  Dropped left-operand events all
+    have ``start >=`` the earliest crossing run's first start, so the
+    kept prefix is a bisect, not a filter.
     """
-    seams = [int(b) for b in bases[1:]]
     row_starts = ds.start
     row_ends = ds.end
 
@@ -745,12 +576,12 @@ def seam_stitch_scan_events(
 
     seen: set[tuple[int, int, int]] = set()
     segs: list[np.ndarray] = []
-    for target, g in grouped.items():
-        for seam in seams:
+    for seam, targets in zip(bases[1:], part_targets):
+        seam = int(seam)
+        for target in targets:
+            g = grouped[target]
             pos = int(np.searchsorted(g, seam))
-            if pos == 0 or pos == g.size:
-                continue
-            if not linked(g[pos - 1], g[pos]):
+            if pos == 0 or not linked(g[pos - 1], g[pos]):
                 continue
             lo, hi = pos - 1, pos + 1
             while lo > 0 and linked(g[lo - 1], g[lo]):
@@ -894,9 +725,8 @@ def sketch_summaries(summaries):
     answers queries under the same documented error contract.  The only
     boundary artefact is the one inter-attack interval spanning each
     shard edge, which no shard observed (see
-    :meth:`repro.sketch.AttackStreamSummary.merge`) — the exact-interval
-    combinator :func:`merge_intervals` reinserts such gaps, the sketch
-    one cannot.
+    :meth:`repro.sketch.AttackStreamSummary.merge`) — the exact
+    :func:`interval_pieces` reinserts such gaps, the sketch one cannot.
 
     The inputs are left untouched (the reduce starts from a copy).
     Raises ``ValueError`` on an empty sequence — an empty *summary* is a

@@ -99,8 +99,8 @@ def _weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
     (week, bot) participation counts as "existing" when its country's
     first week is strictly earlier (or the week is the family's baseline
     week), "new" otherwise.  Counts are integers, so this is exactly
-    equal to :func:`_reference_weekly_shift` (pinned by the parity
-    tests).
+    equal to the per-week loop in ``tests/oracles/kernels.py`` (pinned
+    by the parity tests).
     """
     weeks_u, u_week, u_bot = ctx.weekly_shift_pairs(family)
     return _finish_weekly_shift(ctx.dataset, family, weeks_u, u_week, u_bot)
@@ -141,44 +141,6 @@ def _finish_weekly_shift(
         bots_existing=bots_existing.astype(np.int64),
         bots_new=bots_new.astype(np.int64),
         new_countries=new_countries.astype(np.int64),
-    )
-
-
-def _reference_weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
-    """Reference per-week loop (pre-vectorization); kept for parity tests."""
-    ds = ctx.dataset
-    idx = ctx.family_attacks(family)
-    if idx.size == 0:
-        raise ValueError(f"family {family!r} launched no attacks")
-    weeks_of_attack = ((ds.start[idx] - ds.window.start) // (7 * 86400)).astype(np.int64)
-
-    weeks: list[int] = []
-    existing_counts: list[int] = []
-    new_counts: list[int] = []
-    new_country_counts: list[int] = []
-    seen: set[int] = set()
-    for week in np.unique(weeks_of_attack):
-        attack_ids = idx[weeks_of_attack == week]
-        bots = np.unique(
-            np.concatenate([ds.participants_of(int(i)) for i in attack_ids])
-        )
-        countries = ds.bots.country_idx[bots]
-        if seen:
-            known = np.isin(countries, list(seen))
-        else:
-            known = np.ones(countries.size, dtype=bool)  # baseline week
-        fresh = {int(c) for c in np.unique(countries[~known])}
-        weeks.append(int(week))
-        existing_counts.append(int(np.sum(known)))
-        new_counts.append(int(np.sum(~known)))
-        new_country_counts.append(len(fresh))
-        seen.update(int(c) for c in np.unique(countries))
-    return WeeklyShift(
-        family=family,
-        weeks=np.asarray(weeks, dtype=np.int64),
-        bots_existing=np.asarray(existing_counts, dtype=np.int64),
-        bots_new=np.asarray(new_counts, dtype=np.int64),
-        new_countries=np.asarray(new_country_counts, dtype=np.int64),
     )
 
 

@@ -1,38 +1,38 @@
-"""Incremental maintenance of AnalysisContext views across appends.
+"""Carrying AnalysisContext views across a streaming append.
 
 When :class:`~repro.stream.builder.StreamingDataset` materialises a new
 snapshot after an in-order append, the previous snapshot's context holds
-views computed for the first ``base_n`` attacks.  Because an in-order
-append only ever adds rows at the end of the sorted columns, most cheap
-views extend in O(batch):
+views computed for the first ``base_n`` attacks, and the appended rows
+sit at ``[base_n:]`` of the new snapshot's sorted columns.  That is the
+shard merge's extend step with the previous context as the left operand
+and the appended rows as the one right part, so :func:`carry_views`
+takes :func:`repro.core.merge.extend_view` for each view the previous
+context has materialised, at O(batch) cost for most:
 
-* grouped attack indices (family / botnet / target) — new indices are
-  appended to each touched group;
-* interval and duration arrays — one ``diff`` over the appended starts,
-  stitched at the boundary;
-* victim marginals (country / organization counts) — per-batch counts
-  merged into the running ones;
-* daily aggregates — per-batch day bincount added to the running series;
-* protocol popularity / breakdown — per-batch cell counts merged.
+* grouped attack indices (family / botnet / target) gain the new rows;
+* interval and duration arrays gain the new rows' values, stitched at
+  the seam;
+* victim marginals, daily histograms and protocol tables re-reduce with
+  the batch's own values.
 
-Views whose update is not O(batch) — the collaboration scan, the
+Views outside :data:`INCREMENTAL_HEADS` — the collaboration scan, the
 consecutive-chain scan, ARIMA dispersion forecasts, weekly shifts — are
 deliberately *not* carried: the new context simply does not have them,
 so they rebuild lazily on next access under the new epoch tag, while
 consumers still holding the previous epoch's context keep their cache.
 
-Every updater must produce exactly what the cold builder would — the
-streaming parity tests compare each carried view against a scratch
-batch build, array for array.
+Every carried view must be exactly what the cold builder would produce —
+the streaming parity tests compare each one against a scratch batch
+build, array for array and key order included.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
-
 import numpy as np
 
+from ..core import merge
 from ..core.context import AnalysisContext
+from ..io.colstore import _slice_dataset
 
 __all__ = ["carry_views", "CARRIED_VERBATIM", "INCREMENTAL_HEADS"]
 
@@ -40,7 +40,7 @@ __all__ = ["carry_views", "CARRIED_VERBATIM", "INCREMENTAL_HEADS"]
 #: immutable in a streaming dataset) — carried as-is.
 CARRIED_VERBATIM = {("bot_coords_radians",)}
 
-#: First elements of view keys that have an incremental updater.
+#: First elements of the view keys the carry extends.
 INCREMENTAL_HEADS = {
     "family_attack_index",
     "botnet_attack_index",
@@ -59,245 +59,35 @@ INCREMENTAL_HEADS = {
 }
 
 
-def _extend_groups(
-    groups: dict[int, np.ndarray],
-    column: np.ndarray,
-    base_n: int,
-    keymap: np.ndarray | None = None,
-) -> dict[int, np.ndarray]:
-    """Append the new rows' indices to a grouped-index dict.
-
-    Mirrors ``AnalysisContext._groups_by``: one stable grouping pass over
-    the appended slice only.  ``keymap`` translates old group keys into
-    the new index space (family indices shift when a new family lands
-    mid-alphabet); group membership arrays are positional and unaffected.
-    """
-    out: dict[int, np.ndarray] = (
-        {int(keymap[k]): v for k, v in groups.items()} if keymap is not None else dict(groups)
-    )
-    vals = column[base_n:]
-    if vals.size == 0:
-        return out
-    order = np.argsort(vals, kind="stable")
-    boundaries = np.flatnonzero(np.diff(vals[order]) != 0) + 1
-    for grp in np.split(order, boundaries):
-        key = int(vals[grp[0]])
-        members = base_n + grp
-        out[key] = np.concatenate([out[key], members]) if key in out else members
-    return out
-
-
-def _merge_counts(
-    old: tuple[np.ndarray, np.ndarray], batch_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge a ``(values, counts)`` marginal with a batch of raw values."""
-    b_vals, b_counts = np.unique(batch_vals, return_counts=True)
-    keys = np.concatenate([old[0], b_vals])
-    counts = np.concatenate([old[1].astype(np.intp), b_counts])
-    out_vals, inverse = np.unique(keys, return_inverse=True)
-    out_counts = np.zeros(out_vals.size, dtype=np.intp)
-    np.add.at(out_counts, inverse, counts)
-    return out_vals, out_counts
-
-
-def _family_members(ds, base_n: int, family: str) -> np.ndarray:
-    """Indices of the appended rows belonging to one family."""
-    fam = ds.family_id(family)
-    return base_n + np.flatnonzero(ds.family_idx[base_n:] == fam)
-
-
-def _extend_intervals(old: np.ndarray, starts: np.ndarray, prev_last: float | None) -> np.ndarray:
-    """Gaps over appended starts, stitched to the last pre-append start."""
-    if prev_last is not None:
-        gaps = np.diff(starts, prepend=prev_last)
-    else:
-        gaps = np.diff(starts)
-    return np.concatenate([old, gaps]) if old.size else gaps.astype(float)
-
-
-def _merge_daily(
-    new_ctx: AnalysisContext, family: str | None, old, base_n: int, shared: dict
-) -> Any:
-    """Extend a DailyDistribution with the appended rows' day counts.
-
-    The counts merge is O(batch + days).  The peak day's top family is
-    re-derived without a column scan where possible: a family-filtered
-    view's top family is that family itself, and the global view keeps
-    the old answer whenever the peak day is unchanged and untouched by
-    the batch (in-order appends never alter past rows).  Only a moved or
-    batch-touched global peak pays one O(n) pass, whose day column is
-    memoized in ``shared`` across the views of a single carry.
-    """
-    from ..core.overview import DailyDistribution
-
-    ds = new_ctx.dataset
-    base_counts = old.counts
-    if family is None:
-        new_idx = np.arange(base_n, ds.n_attacks)
-    else:
-        new_idx = _family_members(ds, base_n, family)
-    rel_days = ((ds.start[new_idx] - ds.window.start) // 86400).astype(np.int64)
-    n_days = max(
-        ds.window.n_days,
-        base_counts.size,
-        int(rel_days.max()) + 1 if rel_days.size else 1,
-    )
-    counts = np.zeros(n_days, dtype=base_counts.dtype)
-    counts[: base_counts.size] = base_counts
-    if rel_days.size:
-        counts += np.bincount(rel_days, minlength=n_days)
-    max_day = int(np.argmax(counts))
-    if counts[max_day] == 0:
-        top_family = ""
-    elif family is not None:
-        top_family = family
-    elif max_day == old.max_day_index and not bool(np.any(rel_days == max_day)):
-        top_family = old.max_day_top_family
-    else:
-        if "days_full" not in shared:
-            shared["days_full"] = (
-                (ds.start - ds.window.start) // 86400
-            ).astype(np.int64)
-        on_max = shared["days_full"] == max_day
-        fams, fam_counts = np.unique(ds.family_idx[on_max], return_counts=True)
-        top_family = ds.family_name(int(fams[np.argmax(fam_counts)]))
-    return DailyDistribution(
-        counts=counts,
-        mean_per_day=float(counts[: ds.window.n_days].mean()),
-        max_per_day=int(counts[max_day]),
-        max_day_index=max_day,
-        max_day_label=ds.window.day_label(max_day),
-        max_day_top_family=top_family,
-    )
-
-
-def _merge_protocol_breakdown(new_ctx: AnalysisContext, base_n: int, old) -> list:
-    """Merge appended (protocol, family) cells into the Table II rows."""
-    from ..monitor.schemas import Protocol
-
-    ds = new_ctx.dataset
-    cells: dict[tuple[int, str], int] = {
-        (int(proto), fam): count for proto, fam, count in old
-    }
-    new_protocol = ds.protocol[base_n:]
-    new_family = ds.family_idx[base_n:]
-    for p, f in zip(new_protocol.tolist(), new_family.tolist()):
-        key = (int(p), ds.family_name(int(f)))
-        cells[key] = cells.get(key, 0) + 1
-    rows = []
-    for proto in Protocol:
-        fams = sorted(
-            (fam, count) for (p, fam), count in cells.items() if p == int(proto)
-        )
-        rows.extend((proto, fam, count) for fam, count in fams)
-    return rows
+def _concat(_key, old: np.ndarray, pieces: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([old, *pieces]) if pieces else old
 
 
 def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
     """Seed the new snapshot's context from the previous one.
 
     ``old_ctx`` covered the first ``base_n`` attacks of ``new_ctx``'s
-    dataset (the appended rows sit at ``[base_n:]`` — callers only carry
-    across in-order appends).  Returns the number of views seeded.
+    dataset (callers only carry across in-order appends).  Returns the
+    number of views seeded.
     """
     ds = new_ctx.dataset
     old_ds = old_ctx.dataset
-    base_n = old_ds.n_attacks
-    new_start = ds.start[base_n:]
-    prev_last = float(ds.start[base_n - 1]) if base_n else None
+    batch = AnalysisContext(_slice_dataset(ds, old_ds.n_attacks, ds.n_attacks))
 
+    # A family interned mid-alphabet shifts the family indices after it;
+    # the old grouping's keys move to the new index space (its member
+    # arrays are row positions and stay valid).
     keymap = None
     if old_ds.families != ds.families:
         keymap = np.asarray([ds.family_id(name) for name in old_ds.families], dtype=np.int64)
 
     seeded = 0
-    shared: dict = {}  # per-carry memo (e.g. the full day column)
     for key, value in old_ctx.materialized().items():
-        new_value = _updated(key, value, new_ctx, base_n, new_start, prev_last, keymap, shared)
-        if new_value is not _DROP:
-            seeded += int(new_ctx.seed_view(key, new_value))
+        if key not in CARRIED_VERBATIM:
+            if not isinstance(key, tuple) or not key or key[0] not in INCREMENTAL_HEADS:
+                continue
+            if key[0] == "family_attack_index" and keymap is not None:
+                value = {int(keymap[k]): v for k, v in value.items()}
+            value = merge.extend_view(key, value, old_ctx, [batch], ds, _concat)
+        seeded += int(new_ctx.seed_view(key, value))
     return seeded
-
-
-_DROP = object()
-
-
-def _updated(
-    key: Hashable,
-    value: Any,
-    new_ctx: AnalysisContext,
-    base_n: int,
-    new_start: np.ndarray,
-    prev_last: float | None,
-    keymap: np.ndarray | None,
-    shared: dict,
-) -> Any:
-    """The view's value over the extended dataset, or ``_DROP``."""
-    ds = new_ctx.dataset
-    if key in CARRIED_VERBATIM:
-        return value
-    if not isinstance(key, tuple) or not key or key[0] not in INCREMENTAL_HEADS:
-        return _DROP
-    head = key[0]
-
-    if head == "family_attack_index":
-        return _extend_groups(value, ds.family_idx, base_n, keymap)
-    if head == "botnet_attack_index":
-        return _extend_groups(value, ds.botnet_id, base_n)
-    if head == "target_attack_index":
-        return _extend_groups(value, ds.target_idx, base_n)
-
-    if head == "attack_intervals":
-        return _extend_intervals(value, new_start, prev_last)
-
-    if head == "durations":
-        if len(key) == 1:
-            return np.concatenate([value, ds.end[base_n:] - new_start])
-        members = _family_members(ds, base_n, key[1])
-        if members.size == 0:
-            return value
-        return np.concatenate([value, ds.end[members] - ds.start[members]])
-
-    if head == "family_starts":
-        members = _family_members(ds, base_n, key[1])
-        if members.size == 0:
-            return value
-        return np.concatenate([value, ds.start[members]])
-
-    if head == "family_intervals":
-        family, include_simultaneous = key[1], key[2]
-        members = _family_members(ds, base_n, family)
-        if members.size == 0:
-            return value
-        fam = ds.family_id(family)
-        old_members = np.flatnonzero(ds.family_idx[:base_n] == fam)
-        fam_prev = float(ds.start[old_members[-1]]) if old_members.size else None
-        gaps = _extend_intervals(np.zeros(0), ds.start[members], fam_prev)
-        if not include_simultaneous:
-            gaps = gaps[gaps > 0]
-        return np.concatenate([value, gaps]) if value.size else gaps
-
-    if head == "target_country_idx":
-        return np.concatenate([value, ds.victims.country_idx[ds.target_idx[base_n:]]])
-    if head == "target_org_idx":
-        return np.concatenate([value, ds.victims.org_idx[ds.target_idx[base_n:]]])
-
-    if head == "target_country_counts":
-        return _merge_counts(value, ds.victims.country_idx[ds.target_idx[base_n:]])
-    if head == "family_target_country_counts":
-        members = _family_members(ds, base_n, key[1])
-        if members.size == 0:
-            return value
-        return _merge_counts(value, ds.victims.country_idx[ds.target_idx[members]])
-
-    if head == "daily_distribution":
-        return _merge_daily(new_ctx, key[1], value, base_n, shared)
-
-    if head == "protocol_popularity":
-        counts = np.bincount(ds.protocol[base_n:], minlength=len(value))
-        return {proto: count + int(counts[int(proto)]) for proto, count in value.items()}
-
-    if head == "protocol_breakdown":
-        return _merge_protocol_breakdown(new_ctx, base_n, value)
-
-    return _DROP

@@ -2,7 +2,7 @@
 
 The vectorized kernels in ``core.collaboration``, ``core.consecutive``,
 ``core.shift`` and ``core.geolocation`` replaced straightforward Python
-loops; the originals are kept as ``_reference_*`` functions and these
+loops; the originals are kept in ``tests/oracles/kernels.py`` and these
 tests pin the two implementations equal — exactly for the integer/tuple
 kernels, allclose for the dispersion kernel (its float summation order
 differs) — across randomized datasets and the boundary cases the window
@@ -24,19 +24,21 @@ from repro.core.collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
     _detect_collaborations,
-    _reference_detect_collaborations,
 )
-from repro.core.consecutive import (
-    CHAIN_MARGIN_SECONDS,
-    _detect_chains,
-    _reference_detect_chains,
-)
+from repro.core.consecutive import CHAIN_MARGIN_SECONDS, _detect_chains
 from repro.core.context import AnalysisContext
-from repro.core.shift import _reference_weekly_shift, _weekly_shift
+from repro.core.shift import _weekly_shift
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
 from repro.io.ingest import dataset_from_records
 from repro.monitor.schemas import DDoSAttackRecord, Protocol
+
+from ..oracles.kernels import (
+    reference_detect_chains,
+    reference_detect_collaborations,
+    reference_snapshot_dispersions,
+    reference_weekly_shift,
+)
 
 RANDOM_SEEDS = [11, 23, 47, 101]
 
@@ -106,10 +108,10 @@ def _assert_dataset_parity(ds):
     """Exact collaboration/chain parity on one dataset."""
     assert _detect_collaborations(
         ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
-    ) == _reference_detect_collaborations(
+    ) == reference_detect_collaborations(
         ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
     )
-    assert _detect_chains(ds, CHAIN_MARGIN_SECONDS, 2) == _reference_detect_chains(
+    assert _detect_chains(ds, CHAIN_MARGIN_SECONDS, 2) == reference_detect_chains(
         ds, CHAIN_MARGIN_SECONDS, 2
     )
 
@@ -123,9 +125,9 @@ class TestRandomizedParity:
     def test_nondefault_windows(self, seed):
         ds = _random_attack_table(seed)
         assert _detect_collaborations(ds, 120.0, 300.0) == (
-            _reference_detect_collaborations(ds, 120.0, 300.0)
+            reference_detect_collaborations(ds, 120.0, 300.0)
         )
-        assert _detect_chains(ds, 15.0, 3) == _reference_detect_chains(ds, 15.0, 3)
+        assert _detect_chains(ds, 15.0, 3) == reference_detect_chains(ds, 15.0, 3)
 
     def test_generated_dataset(self, tiny_ds):
         """The generated tiny dataset exercises the full Botlist side."""
@@ -133,10 +135,10 @@ class TestRandomizedParity:
         ctx = AnalysisContext(tiny_ds)
         for family in tiny_ds.active_families:
             _assert_shift_equal(
-                _weekly_shift(ctx, family), _reference_weekly_shift(ctx, family)
+                _weekly_shift(ctx, family), reference_weekly_shift(ctx, family)
             )
             ts, values = geo.snapshot_dispersions(ctx, family)
-            ref_ts, ref_values = geo._reference_snapshot_dispersions(ctx, family)
+            ref_ts, ref_values = reference_snapshot_dispersions(ctx, family)
             np.testing.assert_array_equal(ts, ref_ts)
             np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
 
@@ -215,10 +217,10 @@ class TestEdgeCases:
         ctx = AnalysisContext(ds)
         family = ds.active_families[0]
         _assert_shift_equal(
-            _weekly_shift(ctx, family), _reference_weekly_shift(ctx, family)
+            _weekly_shift(ctx, family), reference_weekly_shift(ctx, family)
         )
         ts, values = geo.snapshot_dispersions(ctx, family)
-        ref_ts, ref_values = geo._reference_snapshot_dispersions(ctx, family)
+        ref_ts, ref_values = reference_snapshot_dispersions(ctx, family)
         np.testing.assert_array_equal(ts, ref_ts)
         np.testing.assert_array_equal(values, ref_values)
         assert values.size == 0
@@ -257,9 +259,9 @@ def test_full_scale_parity():
     ctx = AnalysisContext(ds)
     busiest = max(ds.active_families, key=lambda f: ctx.family_attacks(f).size)
     _assert_shift_equal(
-        _weekly_shift(ctx, busiest), _reference_weekly_shift(ctx, busiest)
+        _weekly_shift(ctx, busiest), reference_weekly_shift(ctx, busiest)
     )
     ts, values = geo.snapshot_dispersions(ctx, busiest)
-    ref_ts, ref_values = geo._reference_snapshot_dispersions(ctx, busiest)
+    ref_ts, ref_values = reference_snapshot_dispersions(ctx, busiest)
     np.testing.assert_array_equal(ts, ref_ts)
     np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)

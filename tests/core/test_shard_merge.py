@@ -3,11 +3,13 @@
 The tentpole contract is *bitwise*: every derived view seeded by
 :meth:`ShardedAnalysisContext.merged` must be array-equal to the one the
 unsharded :class:`AnalysisContext` builds from scratch, for any shard
-count.  These tests pin that across K ∈ {1, 2, 5} partitions, check the
-commutative combinators are merge-order invariant, and hand-craft
-collaboration/chain cases that straddle a shard boundary (the stitched
-rescan path).  The full-scale byte-identity sweep (marked ``slow``)
-only runs when ``REPRO_BENCH_SCALE`` names a scale, as in CI.
+count.  These tests pin that across K ∈ {1, 2, 5} partitions and a
+layout with empty shards, check the commutative combinators are
+merge-order invariant, and hand-craft collaboration/chain cases that
+straddle a shard boundary (the seam stitch).  The serial reference fold
+they also compare against lives in ``tests/oracles/merge_fold.py``.  The
+full-scale byte-identity sweep (marked ``slow``) only runs when
+``REPRO_BENCH_SCALE`` names a scale, as in CI.
 """
 
 from __future__ import annotations
@@ -24,10 +26,21 @@ from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
 from repro.experiments.registry import run_all
 from repro.io.cache import MergeCache
-from repro.io.colstore import ShardedDatasetStore, append_shard
+from repro.io.colstore import (
+    ShardedDatasetStore,
+    _slice_dataset,
+    append_shard,
+    concat_datasets,
+    save_sharded_npz,
+)
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
 
+from ..oracles.merge_fold import (
+    find_boundary_suspects,
+    merge_intervals,
+    merged_reference,
+)
 from .test_kernel_parity import _record
 
 
@@ -102,17 +115,33 @@ def _unread_view_keys(sctx: ShardedAnalysisContext, merged: AnalysisContext) -> 
     return found
 
 
+def _gapped(ds):
+    """``ds`` without the rows of two of its six equal time slices.
+
+    Partitioned into six shards again, shards 0 and 3 come out empty:
+    an empty left operand for the merge and an empty interior part.
+    """
+    slices = ShardedDatasetStore.partition(ds, shards=6)
+    return concat_datasets([slices.load_shard(k) for k in (1, 2, 4, 5)])
+
+
 class TestMergedParity:
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, "gaps"])
     def test_every_seeded_view_matches_unsharded(self, small_ds, k):
-        store = ShardedDatasetStore.partition(small_ds, shards=k)
+        if k == "gaps":
+            ds = _gapped(small_ds)
+            store = ShardedDatasetStore.partition(ds, shards=6)
+            assert store._counts[0] == store._counts[3] == 0
+        else:
+            ds = small_ds
+            store = ShardedDatasetStore.partition(ds, shards=k)
         sctx = ShardedAnalysisContext(store)
         sctx.build(jobs=1)
         merged = sctx.merged()
-        fresh = AnalysisContext(small_ds)
-        assert merged.dataset.attack_columns_equal(small_ds)
+        fresh = AnalysisContext(ds)
+        assert merged.dataset.attack_columns_equal(ds)
 
-        families = [f for f in small_ds.active_families if fresh.family_attacks(f).size]
+        families = [f for f in ds.active_families if fresh.family_attacks(f).size]
         got = _collect_views(merged, families)
         want = _collect_views(fresh, families)
         for label in want:
@@ -227,6 +256,26 @@ class TestBoundaryStitching:
         assert len(merged.chains()) == 1
         assert merged.chains()[0].attack_indices == (0, 1, 2)
 
+    def test_chain_link_over_a_shard_without_the_target(self):
+        # A day-long attack in shard 0 hands off to one in shard 2; the
+        # target has no row in shard 1, so the link straddles two seams
+        # and only shard 2's seam probe holds the target.
+        ds = dataset_from_records(
+            [
+                _record(0, botnet=1, family="alpha", target=1, start=80_000.0, duration=100_000.0),
+                _record(1, botnet=2, family="beta", target=2, start=100_000.0, duration=300.0),
+                _record(2, botnet=3, family="alpha", target=1, start=180_030.0, duration=300.0),
+            ],
+            ObservationWindow(start=0, end=3 * 86400),
+        )
+        store = ShardedDatasetStore.partition(ds, shards=3)
+        assert [int(c) for c in store._counts] == [1, 1, 1]
+        sctx = ShardedAnalysisContext(store)
+        sctx.build(jobs=1)
+        merged = sctx.merged()
+        assert merged.chains() == AnalysisContext(ds).chains()
+        assert [c.attack_indices for c in merged.chains()] == [(0, 2)]
+
     def test_boundary_suspects_flag_handoff_targets(self):
         ds = _boundary_dataset(
             [
@@ -238,7 +287,7 @@ class TestBoundaryStitching:
         )
         store = ShardedDatasetStore.partition(ds, shards=2)
         shards = [store.load_shard(i) for i in range(2)]
-        suspect = merge.find_boundary_suspects(shards, ds.victims.n_targets)
+        suspect = find_boundary_suspects(shards, ds.victims.n_targets)
         # rows sort by start: 0 = the early beta, 1-2 = the straddling
         # alpha pair, 3 = the late beta.
         assert suspect[ds.target_idx[1]]  # the straddling target
@@ -255,7 +304,7 @@ class TestBoundaryStitching:
         )
         store = ShardedDatasetStore.partition(ds, shards=2)
         shards = [store.load_shard(i) for i in range(2)]
-        got = merge.merge_intervals(
+        got = merge_intervals(
             [s.start for s in shards], [np.diff(s.start) for s in shards]
         )
         np.testing.assert_array_equal(got, np.diff(ds.start))
@@ -274,14 +323,32 @@ def _append_store(path, small_ds, k):
     return parts[k]
 
 
+def _gapped_store(path, ds):
+    """A six-shard disk store of ``ds`` minus its last time slice.
+
+    Returns the held-back last slice.  On a :func:`_gapped` dataset the
+    stored shards 0, 3 and 5 are empty.
+    """
+    cut = int(ShardedDatasetStore.partition(ds, shards=6).shard_bases()[5])
+    save_sharded_npz(_slice_dataset(ds, 0, cut), path, shards=6)
+    return _slice_dataset(ds, cut, ds.n_attacks)
+
+
 class TestIncrementalRemerge:
     """append_shard + refresh + merged() re-merges only the spine —
     and the result is byte-identical to a from-scratch build."""
 
-    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("k", [2, 5, 8, "gaps"])
     def test_append_then_remerge_equals_from_scratch(self, small_ds, k, tmp_path):
-        tail = _append_store(tmp_path / "store", small_ds, k)
+        if k == "gaps":
+            ds = _gapped(small_ds)
+            tail = _gapped_store(tmp_path / "store", ds)
+        else:
+            ds = small_ds
+            tail = _append_store(tmp_path / "store", small_ds, k)
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
+        if k == "gaps":
+            assert [int(sctx.store._counts[i]) for i in (0, 3, 5)] == [0, 0, 0]
         sctx.build(jobs=1)
         sctx.merged()
         assert sctx.last_merge_stats["mode"] == "full"
@@ -292,9 +359,9 @@ class TestIncrementalRemerge:
         merged = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "incremental"
 
-        fresh = AnalysisContext(small_ds)
-        assert merged.dataset.attack_columns_equal(small_ds)
-        families = [f for f in small_ds.active_families if fresh.family_attacks(f).size]
+        fresh = AnalysisContext(ds)
+        assert merged.dataset.attack_columns_equal(ds)
+        families = [f for f in ds.active_families if fresh.family_attacks(f).size]
         got = _collect_views(merged, families)
         want = _collect_views(fresh, families)
         for label in want:
@@ -440,7 +507,7 @@ class TestReferenceFoldParity:
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
         sctx.build(jobs=1)
         merged = sctx.merged()
-        reference = sctx.merged_reference()
+        reference = merged_reference(sctx)
         families = [
             f for f in small_ds.active_families if AnalysisContext(small_ds).family_attacks(f).size
         ]

@@ -1,0 +1,177 @@
+"""Reference loops for the vectorised analysis kernels.
+
+The sweep-line collaboration and chain scans, the weekly-shift pass and
+the batched snapshot-dispersion kernel replaced these straightforward
+Python loops.  They are kept here, unchanged, as the comparison target
+of ``tests/core/test_kernel_parity.py``: exact for the integer/tuple
+kernels, ``allclose`` for the dispersion kernel (its float summation
+order differs).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.collaboration import CollabEvent
+from repro.core.consecutive import AttackChain
+from repro.core.context import AnalysisContext, AnalysisSource
+from repro.core.shift import WeeklyShift
+
+
+def reference_detect_collaborations(
+    ds, start_window: float, duration_window: float
+) -> list[CollabEvent]:
+    """Reference implementation (pre-vectorization); kept for parity tests."""
+    events: list[CollabEvent] = []
+    order = np.lexsort((ds.start, ds.target_idx))
+    targets = ds.target_idx[order]
+    boundaries = np.flatnonzero(np.diff(targets) != 0) + 1
+    for group in np.split(order, boundaries):
+        if group.size < 2:
+            continue
+        starts = ds.start[group]
+        # Runs of near-simultaneous starts on this target.
+        run_break = np.flatnonzero(np.diff(starts) > start_window) + 1
+        for run in np.split(group, run_break):
+            if run.size < 2:
+                continue
+            base_duration = float(ds.end[run[0]] - ds.start[run[0]])
+            keep: list[int] = []
+            seen_botnets: set[int] = set()
+            for i in run:
+                botnet = int(ds.botnet_id[i])
+                duration = float(ds.end[i] - ds.start[i])
+                if botnet in seen_botnets:
+                    continue
+                if abs(duration - base_duration) > duration_window:
+                    continue
+                seen_botnets.add(botnet)
+                keep.append(int(i))
+            if len(keep) < 2:
+                continue
+            families = tuple(
+                sorted({ds.family_name(int(ds.family_idx[i])) for i in keep})
+            )
+            events.append(
+                CollabEvent(
+                    attack_indices=tuple(keep),
+                    target_index=int(ds.target_idx[keep[0]]),
+                    families=families,
+                    botnet_ids=tuple(int(ds.botnet_id[i]) for i in keep),
+                    start=float(min(ds.start[i] for i in keep)),
+                    is_inter_family=len(families) > 1,
+                )
+            )
+    events.sort(key=lambda e: e.start)
+    return events
+
+
+def reference_detect_chains(ds, margin: float, min_length: int) -> list[AttackChain]:
+    """Reference implementation (pre-vectorization); kept for parity tests."""
+    chains: list[AttackChain] = []
+    order = np.lexsort((ds.start, ds.target_idx))
+    targets = ds.target_idx[order]
+    boundaries = np.flatnonzero(np.diff(targets) != 0) + 1
+    for group in np.split(order, boundaries):
+        if group.size < min_length:
+            continue
+        current: list[int] = [int(group[0])]
+        gaps: list[float] = []
+
+        def flush() -> None:
+            if len(current) >= min_length:
+                chains.append(
+                    AttackChain(
+                        attack_indices=tuple(current),
+                        target_index=int(ds.target_idx[current[0]]),
+                        families=tuple(
+                            ds.family_name(int(ds.family_idx[i])) for i in current
+                        ),
+                        start=float(ds.start[current[0]]),
+                        end=float(ds.end[current[-1]]),
+                        gaps=tuple(gaps),
+                    )
+                )
+
+        for i in group[1:]:
+            prev = current[-1]
+            gap = float(ds.start[i] - ds.end[prev])
+            starts_apart = float(ds.start[i] - ds.start[prev])
+            if abs(gap) <= margin and starts_apart > 1.0:
+                current.append(int(i))
+                gaps.append(gap)
+            else:
+                flush()
+                current = [int(i)]
+                gaps = []
+        flush()
+    chains.sort(key=lambda c: c.start)
+    return chains
+
+
+def reference_weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
+    """Reference per-week loop (pre-vectorization); kept for parity tests."""
+    ds = ctx.dataset
+    idx = ctx.family_attacks(family)
+    if idx.size == 0:
+        raise ValueError(f"family {family!r} launched no attacks")
+    weeks_of_attack = ((ds.start[idx] - ds.window.start) // (7 * 86400)).astype(np.int64)
+
+    weeks: list[int] = []
+    existing_counts: list[int] = []
+    new_counts: list[int] = []
+    new_country_counts: list[int] = []
+    seen: set[int] = set()
+    for week in np.unique(weeks_of_attack):
+        attack_ids = idx[weeks_of_attack == week]
+        bots = np.unique(
+            np.concatenate([ds.participants_of(int(i)) for i in attack_ids])
+        )
+        countries = ds.bots.country_idx[bots]
+        if seen:
+            known = np.isin(countries, list(seen))
+        else:
+            known = np.ones(countries.size, dtype=bool)  # baseline week
+        fresh = {int(c) for c in np.unique(countries[~known])}
+        weeks.append(int(week))
+        existing_counts.append(int(np.sum(known)))
+        new_counts.append(int(np.sum(~known)))
+        new_country_counts.append(len(fresh))
+        seen.update(int(c) for c in np.unique(countries))
+    return WeeklyShift(
+        family=family,
+        weeks=np.asarray(weeks, dtype=np.int64),
+        bots_existing=np.asarray(existing_counts, dtype=np.int64),
+        bots_new=np.asarray(new_counts, dtype=np.int64),
+        new_countries=np.asarray(new_country_counts, dtype=np.int64),
+    )
+
+
+def reference_snapshot_dispersions(
+    source: AnalysisSource, family: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference per-snapshot loop (pre-vectorization); kept for parity tests.
+
+    The batched kernel and this loop sum floating-point terms in
+    different orders, so parity is asserted with ``np.allclose`` rather
+    than bitwise equality.
+    """
+    from repro.geo.haversine import dispersion_km
+    from repro.monitor.snapshots import iter_hourly_snapshots
+
+    ctx = AnalysisContext.of(source)
+    ds = ctx.dataset
+    idx = ctx.family_attacks(family)
+    if idx.size == 0:
+        raise ValueError(f"family {family!r} launched no attacks")
+    offsets, flat = ctx.family_participants(family)
+    times: list[float] = []
+    values: list[float] = []
+    for snap in iter_hourly_snapshots(ds.start[idx], offsets, flat, ds.window, family):
+        if snap.n_bots < 2:
+            continue
+        times.append(snap.timestamp)
+        values.append(
+            dispersion_km(ds.bots.lat[snap.bot_indices], ds.bots.lon[snap.bot_indices])
+        )
+    return np.asarray(times), np.asarray(values)

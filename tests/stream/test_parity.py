@@ -62,7 +62,7 @@ def views_equal(a, b) -> bool:
             for f in dataclasses.fields(a)
         )
     if isinstance(a, dict):
-        return set(a) == set(b) and all(views_equal(a[k], b[k]) for k in a)
+        return list(a) == list(b) and all(views_equal(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(views_equal(x, y) for x, y in zip(a, b))
     return a == b
