@@ -43,6 +43,7 @@ from .dataset import AttackDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..monitor.schemas import Protocol
+    from .columns import ColumnStore
     from .collaboration import CollabEvent
     from .consecutive import AttackChain
     from .overview import DailyDistribution, WorkloadSummary
@@ -89,6 +90,11 @@ class AnalysisContext:
         #: resolved from the default registry once per kind and cached so
         #: the hot hit path costs one dict lookup + one counter add.
         self._view_obs: dict[str, tuple] = {}
+        #: Where this context's extended views grow (see
+        #: :func:`repro.core.merge.extend_view`): ``None`` for a context
+        #: built from scratch; a merge or stream carry passes its store
+        #: on, so the next extension of this context grows in place.
+        self._columns: "ColumnStore | None" = None
 
     # -- construction ------------------------------------------------------
 
@@ -646,12 +652,14 @@ class ShardedAnalysisContext:
 
     Every merge is the extend step of :func:`repro.core.merge.extend_view`:
     a left operand (shard 0, or the previous merged context) grows by
-    the shards after it.  Interval arrays gain the boundary gaps, and
-    the collaboration/chain scans regenerate only the runs that cross a
-    seam.  Views no experiment reads — the hourly-snapshot
-    dispersions and the per-botnet grouping — are neither built per
-    shard nor merged: they build lazily on the merged context, with the
-    same kernel a flat context uses.
+    the shards after it.  The merged attack columns and concatenation
+    views live in a :class:`~repro.core.columns.ColumnStore` the merged
+    context keeps, so a re-merge grows them in place.  Interval arrays
+    gain the boundary gaps, and the collaboration/chain scans
+    regenerate only the runs that cross a seam.  Views no experiment
+    reads — the hourly-snapshot dispersions and the per-botnet grouping
+    — are neither built per shard nor merged: they build lazily on the
+    merged context, with the same kernel a flat context uses.
 
     The reduce is tree-structured: the small re-reduction state of every
     shard (:class:`~repro.core.merge.ShardPartial`) combines over
@@ -660,8 +668,9 @@ class ShardedAnalysisContext:
     when a :class:`~repro.io.cache.MergeCache` is supplied, on disk.
     After :meth:`refresh` picks up appended shards, :meth:`merged`
     re-merges incrementally: cached subtrees cover the untouched prefix,
-    the previous merged context is reused as one big left operand, and
-    only the new shard seams are re-stitched.
+    the previous merged context is reused as one big left operand (its
+    columns grow by the new shards' rows only), and only the new shard
+    seams are re-stitched.
 
     Observability: each per-shard build runs under a ``shard:<i>`` span
     inside the ``shard.build`` stage; the merge runs under
@@ -690,12 +699,6 @@ class ShardedAnalysisContext:
         self._partials: dict[tuple[int, int], Any] = {}
         #: The last finalised merge: (shard signatures, merged context).
         self._finalized: tuple[tuple, AnalysisContext] | None = None
-        #: Merged columns with reserved tail capacity so an append only
-        #: copies the new shard's rows (see colstore.GrowableConcat).
-        self._growable: _colstore.GrowableConcat | None = None
-        #: Concat-shaped merged views in growable buffers, keyed by view
-        #: key; the incremental merge extends these in place.
-        self._view_bufs: dict[Hashable, Any] = {}
         #: What the last :meth:`merged` call actually did (diagnostics):
         #: ``{"mode": "full" | "incremental", "levels", "reused", "combined"}``.
         self.last_merge_stats: dict[str, Any] | None = None
@@ -930,7 +933,6 @@ class ShardedAnalysisContext:
                     ctx = self._extend(prev_ctx, n_prev, partial)
                     mode = "incremental"
             if ctx is None:
-                self._view_bufs = {}
                 ctx = self._extend(self.shard_context(0), 1, partial)
             self._finalized = (sigs, ctx)
             self.last_merge_stats = {
@@ -961,28 +963,6 @@ class ShardedAnalysisContext:
                 return False
         return True
 
-    def _grow(self, key: Hashable, old: np.ndarray | None, pieces: list) -> np.ndarray:
-        """``old`` followed by ``pieces``, in a growable buffer under ``key``.
-
-        Extends the buffer in place when ``old`` is its current view and
-        it has room; otherwise copies everything into a fresh buffer
-        (headroom restored).  Bitwise the array ``np.concatenate`` would
-        build.
-        """
-        from . import merge as _merge
-
-        gb = self._view_bufs.get(key)
-        if gb is not None and gb.view is old:
-            out = gb.extend(pieces)
-            if out is not None:
-                return out
-        if old is not None:
-            pieces = [old, *pieces]
-        elif not pieces:
-            return np.zeros(0)  # a family's only attack has no interval
-        gb = self._view_bufs[key] = _merge.GrowBuffer(pieces)
-        return gb.view
-
     def _extend(self, prev: AnalysisContext, first: int, partial) -> AnalysisContext:
         """Extend ``prev`` — the merge of shards ``[0, first)`` — by the rest.
 
@@ -990,23 +970,20 @@ class ShardedAnalysisContext:
         global); the incremental re-merge passes the previous merged
         context.  Re-reductions come from the tree partial, the other
         views from :func:`repro.core.merge.extend_view`, and the scans
-        from the seam stitch.
+        from the seam stitch.  The merged columns and concatenation
+        views grow in ``prev``'s column store, in place for the previous
+        merged context; shard 0 starts a fresh store.
         """
         from . import merge as _merge
         from . import shift as _shift
         from ..io import colstore as _colstore
+        from .columns import ColumnStore
 
         parts = [self.shard_context(k) for k in range(first, self.n_shards)]
-        rows = [c.dataset for c in parts]
-        ds = None
-        if self._growable is not None and self._growable.dataset is prev.dataset:
-            # The previous merged columns sit in buffers with reserved
-            # headroom: copy only the appended shards' rows.
-            ds = self._growable.extend(rows)
-        if ds is None:
-            self._growable = _colstore.GrowableConcat([prev.dataset, *rows])
-            ds = self._growable.dataset
+        columns = prev._columns or ColumnStore()
+        ds = _colstore.extend_dataset(columns, prev.dataset, [c.dataset for c in parts])
         ctx = AnalysisContext.of(ds)
+        ctx._columns = columns
         reg = _obs_registry()
         merged_views = reg.counter("shard.merge.views")
 
@@ -1015,7 +992,7 @@ class ShardedAnalysisContext:
                 merged_views.inc()
 
         def extend(key: tuple, old: Any) -> None:
-            seed(key, _merge.extend_view(key, old, prev, parts, ds, self._grow))
+            seed(key, _merge.extend_view(key, old, prev, parts, ds, columns))
 
         seed(("bot_coords_radians",), self._shared_bot_coords())
         for key in (

@@ -20,10 +20,11 @@ pinned by the shard-merge and stream parity tests.  The view kinds fall
 into three shapes:
 
 * **Concatenations** (durations, per-family starts, victim columns, CSR
-  participants, dispersion series) return the new pieces through the
-  caller's ``grow`` callback, so the caller picks the storage: the
-  sharded merge keeps them in :class:`GrowBuffer` tails, the stream
-  concatenates.  Interval arrays add one boundary gap per seam.
+  participants, dispersion series) grow in the caller's
+  :class:`~repro.core.columns.ColumnStore`: in place when the left
+  operand holds the column's latest view, so a lineage of merges or
+  snapshots copies only the new rows.  Interval arrays add one boundary
+  gap per seam.
 * **Re-reductions** (groupings, marginal counts, protocol tables, daily
   histograms) re-reduce the left value with the parts' values.  The
   sharded merge takes its re-reductions, and the weekly (week, bot) pair
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .consecutive import CHAIN_MARGIN_SECONDS, AttackChain
 from .overview import DailyDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from .columns import ColumnStore
     from .context import AnalysisContext
     from .dataset import AttackDataset
 
@@ -79,42 +81,6 @@ __all__ = [
     "combine_partials",
     "sketch_summaries",
 ]
-
-
-class GrowBuffer:
-    """A 1-D concatenation with reserved tail capacity.
-
-    Concat-shaped merged views (durations, per-family starts, CSR flats,
-    dispersion series, ...) are suffix-extended by an append: the merged
-    array after one more shard is the old array plus the new shard's
-    rows.  Rebuilding them with ``np.concatenate`` re-copies every row
-    on every re-merge.  A ``GrowBuffer`` copies the pieces once into a
-    buffer with ``reserve`` fractional headroom; later appends write
-    only the new pieces into the reserved tail, and the previously
-    returned view stays valid because it covers an immutable prefix of
-    the same buffer.
-
-    ``extend`` returns ``None`` once the headroom is exhausted — callers
-    rebuild a fresh ``GrowBuffer``, which restores the reserve.
-    """
-
-    def __init__(self, pieces: Sequence[np.ndarray], *, reserve: float = 0.5):
-        n = sum(int(p.size) for p in pieces)
-        self._buf = np.empty(n + max(int(n * reserve), 16), dtype=pieces[0].dtype)
-        self.n = 0
-        self.view = self._buf[:0]
-        self.extend(pieces)
-
-    def extend(self, pieces: Sequence[np.ndarray]) -> np.ndarray | None:
-        """Append ``pieces`` in place; ``None`` if headroom is exhausted."""
-        add = sum(int(p.size) for p in pieces)
-        if self.n + add > self._buf.size:
-            return None
-        for p in pieces:
-            self._buf[self.n : self.n + p.size] = p
-            self.n += int(p.size)
-        self.view = self._buf[: self.n]
-        return self.view
 
 
 # -- the extend step -------------------------------------------------------
@@ -145,19 +111,18 @@ def extend_view(
     prev: "AnalysisContext",
     parts: Sequence["AnalysisContext"],
     ds: "AttackDataset",
-    grow: Callable[[Any, "np.ndarray | None", list], np.ndarray],
+    columns: "ColumnStore",
 ) -> Any:
     """View ``key`` over ``prev``'s rows followed by every part's rows.
 
     ``prev`` is the left operand, a context over the leading rows of
     ``ds``; ``old`` is its value of ``key``, or ``None`` when it has no
     rows of the view's family.  ``parts`` are contexts over the rows that
-    follow, in time order.  Concatenation-shaped views come back from
-    ``grow(key, old, pieces)``, which stores ``old`` followed by the new
-    pieces as the caller sees fit; two-array views (CSR participants,
-    dispersion series) grow each component under ``(key, 0)`` and
-    ``(key, 1)``.  Raises ``ValueError`` for a view kind with no extend
-    rule.
+    follow, in time order.  Concatenation-shaped views are ``old``
+    followed by the new pieces, grown under ``key`` in ``columns``;
+    two-array views (CSR participants, dispersion series) grow each
+    component under ``(key, 0)`` and ``(key, 1)``.  Raises
+    ``ValueError`` for a view kind with no extend rule.
     """
     head, args = key[0], key[1:]
     if head in _GROUPINGS:
@@ -183,24 +148,24 @@ def extend_view(
         pieces = interval_pieces(starts, [np.zeros(0), *gaps])
         if head == "family_intervals" and not args[1]:
             pieces = [p[p > 0] for p in pieces]
-        return grow(key, old, pieces)
+        return columns.extend(key, old, pieces)
     values = [view_value(c, key) for c in parts]
     if head in ("durations", "family_starts", "target_country_idx", "target_org_idx"):
-        return grow(key, old, values)
+        return columns.extend(key, old, values)
     if head in ("family_participants", "attack_dispersions"):
-        columns = ([v[0] for v in values], [v[1] for v in values])
+        pieces = ([v[0] for v in values], [v[1] for v in values])
         if head == "family_participants":
             # ``flat`` holds global bot indices (the registries are
             # shared); only the offsets continue from the left operand's
             # flat end.
             base = np.int64(0) if old is None else old[0][-1]
             offsets = [np.zeros(1, dtype=np.int64)] if old is None else []
-            for part_offsets in columns[0]:
+            for part_offsets in pieces[0]:
                 offsets.append(part_offsets[1:] + base)
                 base = base + part_offsets[-1]
-            columns = (offsets, columns[1])
+            pieces = (offsets, pieces[1])
         olds = (None, None) if old is None else old
-        return tuple(grow((key, i), olds[i], columns[i]) for i in (0, 1))
+        return tuple(columns.extend((key, i), olds[i], pieces[i]) for i in (0, 1))
     olds = [] if old is None else [old]
     if head in ("target_country_counts", "target_org_counts", "family_target_country_counts"):
         return merge_counts(olds + values)

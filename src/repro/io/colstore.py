@@ -35,12 +35,14 @@ silently fell back to a buffered copy (0.0).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from ..core.columns import ColumnStore
 from ..core.dataset import AttackDataset, BotRegistry, VictimRegistry
 from ..errors import FormatError
 from ..geo.world import City, Country, Organization, World
@@ -55,7 +57,7 @@ __all__ = [
     "ColstoreError",
     "ShardedDatasetStore",
     "append_shard",
-    "concat_datasets",
+    "extend_dataset",
     "is_sharded_store",
     "load_dataset_npz",
     "save_dataset_npz",
@@ -729,135 +731,39 @@ class ShardedDatasetStore:
     def merged_dataset(self) -> AttackDataset:
         """All shards concatenated back into one dataset.
 
-        Always rebuilds by concatenation — also for in-memory
+        Always copies into fresh columns — also for in-memory
         partitions — so the merged columns are bitwise what the shards
         actually hold, never a reference to some original.
         """
-        return concat_datasets([self.load_shard(i) for i in range(self.n_shards)])
+        first, *rest = (self.load_shard(i) for i in range(self.n_shards))
+        return extend_dataset(ColumnStore(), first, rest)
 
 
-class GrowableConcat:
-    """Concatenated attack columns with reserved tail capacity.
+def extend_dataset(
+    columns: ColumnStore, prev: AttackDataset, parts: list[AttackDataset]
+) -> AttackDataset:
+    """``prev``'s attack rows followed by every part's, grown in ``columns``.
 
-    ``concat_datasets`` re-copies every row each time the merged table
-    grows by one shard, which makes an incremental re-merge O(total
-    rows) in memcpy alone.  This variant allocates each column with
-    ``reserve`` fractional headroom so that appending a shard only
-    copies the *new* rows into the reserved tail; the previously
-    returned dataset stays valid because its views cover an immutable
-    prefix of the same buffers.
-
-    ``extend`` returns ``None`` once the headroom is exhausted — the
-    caller falls back to a fresh copy (typically by building a new
-    ``GrowableConcat``, which restores the headroom).
+    The parts share ``prev``'s registries and window and follow it in
+    time order.  Each attack column grows in place when ``prev`` holds
+    its latest view in ``columns`` (see
+    :class:`~repro.core.columns.ColumnStore`), so the re-merge after an
+    appended shard copies only that shard's rows; any other ``prev`` is
+    copied once into fresh columns.
     """
-
-    _COLS = (
-        "start", "end", "family_idx", "botnet_id", "protocol",
-        "target_idx", "magnitude", "truth_collab_group",
-        "truth_collab_kind", "truth_chain_id", "truth_symmetric",
-        "truth_residual_km",
-    )
-
-    def __init__(self, parts: list[AttackDataset], *, reserve: float = 0.5):
-        first = parts[0]
-        self._template = first
-        rows = sum(np.asarray(p.part_offsets).size - 1 for p in parts)
-        flat = sum(int(np.asarray(p.part_offsets)[-1]) for p in parts)
-        self._cap_rows = rows + max(int(rows * reserve), 1)
-        self._cap_flat = flat + max(int(flat * reserve), 1)
-        self._bufs = {
-            name: np.empty(self._cap_rows, dtype=np.asarray(getattr(first, name)).dtype)
-            for name in self._COLS
-        }
-        self._bufs["participants"] = np.empty(
-            self._cap_flat, dtype=np.asarray(first.participants).dtype
+    grown = {
+        name: columns.extend(
+            ("dataset", name), getattr(prev, name), [getattr(p, name) for p in parts]
         )
-        self._off = np.empty(self._cap_rows + 1, dtype=np.int64)
-        self._off[0] = 0
-        self._n_rows = 0
-        self._n_flat = 0
-        self._copy_in(parts)
-        self.dataset = self._snapshot()
-
-    def _copy_in(self, parts: list[AttackDataset]) -> None:
-        for p in parts:
-            po = np.asarray(p.part_offsets)
-            rows = po.size - 1
-            flat = int(po[-1])
-            r0, f0 = self._n_rows, self._n_flat
-            for name in self._COLS:
-                self._bufs[name][r0:r0 + rows] = np.asarray(getattr(p, name))
-            self._bufs["participants"][f0:f0 + flat] = np.asarray(p.participants)
-            self._off[r0 + 1:r0 + rows + 1] = po[1:] + f0
-            self._n_rows = r0 + rows
-            self._n_flat = f0 + flat
-
-    def _snapshot(self) -> AttackDataset:
-        first = self._template
-        cols = {name: self._bufs[name][: self._n_rows] for name in self._COLS}
-        return AttackDataset(
-            window=first.window,
-            world=first.world,
-            families=list(first.families),
-            active_families=list(first.active_families),
-            bots=first.bots,
-            victims=first.victims,
-            botnets=list(first.botnets),
-            part_offsets=self._off[: self._n_rows + 1],
-            participants=self._bufs["participants"][: self._n_flat],
-            **cols,
-        )
-
-    def extend(self, parts: list[AttackDataset]) -> AttackDataset | None:
-        """Append ``parts`` in place; ``None`` if headroom is exhausted."""
-        rows = sum(np.asarray(p.part_offsets).size - 1 for p in parts)
-        flat = sum(int(np.asarray(p.part_offsets)[-1]) for p in parts)
-        if self._n_rows + rows > self._cap_rows or self._n_flat + flat > self._cap_flat:
-            return None
-        self._copy_in(parts)
-        self.dataset = self._snapshot()
-        return self.dataset
-
-
-def concat_datasets(parts: list[AttackDataset]) -> AttackDataset:
-    """Concatenate attack tables that share registries and window.
-
-    Parts must be in time order (each part's starts after the previous
-    part's); the incremental merge uses this with the previous merged
-    dataset as one big leading part.
-    """
-    first = parts[0]
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([np.asarray(getattr(p, name)) for p in parts])
-
-    offsets = [np.zeros(1, dtype=np.int64)]
-    base = 0
+        for name in _ATTACK_COLS
+        if name != "part_offsets"
+    }
+    offsets = []
+    base = prev.part_offsets[-1]
     for p in parts:
-        po = np.asarray(p.part_offsets)
-        offsets.append(po[1:] + base)
-        base += int(po[-1])
-    return AttackDataset(
-        window=first.window,
-        world=first.world,
-        families=list(first.families),
-        active_families=list(first.active_families),
-        bots=first.bots,
-        victims=first.victims,
-        botnets=list(first.botnets),
-        start=cat("start"),
-        end=cat("end"),
-        family_idx=cat("family_idx"),
-        botnet_id=cat("botnet_id"),
-        protocol=cat("protocol"),
-        target_idx=cat("target_idx"),
-        magnitude=cat("magnitude"),
-        part_offsets=np.concatenate(offsets),
-        participants=cat("participants"),
-        truth_collab_group=cat("truth_collab_group"),
-        truth_collab_kind=cat("truth_collab_kind"),
-        truth_chain_id=cat("truth_chain_id"),
-        truth_symmetric=cat("truth_symmetric"),
-        truth_residual_km=cat("truth_residual_km"),
+        offsets.append(p.part_offsets[1:] + base)
+        base = base + p.part_offsets[-1]
+    grown["part_offsets"] = columns.extend(
+        ("dataset", "part_offsets"), prev.part_offsets, offsets
     )
+    return dataclasses.replace(prev, **grown)

@@ -171,6 +171,9 @@ class Tenant:
                 }
                 future.set_result(result)
             except BaseException as exc:  # surfaces on the waiting request
+                # A ``wait=0`` batch has no waiting request: the counter
+                # is the only trace its failure leaves.
+                reg.counter("serve.ingest.failed").inc()
                 future.set_exception(exc)
             finally:
                 self._gauge_depth()

@@ -34,6 +34,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from ..core.columns import GrowableColumn
 from ..core.context import AnalysisContext
 from ..core.dataset import AttackDataset, BotRegistry, VictimRegistry
 from ..errors import IngestError
@@ -41,7 +42,6 @@ from ..geo.world import COUNTRY_TABLE, City, Country, Organization, World
 from ..monitor.schemas import BotnetRecord, DDoSAttackRecord
 from ..obs import registry as _obs_registry
 from ..simulation.clock import ObservationWindow
-from .columns import GrowableColumn
 
 #: Re-exported for compatibility — the class moved to :mod:`repro.errors`
 #: when the taxonomy was unified; this module is its historical home.

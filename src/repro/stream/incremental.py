@@ -15,6 +15,13 @@ context has materialised, at O(batch) cost for most:
 * victim marginals, daily histograms and protocol tables re-reduce with
   the batch's own values.
 
+The concatenation-shaped views grow in a
+:class:`~repro.core.columns.ColumnStore` that each carry hands from the
+previous snapshot's context to the new one, so a view grows in place
+and a carried view is a read-only prefix of the buffer the next carry
+appends to.  Snapshots still held by readers (the service keeps several
+epochs) share those buffers and never see a later epoch's rows.
+
 Views outside :data:`INCREMENTAL_HEADS` — the collaboration scan, the
 consecutive-chain scan, ARIMA dispersion forecasts, weekly shifts — are
 deliberately *not* carried: the new context simply does not have them,
@@ -31,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import merge
+from ..core.columns import ColumnStore
 from ..core.context import AnalysisContext
 from ..io.colstore import _slice_dataset
 
@@ -59,10 +67,6 @@ INCREMENTAL_HEADS = {
 }
 
 
-def _concat(_key, old: np.ndarray, pieces: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([old, *pieces]) if pieces else old
-
-
 def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
     """Seed the new snapshot's context from the previous one.
 
@@ -73,6 +77,10 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
     ds = new_ctx.dataset
     old_ds = old_ctx.dataset
     batch = AnalysisContext(_slice_dataset(ds, old_ds.n_attacks, ds.n_attacks))
+    # The snapshots of one stream hand a column store down, so each carry
+    # grows the previous snapshot's concatenation views in place.
+    columns = old_ctx._columns or ColumnStore()
+    new_ctx._columns = columns
 
     # A family interned mid-alphabet shifts the family indices after it;
     # the old grouping's keys move to the new index space (its member
@@ -88,6 +96,6 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
                 continue
             if key[0] == "family_attack_index" and keymap is not None:
                 value = {int(keymap[k]): v for k, v in value.items()}
-            value = merge.extend_view(key, value, old_ctx, [batch], ds, _concat)
+            value = merge.extend_view(key, value, old_ctx, [batch], ds, columns)
         seeded += int(new_ctx.seed_view(key, value))
     return seeded

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import merge
+from repro.core.columns import ColumnStore
 from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
@@ -30,7 +31,7 @@ from repro.io.colstore import (
     ShardedDatasetStore,
     _slice_dataset,
     append_shard,
-    concat_datasets,
+    extend_dataset,
     save_sharded_npz,
 )
 from repro.io.ingest import dataset_from_records
@@ -122,7 +123,8 @@ def _gapped(ds):
     an empty left operand for the merge and an empty interior part.
     """
     slices = ShardedDatasetStore.partition(ds, shards=6)
-    return concat_datasets([slices.load_shard(k) for k in (1, 2, 4, 5)])
+    first, *rest = (slices.load_shard(k) for k in (1, 2, 4, 5))
+    return extend_dataset(ColumnStore(), first, rest)
 
 
 class TestMergedParity:
@@ -350,7 +352,7 @@ class TestIncrementalRemerge:
         if k == "gaps":
             assert [int(sctx.store._counts[i]) for i in (0, 3, 5)] == [0, 0, 0]
         sctx.build(jobs=1)
-        sctx.merged()
+        before = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "full"
 
         append_shard(tmp_path / "store", tail)
@@ -358,6 +360,10 @@ class TestIncrementalRemerge:
         sctx.build(jobs=1)
         merged = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "incremental"
+        # The re-merge copied only the new shard: the previous merged
+        # arrays are prefixes of the new ones' buffers.
+        assert np.shares_memory(merged.dataset.start, before.dataset.start)
+        assert np.shares_memory(merged.durations(), before.durations())
 
         fresh = AnalysisContext(ds)
         assert merged.dataset.attack_columns_equal(ds)
@@ -366,6 +372,16 @@ class TestIncrementalRemerge:
         want = _collect_views(fresh, families)
         for label in want:
             _assert_view_equal(label, got[label], want[label])
+
+        # ... and growing them in place left the previous context exact.
+        head = _slice_dataset(ds, 0, before.dataset.n_attacks)
+        assert before.dataset.attack_columns_equal(head)
+        flat = AnalysisContext(head)
+        families = [f for f in head.active_families if flat.family_attacks(f).size]
+        got = _collect_views(before, families)
+        want = _collect_views(flat, families)
+        for label in want:
+            _assert_view_equal(f"previous {label}", got[label], want[label])
 
     def test_remerge_builds_no_unread_views(self, small_ds, tmp_path):
         tail = _append_store(tmp_path / "store", small_ds, 4)

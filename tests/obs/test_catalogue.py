@@ -112,8 +112,9 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
                 parallel_map(_echo, [1, 2], jobs=2)
 
         # serve: one HTTP ingest round-trip (requests, request_seconds,
-        # ingest.records, queue_depth, tenants) plus a forced 429 on a
-        # paused writer (ingest.rejected)
+        # ingest.records, queue_depth, tenants), one batch whose fold
+        # raises (ingest.failed) plus a forced 429 on a paused writer
+        # (ingest.rejected)
         import json
         import urllib.error
         import urllib.request
@@ -128,6 +129,14 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
             )
             with urllib.request.urlopen(req, timeout=120) as resp:
                 assert resp.status == 200
+            bad = dict(rows[0], end_time=rows[0]["timestamp"] - 10.0)
+            req = urllib.request.Request(
+                server.url + "/v1/ingest?tenant=cat",
+                data=json.dumps({"records": [bad]}).encode(), method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as failed:
+                urllib.request.urlopen(req, timeout=120)
+            assert failed.value.code == 422
             tenant = server.tenants.get("cat")
             tenant.pause()
             rejected = 0

@@ -145,6 +145,31 @@ class TestErrorMapping:
         )
         assert (status, body["error"]) == (422, "IngestError")
 
+    def test_failed_async_ingest_is_counted(self, server, rows):
+        import repro.obs as obs
+
+        failed = obs.registry().counter("serve.ingest.failed")
+        _call(server.url, "POST", "/v1/ingest?tenant=late", {"records": rows[:5]})
+        epoch = server.tenants.get("late").epoch
+        before = failed.value
+        bad = dict(rows[5], end_time=rows[5]["timestamp"] - 10.0)
+        status, _, _ = _call(
+            server.url, "POST", "/v1/ingest?tenant=late&wait=0", {"records": [bad]}
+        )
+        assert status == 202
+        deadline = time.monotonic() + 60
+        while failed.value == before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert failed.value == before + 1
+        status, snap, _ = _call(server.url, "GET", "/v1/snapshot?tenant=late")
+        assert (snap["epoch"], snap["n_attacks"]) == (epoch, 5)
+        # The writer survived the failed fold.
+        status, body, _ = _call(
+            server.url, "POST", "/v1/ingest?tenant=late", {"records": rows[5:10]}
+        )
+        assert status == 200
+        assert (body["epoch"], body["n_attacks"]) == (epoch + 1, 10)
+
     def test_query_before_any_ingest_409(self, server, rows):
         # The tenant exists (created by an admission that never folded:
         # pause first) but has no published epoch yet.

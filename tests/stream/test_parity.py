@@ -88,6 +88,28 @@ def test_k_batch_parity(k, records, scratch, small_ds):
     assert_context_parity(stream.context(), scratch)
 
 
+def test_retained_epochs_stay_exact(records, small_ds):
+    """Every kept epoch still matches a scratch build of its own rows.
+
+    The carry grows each snapshot's concatenation views in place, so an
+    older epoch's views are prefixes of buffers later appends write to.
+    """
+    stream = StreamingDataset(window=small_ds.window)
+    chunk = (len(records) + 4) // 5
+    kept = []
+    for i in range(0, len(records), chunk):
+        stream.append_batch(records[i : i + chunk])
+        ctx = stream.context()
+        touch_views(ctx)
+        kept.append((ctx, min(i + chunk, len(records))))
+    assert len(kept) == 5
+    assert np.shares_memory(kept[-1][0].durations(), kept[-2][0].durations())
+    for ctx, n in kept:
+        assert_context_parity(
+            ctx, dataset_from_records(records[:n], window=small_ds.window)
+        )
+
+
 def test_single_record_appends(records, small_ds):
     # The pathological K = n case on a prefix: every append is one record.
     subset = records[:60]
