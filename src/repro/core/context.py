@@ -262,6 +262,30 @@ class AnalysisContext:
         groups = self._groups_by("target_attack_index", self._ds.target_idx)
         return groups.get(int(target_index), np.zeros(0, dtype=np.int64))
 
+    def target_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(last, prev)`` attack indices along each victim's attacks.
+
+        ``last[t]`` is target ``t``'s last attack and ``prev[i]`` the
+        attack on attack ``i``'s target just before it, ``-1`` for none.
+        The scan stitch of :func:`repro.core.merge.extend_view` probes
+        these, so finding where appended rows continue earlier runs costs
+        O(appended rows), not O(targets).
+        """
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            targets = self._ds.target_idx
+            order = np.argsort(targets, kind="stable")
+            same = targets[order[1:]] == targets[order[:-1]]
+            prev = np.full(order.size, -1, dtype=np.int64)
+            prev[order[1:][same]] = order[:-1][same]
+            last = np.full(self._ds.victims.n_targets, -1, dtype=np.int64)
+            if order.size:
+                tails = order[np.append(~same, True)]
+                last[targets[tails]] = tails
+            return last, prev
+
+        return self.view(("target_links",), build)
+
     # -- intervals and durations -------------------------------------------
 
     def attack_intervals(self) -> np.ndarray:
@@ -657,9 +681,10 @@ class ShardedAnalysisContext:
     context keeps, so a re-merge grows them in place.  Interval arrays
     gain the boundary gaps, and the collaboration/chain scans
     regenerate only the runs that cross a seam.  Views no experiment
-    reads — the hourly-snapshot dispersions and the per-botnet grouping
-    — are neither built per shard nor merged: they build lazily on the
-    merged context, with the same kernel a flat context uses.
+    reads — the hourly-snapshot dispersions and the per-botnet and
+    per-target groupings — are neither built per shard nor merged: they
+    build lazily on the merged context, with the same kernel a flat
+    context uses.
 
     The reduce is tree-structured: the small re-reduction state of every
     shard (:class:`~repro.core.merge.ShardPartial`) combines over
@@ -784,18 +809,10 @@ class ShardedAnalysisContext:
         The rebase is done once at shard-build time (in the map phase,
         where it parallelises) instead of per merge.
         """
-        ctx = self.shard_context(index)
+        from . import merge as _merge
+
         base = int(self._store.shard_bases()[index])
-
-        def build() -> list:
-            from . import merge as _merge
-
-            events = (
-                ctx.collaborations() if kind == "collaborations" else ctx.chains()
-            )
-            return _merge.rebase_scan_events(events, base)
-
-        return ctx.view((f"{kind}_global",), build)
+        return _merge.part_scan_events(self.shard_context(index), kind, base)
 
     def build_shard(self, index: int) -> AnalysisContext:
         """Materialise one shard's mergeable views (idempotent)."""
@@ -903,7 +920,8 @@ class ShardedAnalysisContext:
         instead when the layout allows it (same window and registries) —
         only the appended rows are copied and only the new seams are
         stitched.  Views the seeding skips (hourly-snapshot dispersions,
-        the per-botnet grouping) build lazily on the returned context.
+        the per-botnet and per-target groupings) build lazily on the
+        returned context.
         """
         if self._merged is not None:
             return self._merged
@@ -969,8 +987,8 @@ class ShardedAnalysisContext:
         The full merge passes shard 0 itself (its indices are already
         global); the incremental re-merge passes the previous merged
         context.  Re-reductions come from the tree partial, the other
-        views from :func:`repro.core.merge.extend_view`, and the scans
-        from the seam stitch.  The merged columns and concatenation
+        views (the seam-stitched scans included) from
+        :func:`repro.core.merge.extend_view`.  The merged columns and concatenation
         views grow in ``prev``'s column store, in place for the previous
         merged context; shard 0 starts a fresh store.
         """
@@ -991,19 +1009,24 @@ class ShardedAnalysisContext:
             if ctx.seed_view(key, value):
                 merged_views.inc()
 
+        stitched: set[int] = set()
+
         def extend(key: tuple, old: Any) -> None:
-            seed(key, _merge.extend_view(key, old, prev, parts, ds, columns))
+            seed(key, _merge.extend_view(key, old, prev, parts, ctx, stitched=stitched))
 
         seed(("bot_coords_radians",), self._shared_bot_coords())
         for key in (
             ("family_attack_index",),
-            ("target_attack_index",),
+            ("target_links",),
+            ("collaborations",),
+            ("chains",),
             ("attack_intervals",),
             ("durations",),
             ("target_country_idx",),
             ("target_org_idx",),
         ):
             extend(key, _merge.view_value(prev, key))
+        reg.counter("shard.merge.stitched_targets").inc(len(stitched))
         seed(("target_country_counts",), partial.target_country_counts)
         seed(("target_org_counts",), partial.target_org_counts)
         seed(("protocol_breakdown",), partial.protocol_breakdown)
@@ -1017,27 +1040,6 @@ class ShardedAnalysisContext:
         # Walks ascending org order over the seeded marginal — the
         # same order the unsharded builder uses.
         ctx.victim_org_type_counts()
-
-        bases = np.cumsum([0] + [c.dataset.n_attacks for c in [prev, *parts[:-1]]])
-        grouped = ctx._groups_by("target_attack_index", ds.target_idx)
-        part_targets = [
-            c._groups_by("target_attack_index", c.dataset.target_idx).keys()
-            for c in parts
-        ]
-        stitched: set[int] = set()
-        for kind in ("collaborations", "chains"):
-            events, targets = _merge.seam_stitch_scan_events(
-                getattr(prev, kind)(),
-                [self.shard_scan_events(k, kind) for k in range(first, self.n_shards)],
-                ds,
-                grouped,
-                bases,
-                kind,
-                part_targets,
-            )
-            stitched |= targets
-            seed((kind,), events)
-        reg.counter("shard.merge.stitched_targets").inc(len(stitched))
 
         for family in partial.families:
             # A battery run on the previous context lazily builds empty
@@ -1086,7 +1088,7 @@ def _shard_build_worker(
     with _obs_registry().span(f"shard:{index}"):
         ds = ctx.dataset
         ctx._groups_by("family_attack_index", ds.family_idx)
-        ctx._groups_by("target_attack_index", ds.target_idx)
+        ctx.target_links()
         ctx.attack_intervals()
         ctx.durations()
         ctx.target_country_idx()

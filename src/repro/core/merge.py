@@ -32,7 +32,10 @@ into three shapes:
   instead; both use the combinators below.
 * **Scans** (collaborations, chains) can link across a seam:
   :func:`seam_stitch_scan_events` probes each seam for the runs that
-  cross it and regenerates only those.
+  cross it and regenerates only those.  The probe reads the
+  ``("target_links",)`` view (each victim's last attack, each attack's
+  previous one on its victim), which extends like a concatenation, so
+  it costs O(new rows), not O(targets).
 
 All index-valued outputs are global attack indices: a right part's
 local index ``i`` maps to ``base + i``, where ``base`` is the number of
@@ -75,6 +78,7 @@ __all__ = [
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
     "rebase_scan_events",
+    "part_scan_events",
     "seam_stitch_scan_events",
     "ShardPartial",
     "make_shard_partial",
@@ -91,6 +95,9 @@ _GROUPINGS = {
     "botnet_attack_index": "botnet_id",
     "target_attack_index": "target_idx",
 }
+
+#: The scan views, whose runs can cross a seam.
+_SCANS = ("collaborations", "chains")
 
 
 def view_value(ctx: "AnalysisContext", key: tuple) -> Any:
@@ -110,26 +117,46 @@ def extend_view(
     old: Any,
     prev: "AnalysisContext",
     parts: Sequence["AnalysisContext"],
-    ds: "AttackDataset",
-    columns: "ColumnStore",
+    ctx: "AnalysisContext",
+    *,
+    stitched: set[int] | None = None,
 ) -> Any:
     """View ``key`` over ``prev``'s rows followed by every part's rows.
 
     ``prev`` is the left operand, a context over the leading rows of
-    ``ds``; ``old`` is its value of ``key``, or ``None`` when it has no
-    rows of the view's family.  ``parts`` are contexts over the rows that
-    follow, in time order.  Concatenation-shaped views are ``old``
-    followed by the new pieces, grown under ``key`` in ``columns``;
-    two-array views (CSR participants, dispersion series) grow each
-    component under ``(key, 0)`` and ``(key, 1)``.  Raises
-    ``ValueError`` for a view kind with no extend rule.
+    ``ctx.dataset``; ``old`` is its value of ``key``, or ``None`` when it
+    has no rows of the view's family.  ``parts`` are contexts over the
+    rows that follow, in time order, and ``ctx`` is the context being
+    built over all of them.  Concatenation-shaped views are ``old``
+    followed by the new pieces, grown under ``key`` in ``ctx``'s column
+    store; two-array views (CSR participants, dispersion series) grow
+    each component under ``(key, 0)`` and ``(key, 1)``.  The scans
+    stitch the seams through ``ctx``'s target links, so callers extend
+    ``("target_links",)`` before them, and add the targets they
+    re-stitched to ``stitched`` when given.  Raises ``ValueError`` for a
+    view kind with no extend rule.
     """
+    ds = ctx.dataset
+    columns = ctx._columns
     head, args = key[0], key[1:]
     if head in _GROUPINGS:
-        sizes = [c.dataset.n_attacks for c in (prev, *parts)]
-        bases = np.cumsum([0, *sizes[:-1]])
         groups = [view_value(c, key) for c in parts]
-        return merge_grouped_indices([old, *groups], bases)
+        return merge_grouped_indices([old, *groups], _bases(prev, parts), columns, head)
+    if head == "target_links":
+        return _extend_target_links(old, prev, parts, ds, columns)
+    if head in _SCANS:
+        bases = _bases(prev, parts)
+        events, targets = seam_stitch_scan_events(
+            old,
+            [part_scan_events(c, head, b) for c, b in zip(parts, bases[1:])],
+            ds,
+            ctx.target_links()[1],
+            bases,
+            head,
+        )
+        if stitched is not None:
+            stitched |= targets
+        return events
     family = args[0] if args else None
     if family is not None:
         # Family views raise or come back empty on a part without the
@@ -183,17 +210,52 @@ def extend_view(
     raise ValueError(f"no extend rule for view {key!r}")
 
 
+def _bases(prev: "AnalysisContext", parts: Sequence["AnalysisContext"]) -> np.ndarray:
+    """Global index of the first row of ``prev`` and of each part."""
+    return np.cumsum([0, *(c.dataset.n_attacks for c in (prev, *parts))])[:-1]
+
+
+def _extend_target_links(old, prev, parts, ds, columns):
+    """``("target_links",)`` over ``prev``'s rows and the parts'.
+
+    Each part's own links are local: its ``prev`` entries that point
+    inside the part are rebased, and its first attack on a target takes
+    that target's last row before the part.  The per-target array is
+    copied (an earlier snapshot keeps its own); the per-row one grows in
+    the column store.
+    """
+    key = ("target_links",)
+    old_last, old_prev = old
+    last = np.full(ds.victims.n_targets, -1, dtype=np.int64)
+    last[: old_last.size] = old_last
+    pieces = []
+    base = prev.dataset.n_attacks
+    for part in parts:
+        part_last, part_prev = view_value(part, key)
+        before = last[part.dataset.target_idx]
+        pieces.append(np.where(part_prev >= 0, part_prev + base, before))
+        seen = np.flatnonzero(part_last >= 0)
+        last[seen] = part_last[seen] + base
+        base += part.dataset.n_attacks
+    return last, columns.extend((key, 1), old_prev, pieces)
+
+
 def merge_grouped_indices(
-    parts: Sequence[dict[int, np.ndarray]], bases: Sequence[int]
+    parts: Sequence[dict[int, np.ndarray]],
+    bases: Sequence[int],
+    columns: "ColumnStore",
+    name: str,
 ) -> dict[int, np.ndarray]:
     """Merge grouping dicts (column value -> attack indices) in row order.
 
     ``parts[0]`` is the left operand: its indices are already global
     (``bases[0]`` is 0) and its arrays are reused as they are.  Each
     later part's local indices are rebased by its base and appended to
-    their group, which keeps every group chronological.  The output dict
-    is in ascending key order — the same insertion order the unsharded
-    ``np.split`` grouping pass produces.
+    their group, which keeps every group chronological; group ``k``
+    grows under ``(name, k)`` in ``columns``, in place when the left
+    operand holds its latest view.  The output dict is in ascending key
+    order — the same insertion order the unsharded ``np.split`` grouping
+    pass produces.
     """
     out = dict(parts[0])
     tails: dict[int, list[np.ndarray]] = {}
@@ -201,8 +263,7 @@ def merge_grouped_indices(
         for key, idx in part.items():
             tails.setdefault(key, []).append(idx + np.int64(base))
     for key, tail in tails.items():
-        head = out.get(key)
-        out[key] = np.concatenate(tail if head is None else [head, *tail])
+        out[key] = columns.extend((name, key), out.get(key), tail)
     if len(out) > len(parts[0]):
         out = dict(sorted(out.items()))
     return out
@@ -496,83 +557,127 @@ def _merge_sorted_events(kept: list, fresh: list) -> list:
     return out
 
 
+def part_scan_events(ctx: "AnalysisContext", kind: str, base: int) -> list:
+    """A right part's ``kind`` scan events in global rows.
+
+    The part's own scan rebased by ``base``, the number of rows before
+    it; memoized on the part, so a shard rebases once, in the map phase.
+    """
+    return ctx.view(
+        (f"{kind}_global",),
+        lambda: rebase_scan_events(view_value(ctx, (kind,)), base),
+    )
+
+
+def _scan_link(kind: str, ds):
+    """The scan's link predicate between two rows of one target.
+
+    ``a`` precedes ``b`` on the target; both may be index arrays.  The
+    expressions are the kernels' own, so a link holds here exactly when
+    the global scan links the two rows.
+    """
+    starts, ends = ds.start, ds.end
+    if kind == "collaborations":
+        return lambda a, b: starts[b] - starts[a] <= START_WINDOW_SECONDS
+    if kind == "chains":
+        return lambda a, b: (np.abs(starts[b] - ends[a]) <= CHAIN_MARGIN_SECONDS) & (
+            starts[b] - starts[a] > 1.0
+        )
+    raise ValueError(f"unknown scan kind {kind!r}")
+
+
+def _event_key(event) -> tuple[float, int]:
+    return event.start, event.target_index
+
+
+def _concat_events(lists: Sequence[Sequence]) -> list:
+    """Concatenate event lists of consecutive row ranges in global order.
+
+    No event of a later range starts before one of an earlier range, but
+    both may start at the seam's start; that tied stretch is re-sorted by
+    target, the global kernel's tie order.
+    """
+    out = list(lists[0])
+    for events in lists[1:]:
+        if not events:
+            continue
+        if out and _event_key(out[-1]) > _event_key(events[0]):
+            tie = events[0].start
+            lo = bisect.bisect_left(out, tie, key=lambda e: e.start)
+            hi = bisect.bisect_right(events, tie, key=lambda e: e.start)
+            out[lo:] = sorted([*out[lo:], *events[:hi]], key=_event_key)
+            events = events[hi:]
+        out.extend(events)
+    return out
+
+
 def seam_stitch_scan_events(
     prev_events: Sequence,
     new_parts: Sequence[list],
     ds,
-    grouped: dict[int, np.ndarray],
+    prev_row: np.ndarray,
     bases: Sequence[int],
     kind: str,
-    part_targets: Sequence,
 ) -> tuple[list, set[int]]:
     """Merge scan events across the seams of consecutive row ranges.
 
     ``prev_events`` is the left operand's event list (rows
     ``[0, bases[1])``); ``new_parts`` are the right parts' lists, already
-    rebased to global rows, and ``part_targets[j]`` the targets with
-    rows in part ``j``.  An adjacent pair of a run that crosses a seam
-    straddles the seam of the part holding its later row, and that part
-    holds the target — so each seam is probed only for its own part's
-    targets: a searchsorted into the target's merged row group finds the
-    pair, and the run is grown outwards only while the link predicate
-    holds.  Returns ``(events, targets)`` where ``targets`` is the set of
-    target ids that needed stitching.  Dropped left-operand events all
-    have ``start >=`` the earliest crossing run's first start, so the
-    kept prefix is a bisect, not a filter.
+    rebased to global rows.  ``prev_row[i]`` is the row of the attack on
+    row ``i``'s target just before it (``-1`` for none; the second array
+    of the ``("target_links",)`` view).  A run crosses a seam exactly
+    when some part row's same-target predecessor lies before the part's
+    seam and the two link, so one vectorised pass over the new rows finds
+    every crossing; each is grown backwards through ``prev_row`` and
+    forwards through the new rows while the link holds, and only those
+    runs are regenerated.  The inputs are left untouched.  Returns
+    ``(events, targets)`` where ``targets`` is the set of target ids that
+    needed stitching.  Dropped left-operand events all have ``start >=``
+    the earliest crossing run's first start, so the kept prefix is a
+    bisect, not a filter.
     """
-    row_starts = ds.start
-    row_ends = ds.end
+    linked = _scan_link(kind, ds)
+    seams = np.asarray(bases[1:], dtype=np.int64)
+    first = int(seams[0]) if seams.size else ds.n_attacks
+    rows = np.arange(first, ds.n_attacks, dtype=np.int64)
+    before = prev_row[first:]
+    seam = seams[np.searchsorted(seams, rows, side="right") - 1]
+    hits = np.flatnonzero((before >= 0) & (before < seam))
+    hits = hits[linked(before[hits], rows[hits])]
+    if not hits.size:
+        return _concat_events([prev_events, *new_parts]), set()
 
-    if kind == "collaborations":
-
-        def linked(a: int, b: int) -> bool:
-            return row_starts[b] - row_starts[a] <= START_WINDOW_SECONDS
-
-    elif kind == "chains":
-
-        def linked(a: int, b: int) -> bool:
-            return (
-                abs(row_starts[b] - row_ends[a]) <= CHAIN_MARGIN_SECONDS
-                and row_starts[b] - row_starts[a] > 1.0
-            )
-
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
-
-    seen: set[tuple[int, int, int]] = set()
+    # The next same-target row of every new row.
+    after = np.full(rows.size, -1, dtype=np.int64)
+    inner = np.flatnonzero(before >= first)
+    after[before[inner] - first] = rows[inner]
     segs: list[np.ndarray] = []
-    for seam, targets in zip(bases[1:], part_targets):
-        seam = int(seam)
-        for target in targets:
-            g = grouped[target]
-            pos = int(np.searchsorted(g, seam))
-            if pos == 0 or not linked(g[pos - 1], g[pos]):
-                continue
-            lo, hi = pos - 1, pos + 1
-            while lo > 0 and linked(g[lo - 1], g[lo]):
-                lo -= 1
-            while hi < g.size and linked(g[hi - 1], g[hi]):
-                hi += 1
-            # Maximal runs from different seams are equal or disjoint —
-            # abutting-but-unlinked neighbours must stay separate runs.
-            if (target, lo, hi) not in seen:
-                seen.add((target, lo, hi))
-                segs.append(g[lo:hi])
-    prev_events = list(prev_events)
-    if not segs:
-        return prev_events + [e for part in new_parts for e in part], set()
+    heads: set[int] = set()
+    for hit in hits:
+        run = [int(rows[hit]), int(before[hit])]
+        while (p := int(prev_row[run[-1]])) >= 0 and linked(p, run[-1]):
+            run.append(p)
+        # A run crossing several seams is found at each; its first row
+        # (the backward walk is maximal) identifies it.
+        if run[-1] in heads:
+            continue
+        heads.add(run[-1])
+        run.reverse()
+        while (q := int(after[run[-1] - first])) >= 0 and linked(run[-1], q):
+            run.append(q)
+        segs.append(np.asarray(run, dtype=np.int64))
+
     crossing_rows = {int(i) for seg in segs for i in seg}
-    threshold = min(float(row_starts[seg[0]]) for seg in segs)
+    threshold = min(float(ds.start[seg[0]]) for seg in segs)
     cut = bisect.bisect_left(prev_events, threshold, key=lambda e: e.start)
-    kept = prev_events[:cut]
-    kept.extend(
-        e for e in prev_events[cut:] if e.attack_indices[0] not in crossing_rows
-    )
-    for part in new_parts:
-        kept.extend(e for e in part if e.attack_indices[0] not in crossing_rows)
+
+    def keep(events: Sequence) -> list:
+        return [e for e in events if e.attack_indices[0] not in crossing_rows]
+
+    kept = [prev_events[:cut] + keep(prev_events[cut:]), *map(keep, new_parts)]
     fresh = _materialize_row_runs(ds, segs, kind)
     stitched = {int(ds.target_idx[seg[0]]) for seg in segs}
-    return _merge_sorted_events(kept, fresh), stitched
+    return _merge_sorted_events(_concat_events(kept), fresh), stitched
 
 
 # -- tree-reducible shard partials -----------------------------------------

@@ -108,16 +108,7 @@ def organization_affinity(
     if (year is None) != (month is None):
         raise ValueError("pass both year and month, or neither")
     if year is not None:
-        month_tags = np.array(
-            [
-                (d.year, d.month)
-                for d in (
-                    datetime.fromtimestamp(ts, tz=timezone.utc) for ts in ds.start[idx]
-                )
-            ]
-        )
-        keep = (month_tags[:, 0] == year) & (month_tags[:, 1] == month)
-        idx = idx[keep]
+        idx = idx[_month_mask(ds.start[idx], year, month)]
         if idx.size == 0:
             return []
     targets = ds.target_idx[idx]
@@ -143,6 +134,27 @@ def organization_affinity(
         )
     spots.sort(key=lambda s: (-s.attack_count, s.organization))
     return spots
+
+
+def _month_mask(starts: np.ndarray, year: int, month: int) -> np.ndarray:
+    """Which ``starts`` fall in UTC ``year``-``month``.
+
+    Exactly the month ``datetime.fromtimestamp`` dates each start in, at
+    the cost of two comparisons: only a start within a microsecond of a
+    month bound, which ``fromtimestamp``'s rounding to microseconds can
+    carry across it, takes the ``datetime`` check.
+    """
+    try:
+        lo = datetime(year, month, 1, tzinfo=timezone.utc).timestamp()
+        hi = datetime(year + month // 12, month % 12 + 1, 1, tzinfo=timezone.utc).timestamp()
+    except (ValueError, OverflowError):  # no such month, or past year 9999
+        return np.zeros(starts.size, dtype=bool)
+    keep = (starts >= lo) & (starts < hi)
+    near = (np.abs(starts - lo) < 1e-6) | (np.abs(starts - hi) < 1e-6)
+    for i in np.flatnonzero(near):
+        d = datetime.fromtimestamp(starts[i], tz=timezone.utc)
+        keep[i] = (d.year, d.month) == (year, month)
+    return keep
 
 
 def victim_org_types(source: AnalysisSource) -> dict[str, int]:

@@ -15,7 +15,7 @@ reader mid-battery is unaffected by concurrent appends.
 
 Prewarm-on-ingest: the writer builds the snapshot's views *before*
 publishing (``StreamingDataset.context(prewarm_jobs=...)`` — the O(batch)
-carry plus an eager rebuild of the invalidated scans), so by the time a
+carry plus an eager rebuild of the views it dropped), so by the time a
 reader can see an epoch, its expensive views are already warm and a
 battery render is cheap.  Rendered experiment output is additionally
 cached per epoch, shared by every reader of that epoch.

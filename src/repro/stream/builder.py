@@ -51,6 +51,20 @@ _KNOWN_CENTROIDS = {code: (lat, lon) for code, _n, lat, lon, _w in COUNTRY_TABLE
 
 _SECONDS_PER_DAY = 86400
 
+#: The per-row attack columns a stream has nothing to fill with (no
+#: Botlist, no ground truth): name -> (dtype, constant).  They grow with
+#: the rows like the others, so every snapshot views one buffer instead
+#: of allocating its own.  ``part_offsets`` has one more row (the CSR
+#: end), and ``participants`` stays empty.
+_UNFILLED = {
+    "part_offsets": (np.int64, 0),
+    "truth_collab_group": (np.int32, -1),
+    "truth_collab_kind": (np.int8, 0),
+    "truth_chain_id": (np.int32, -1),
+    "truth_symmetric": (bool, False),
+    "truth_residual_km": (np.float64, 0.0),
+}
+
 
 def _validated(records: Iterable[DDoSAttackRecord], strict: bool) -> list[DDoSAttackRecord]:
     """Materialise and validate an input iterable.
@@ -145,6 +159,8 @@ class StreamingDataset:
         self._protocol = GrowableColumn(np.int8)
         self._target_idx = GrowableColumn(np.int32)
         self._magnitude = GrowableColumn(np.int32)
+        self._unfilled = {name: GrowableColumn(dtype) for name, (dtype, _) in _UNFILLED.items()}
+        self._unfilled["part_offsets"].append([0])
 
         self._epoch = 0
         #: Snapshot state: the context served at `_snapshot_epoch`, the
@@ -355,6 +371,8 @@ class StreamingDataset:
         self._protocol.append(proto)
         self._target_idx.append(target)
         self._magnitude.append(magnitude)
+        for name, (dtype, value) in _UNFILLED.items():
+            self._unfilled[name].append(np.full(len(batch), value, dtype=dtype))
 
         if not in_order:
             # Stable merge: equivalent to stable-sorting the records in
@@ -425,7 +443,6 @@ class StreamingDataset:
         return self._botnets_cache
 
     def _materialize(self) -> AttackDataset:
-        n = self.n_attacks
         families = list(self._families)
         victims = VictimRegistry(
             ip=self._v_ip.view(),
@@ -465,13 +482,8 @@ class StreamingDataset:
             protocol=self._protocol.view(),
             target_idx=self._target_idx.view(),
             magnitude=self._magnitude.view(),
-            part_offsets=np.zeros(n + 1, dtype=np.int64),
             participants=np.zeros(0, dtype=np.int64),
-            truth_collab_group=np.full(n, -1, dtype=np.int32),
-            truth_collab_kind=np.zeros(n, dtype=np.int8),
-            truth_chain_id=np.full(n, -1, dtype=np.int32),
-            truth_symmetric=np.zeros(n, dtype=bool),
-            truth_residual_km=np.zeros(n, dtype=np.float64),
+            **{name: col.view() for name, col in self._unfilled.items()},
         )
 
     def context(self, *, prewarm_jobs: int | None = None) -> AnalysisContext:
@@ -479,10 +491,11 @@ class StreamingDataset:
 
         Cached per epoch: repeated calls between appends return the same
         context (and the same dataset instance).  After an append, a new
-        snapshot is materialised and the previous snapshot's cheap views
-        are carried forward incrementally; expensive views (collaboration
-        scans, chains, forecasts) are left to rebuild lazily under the
-        new epoch tag.
+        snapshot is materialised and the previous snapshot's views are
+        carried forward in O(batch), the collaboration and chain scans
+        included (only their runs that cross the seam are regenerated);
+        views with no extend rule (weekly shifts, forecasts) are left to
+        rebuild lazily under the new epoch tag.
 
         ``prewarm_jobs`` rebuilds those invalidated views eagerly via
         :meth:`AnalysisContext.prewarm` when a *new* snapshot is
@@ -564,7 +577,7 @@ class StreamingDataset:
             self._v_ip, self._v_lat, self._v_lon, self._v_cc,
             self._v_city, self._v_org, self._v_asn,
         )
-        total = sum(col.nbytes for col in columns)
+        total = sum(col.nbytes for col in (*columns, *self._unfilled.values()))
         if self._summary is not None:
             total += self._summary.memory_bytes()
         return int(total)

@@ -7,26 +7,31 @@ sit at ``[base_n:]`` of the new snapshot's sorted columns.  That is the
 shard merge's extend step with the previous context as the left operand
 and the appended rows as the one right part, so :func:`carry_views`
 takes :func:`repro.core.merge.extend_view` for each view the previous
-context has materialised, at O(batch) cost for most:
+context has materialised, at O(batch) cost:
 
 * grouped attack indices (family / botnet / target) gain the new rows;
 * interval and duration arrays gain the new rows' values, stitched at
   the seam;
 * victim marginals, daily histograms and protocol tables re-reduce with
-  the batch's own values.
+  the batch's own values;
+* the collaboration and chain scans keep the previous events, add the
+  batch's own, and regenerate only the runs that cross the seam, found
+  through the carried target links (each victim's last attack).
 
 The concatenation-shaped views grow in a
 :class:`~repro.core.columns.ColumnStore` that each carry hands from the
 previous snapshot's context to the new one, so a view grows in place
 and a carried view is a read-only prefix of the buffer the next carry
 appends to.  Snapshots still held by readers (the service keeps several
-epochs) share those buffers and never see a later epoch's rows.
+epochs) share those buffers and never see a later epoch's rows; the
+scans' event lists are new lists each epoch.
 
-Views outside :data:`INCREMENTAL_HEADS` — the collaboration scan, the
-consecutive-chain scan, ARIMA dispersion forecasts, weekly shifts — are
-deliberately *not* carried: the new context simply does not have them,
-so they rebuild lazily on next access under the new epoch tag, while
-consumers still holding the previous epoch's context keep their cache.
+Views outside :data:`INCREMENTAL_HEADS` — ARIMA dispersion forecasts,
+weekly shifts — are deliberately *not* carried: the new context simply
+does not have them, so they rebuild lazily on next access under the new
+epoch tag, while consumers still holding the previous epoch's context
+keep their cache.  After an out-of-order batch nothing is carried, and
+the scans rebuild from scratch once before the carry resumes.
 
 Every carried view must be exactly what the cold builder would produce —
 the streaming parity tests compare each one against a scratch batch
@@ -41,6 +46,7 @@ from ..core import merge
 from ..core.columns import ColumnStore
 from ..core.context import AnalysisContext
 from ..io.colstore import _slice_dataset
+from ..obs import registry as _obs_registry
 
 __all__ = ["carry_views", "CARRIED_VERBATIM", "INCREMENTAL_HEADS"]
 
@@ -57,6 +63,8 @@ INCREMENTAL_HEADS = {
     "durations",
     "family_starts",
     "family_intervals",
+    "family_participants",
+    "attack_dispersions",
     "target_country_idx",
     "target_org_idx",
     "target_country_counts",
@@ -64,7 +72,13 @@ INCREMENTAL_HEADS = {
     "daily_distribution",
     "protocol_popularity",
     "protocol_breakdown",
+    "target_links",
+    "collaborations",
+    "chains",
 }
+
+#: The links the scan stitch probes; carried ahead of the scans.
+_LINKS = ("target_links",)
 
 
 def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
@@ -72,7 +86,8 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
 
     ``old_ctx`` covered the first ``base_n`` attacks of ``new_ctx``'s
     dataset (callers only carry across in-order appends).  Returns the
-    number of views seeded.
+    number of views seeded, and counts the targets whose scan runs were
+    re-stitched into ``stream.carry.stitched_targets``.
     """
     ds = new_ctx.dataset
     old_ds = old_ctx.dataset
@@ -89,13 +104,20 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
     if old_ds.families != ds.families:
         keymap = np.asarray([ds.family_id(name) for name in old_ds.families], dtype=np.int64)
 
+    views = old_ctx.materialized()
+    if ("collaborations",) in views or ("chains",) in views:
+        # The scans probe the new context's links, so those carry first
+        # (built once on the previous context if it never needed them).
+        views = {_LINKS: merge.view_value(old_ctx, _LINKS), **views}
+    stitched: set[int] = set()
     seeded = 0
-    for key, value in old_ctx.materialized().items():
+    for key, value in views.items():
         if key not in CARRIED_VERBATIM:
             if not isinstance(key, tuple) or not key or key[0] not in INCREMENTAL_HEADS:
                 continue
             if key[0] == "family_attack_index" and keymap is not None:
                 value = {int(keymap[k]): v for k, v in value.items()}
-            value = merge.extend_view(key, value, old_ctx, [batch], ds, columns)
+            value = merge.extend_view(key, value, old_ctx, [batch], new_ctx, stitched=stitched)
         seeded += int(new_ctx.seed_view(key, value))
+    _obs_registry().counter("stream.carry.stitched_targets").inc(len(stitched))
     return seeded

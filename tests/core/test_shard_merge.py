@@ -103,15 +103,19 @@ def _collect_views(ctx: AnalysisContext, families: list[str]) -> dict:
 def _unread_view_keys(sctx: ShardedAnalysisContext, merged: AnalysisContext) -> list:
     """Materialised keys of views no experiment reads, on any context.
 
-    Hourly-snapshot dispersions and the per-botnet grouping must stay
-    lazy: neither the shard builds nor the merge may derive them.
+    Hourly-snapshot dispersions and the per-botnet and per-target
+    groupings must stay lazy: neither the shard builds nor the merge may
+    derive them.
     """
     ctxs = [sctx.shard_context(k) for k in range(sctx.n_shards)] + [merged]
     found = []
     for ctx in ctxs:
         for key in ctx.view_keys():
             head = str(key[0] if isinstance(key, tuple) and key else key)
-            if head.startswith("snapshot_dispersions") or head == "botnet_attack_index":
+            if head.startswith("snapshot_dispersions") or head in (
+                "botnet_attack_index",
+                "target_attack_index",
+            ):
                 found.append(key)
     return found
 

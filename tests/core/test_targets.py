@@ -1,8 +1,12 @@
 """Tests for target analyses (Table V, Fig 14)."""
 
+from datetime import datetime, timezone
+
+import numpy as np
 import pytest
 
 from repro.core.targets import (
+    _month_mask,
     country_breakdown,
     organization_affinity,
     top_target_countries,
@@ -60,6 +64,31 @@ class TestOrganizationAffinity:
     def test_empty_month(self, small_ds):
         # July 2014 is outside the observation window.
         assert organization_affinity(small_ds, "pandora", year=2014, month=7) == []
+
+    @pytest.mark.parametrize("year, month", [(2013, 2), (2012, 12)])
+    def test_month_mask_matches_datetime_at_bounds(self, year, month):
+        # fromtimestamp rounds to microseconds, so bound - 1e-7 is dated
+        # in the next month; the mask must agree start for start.
+        edges = [
+            datetime(year, month, 1, tzinfo=timezone.utc).timestamp(),
+            datetime(year + month // 12, month % 12 + 1, 1, tzinfo=timezone.utc).timestamp(),
+        ]
+        starts = np.array([e + d for e in edges for d in (-1e-7, 0.0, 1e-7)] + [edges[0] + 86400.0])
+        expected = [
+            (d.year, d.month) == (year, month)
+            for d in (datetime.fromtimestamp(ts, tz=timezone.utc) for ts in starts)
+        ]
+        assert _month_mask(starts, year, month).tolist() == expected
+        assert expected == [True, True, True, False, False, False, True]
+
+    def test_month_mask_matches_datetime_on_data(self, small_ds):
+        starts = small_ds.start
+        for year, month in [(2012, 8), (2013, 2), (2013, 12), (2014, 7), (2013, 13)]:
+            expected = [
+                (d.year, d.month) == (year, month)
+                for d in (datetime.fromtimestamp(ts, tz=timezone.utc) for ts in starts)
+            ]
+            assert _month_mask(starts, year, month).tolist() == expected
 
 
 class TestOrgTypes:

@@ -74,13 +74,13 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
         # ingest round-trip
         api.ingest(ds.iter_attacks(), window=ds.window)
 
-        # streaming: in-order appends with a carry and a spill, then an
-        # out-of-order batch (the spill must precede it: a late batch
-        # marks the spilled prefix dirty)
+        # streaming: in-order appends with a carry (of the scans too) and
+        # a spill, then an out-of-order batch (the spill must precede it:
+        # a late batch marks the spilled prefix dirty)
         records = list(ds.iter_attacks())
         stream = api.stream(window=ds.window)
         stream.append_batch(records[:50])
-        stream.context()
+        stream.context().chains()
         stream.append_batch(records[50:100])
         stream.context()
         stream.spill_shards(tmp_path / "spill-store")

@@ -29,6 +29,7 @@ from repro.core.collaboration import (
     CollabEvent,
     _detect_collaborations,
 )
+from repro.core.columns import ColumnStore
 from repro.core.consecutive import CHAIN_MARGIN_SECONDS, AttackChain, _detect_chains
 from repro.core.context import AnalysisContext
 from repro.core.merge import (
@@ -247,7 +248,7 @@ def merged_reference(sctx) -> AnalysisContext:
         parts = [
             c._groups_by(gkey, getattr(c.dataset, column)) for c in shards
         ]
-        seed((gkey,), merge_grouped_indices(parts, bases))
+        seed((gkey,), merge_grouped_indices(parts, bases, ColumnStore(), gkey))
     seed(
         ("attack_intervals",),
         merge_intervals(

@@ -38,6 +38,9 @@ def touch_views(ctx: AnalysisContext) -> None:
         ctx.durations(family)
         ctx.family_target_country_counts(family)
         ctx.daily_distribution(family)
+        ctx.family_participants(family)
+        if ctx.family_attacks(family).size:
+            ctx.attack_dispersions(family)
     ctx.attack_intervals()
     ctx.durations()
     ctx.target_country_idx()
@@ -49,6 +52,8 @@ def touch_views(ctx: AnalysisContext) -> None:
     ctx.target_attacks(0)
     if ctx.dataset.n_attacks:
         ctx.botnet_attacks(int(ctx.dataset.botnet_id[0]))
+    ctx.collaborations()
+    ctx.chains()
 
 
 def views_equal(a, b) -> bool:
@@ -147,18 +152,19 @@ def test_inferred_window_parity(records):
     assert_context_parity(stream.context(), scratch)
 
 
-def test_expensive_views_invalidate_lazily(records, small_ds):
+def test_scans_are_carried_exactly(records, small_ds):
     stream = StreamingDataset(window=small_ds.window)
     stream.append_batch(records[:400])
     ctx1 = stream.context()
-    collabs1 = ctx1.collaborations()
+    collabs1, chains1 = ctx1.collaborations(), ctx1.chains()
+    before = (list(collabs1), list(chains1))
     stream.append_batch(records[400:])
     ctx2 = stream.context()
-    # The new epoch's context does not inherit the expensive scan ...
-    assert ("collaborations",) not in ctx2.materialized()
-    # ... the old epoch's context still holds it ...
-    assert ctx1.collaborations() is collabs1
-    # ... and a fresh scan on the new snapshot matches scratch.
-    scratch = dataset_from_records(records, window=small_ds.window)
-    expected = AnalysisContext(scratch).collaborations()
-    assert len(ctx2.collaborations()) == len(expected)
+    # The new epoch's context inherits both scans, stitched at the seam ...
+    carried = ctx2.materialized()
+    scratch = AnalysisContext(dataset_from_records(records, window=small_ds.window))
+    assert views_equal(carried[("collaborations",)], scratch.collaborations())
+    assert views_equal(carried[("chains",)], scratch.chains())
+    # ... as new lists: the old epoch's context still holds its own.
+    assert ctx1.collaborations() is collabs1 and ctx1.chains() is chains1
+    assert (collabs1, chains1) == before
