@@ -13,6 +13,7 @@ against the staged ground truth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,13 +216,23 @@ def intra_family_stats(
     mine = [e for e in events if not e.is_inter_family and e.families == (family,)]
     points: list[tuple[float, int, int]] = []
     equal = 0
-    for event in mine:
-        mags = [int(ds.magnitude[i]) for i in event.attack_indices]
-        spread = (max(mags) - min(mags)) / max(max(mags), 1)
-        if spread <= 0.25:
-            equal += 1
-        for i in event.attack_indices:
-            points.append((float(ds.start[i]), int(ds.botnet_id[i]), int(ds.magnitude[i])))
+    if mine:
+        # One gather over every event's attacks; per-event magnitude
+        # extremes by segment reductions.
+        sizes = np.fromiter((len(e.attack_indices) for e in mine), np.int64, len(mine))
+        rows = np.fromiter(
+            itertools.chain.from_iterable(e.attack_indices for e in mine),
+            np.int64,
+            int(sizes.sum()),
+        )
+        mags = ds.magnitude[rows]
+        heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        high = np.maximum.reduceat(mags, heads)
+        spread = (high - np.minimum.reduceat(mags, heads)) / np.maximum(high, 1)
+        equal = int(np.count_nonzero(spread <= 0.25))
+        points = list(
+            zip(ds.start[rows].tolist(), ds.botnet_id[rows].tolist(), mags.tolist())
+        )
     n_botnets = [e.n_botnets for e in mine]
     return IntraFamilyStats(
         family=family,

@@ -21,7 +21,7 @@ every consumer shares one copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -93,6 +93,11 @@ class SimultaneousReport:
     single_family_names: list[str]
     #: (family A, family B) -> number of co-occurrences, sorted descending.
     pair_counts: list[tuple[tuple[str, str], int]]
+    #: family -> its single-family events, by name; with ``pair_totals``
+    #: the tally an extend un-counts a seam event from exactly.
+    single_family_counts: dict[str, int] = field(default_factory=dict, repr=False)
+    #: (family A, family B) -> co-occurrences, in key order (unranked).
+    pair_totals: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
 
 
 def simultaneous_attacks(
@@ -114,10 +119,24 @@ def simultaneous_attacks(
 
 
 def _simultaneous_attacks(ds, tolerance: float) -> SimultaneousReport:
-    if ds.n_attacks == 0:
-        return SimultaneousReport(0, 0, [], [])
-    n = ds.n_attacks
-    starts = ds.start
+    return _finish_simultaneous(_simultaneous_tally(ds, 0, ds.n_attacks, tolerance))
+
+
+def _simultaneous_tally(
+    ds, lo: int, hi: int, tolerance: float = 0.0
+) -> tuple[dict[str, int], int, dict[tuple[str, str], int]]:
+    """Tally the simultaneous events among rows ``[lo, hi)``.
+
+    Returns ``(single, multi, pairs)``: single-family events per family
+    name, the number of multi-family events and the family-pair
+    co-occurrences.  With ``tolerance`` 0 a range cut between two start
+    times tallies exactly its own events, so tallies of adjacent ranges
+    add up (see :func:`repro.core.merge.extend_view`).
+    """
+    n = hi - lo
+    if n <= 0:
+        return {}, 0, {}
+    starts = ds.start[lo:hi]
     order = np.argsort(starts, kind="stable")
     sorted_starts = starts[order]
     # Sweep-line event labelling: a new event wherever the gap exceeds
@@ -130,7 +149,7 @@ def _simultaneous_attacks(ds, tolerance: float) -> SimultaneousReport:
     n_events = int(event_id[-1]) + 1
     event_sizes = np.bincount(event_id, minlength=n_events)
 
-    fams = ds.family_idx[order]
+    fams = ds.family_idx[lo:hi][order]
     o = np.lexsort((fams, event_id))
     e_sorted = event_id[o]
     f_sorted = fams[o]
@@ -145,23 +164,33 @@ def _simultaneous_attacks(ds, tolerance: float) -> SimultaneousReport:
     single_mask = eligible & (fams_per_event == 1)
     multi_mask = eligible & (fams_per_event >= 2)
 
-    single_families = {
-        ds.family_name(int(f)) for f in np.unique(u_fam[single_mask[u_event]])
-    }
-    pair_counts: dict[tuple[str, str], int] = {}
+    per_family = np.bincount(u_fam[single_mask[u_event]])
+    single = {ds.family_name(int(f)): int(per_family[f]) for f in np.flatnonzero(per_family)}
+    pairs: dict[tuple[str, str], int] = {}
     u_offsets = np.concatenate(([0], np.cumsum(fams_per_event)))
     for e in np.flatnonzero(multi_mask):
         names = sorted(
             ds.family_name(int(f)) for f in u_fam[u_offsets[e] : u_offsets[e + 1]]
         )
         for a, b in combinations(names, 2):
-            pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
-    ranked = sorted(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            pairs[(a, b)] = pairs.get((a, b), 0) + 1
+    return single, int(np.sum(multi_mask)), pairs
+
+
+def _finish_simultaneous(
+    tally: tuple[dict[str, int], int, dict[tuple[str, str], int]]
+) -> SimultaneousReport:
+    """The report of a tally; zero entries (un-counted seam events) drop."""
+    single, multi, pairs = tally
+    single = {name: single[name] for name in sorted(single) if single[name]}
+    pairs = {pair: pairs[pair] for pair in sorted(pairs) if pairs[pair]}
     return SimultaneousReport(
-        single_family_events=int(np.sum(single_mask)),
-        multi_family_events=int(np.sum(multi_mask)),
-        single_family_names=sorted(single_families),
-        pair_counts=ranked,
+        single_family_events=sum(single.values()),
+        multi_family_events=multi,
+        single_family_names=list(single),
+        pair_counts=sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0])),
+        single_family_counts=single,
+        pair_totals=pairs,
     )
 
 

@@ -17,7 +17,7 @@ path takes it:
 The result must be **bitwise** what a flat
 :class:`~repro.core.context.AnalysisContext` builds over all the rows,
 pinned by the shard-merge and stream parity tests.  The view kinds fall
-into three shapes:
+into four shapes:
 
 * **Concatenations** (durations, per-family starts, victim columns, CSR
   participants, dispersion series) grow in the caller's
@@ -25,11 +25,17 @@ into three shapes:
   operand holds the column's latest view, so a lineage of merges or
   snapshots copies only the new rows.  Interval arrays add one boundary
   gap per seam.
-* **Re-reductions** (groupings, marginal counts, protocol tables, daily
-  histograms) re-reduce the left value with the parts' values.  The
-  sharded merge takes its re-reductions, and the weekly (week, bot) pair
-  tables, from the :class:`ShardPartial` the tree reduce combines
-  instead; both use the combinators below.
+* **Re-reductions** (groupings, marginal counts, organization types,
+  protocol tables, daily histograms, weekly (week, bot) pair tables)
+  re-reduce the left value with the parts' values.  The sharded merge
+  takes most of its re-reductions from the :class:`ShardPartial` the
+  tree reduce combines instead; both use the combinators below.
+* **Seam re-counts** (the Table III summary, simultaneous-attack
+  events, finished weekly shifts) keep what the new rows cannot change:
+  the summary merges only appended victims into its carried distinct
+  values, the simultaneous events re-count the one start-time group at
+  the seam, and a weekly shift is finished again from its extended
+  pairs.
 * **Scans** (collaborations, chains) can link across a seam:
   :func:`seam_stitch_scan_events` probes each seam for the runs that
   cross it and regenerates only those.  The probe reads the
@@ -53,6 +59,10 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ..monitor.schemas import Protocol
+from . import intervals as _intervals
+from . import overview as _overview
+from . import shift as _shift
+from . import targets as _targets
 from .collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
@@ -144,6 +154,13 @@ def extend_view(
         return merge_grouped_indices([old, *groups], _bases(prev, parts), columns, head)
     if head == "target_links":
         return _extend_target_links(old, prev, parts, ds, columns)
+    if head == "workload_summary":
+        return _overview._workload_summary(ds, old, prev.dataset)
+    if head == "simultaneous_attacks":
+        return _extend_simultaneous(old, ds, prev.dataset.n_attacks)
+    if head == "victim_org_type_counts":
+        marginals = [view_value(c, ("target_org_counts",)) for c in parts]
+        return _targets._org_type_counts(ds.world, marginals, old)
     if head in _SCANS:
         bases = _bases(prev, parts)
         events, targets = seam_stitch_scan_events(
@@ -162,6 +179,16 @@ def extend_view(
         # Family views raise or come back empty on a part without the
         # family; such a part contributes nothing.
         parts = [c for c in parts if c.family_attacks(family).size]
+    if head in ("weekly_shift_pairs", "weekly_shift"):
+        if ds.window.start != prev.dataset.window.start:
+            # Every week index moved: the flat kernels over ``ctx``.
+            build = _shift._weekly_pairs if head == "weekly_shift_pairs" else _shift._weekly_shift
+            return build(ctx, family)
+        if not parts:
+            return old
+        if head == "weekly_shift":
+            return _shift._finish_weekly_shift(ds, family, *ctx.weekly_shift_pairs(family))
+        return _extend_weekly_pairs(old, [view_value(c, key) for c in parts])
     if head in ("attack_intervals", "family_intervals"):
         if head == "attack_intervals":
             starts = [prev.dataset.start, *(c.dataset.start for c in parts)]
@@ -213,6 +240,52 @@ def extend_view(
 def _bases(prev: "AnalysisContext", parts: Sequence["AnalysisContext"]) -> np.ndarray:
     """Global index of the first row of ``prev`` and of each part."""
     return np.cumsum([0, *(c.dataset.n_attacks for c in (prev, *parts))])[:-1]
+
+
+def _extend_simultaneous(old, ds, n_old: int):
+    """``("simultaneous_attacks",)`` over rows ``[0, n_old)`` plus the rest.
+
+    Rows are sorted by start, so only the start-time group at the seam
+    (the old last start, possibly continued by new rows) can change: its
+    old event is un-counted from the carried tally and the rows from its
+    first one on are tallied afresh.
+    """
+    if old is None or n_old == 0:
+        return _intervals._simultaneous_attacks(ds, 0.0)
+    lo = int(np.searchsorted(ds.start, ds.start[n_old - 1], side="left"))
+    single = dict(old.single_family_counts)
+    multi = old.multi_family_events
+    pairs = dict(old.pair_totals)
+    for sign, hi in ((-1, n_old), (1, ds.n_attacks)):
+        part_single, part_multi, part_pairs = _intervals._simultaneous_tally(ds, lo, hi)
+        for name, count in part_single.items():
+            single[name] = single.get(name, 0) + sign * count
+        multi += sign * part_multi
+        for pair, count in part_pairs.items():
+            pairs[pair] = pairs.get(pair, 0) + sign * count
+    return _intervals._finish_simultaneous((single, multi, pairs))
+
+
+def _extend_weekly_pairs(old, values):
+    """``(weeks_u, u_week, u_bot)`` of a family extended by the parts'.
+
+    The parts' weeks start at or after the left operand's last week, so
+    only the pairs of that seam week can meet new ones: they and the
+    parts' pairs go through :func:`merge_weekly_pairs`, and the earlier
+    weeks' pairs are kept as they are.
+    """
+    if old is None:
+        return merge_weekly_pairs(values)
+    weeks_u, u_week, u_bot = old
+    cut = int(np.searchsorted(u_week, min(int(v[0][0]) for v in values)))
+    weeks, tail_week, tail_bot = merge_weekly_pairs(
+        [(weeks_u, u_week[cut:], u_bot[cut:]), *values]
+    )
+    return (
+        weeks,
+        np.concatenate([u_week[:cut], tail_week]),
+        np.concatenate([u_bot[:cut], tail_bot]),
+    )
 
 
 def _extend_target_links(old, prev, parts, ds, columns):

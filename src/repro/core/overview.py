@@ -14,7 +14,7 @@ computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,10 @@ class WorkloadSummary:
     n_attacks: int
     n_botnets: int
     n_traffic_types: int
+    #: Sorted distinct values of the victim registry's columns behind
+    #: ``victims`` (see ``_VICTIM_COLUMNS``): what an extend merges the
+    #: appended victims into.
+    victim_values: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
 
 def workload_summary(source: AnalysisSource) -> WorkloadSummary:
@@ -82,29 +86,66 @@ def _distinct_count(column: np.ndarray) -> int:
     return int(np.unique(column).size)
 
 
-def _workload_summary(ds: AttackDataset) -> WorkloadSummary:
-    bots = ds.bots
-    victims = ds.victims
-    attackers = SideSummary(
+#: The victim-registry columns behind Table III's victim side, in
+#: :class:`SideSummary` field order.
+_VICTIM_COLUMNS = ("ip", "city_idx", "country_idx", "org_idx", "asn")
+
+
+def _attacker_side(bots) -> SideSummary:
+    return SideSummary(
         n_ips=int(np.unique(bots.ip).size),
         n_cities=_distinct_count(bots.city_idx),
         n_countries=_distinct_count(bots.country_idx),
         n_organizations=_distinct_count(bots.org_idx),
         n_asns=_distinct_count(bots.asn),
     )
-    victim_side = SideSummary(
-        n_ips=int(np.unique(victims.ip).size),
-        n_cities=_distinct_count(victims.city_idx),
-        n_countries=_distinct_count(victims.country_idx),
-        n_organizations=_distinct_count(victims.org_idx),
-        n_asns=_distinct_count(victims.asn),
-    )
+
+
+def _sorted_union(values: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``np.unique(np.concatenate([values, new]))`` for sorted-unique
+    ``values``, in O(len(values)) copying plus a sort of ``new`` only."""
+    new = np.unique(new)
+    if values.size == 0 or new.size == 0:
+        return new if values.size == 0 else values
+    pos = np.searchsorted(values, new)
+    fresh = (pos == values.size) | (values[np.minimum(pos, values.size - 1)] != new)
+    return np.insert(values, pos[fresh], new[fresh]) if fresh.any() else values
+
+
+def _workload_summary(
+    ds: AttackDataset,
+    prev: WorkloadSummary | None = None,
+    prev_ds: AttackDataset | None = None,
+) -> WorkloadSummary:
+    """Table III over ``ds``; from ``prev`` when given.
+
+    ``prev`` is the summary of ``prev_ds``, whose victim registry is a
+    prefix of ``ds``'s (a stream only appends victims; shards share
+    one).  The attacker side is reused when the bot registry is the same
+    object, and only the appended victims are merged into the carried
+    distinct values, so an extend costs O(new victims + distinct
+    values), not a sort of the registry.
+    """
+    victims = ds.victims
+    if prev is None:
+        attackers = _attacker_side(ds.bots)
+        values = tuple(np.unique(getattr(victims, c)) for c in _VICTIM_COLUMNS)
+    else:
+        attackers = prev.attackers if ds.bots is prev_ds.bots else _attacker_side(ds.bots)
+        values = prev.victim_values
+        if victims is not prev_ds.victims:
+            n_old = prev_ds.victims.n_targets
+            values = tuple(
+                _sorted_union(v, getattr(victims, c)[n_old:])
+                for v, c in zip(values, _VICTIM_COLUMNS)
+            )
     return WorkloadSummary(
         attackers=attackers,
-        victims=victim_side,
+        victims=SideSummary(*(int(v.size) for v in values)),
         n_attacks=ds.n_attacks,
         n_botnets=len(ds.botnets),
         n_traffic_types=len(Protocol),
+        victim_values=values,
     )
 
 

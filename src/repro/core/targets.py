@@ -113,13 +113,24 @@ def organization_affinity(
             return []
     targets = ds.target_idx[idx]
     orgs = ds.victims.org_idx[targets]
-    uniq, counts = np.unique(orgs, return_counts=True)
+    # One sort of the (org, target) pairs gives each organization's
+    # attacks and its distinct targets.
+    order = np.lexsort((targets, orgs))
+    orgs, targets = orgs[order], targets[order]
+    new_org = np.ones(orgs.size, dtype=bool)
+    new_org[1:] = orgs[1:] != orgs[:-1]
+    new_pair = new_org.copy()
+    new_pair[1:] |= targets[1:] != targets[:-1]
+    heads = np.flatnonzero(new_org)
+    counts = np.diff(np.append(heads, orgs.size))
+    distinct = np.bincount(np.cumsum(new_org)[new_pair] - 1, minlength=heads.size)
     spots = []
-    for org_index, count in zip(uniq, counts):
-        org = ds.world.organizations[int(org_index)]
+    for org_index, count, n_targets in zip(
+        orgs[heads].tolist(), counts.tolist(), distinct.tolist()
+    ):
+        org = ds.world.organizations[org_index]
         city = ds.world.cities[org.city_index]
         country = ds.world.countries[org.country_index]
-        n_targets = int(np.unique(targets[orgs == org_index]).size)
         spots.append(
             OrganizationSpot(
                 organization=org.name,
@@ -128,7 +139,7 @@ def organization_affinity(
                 city=city.name,
                 lat=city.lat,
                 lon=city.lon,
-                attack_count=int(count),
+                attack_count=count,
                 n_targets=n_targets,
             )
         )
@@ -164,13 +175,41 @@ def victim_org_types(source: AnalysisSource) -> dict[str, int]:
     return AnalysisContext.of(source).victim_org_type_counts()
 
 
-def _victim_org_types(ctx: AnalysisContext) -> dict[str, int]:
-    # Built from the memoized per-organization marginal so the sharded
-    # merge (which seeds that marginal) and the unsharded build walk the
-    # same ascending-org-index order into the same dict.
-    uniq, counts = ctx.target_org_counts()
-    out: dict[str, int] = {}
-    for org_index, count in zip(uniq, counts):
-        org_type = ctx.dataset.world.organizations[int(org_index)].org_type
-        out[org_type] = out.get(org_type, 0) + int(count)
-    return out
+class OrgTypeCounts(dict):
+    """Attacks per organization type, types in ascending order of their
+    first attacked organization's index.
+
+    ``first_org`` maps each type to that index, so an extend can place a
+    type that newly appears, or moves forward, without walking the
+    organizations already counted.
+    """
+
+    def __init__(self, counts=(), first_org: dict[str, int] | None = None) -> None:
+        super().__init__(counts)
+        self.first_org = dict(first_org or {})
+
+
+def _victim_org_types(ctx: AnalysisContext) -> OrgTypeCounts:
+    # Built from the memoized per-organization marginal, which the
+    # sharded merge seeds, so both builds count the same marginal.
+    return _org_type_counts(ctx.dataset.world, [ctx.target_org_counts()])
+
+
+def _org_type_counts(
+    world, marginals, prev: OrgTypeCounts | None = None
+) -> OrgTypeCounts:
+    """``prev`` plus ``(org indices, counts)`` marginals, by org type.
+
+    Loops over the marginals' organizations only: the order of ``prev``
+    comes from its ``first_org``, not from re-walking its organizations.
+    """
+    counts = dict(prev or {})
+    first = dict(prev.first_org) if prev is not None else {}
+    for uniq, n in marginals:
+        for org_index, count in zip(uniq.tolist(), n.tolist()):
+            org_type = world.organizations[org_index].org_type
+            counts[org_type] = counts.get(org_type, 0) + count
+            if org_index < first.get(org_type, org_index + 1):
+                first[org_type] = org_index
+    order = sorted(counts, key=first.__getitem__)
+    return OrgTypeCounts({t: counts[t] for t in order}, first)

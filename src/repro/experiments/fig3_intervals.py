@@ -20,11 +20,9 @@ def run(source: AnalysisSource) -> ExperimentResult:
 
     fam_fracs = []
     for family in ds.active_families:
-        idx = ctx.family_attacks(family)
-        if idx.size < 2:
-            continue
-        fam_gaps = np.diff(np.sort(ds.start[idx]))
-        fam_fracs.append(float(np.mean(fam_gaps == 0)))
+        fam_gaps = ctx.family_intervals(family)
+        if fam_gaps.size:
+            fam_fracs.append(float(np.mean(fam_gaps == 0)))
     result.add(
         "simultaneous fraction (per family, max)",
         ">0.50",

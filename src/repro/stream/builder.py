@@ -136,6 +136,22 @@ class StreamingDataset:
         self._families: list[str] = []
         self._family_of: dict[str, int] = {}
 
+        #: No Botlist on the wire: every snapshot shares this empty
+        #: registry, so carried views see the bot side unchanged.
+        empty = np.zeros(0)
+        self._bots = BotRegistry(
+            ip=np.zeros(0, dtype=np.uint64),
+            lat=empty,
+            lon=empty,
+            country_idx=np.zeros(0, dtype=np.int16),
+            city_idx=np.zeros(0, dtype=np.int32),
+            org_idx=np.zeros(0, dtype=np.int32),
+            asn=np.zeros(0, dtype=np.int32),
+            family_idx=np.zeros(0, dtype=np.int16),
+            botnet_id=np.zeros(0, dtype=np.int32),
+            recruit_ts=empty,
+        )
+
         self._target_of: dict[int, int] = {}
         self._v_ip = GrowableColumn(np.uint64)
         self._v_lat = GrowableColumn(float)
@@ -271,20 +287,21 @@ class StreamingDataset:
         self._org_of[rec.organization] = org.index
         return org.index
 
-    def _intern_victim(self, rec: DDoSAttackRecord, c_idx: int, city_idx: int, org_idx: int) -> int:
-        idx = self._target_of.get(rec.target_ip)
-        if idx is not None:
-            return idx
-        idx = len(self._v_ip)
-        self._target_of[rec.target_ip] = idx
-        self._v_ip.append([rec.target_ip])
-        self._v_lat.append([rec.lat])
-        self._v_lon.append([rec.lon])
-        self._v_cc.append([c_idx])
-        self._v_city.append([city_idx])
-        self._v_org.append([org_idx])
-        self._v_asn.append([rec.asn])
-        return idx
+    def _intern_victim(
+        self, rec: DDoSAttackRecord, c_idx: int, city_idx: int, org_idx: int, new: list
+    ) -> None:
+        """Number a victim on first sight; its row joins ``new``, which
+        :meth:`append_batch` appends to the victim columns once per batch."""
+        if rec.target_ip not in self._target_of:
+            self._target_of[rec.target_ip] = len(self._target_of)
+            new.append((rec.target_ip, rec.lat, rec.lon, c_idx, city_idx, org_idx, rec.asn))
+
+    def _victim_columns(self) -> tuple[GrowableColumn, ...]:
+        """The victim registry's columns, in :meth:`_intern_victim` row order."""
+        return (
+            self._v_ip, self._v_lat, self._v_lon, self._v_cc,
+            self._v_city, self._v_org, self._v_asn,
+        )
 
     # -- the append path ---------------------------------------------------
 
@@ -317,11 +334,12 @@ class StreamingDataset:
             else None
         )
 
+        new_victims: list[tuple] = []
         for rec in batch:
             c_idx = self._intern_country(rec)
             city_idx = self._intern_city(rec, c_idx)
             org_idx = self._intern_org(rec, c_idx, city_idx)
-            self._intern_victim(rec, c_idx, city_idx, org_idx)
+            self._intern_victim(rec, c_idx, city_idx, org_idx, new_victims)
             self._intern_family(rec.family)
             entry = self._botnet_seen.setdefault(
                 rec.botnet_id, [rec.family, rec.timestamp, rec.end_time]
@@ -333,6 +351,10 @@ class StreamingDataset:
                 self._min_start = rec.timestamp
             if self._max_end is None or rec.end_time > self._max_end:
                 self._max_end = rec.end_time
+
+        if new_victims:
+            for column, values in zip(self._victim_columns(), zip(*new_victims)):
+                column.append(values)
 
         # Family indices are resolved after the whole batch is interned:
         # a new family landing mid-alphabet shifts indices assigned to
@@ -454,25 +476,12 @@ class StreamingDataset:
             asn=self._v_asn.view(),
             owner_family_idx=np.full(len(self._v_ip), -1, dtype=np.int16),
         )
-        empty = np.zeros(0)
-        bots = BotRegistry(
-            ip=np.zeros(0, dtype=np.uint64),
-            lat=empty,
-            lon=empty,
-            country_idx=np.zeros(0, dtype=np.int16),
-            city_idx=np.zeros(0, dtype=np.int32),
-            org_idx=np.zeros(0, dtype=np.int32),
-            asn=np.zeros(0, dtype=np.int32),
-            family_idx=np.zeros(0, dtype=np.int16),
-            botnet_id=np.zeros(0, dtype=np.int32),
-            recruit_ts=empty,
-        )
         return AttackDataset(
             window=self._window(),
             world=self._world,
             families=families,
             active_families=list(families),
-            bots=bots,
+            bots=self._bots,
             victims=victims,
             botnets=self._botnets(),
             start=self._start.view(),
@@ -492,17 +501,19 @@ class StreamingDataset:
         Cached per epoch: repeated calls between appends return the same
         context (and the same dataset instance).  After an append, a new
         snapshot is materialised and the previous snapshot's views are
-        carried forward in O(batch), the collaboration and chain scans
-        included (only their runs that cross the seam are regenerated);
-        views with no extend rule (weekly shifts, forecasts) are left to
-        rebuild lazily under the new epoch tag.
+        carried forward in O(batch): the collaboration and chain scans
+        regenerate only their runs that cross the seam, and the global
+        summaries and weekly shifts re-count only what the batch can
+        change.  The forecasts, which have no extend rule, are left to
+        rebuild under the new epoch tag.
 
-        ``prewarm_jobs`` rebuilds those invalidated views eagerly via
-        :meth:`AnalysisContext.prewarm` when a *new* snapshot is
+        ``prewarm_jobs`` builds the views the new snapshot still lacks
+        via :meth:`AnalysisContext.prewarm` when a *new* snapshot is
         materialised: the prewarm seeds via ``seed_view``, so carried
-        views are untouched and only the dropped keys are recomputed
-        (pass 1 for serial, N for the worker-pool fan-out).  A cached
-        snapshot is returned as-is — its views are already warm.
+        views are untouched, and after an in-order append only the
+        forecasts (and a new family's views) are built (pass 1 for
+        serial, N for the worker-pool fan-out).  A cached snapshot is
+        returned as-is — its views are already warm.
 
         A carry counts the views it seeded into ``stream.views_carried``
         and the ones it had to drop into ``stream.views_invalidated``,
@@ -574,8 +585,7 @@ class StreamingDataset:
         columns = (
             self._start, self._end, self._family_idx, self._botnet_id,
             self._protocol, self._target_idx, self._magnitude,
-            self._v_ip, self._v_lat, self._v_lon, self._v_cc,
-            self._v_city, self._v_org, self._v_asn,
+            *self._victim_columns(),
         )
         total = sum(col.nbytes for col in (*columns, *self._unfilled.values()))
         if self._summary is not None:

@@ -12,8 +12,13 @@ context has materialised, at O(batch) cost:
 * grouped attack indices (family / botnet / target) gain the new rows;
 * interval and duration arrays gain the new rows' values, stitched at
   the seam;
-* victim marginals, daily histograms and protocol tables re-reduce with
-  the batch's own values;
+* victim marginals, organization types, daily histograms, protocol
+  tables and weekly (week, bot) pair tables re-reduce with the batch's
+  own values;
+* the Table III summary merges only the appended victims, the
+  simultaneous-attack events re-count only the start-time group at the
+  seam, and each family's weekly shift is finished from its extended
+  pairs;
 * the collaboration and chain scans keep the previous events, add the
   batch's own, and regenerate only the runs that cross the seam, found
   through the carried target links (each victim's last attack).
@@ -26,12 +31,12 @@ appends to.  Snapshots still held by readers (the service keeps several
 epochs) share those buffers and never see a later epoch's rows; the
 scans' event lists are new lists each epoch.
 
-Views outside :data:`INCREMENTAL_HEADS` — ARIMA dispersion forecasts,
-weekly shifts — are deliberately *not* carried: the new context simply
-does not have them, so they rebuild lazily on next access under the new
-epoch tag, while consumers still holding the previous epoch's context
-keep their cache.  After an out-of-order batch nothing is carried, and
-the scans rebuild from scratch once before the carry resumes.
+The one view kind outside :data:`INCREMENTAL_HEADS` is the ARIMA
+dispersion forecast: the new context does not have it, so it rebuilds
+on next access (or in the prewarm) under the new epoch tag, while
+consumers still holding the previous epoch's context keep their cache.
+After an out-of-order batch nothing is carried, and every view rebuilds
+from scratch once before the carry resumes.
 
 Every carried view must be exactly what the cold builder would produce —
 the streaming parity tests compare each one against a scratch batch
@@ -68,10 +73,16 @@ INCREMENTAL_HEADS = {
     "target_country_idx",
     "target_org_idx",
     "target_country_counts",
+    "target_org_counts",
     "family_target_country_counts",
+    "victim_org_type_counts",
+    "workload_summary",
     "daily_distribution",
     "protocol_popularity",
     "protocol_breakdown",
+    "simultaneous_attacks",
+    "weekly_shift_pairs",
+    "weekly_shift",
     "target_links",
     "collaborations",
     "chains",
@@ -85,9 +96,10 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
     """Seed the new snapshot's context from the previous one.
 
     ``old_ctx`` covered the first ``base_n`` attacks of ``new_ctx``'s
-    dataset (callers only carry across in-order appends).  Returns the
-    number of views seeded, and counts the targets whose scan runs were
-    re-stitched into ``stream.carry.stitched_targets``.
+    dataset (callers only carry across in-order appends).  Returns how
+    many of ``old_ctx``'s views it carried (the target links it builds
+    for the scans' probe do not count), and counts the targets whose
+    scan runs were re-stitched into ``stream.carry.stitched_targets``.
     """
     ds = new_ctx.dataset
     old_ds = old_ctx.dataset
@@ -105,6 +117,7 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
         keymap = np.asarray([ds.family_id(name) for name in old_ds.families], dtype=np.int64)
 
     views = old_ctx.materialized()
+    carried = set(views)
     if ("collaborations",) in views or ("chains",) in views:
         # The scans probe the new context's links, so those carry first
         # (built once on the previous context if it never needed them).
@@ -118,6 +131,7 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
             if key[0] == "family_attack_index" and keymap is not None:
                 value = {int(keymap[k]): v for k, v in value.items()}
             value = merge.extend_view(key, value, old_ctx, [batch], new_ctx, stitched=stitched)
-        seeded += int(new_ctx.seed_view(key, value))
+        if new_ctx.seed_view(key, value) and key in carried:
+            seeded += 1
     _obs_registry().counter("stream.carry.stitched_targets").inc(len(stitched))
     return seeded

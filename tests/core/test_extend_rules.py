@@ -1,0 +1,116 @@
+"""Direct tests of the extend rules for the summary views.
+
+:func:`repro.core.merge.extend_view` grows the Table III summary, the
+simultaneous-attack events, the organization types and the weekly
+shifts from a left operand plus new rows.  Streams carry no Botlist, so
+the stream parity tests never see two (week, bot) pair tables meet at a
+seam; here a generated dataset with participants is split inside a week
+and every rule's result is compared with a flat build over all rows,
+dtypes and key order included.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.core import merge, targets
+from repro.core.columns import ColumnStore
+from repro.core.context import AnalysisContext
+from repro.core.intervals import simultaneous_attacks
+from repro.io.colstore import _slice_dataset
+from repro.simulation.clock import ObservationWindow
+
+from .test_shard_merge import _assert_view_equal
+
+WEEK = 7 * 86400
+
+
+def _split(ds, cut: int, prev_ds=None):
+    """(left operand over rows ``[0, cut)``, right part, context being built)."""
+    prev = AnalysisContext(_slice_dataset(prev_ds or ds, 0, cut))
+    part = AnalysisContext(_slice_dataset(ds, cut, ds.n_attacks))
+    ctx = AnalysisContext(ds)
+    ctx._columns = ColumnStore()
+    return prev, part, ctx
+
+
+def _week_cut(ds) -> int:
+    """A row in the middle of the dataset whose week continues past it."""
+    weeks = (ds.start - ds.window.start) // WEEK
+    cut = ds.n_attacks // 2
+    while weeks[cut - 1] != weeks[cut]:
+        cut += 1
+    return cut
+
+
+def test_weekly_pairs_meet_inside_a_week(small_ds):
+    ds = small_ds
+    cut = _week_cut(ds)
+    seam_week = int((ds.start[cut] - ds.window.start) // WEEK)
+    prev, part, ctx = _split(ds, cut)
+    flat = AnalysisContext(ds)
+    shared = 0
+    for family in ds.active_families:
+        in_prev = prev.family_attacks(family).size > 0
+        key = ("weekly_shift_pairs", family)
+        old = prev.weekly_shift_pairs(family) if in_prev else None
+        pairs = merge.extend_view(key, old, prev, [part], ctx)
+        _assert_view_equal(str(key), pairs, flat.weekly_shift_pairs(family))
+        ctx.seed_view(key, pairs)
+        if in_prev and part.family_attacks(family).size:
+            left = {(w, b) for w, b in zip(*old[1:]) if w == seam_week}
+            right = {(w, b) for w, b in zip(*part.weekly_shift_pairs(family)[1:])}
+            shared += len(left & right)
+        key = ("weekly_shift", family)
+        old = prev.weekly_shift(family) if in_prev else None
+        shift = merge.extend_view(key, old, prev, [part], ctx)
+        _assert_view_equal(str(key), shift, flat.weekly_shift(family))
+    # The seam week's pairs on both sides overlap, so the merge deduped.
+    assert shared > 0
+
+
+def test_weekly_rules_rebuild_when_the_window_start_moves(small_ds):
+    ds = small_ds
+    cut = _week_cut(ds)
+    earlier = ObservationWindow(start=ds.window.start - WEEK, end=ds.window.end)
+    prev, part, ctx = _split(ds, cut, dataclasses.replace(ds, window=earlier))
+    flat = AnalysisContext(ds)
+    family = ds.family_name(int(ds.family_idx[0]))
+    for head in ("weekly_shift_pairs", "weekly_shift"):
+        key = (head, family)
+        old = merge.view_value(prev, key)
+        value = merge.extend_view(key, old, prev, [part], ctx)
+        _assert_view_equal(str(key), value, merge.view_value(flat, key))
+        ctx.seed_view(key, value)
+
+
+@pytest.mark.parametrize("cut", [1, 137, 500, -1])
+def test_summary_rules_match_the_flat_build(small_ds, cut):
+    ds = small_ds
+    cut = cut % ds.n_attacks
+    prev, part, ctx = _split(ds, cut)
+    flat = AnalysisContext(ds)
+    for key in (("target_org_counts",), ("victim_org_type_counts",), ("workload_summary",)):
+        got = merge.extend_view(key, merge.view_value(prev, key), prev, [part], ctx)
+        _assert_view_equal(str(key), got, merge.view_value(flat, key))
+    got = merge.extend_view(
+        ("simultaneous_attacks",), simultaneous_attacks(prev), prev, [part], ctx
+    )
+    _assert_view_equal("simultaneous_attacks", got, simultaneous_attacks(flat))
+
+
+def test_org_types_reorder_when_a_type_gains_an_earlier_organization():
+    world = SimpleNamespace(
+        organizations=[SimpleNamespace(org_type=t) for t in ("hosting", "isp", "hosting")]
+    )
+    before = targets._org_type_counts(world, [(np.array([1, 2]), np.array([3, 4]))])
+    assert list(before.items()) == [("isp", 3), ("hosting", 4)]
+    # Organization 0 is hosting's first now, ahead of isp's organization 1.
+    after = targets._org_type_counts(world, [(np.array([0, 1]), np.array([1, 1]))], before)
+    flat = targets._org_type_counts(world, [(np.array([0, 1, 2]), np.array([1, 4, 4]))])
+    assert list(after.items()) == list(flat.items()) == [("hosting", 5), ("isp", 4)]
+    assert after.first_org == flat.first_org == {"hosting": 0, "isp": 1}

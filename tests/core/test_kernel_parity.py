@@ -1,7 +1,7 @@
 """Parity tests pinning the sweep-line kernels to their reference scans.
 
 The vectorized kernels in ``core.collaboration``, ``core.consecutive``,
-``core.shift`` and ``core.geolocation`` replaced straightforward Python
+``core.shift``, ``core.geolocation`` and ``core.targets`` replaced straightforward Python
 loops; the originals are kept in ``tests/oracles/kernels.py`` and these
 tests pin the two implementations equal — exactly for the integer/tuple
 kernels, allclose for the dispersion kernel (its float summation order
@@ -28,14 +28,17 @@ from repro.core.collaboration import (
 from repro.core.consecutive import CHAIN_MARGIN_SECONDS, _detect_chains
 from repro.core.context import AnalysisContext
 from repro.core.shift import _weekly_shift
+from repro.core.targets import organization_affinity
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
 from repro.io.ingest import dataset_from_records
 from repro.monitor.schemas import DDoSAttackRecord, Protocol
+from repro.simulation.clock import to_datetime
 
 from ..oracles.kernels import (
     reference_detect_chains,
     reference_detect_collaborations,
+    reference_organization_affinity,
     reference_snapshot_dispersions,
     reference_weekly_shift,
 )
@@ -141,6 +144,19 @@ class TestRandomizedParity:
             ref_ts, ref_values = reference_snapshot_dispersions(ctx, family)
             np.testing.assert_array_equal(ts, ref_ts)
             np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
+            _assert_affinity_parity(ctx, family)
+
+
+def _assert_affinity_parity(ctx, family):
+    """Fig 14's spots equal the per-organization loop's, whole window and
+    every month the family attacked in."""
+    ds = ctx.dataset
+    assert organization_affinity(ctx, family) == reference_organization_affinity(ctx, family)
+    months = {(d.year, d.month) for d in map(to_datetime, ds.start[ctx.family_attacks(family)])}
+    for year, month in sorted(months):
+        assert organization_affinity(ctx, family, year, month) == (
+            reference_organization_affinity(ctx, family, year, month)
+        )
 
 
 class TestEdgeCases:
@@ -265,3 +281,5 @@ def test_full_scale_parity():
     ref_ts, ref_values = reference_snapshot_dispersions(ctx, busiest)
     np.testing.assert_array_equal(ts, ref_ts)
     np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
+    for family in ds.active_families:
+        _assert_affinity_parity(ctx, family)

@@ -1,8 +1,8 @@
 """Reference loops for the vectorised analysis kernels.
 
-The sweep-line collaboration and chain scans, the weekly-shift pass and
-the batched snapshot-dispersion kernel replaced these straightforward
-Python loops.  They are kept here, unchanged, as the comparison target
+The sweep-line collaboration and chain scans, the weekly-shift pass,
+the batched snapshot-dispersion kernel and Fig 14's per-organization
+target count replaced these straightforward Python loops.  They are kept here, unchanged, as the comparison target
 of ``tests/core/test_kernel_parity.py``: exact for the integer/tuple
 kernels, ``allclose`` for the dispersion kernel (its float summation
 order differs).
@@ -16,6 +16,7 @@ from repro.core.collaboration import CollabEvent
 from repro.core.consecutive import AttackChain
 from repro.core.context import AnalysisContext, AnalysisSource
 from repro.core.shift import WeeklyShift
+from repro.core.targets import OrganizationSpot, _month_mask
 
 
 def reference_detect_collaborations(
@@ -175,3 +176,39 @@ def reference_snapshot_dispersions(
             dispersion_km(ds.bots.lat[snap.bot_indices], ds.bots.lon[snap.bot_indices])
         )
     return np.asarray(times), np.asarray(values)
+
+
+def reference_organization_affinity(
+    source: AnalysisSource, family: str, year: int | None = None, month: int | None = None
+) -> list[OrganizationSpot]:
+    """Reference per-organization loop (pre-vectorization); kept for parity tests."""
+    ctx = AnalysisContext.of(source)
+    ds = ctx.dataset
+    idx = ctx.family_attacks(family)
+    if year is not None:
+        idx = idx[_month_mask(ds.start[idx], year, month)]
+        if idx.size == 0:
+            return []
+    targets = ds.target_idx[idx]
+    orgs = ds.victims.org_idx[targets]
+    uniq, counts = np.unique(orgs, return_counts=True)
+    spots = []
+    for org_index, count in zip(uniq, counts):
+        org = ds.world.organizations[int(org_index)]
+        city = ds.world.cities[org.city_index]
+        country = ds.world.countries[org.country_index]
+        n_targets = int(np.unique(targets[orgs == org_index]).size)
+        spots.append(
+            OrganizationSpot(
+                organization=org.name,
+                org_type=org.org_type,
+                country_code=country.code,
+                city=city.name,
+                lat=city.lat,
+                lon=city.lon,
+                attack_count=int(count),
+                n_targets=n_targets,
+            )
+        )
+    spots.sort(key=lambda s: (-s.attack_count, s.organization))
+    return spots

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import AnalysisContext
+from repro.core.intervals import simultaneous_attacks
 from repro.io.ingest import dataset_from_records
 from repro.stream import StreamingDataset
 
@@ -39,13 +40,19 @@ def touch_views(ctx: AnalysisContext) -> None:
         ctx.family_target_country_counts(family)
         ctx.daily_distribution(family)
         ctx.family_participants(family)
+        ctx.weekly_shift_pairs(family)
         if ctx.family_attacks(family).size:
             ctx.attack_dispersions(family)
+            ctx.weekly_shift(family)
     ctx.attack_intervals()
     ctx.durations()
     ctx.target_country_idx()
     ctx.target_org_idx()
     ctx.target_country_counts()
+    ctx.target_org_counts()
+    ctx.victim_org_type_counts()
+    ctx.workload_summary()
+    simultaneous_attacks(ctx)
     ctx.daily_distribution()
     ctx.protocol_popularity()
     ctx.protocol_breakdown()

@@ -137,6 +137,9 @@ def test_bench_scale_stream_carry_matches_scratch():
     from repro.datagen.config import DatasetConfig
     from repro.datagen.generator import generate_dataset
 
+    from .test_parity import views_equal
+    from .test_view_carry import SUMMARY_KINDS, _touch_summaries
+
     scale = float(os.environ["REPRO_BENCH_SCALE"])
     ds = generate_dataset(DatasetConfig(seed=7, scale=scale))
     records = list(ds.iter_attacks())
@@ -147,6 +150,14 @@ def test_bench_scale_stream_carry_matches_scratch():
         fresh = AnalysisContext(stream.dataset())
         assert ctx.collaborations() == fresh.collaborations(), f"epoch {stream.epoch}"
         assert ctx.chains() == fresh.chains(), f"epoch {stream.epoch}"
+        # The summary views the carry extends (built by the first
+        # epoch's prewarm, carried ever after) equal a fresh build.
+        _touch_summaries(fresh)
+        views = ctx.materialized()
+        for key, expected in fresh.materialized().items():
+            if key[0] in SUMMARY_KINDS:
+                assert key in views, f"epoch {stream.epoch}: {key} not carried"
+                assert views_equal(views[key], expected), f"epoch {stream.epoch}: {key}"
     scratch = dataset_from_records(records, window=ds.window)
     streamed = [r.render() for r in api.run_all(stream.context(), jobs=1)]
     flat = [r.render() for r in api.run_all(AnalysisContext(scratch), jobs=1)]

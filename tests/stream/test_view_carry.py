@@ -1,0 +1,202 @@
+"""The summary views carried across stream appends.
+
+The Table III summary, the simultaneous-attack events, the victim
+organization types and the per-family weekly shifts extend at every
+in-order carry instead of rebuilding over all rows.  Hand-built streams
+put the changes these views can see at a batch seam; each epoch's
+carried view must equal a scratch build over the same records, key
+order included.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import repro.obs as obs
+from repro.core.context import AnalysisContext
+from repro.core.intervals import simultaneous_attacks
+from repro.io.ingest import dataset_from_records
+from repro.simulation.clock import ObservationWindow
+from repro.stream import StreamingDataset
+
+from ..core.test_kernel_parity import _record
+from .test_parity import touch_views, views_equal
+
+WINDOW = ObservationWindow(start=0, end=3 * 86400)
+
+#: The view kinds the carry used to drop at every epoch.
+SUMMARY_KINDS = {
+    "target_org_counts",
+    "victim_org_type_counts",
+    "workload_summary",
+    "simultaneous_attacks",
+    "weekly_shift_pairs",
+    "weekly_shift",
+}
+
+
+def _touch_summaries(ctx: AnalysisContext) -> None:
+    ctx.target_org_counts()
+    ctx.victim_org_type_counts()
+    ctx.workload_summary()
+    simultaneous_attacks(ctx)
+    for family in ctx.dataset.families:
+        ctx.weekly_shift(family)
+
+
+def _assert_carried(ctx: AnalysisContext, reference: AnalysisContext, previous) -> None:
+    """The summary views the ``previous`` context held were carried to
+    ``ctx``, and every summary view of ``ctx`` equals ``reference``'s."""
+    carried = ctx.materialized()
+    _touch_summaries(reference)
+    _touch_summaries(ctx)
+    for key, expected in reference.materialized().items():
+        if key[0] in SUMMARY_KINDS:
+            assert key in carried or key not in previous, f"view {key} was not carried"
+            assert views_equal(ctx.materialized()[key], expected), f"view {key} differs"
+
+
+def _stream(batches, *, types: dict[str, str] | None = None):
+    """Stream ``batches``, checking the carried summaries every epoch.
+
+    ``types`` names the organization type of each organization: stream
+    and scratch worlds take it as soon as the organization is interned.
+    """
+
+    def typed(world) -> None:
+        for i, org in enumerate(world.organizations):
+            if types and org.name in types:
+                world.organizations[i] = dataclasses.replace(org, org_type=types[org.name])
+
+    stream = StreamingDataset(window=WINDOW)
+    seen = []
+    previous = None
+    for batch in batches:
+        stream.append_batch(batch)
+        seen.extend(batch)
+        if previous is not None:
+            # Snapshots share the stream's world, which interned the
+            # batch's organizations; type them before the carry.
+            typed(previous.dataset.world)
+        ctx = stream.context()
+        typed(ctx.dataset.world)
+        scratch = dataset_from_records(seen, WINDOW)
+        typed(scratch.world)
+        if previous is not None:
+            _assert_carried(ctx, AnalysisContext(scratch), previous.materialized())
+        _touch_summaries(ctx)
+        previous = ctx
+    return stream
+
+
+def test_in_order_epoch_drops_no_view(small_ds):
+    from repro.experiments.registry import run_all
+
+    records = list(small_ds.iter_attacks())
+    # Split after every family has appeared, so the second batch brings
+    # only rows of families the first epoch already built views for.
+    first_seen = {}
+    for i, rec in enumerate(records):
+        first_seen.setdefault(rec.family, i)
+    cut = max(first_seen.values()) + 1 + (len(records) - max(first_seen.values())) // 2
+    stream = StreamingDataset()
+    stream.append_batch(records[:cut])
+    ctx = stream.context(prewarm_jobs=1)
+    run_all(ctx, jobs=1)
+    touch_views(ctx)
+    invalidated = obs.registry().counter("stream.views_invalidated")
+    before = invalidated.value
+    stream.append_batch(records[cut:])
+    new_ctx = stream.context()
+    assert invalidated.value == before
+    assert set(ctx.view_keys()) <= set(new_ctx.view_keys())
+    families = list(new_ctx.dataset.active_families)
+    assert {spec[0] for spec in new_ctx._prewarm_specs(families)} <= {"forecast"}
+    _assert_carried(
+        new_ctx, AnalysisContext(dataset_from_records(records)), ctx.materialized()
+    )
+
+
+def test_simultaneous_event_formed_across_a_seam():
+    # One alpha attack closes the first batch at t=1000; a second alpha
+    # attack at t=1000 opens the next: a single-family event that no
+    # batch holds on its own.
+    first = [
+        _record(0, botnet=1, family="alpha", target=1, start=500.0, duration=60.0),
+        _record(1, botnet=2, family="alpha", target=2, start=1_000.0, duration=60.0),
+    ]
+    second = [
+        _record(2, botnet=3, family="alpha", target=3, start=1_000.0, duration=60.0),
+        _record(3, botnet=4, family="beta", target=4, start=2_000.0, duration=60.0),
+    ]
+    stream = _stream([first, second])
+    report = simultaneous_attacks(stream.context())
+    assert report.single_family_events == 1
+    assert report.single_family_names == ["alpha"]
+    assert report.multi_family_events == 0
+
+
+def test_seam_event_turns_multi_family():
+    # Alpha's only single-family event sits at the end of the first
+    # batch; a beta attack at the same start joins it across the seam,
+    # so alpha leaves the single-family names and the pair gains one.
+    first = [
+        _record(0, botnet=1, family="alpha", target=1, start=1_000.0, duration=60.0),
+        _record(1, botnet=2, family="alpha", target=2, start=1_000.0, duration=60.0),
+    ]
+    second = [
+        _record(2, botnet=3, family="beta", target=3, start=1_000.0, duration=60.0),
+        _record(3, botnet=4, family="beta", target=4, start=3_000.0, duration=60.0),
+        _record(4, botnet=5, family="beta", target=5, start=3_000.0, duration=60.0),
+    ]
+    stream = StreamingDataset(window=WINDOW)
+    stream.append_batch(first)
+    before = simultaneous_attacks(stream.context())
+    assert before.single_family_names == ["alpha"]
+    stream.append_batch(second)
+    report = simultaneous_attacks(stream.context())
+    reference = simultaneous_attacks(AnalysisContext(dataset_from_records(first + second, WINDOW)))
+    assert views_equal(report, reference)
+    assert report.single_family_names == ["beta"]
+    assert report.multi_family_events == 1
+    assert report.pair_counts == [(("alpha", "beta"), 1)]
+
+
+def test_batch_brings_a_new_organization_type():
+    def rec(i, start, org):
+        return dataclasses.replace(
+            _record(i, botnet=i + 1, family="alpha", target=i, start=start, duration=60.0),
+            organization=org,
+        )
+
+    types = {"h1": "hosting", "i1": "isp", "h2": "hosting", "c1": "cloud"}
+    batches = [
+        [rec(0, 100.0, "h1"), rec(1, 200.0, "i1")],
+        [rec(2, 300.0, "h2"), rec(3, 400.0, "c1"), rec(4, 500.0, "i1")],
+    ]
+    stream = _stream(batches, types=types)
+    counts = stream.context().victim_org_type_counts()
+    assert list(counts.items()) == [("hosting", 2), ("isp", 2), ("cloud", 1)]
+
+
+def test_family_interned_mid_alphabet():
+    batches = [
+        [
+            _record(0, botnet=1, family="alpha", target=1, start=100.0, duration=60.0),
+            _record(1, botnet=2, family="gamma", target=1, start=100.0, duration=60.0),
+            _record(2, botnet=3, family="gamma", target=2, start=200.0, duration=60.0),
+        ],
+        [
+            # "beta" lands between the two: gamma's index moves.
+            _record(3, botnet=4, family="beta", target=2, start=200.0, duration=60.0),
+            _record(4, botnet=5, family="gamma", target=3, start=90_000.0, duration=60.0),
+            _record(5, botnet=6, family="gamma", target=4, start=90_000.0, duration=60.0),
+        ],
+        [_record(6, botnet=7, family="alpha", target=5, start=180_000.0, duration=60.0)],
+    ]
+    stream = _stream(batches)
+    ctx = stream.context()
+    assert ctx.dataset.families == ["alpha", "beta", "gamma"]
+    report = simultaneous_attacks(ctx)
+    assert report.pair_counts == [(("alpha", "gamma"), 1), (("beta", "gamma"), 1)]
+    assert report.single_family_names == ["gamma"]
