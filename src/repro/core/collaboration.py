@@ -294,20 +294,40 @@ def pair_analysis(
     ]
 
     series: list[tuple[float, float, float, int, int]] = []
-    durations_a: list[float] = []
-    durations_b: list[float] = []
-    for event in mine:
-        per_family: dict[str, tuple[float, int]] = {}
-        for i in event.attack_indices:
-            fam = ds.family_name(int(ds.family_idx[i]))
-            if fam in (family_a, family_b) and fam not in per_family:
-                per_family[fam] = (float(ds.end[i] - ds.start[i]), int(ds.magnitude[i]))
-        if family_a in per_family and family_b in per_family:
-            dur_a, mag_a = per_family[family_a]
-            dur_b, mag_b = per_family[family_b]
-            durations_a.append(dur_a)
-            durations_b.append(dur_b)
-            series.append((event.start, dur_a, dur_b, mag_a, mag_b))
+    durations_a = durations_b = np.zeros(0)
+    if mine:
+        # One gather over the events' rows; each side of an event is its
+        # first row of that family.
+        sizes = np.fromiter((len(e.attack_indices) for e in mine), np.int64, len(mine))
+        rows = np.fromiter(
+            itertools.chain.from_iterable(e.attack_indices for e in mine),
+            np.int64,
+            int(sizes.sum()),
+        )
+        event = np.repeat(np.arange(len(mine)), sizes)
+        fams = ds.family_idx[rows]
+        first = []
+        for name in (family_a, family_b):
+            pos = np.flatnonzero(fams == (ds.family_id(name) if name in ds.families else -1))
+            head = np.ones(pos.size, dtype=bool)
+            head[1:] = event[pos[1:]] != event[pos[:-1]]
+            row = np.full(len(mine), -1, dtype=np.int64)
+            row[event[pos[head]]] = rows[pos[head]]
+            first.append(row)
+        both = (first[0] >= 0) & (first[1] >= 0)
+        row_a, row_b = first[0][both], first[1][both]
+        durations_a = ds.end[row_a] - ds.start[row_a]
+        durations_b = ds.end[row_b] - ds.start[row_b]
+        event_starts = np.fromiter((e.start for e in mine), np.float64, len(mine))[both]
+        series = list(
+            zip(
+                event_starts.tolist(),
+                durations_a.tolist(),
+                durations_b.tolist(),
+                ds.magnitude[row_a].tolist(),
+                ds.magnitude[row_b].tolist(),
+            )
+        )
 
     starts = [s for s, *_ in series]
     span_weeks = (max(starts) - min(starts)) / (7 * 86400.0) if len(starts) > 1 else 0.0
@@ -320,8 +340,8 @@ def pair_analysis(
         n_organizations=int(np.unique(ds.victims.org_idx[targets]).size) if targets else 0,
         n_asns=int(np.unique(ds.victims.asn[targets]).size) if targets else 0,
         top_countries=top_countries,
-        mean_duration_a=float(np.mean(durations_a)) if durations_a else 0.0,
-        mean_duration_b=float(np.mean(durations_b)) if durations_b else 0.0,
+        mean_duration_a=float(np.mean(durations_a)) if durations_a.size else 0.0,
+        mean_duration_b=float(np.mean(durations_b)) if durations_b.size else 0.0,
         series=sorted(series),
         span_weeks=float(span_weeks),
     )

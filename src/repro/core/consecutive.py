@@ -10,6 +10,7 @@ gaps under 30 seconds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "chain_summary",
     "consecutive_gap_cdf",
     "chain_timeline",
+    "chain_magnitude_spread",
 ]
 
 CHAIN_MARGIN_SECONDS = 60.0
@@ -194,6 +196,18 @@ def consecutive_gap_cdf(
     return ecdf(np.maximum(gaps, 0.0))
 
 
+def _chain_rows(chains: list[AttackChain]) -> tuple[np.ndarray, np.ndarray]:
+    """``(heads, rows)``: every chained row, chain by chain, in one gather,
+    and the position of each chain's first row in ``rows``."""
+    sizes = np.fromiter((len(c.attack_indices) for c in chains), np.int64, len(chains))
+    rows = np.fromiter(
+        itertools.chain.from_iterable(c.attack_indices for c in chains),
+        np.int64,
+        int(sizes.sum()),
+    )
+    return np.concatenate(([0], np.cumsum(sizes)[:-1])), rows
+
+
 def chain_timeline(
     source: AnalysisSource, chains: list[AttackChain] | None = None
 ) -> list[tuple[float, int, str, int]]:
@@ -202,21 +216,48 @@ def chain_timeline(
     Returns ``(start time, target index, family, magnitude)`` tuples
     sorted by time; consecutive dots of one chain share a target row and
     the marker size is the attack magnitude, as in the paper's plot.
+    The tuple order is one ``np.lexsort``; its family key is each
+    family's rank by *name*, which the tuples sort by, whatever order
+    the dataset indexes its families in.
     """
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
     if chains is None:
         chains = ctx.chains()
-    dots: list[tuple[float, int, str, int]] = []
-    for chain in chains:
-        for i in chain.attack_indices:
-            dots.append(
-                (
-                    float(ds.start[i]),
-                    int(ds.target_idx[i]),
-                    ds.family_name(int(ds.family_idx[i])),
-                    int(ds.magnitude[i]),
-                )
-            )
-    dots.sort()
-    return dots
+    if not chains:
+        return []
+    _heads, rows = _chain_rows(chains)
+    starts = ds.start[rows]
+    targets = ds.target_idx[rows]
+    fams = ds.family_idx[rows]
+    mags = ds.magnitude[rows]
+    names = np.asarray(ds.families, dtype=object)
+    name_rank = np.argsort(np.argsort(names))
+    order = np.lexsort((mags, name_rank[fams], targets, starts))
+    return list(
+        zip(
+            starts[order].tolist(),
+            targets[order].tolist(),
+            names[fams[order]].tolist(),
+            mags[order].tolist(),
+        )
+    )
+
+
+def chain_magnitude_spread(
+    source: AnalysisSource, chains: list[AttackChain] | None = None
+) -> np.ndarray:
+    """Per chain, ``(max - min) / max(max, 1)`` of its attacks' magnitudes.
+
+    Fig 18's stability reading: the paper sees the magnitudes of a
+    chain's attacks stay level (Dirtjumper's outliers aside).
+    """
+    ctx = AnalysisContext.of(source)
+    if chains is None:
+        chains = ctx.chains()
+    if not chains:
+        return np.zeros(0)
+    heads, rows = _chain_rows(chains)
+    mags = ctx.dataset.magnitude[rows].astype(float)
+    high = np.maximum.reduceat(mags, heads)
+    return (high - np.minimum.reduceat(mags, heads)) / np.maximum(high, 1.0)

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Union
 import numpy as np
 
 from ..obs import registry as _obs_registry
+from . import stats as _stats
 from .dataset import AttackDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -325,6 +326,31 @@ class AnalysisContext:
             ("durations", family),
             lambda: self.durations()[self.family_attacks(family)],
         )
+
+    def rank_windows(self, series_key: tuple) -> _stats.RankWindows:
+        """Sorted rank windows around the median, p80 and p95 of a series.
+
+        ``series_key`` names a float series view that only grows at its
+        end: ``("durations",)``, ``("durations", family)``,
+        ``("attack_intervals",)`` or ``("family_intervals", family,
+        True)``.  :func:`repro.core.stats.summarize` reads its order
+        statistics from these windows, which an extend grows by the new
+        rows instead of re-partitioning the series.
+        """
+        return self.view(
+            ("rank_windows", series_key),
+            lambda: _stats.rank_windows(getattr(self, series_key[0])(*series_key[1:])),
+        )
+
+    def interval_buckets(self, family: str) -> np.ndarray:
+        """Fig 4's per-bucket counts of one family's non-simultaneous gaps."""
+
+        def build() -> np.ndarray:
+            from . import intervals as _intervals
+
+            return _intervals._bucket_counts(self.family_intervals(family, False))
+
+        return self.view(("interval_buckets", family), build)
 
     # -- participants and geolocation --------------------------------------
 
@@ -1070,6 +1096,13 @@ class ShardedAnalysisContext:
                 ("weekly_shift", family),
                 _shift._finish_weekly_shift(ds, family, *pairs),
             )
+        # Only a battery run builds the rank windows and interval buckets:
+        # the ones a run on the previous merged context built extend like
+        # the stream carry's, and shard 0 holds none, so a full merge
+        # leaves them lazy.
+        for key, old in prev.materialized().items():
+            if key[0] in ("rank_windows", "interval_buckets"):
+                extend(key, old)
         return ctx
 
 

@@ -40,10 +40,12 @@ class DurationSummary:
 
 def duration_summary(source: AnalysisSource, family: str | None = None) -> DurationSummary:
     """Fig 7's quoted statistics for the duration distribution."""
-    d = durations(source, family)
+    ctx = AnalysisContext.of(source)
+    d = ctx.durations(family)
     if d.size == 0:
         raise ValueError("no attacks to summarise")
-    stats = summarize(d)
+    key = ("durations",) if family is None else ("durations", family)
+    stats = summarize(d, ctx.rank_windows(key))
     return DurationSummary(
         stats=stats,
         under_60s_fraction=float(np.mean(d < 60.0)),
@@ -65,9 +67,10 @@ def duration_cdf(
 def duration_timeline(source: AnalysisSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fig 6: (day index, duration, family index) per attack over time.
 
-    Attacks are in chronological order; within a day, simultaneous
-    attacks keep the dataset's (IP-based) tie-break order, mirroring the
-    paper's plotting convention.
+    Attacks are in the dataset's row order: chronological, with
+    simultaneous attacks in the order the dataset was built (the
+    builders sort by ``(start, botnet_id)``, the generator keeps its
+    stable start sort), mirroring the paper's plotting convention.
     """
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset

@@ -74,7 +74,8 @@ def interval_summary(source: AnalysisSource, family: str | None = None) -> Inter
     gaps = ctx.attack_intervals() if family is None else ctx.family_intervals(family)
     if gaps.size == 0:
         raise ValueError("not enough attacks to compute intervals")
-    stats = summarize(gaps)
+    key = ("attack_intervals",) if family is None else ("family_intervals", family, True)
+    stats = summarize(gaps, ctx.rank_windows(key))
     return IntervalSummary(
         stats=stats,
         simultaneous_fraction=float(np.mean(gaps == 0)),
@@ -213,11 +214,20 @@ INTERVAL_BUCKETS: list[tuple[str, float, float]] = [
 
 def interval_clusters(source: AnalysisSource, family: str) -> dict[str, int]:
     """Fig 4: bucketed non-simultaneous interval counts for one family."""
-    gaps = family_intervals(source, family, include_simultaneous=False)
-    out: dict[str, int] = {}
-    for label, lo, hi in INTERVAL_BUCKETS:
-        out[label] = int(np.sum((gaps >= lo) & (gaps < hi)))
-    return out
+    counts = AnalysisContext.of(source).interval_buckets(family)
+    return {label: int(c) for (label, _lo, _hi), c in zip(INTERVAL_BUCKETS, counts)}
+
+
+def _bucket_counts(gaps: np.ndarray) -> np.ndarray:
+    """Counts of ``gaps`` per :data:`INTERVAL_BUCKETS` bucket.
+
+    The buckets tile ``[0, inf)``, so a bucket's count is the number of
+    gaps at or above its lower edge minus those at or above the next
+    one: one pass per edge.  Every gap (all are finite and non-negative)
+    lands in one bucket, so the counts sum to ``gaps.size``.
+    """
+    at_least = [np.count_nonzero(gaps >= lo) for _label, lo, _hi in INTERVAL_BUCKETS]
+    return -np.diff(np.array([*at_least, 0], dtype=np.int64))
 
 
 def family_interval_cdf(

@@ -17,7 +17,7 @@ path takes it:
 The result must be **bitwise** what a flat
 :class:`~repro.core.context.AnalysisContext` builds over all the rows,
 pinned by the shard-merge and stream parity tests.  The view kinds fall
-into four shapes:
+into these shapes:
 
 * **Concatenations** (durations, per-family starts, victim columns, CSR
   participants, dispersion series) grow in the caller's
@@ -42,6 +42,15 @@ into four shapes:
   ``("target_links",)`` view (each victim's last attack, each attack's
   previous one on its victim), which extends like a concatenation, so
   it costs O(new rows), not O(targets).
+* **Rank windows** (``("rank_windows", series_key)``) hold the sorted
+  values around the ranks a series' median, p80 and p95 read.  They
+  read only the series' new tail: values below a window raise its first
+  rank, values inside merge into it, values above fall outside.  A
+  window trims back to a fixed margin, so an extend allocates O(margin
+  + new rows); one whose read rank left it is rebuilt with one
+  partition of the series (``context.rank_windows.rebuilt``).
+* **Bucket counts** (``("interval_buckets", family)``, Fig 4) add the
+  exact integer counts of the series' new tail.
 
 All index-valued outputs are global attack indices: a right part's
 local index ``i`` maps to ``base + i``, where ``base`` is the number of
@@ -59,9 +68,11 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ..monitor.schemas import Protocol
+from ..obs import registry as _obs_registry
 from . import intervals as _intervals
 from . import overview as _overview
 from . import shift as _shift
+from . import stats as _stats
 from . import targets as _targets
 from .collaboration import (
     DURATION_WINDOW_SECONDS,
@@ -154,6 +165,17 @@ def extend_view(
         return merge_grouped_indices([old, *groups], _bases(prev, parts), columns, head)
     if head == "target_links":
         return _extend_target_links(old, prev, parts, ds, columns)
+    if head == "rank_windows":
+        windows, rebuilt = _stats.extend_rank_windows(old, view_value(ctx, args[0]))
+        _obs_registry().counter("context.rank_windows.rebuilt").inc(rebuilt)
+        return windows
+    if head == "interval_buckets":
+        gaps = ctx.family_intervals(args[0], False)
+        if old is None:
+            return _intervals._bucket_counts(gaps)
+        # Each gap lands in one bucket: the counts sum to the gaps ``old``
+        # already holds.
+        return old + _intervals._bucket_counts(gaps[int(old.sum()) :])
     if head == "workload_summary":
         return _overview._workload_summary(ds, old, prev.dataset)
     if head == "simultaneous_attacks":

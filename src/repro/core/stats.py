@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ecdf", "ecdf_at", "SeriesSummary", "summarize"]
+__all__ = [
+    "ecdf",
+    "SeriesSummary",
+    "summarize",
+    "RANK_MARGIN",
+    "RankWindows",
+    "rank_windows",
+    "extend_rank_windows",
+]
 
 
 def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
@@ -22,13 +31,149 @@ def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
     return v, p
 
 
-def ecdf_at(values, points) -> np.ndarray:
-    """The empirical CDF evaluated at arbitrary ``points``."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise ValueError("ecdf of empty data")
-    points = np.asarray(points, dtype=float)
-    return np.searchsorted(v, points, side="right") / v.size
+# -- rank windows ----------------------------------------------------------
+
+#: Sorted ranks a window keeps on either side of the ranks its quantile
+#: reads.  A live epoch allocates each window anew, so this bounds the
+#: per-epoch cost of a carried series; it also bounds how far the read
+#: ranks may drift against the window before it must be rebuilt.
+RANK_MARGIN = 256
+
+#: The percentiles :func:`summarize` reads besides the median.
+_PERCENTILES = (80, 95)
+
+
+def _read_ranks(n: int) -> list[tuple[int, int]]:
+    """The ``(low, high)`` sorted ranks each quantile group reads.
+
+    The median reads the middle one or two ranks; a percentile reads the
+    two ranks around NumPy's linear virtual index, clipped to the last.
+    """
+    out = [((n - 1) // 2, n // 2)]
+    for q in _PERCENTILES:
+        i = min(math.floor((n - 1) * (q / 100)), n - 1)
+        out.append((i, min(i + 1, n - 1)))
+    return out
+
+
+class RankWindows:
+    """Sorted rank windows of a float series: its median, p80 and p95.
+
+    ``windows[g]`` is ``(lo, w)`` for quantile group ``g``: ``w`` holds
+    the series' sorted values at ranks ``[lo, lo + w.size)``, which cover
+    the ranks the group reads.  ``n`` is the series length they describe.
+    Two values are equal when they describe the same length and agree on
+    every rank both hold, the read ranks included: a carried window and a
+    fresh one may differ in how much margin they keep.
+    """
+
+    __slots__ = ("n", "windows")
+
+    def __init__(self, n: int, windows: tuple[tuple[int, np.ndarray], ...]) -> None:
+        self.n = int(n)
+        self.windows = windows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RankWindows) or other.n != self.n:
+            return False
+        if self.n == 0:
+            return True
+        for (la, wa), (lb, wb), (r_lo, r_hi) in zip(
+            self.windows, other.windows, _read_ranks(self.n)
+        ):
+            lo, hi = max(la, lb), min(la + wa.size, lb + wb.size)
+            if not (lo <= r_lo and r_hi < hi):
+                return False
+            if not np.array_equal(wa[lo - la : hi - la], wb[lo - lb : hi - lb]):
+                return False
+        return True
+
+    def quantiles(self) -> tuple[float, float, float]:
+        """``(median, p80, p95)``, bitwise ``np.median`` / ``np.percentile``.
+
+        The median is the mean of its one or two middle values, as
+        ``np.median`` takes it; a percentile interpolates between its two
+        ranks with the weight and the two-sided formula of NumPy's
+        ``linear`` method.
+        """
+        n = self.n
+        out = []
+        for g, ((lo, w), (r_lo, r_hi)) in enumerate(zip(self.windows, _read_ranks(n))):
+            if g == 0:
+                out.append(float(w[r_lo - lo : r_hi - lo + 1].mean()))
+                continue
+            a, b = w[r_lo - lo], w[r_hi - lo]
+            h = (n - 1) * (_PERCENTILES[g - 1] / 100)
+            # NumPy marks an index clipped to the last rank as -1 before
+            # it takes the weight from it.
+            t = h + 1 if h >= n - 1 else h - r_lo
+            diff = b - a
+            out.append(float(b - diff * (1 - t) if t >= 0.5 else a + diff * t))
+        return out[0], out[1], out[2]
+
+
+def _target_ranks(n: int) -> list[tuple[int, int]]:
+    """The ranks each group's window spans when it is built afresh."""
+    return [
+        (max(r_lo - RANK_MARGIN, 0), min(r_hi + RANK_MARGIN, n - 1))
+        for r_lo, r_hi in _read_ranks(n)
+    ]
+
+
+def rank_windows(values) -> RankWindows:
+    """Build the rank windows of ``values`` with one ``np.partition``."""
+    v = np.asarray(values, dtype=float)
+    n = int(v.size)
+    if n == 0:
+        empty = np.zeros(0)
+        return RankWindows(0, ((0, empty),) * (1 + len(_PERCENTILES)))
+    targets = _target_ranks(n)
+    part = np.partition(v, sorted({r for pair in targets for r in pair}))
+    return RankWindows(n, tuple((lo, np.sort(part[lo : hi + 1])) for lo, hi in targets))
+
+
+def extend_rank_windows(old: RankWindows | None, values) -> tuple[RankWindows, int]:
+    """The windows of ``values``, whose first ``old.n`` entries ``old`` covers.
+
+    The new tail is sorted once.  In each window, tail values below
+    ``w[0]`` only raise ``lo``, values within ``[w[0], w[-1]]`` merge into
+    ``w`` and values above ``w[-1]`` fall outside, so ``w`` keeps exactly
+    its ranks; a window that starts at rank 0 or ends at the last rank
+    takes the values beyond that edge in as well.  The window is then
+    trimmed back to the margin around the new read ranks.  A window that
+    lost a rank it must read is rebuilt from the full series with one
+    ``np.partition``.  Returns ``(windows, rebuilt)``.
+    """
+    v = np.asarray(values, dtype=float)
+    n = int(v.size)
+    if old is None or old.n == 0:
+        return rank_windows(v), 0
+    tail = np.sort(v[old.n :])
+    out = []
+    rebuilt = 0
+    for (lo, w), (r_lo, r_hi), (first, last) in zip(
+        old.windows, _read_ranks(n), _target_ranks(n)
+    ):
+        cut_lo = 0 if lo == 0 else int(np.searchsorted(tail, w[0], side="left"))
+        cut_hi = (
+            tail.size
+            if lo + w.size == old.n
+            else int(np.searchsorted(tail, w[-1], side="right"))
+        )
+        lo += cut_lo
+        if cut_hi > cut_lo:
+            w = np.sort(np.concatenate((w, tail[cut_lo:cut_hi])))
+        if lo <= r_lo and r_hi < lo + w.size:
+            keep_lo, keep_hi = max(first, lo), min(last, lo + w.size - 1)
+            out.append((keep_lo, w[keep_lo - lo : keep_hi - lo + 1]))
+        else:
+            rebuilt += 1
+            part = np.partition(v, [first, last])
+            out.append((first, np.sort(part[first : last + 1])))
+    return RankWindows(n, tuple(out)), rebuilt
+
+
+# -- summaries -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -45,18 +190,28 @@ class SeriesSummary:
     p95: float
 
 
-def summarize(values) -> SeriesSummary:
-    """Compute the summary the paper quotes for intervals and durations."""
+def summarize(values, windows: RankWindows | None = None) -> SeriesSummary:
+    """Compute the summary the paper quotes for intervals and durations.
+
+    The median and percentiles are read from ``windows``, the series'
+    :class:`RankWindows` (built here when not given); mean, std and the
+    extremes are NumPy reductions over the series in its own order.
+    """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("summarize of empty data")
+    if windows is None:
+        windows = rank_windows(v)
+    elif windows.n != v.size:
+        raise ValueError(f"rank windows cover {windows.n} values, the series has {v.size}")
+    median, p80, p95 = windows.quantiles()
     return SeriesSummary(
         n=int(v.size),
         mean=float(np.mean(v)),
-        median=float(np.median(v)),
+        median=median,
         std=float(np.std(v, ddof=0)),
         minimum=float(np.min(v)),
         maximum=float(np.max(v)),
-        p80=float(np.percentile(v, 80)),
-        p95=float(np.percentile(v, 95)),
+        p80=p80,
+        p95=p95,
     )

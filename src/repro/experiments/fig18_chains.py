@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.consecutive import chain_summary, chain_timeline, detect_chains
+from ..core.consecutive import (
+    chain_magnitude_spread,
+    chain_summary,
+    chain_timeline,
+    detect_chains,
+)
 from ..core.context import AnalysisContext, AnalysisSource
 from ..simulation.clock import to_datetime
 from .base import Experiment, ExperimentResult
@@ -12,7 +17,6 @@ from .base import Experiment, ExperimentResult
 
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
-    ds = ctx.dataset
     result = ExperimentResult("fig18_chains")
     chains = detect_chains(ctx)
     if not chains:
@@ -33,11 +37,7 @@ def run(source: AnalysisSource) -> ExperimentResult:
     dots = chain_timeline(ctx, chains)
     result.add("timeline dots", None, len(dots))
     # Magnitude stability within chains (except Dirtjumper's outliers).
-    stable = 0
-    for chain in chains:
-        mags = np.array([ds.magnitude[i] for i in chain.attack_indices], dtype=float)
-        if mags.size and (mags.max() - mags.min()) / max(mags.max(), 1.0) <= 0.3:
-            stable += 1
+    stable = np.count_nonzero(chain_magnitude_spread(ctx, chains) <= 0.3)
     result.add(
         "chains with stable magnitudes", "most", f"{stable}/{len(chains)}"
     )

@@ -6,7 +6,6 @@ import numpy as np
 
 from ..core.context import AnalysisContext, AnalysisSource
 from ..core.intervals import attack_intervals, interval_summary, simultaneous_attacks
-from ..core.stats import ecdf_at
 from .base import Experiment, ExperimentResult
 
 
@@ -31,9 +30,10 @@ def run(source: AnalysisSource) -> ExperimentResult:
     summary = interval_summary(ctx, family="dirtjumper")
     result.add("dirtjumper mean interval (s)", None, f"{summary.stats.mean:.0f}")
     result.add("dirtjumper p80 interval (s)", None, f"{summary.p80_seconds:.0f}")
+    # The empirical CDF at one point, without sorting the gaps.
     result.add(
         "CDF at 1081 s (all attacks)", "0.80 (family-based)",
-        f"{float(ecdf_at(gaps, [1081.0])[0]):.2f}",
+        f"{np.count_nonzero(gaps <= 1081.0) / gaps.size:.2f}",
     )
     sim = simultaneous_attacks(ctx)
     result.add("single-family simultaneous events", 3692, sim.single_family_events)

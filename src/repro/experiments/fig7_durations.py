@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.context import AnalysisContext, AnalysisSource
-from ..core.durations import duration_summary, duration_timeline
+from ..core.durations import duration_summary
 from .base import Experiment, ExperimentResult
 
 
@@ -19,10 +19,12 @@ def run(source: AnalysisSource) -> ExperimentResult:
     result.add("p80 duration (h)", "3.86 (13882 s)", f"{s.p80_hours:.2f}")
     result.add("share under 60 s", "<0.10", f"{s.under_60s_fraction:.2f}")
     result.add("share under 4 h", "~0.80", f"{s.under_4h_fraction:.2f}")
-    days, durations, _fams = duration_timeline(ctx)
+    durations = ctx.durations()
     in_band = float(np.mean((durations >= 100.0) & (durations <= 10000.0)))
     result.add("Fig 6 band 100-10000 s share", "majority", f"{in_band:.2f}")
-    result.add("timeline days covered", None, int(np.unique(days).size))
+    # Fig 6's timeline uses the daily histogram's day index.
+    days_covered = np.count_nonzero(ctx.daily_distribution().counts)
+    result.add("timeline days covered", None, days_covered)
     return result
 
 

@@ -96,7 +96,7 @@ class Router:
         self.started_at = time.time()
 
     def close(self) -> None:
-        """Stop every tenant's writer thread."""
+        """Stop every tenant's writer thread and drop the tenants."""
         self.tenants.close()
 
     # -- dispatch ----------------------------------------------------------

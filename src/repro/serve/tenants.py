@@ -392,6 +392,9 @@ class TenantRegistry:
         return sorted(self._tenants)
 
     def close(self) -> None:
-        """Stop every tenant's writer thread."""
-        for tenant in list(self._tenants.values()):
+        """Stop every tenant's writer thread and drop the tenants."""
+        with self._lock:
+            tenants, self._tenants = list(self._tenants.values()), {}
+        for tenant in tenants:
             tenant.close()
+        _obs_registry().gauge("serve.tenants").set(0)

@@ -21,7 +21,10 @@ context has materialised, at O(batch) cost:
   pairs;
 * the collaboration and chain scans keep the previous events, add the
   batch's own, and regenerate only the runs that cross the seam, found
-  through the carried target links (each victim's last attack).
+  through the carried target links (each victim's last attack);
+* the rank windows the duration and interval summaries read merge the
+  batch's values around their read ranks, and Fig 4's interval bucket
+  counts add the batch's gaps.
 
 The concatenation-shaped views grow in a
 :class:`~repro.core.columns.ColumnStore` that each carry hands from the
@@ -86,6 +89,8 @@ INCREMENTAL_HEADS = {
     "target_links",
     "collaborations",
     "chains",
+    "rank_windows",
+    "interval_buckets",
 }
 
 #: The links the scan stitch probes; carried ahead of the scans.

@@ -24,7 +24,7 @@ from repro.core.intervals import simultaneous_attacks
 from repro.io.colstore import _slice_dataset
 from repro.simulation.clock import ObservationWindow
 
-from .test_shard_merge import _assert_view_equal
+from .test_shard_merge import _assert_view_equal, render_view_keys
 
 WEEK = 7 * 86400
 
@@ -101,6 +101,49 @@ def test_summary_rules_match_the_flat_build(small_ds, cut):
         ("simultaneous_attacks",), simultaneous_attacks(prev), prev, [part], ctx
     )
     _assert_view_equal("simultaneous_attacks", got, simultaneous_attacks(flat))
+
+
+@pytest.mark.parametrize("cut", [1, 2, 137, 500, -1])
+def test_render_rules_match_the_flat_build(small_ds, cut):
+    """Rank windows and interval buckets extended from a left operand equal
+    a flat build, and each window holds exactly its sorted ranks."""
+    ds = small_ds
+    cut = cut % ds.n_attacks
+    prev, part, ctx = _split(ds, cut)
+    flat = AnalysisContext(ds)
+    for key in render_view_keys(ds):
+        got = merge.extend_view(key, merge.view_value(prev, key), prev, [part], ctx)
+        _assert_view_equal(str(key), got, merge.view_value(flat, key))
+        if key[0] == "rank_windows":
+            ordered = np.sort(merge.view_value(flat, key[1]))
+            for lo, w in got.windows:
+                np.testing.assert_array_equal(w, ordered[lo : lo + w.size])
+
+
+def test_render_rules_for_a_family_first_seen_in_the_batch(small_ds):
+    ds = small_ds
+    # The family whose first attack comes last, and a cut just before it.
+    first = {
+        f: int(np.flatnonzero(ds.family_idx == ds.family_id(f))[0])
+        for f in ds.active_families
+    }
+    family, cut = max(first.items(), key=lambda kv: kv[1])
+    assert cut > 0
+    prev, part, ctx = _split(ds, cut)
+    flat = AnalysisContext(ds)
+    assert prev.family_attacks(family).size == 0
+    for key in (
+        ("rank_windows", ("durations", family)),
+        ("rank_windows", ("family_intervals", family, True)),
+        ("interval_buckets", family),
+    ):
+        old = merge.view_value(prev, key)
+        assert (old.n if key[0] == "rank_windows" else old.sum()) == 0
+        got = merge.extend_view(key, old, prev, [part], ctx)
+        _assert_view_equal(str(key), got, merge.view_value(flat, key))
+        # ... and from no left value at all, as a re-merge passes it.
+        got = merge.extend_view(key, None, prev, [part], ctx)
+        _assert_view_equal(f"{key} from None", got, merge.view_value(flat, key))
 
 
 def test_org_types_reorder_when_a_type_gains_an_earlier_organization():

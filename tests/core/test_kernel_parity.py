@@ -1,7 +1,9 @@
 """Parity tests pinning the sweep-line kernels to their reference scans.
 
 The vectorized kernels in ``core.collaboration``, ``core.consecutive``,
-``core.shift``, ``core.geolocation`` and ``core.targets`` replaced straightforward Python
+``core.shift``, ``core.geolocation`` and ``core.targets`` (the scans,
+Figs 16 and 18's per-event and per-chain passes among them) replaced
+straightforward Python
 loops; the originals are kept in ``tests/oracles/kernels.py`` and these
 tests pin the two implementations equal — exactly for the integer/tuple
 kernels, allclose for the dispersion kernel (its float summation order
@@ -14,7 +16,9 @@ The full-scale sweep (marked ``slow``) only runs when
 
 from __future__ import annotations
 
+import dataclasses
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,8 +28,14 @@ from repro.core.collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
     _detect_collaborations,
+    pair_analysis,
 )
-from repro.core.consecutive import CHAIN_MARGIN_SECONDS, _detect_chains
+from repro.core.consecutive import (
+    CHAIN_MARGIN_SECONDS,
+    _detect_chains,
+    chain_magnitude_spread,
+    chain_timeline,
+)
 from repro.core.context import AnalysisContext
 from repro.core.shift import _weekly_shift
 from repro.core.targets import organization_affinity
@@ -36,10 +46,13 @@ from repro.monitor.schemas import DDoSAttackRecord, Protocol
 from repro.simulation.clock import to_datetime
 
 from ..oracles.kernels import (
+    reference_chain_timeline,
     reference_detect_chains,
     reference_detect_collaborations,
     reference_organization_affinity,
+    reference_pair_analysis,
     reference_snapshot_dispersions,
+    reference_stable_chain_count,
     reference_weekly_shift,
 )
 
@@ -145,6 +158,56 @@ class TestRandomizedParity:
             np.testing.assert_array_equal(ts, ref_ts)
             np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
             _assert_affinity_parity(ctx, family)
+
+
+def _assert_render_pass_parity(ctx):
+    """Fig 18's dots and magnitude spreads and Fig 16's pair series equal
+    their per-row loops, element types included."""
+    chains = ctx.chains()
+    dots = chain_timeline(ctx, chains)
+    ref_dots = reference_chain_timeline(ctx, chains)
+    assert dots == ref_dots
+    assert [tuple(map(type, d)) for d in dots] == [tuple(map(type, d)) for d in ref_dots]
+    stable = np.count_nonzero(chain_magnitude_spread(ctx, chains) <= 0.3)
+    assert stable == reference_stable_chain_count(ctx, chains)
+    events = ctx.collaborations()
+    for a, b in combinations(ctx.dataset.active_families, 2):
+        for x, y in ((a, b), (b, a)):
+            got = pair_analysis(ctx, x, y, events)
+            want = reference_pair_analysis(ctx, x, y, events)
+            assert got == want
+            assert [tuple(map(type, e)) for e in got.series] == [
+                tuple(map(type, e)) for e in want.series
+            ]
+
+
+class TestRenderPassParity:
+    def test_generated_datasets(self, tiny_ds, small_ds):
+        for ds in (tiny_ds, small_ds):
+            _assert_render_pass_parity(AnalysisContext(ds))
+
+    def test_family_index_order_differs_from_name_order(self, small_ds):
+        """The dots sort by family *name*: reversing the dataset's family
+        index order must not move them."""
+        n = len(small_ds.families)
+        flipped = dataclasses.replace(
+            small_ds,
+            families=small_ds.families[::-1],
+            family_idx=(n - 1 - small_ds.family_idx).astype(small_ds.family_idx.dtype),
+        )
+        ctx = AnalysisContext(flipped)
+        assert list(flipped.families) != sorted(flipped.families)
+        assert chain_timeline(ctx) == chain_timeline(AnalysisContext(small_ds))
+        _assert_render_pass_parity(ctx)
+
+    def test_no_chains(self):
+        ds = dataset_from_records(
+            [_record(0, botnet=1, family="alpha", target=1, start=30.0, duration=60.0)]
+        )
+        ctx = AnalysisContext(ds)
+        assert chain_timeline(ctx) == []
+        assert chain_magnitude_spread(ctx).size == 0
+        _assert_render_pass_parity(ctx)
 
 
 def _assert_affinity_parity(ctx, family):
@@ -283,3 +346,4 @@ def test_full_scale_parity():
     np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
     for family in ds.active_families:
         _assert_affinity_parity(ctx, family)
+    _assert_render_pass_parity(ctx)

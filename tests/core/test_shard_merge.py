@@ -100,6 +100,41 @@ def _collect_views(ctx: AnalysisContext, families: list[str]) -> dict:
     return out
 
 
+def render_view_keys(ds) -> list[tuple]:
+    """Keys of the rank windows and interval buckets the battery reads."""
+    keys = [("rank_windows", ("durations",)), ("rank_windows", ("attack_intervals",))]
+    for family in ds.families:
+        keys += [
+            ("rank_windows", ("durations", family)),
+            ("rank_windows", ("family_intervals", family, True)),
+            ("interval_buckets", family),
+        ]
+    return keys
+
+
+def assert_render_views_match(
+    ctx: AnalysisContext, fresh: AnalysisContext, previous: AnalysisContext | None = None
+) -> None:
+    """``ctx``'s rank windows and interval buckets equal ``fresh``'s.
+
+    Each one ``previous`` (the extend's left operand) held must already
+    be materialised on ``ctx``: extended, not rebuilt lazily.  Each
+    window must hold exactly its ranks of the sorted series.  Afterwards
+    all of them are built on ``ctx``, so the next extend has them.
+    """
+    views = ctx.materialized()
+    held = set() if previous is None else set(previous.view_keys())
+    for key in render_view_keys(ctx.dataset):
+        if key in held:
+            assert key in views, f"{key} not carried"
+        got = merge.view_value(ctx, key)
+        _assert_view_equal(str(key), got, merge.view_value(fresh, key))
+        if key[0] == "rank_windows":
+            ordered = np.sort(merge.view_value(fresh, key[1]))
+            for lo, w in got.windows:
+                np.testing.assert_array_equal(w, ordered[lo : lo + w.size], err_msg=str(key))
+
+
 def _unread_view_keys(sctx: ShardedAnalysisContext, merged: AnalysisContext) -> list:
     """Materialised keys of views no experiment reads, on any context.
 
@@ -387,6 +422,27 @@ class TestIncrementalRemerge:
         for label in want:
             _assert_view_equal(f"previous {label}", got[label], want[label])
 
+    def test_remerge_extends_the_render_views_prev_holds(self, small_ds, tmp_path):
+        """A battery run on the merged context builds rank windows and
+        interval buckets; the re-merge extends them, and a full merge
+        leaves them lazy."""
+        tail = _append_store(tmp_path / "store", small_ds, 4)
+        sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
+        sctx.build(jobs=1)
+        before = sctx.merged()
+        assert not any(k[0] in ("rank_windows", "interval_buckets") for k in before.view_keys())
+        head = _slice_dataset(small_ds, 0, before.dataset.n_attacks)
+        assert_render_views_match(before, AnalysisContext(head))
+
+        append_shard(tmp_path / "store", tail)
+        assert sctx.refresh() == 1
+        sctx.build(jobs=1)
+        merged = sctx.merged()
+        assert sctx.last_merge_stats["mode"] == "incremental"
+        assert_render_views_match(merged, AnalysisContext(small_ds), before)
+        # The previous merged context's own views are untouched.
+        assert_render_views_match(before, AnalysisContext(head), before)
+
     def test_remerge_builds_no_unread_views(self, small_ds, tmp_path):
         tail = _append_store(tmp_path / "store", small_ds, 4)
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
@@ -559,3 +615,32 @@ def test_full_scale_sharded_battery_byte_identical():
     sharded = [r.render() for r in run_all(sctx.merged(), jobs=1)]
     flat = [r.render() for r in run_all(AnalysisContext(ds), jobs=1)]
     assert sharded == flat
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the full-scale shard-merge sweep",
+)
+def test_full_scale_remerge_extends_render_views(tmp_path):
+    """A re-merge whose previous merged context ran the battery extends
+    its rank windows and interval buckets exactly, and the battery over
+    the re-merge renders byte for byte like the flat one."""
+    scale = float(os.environ["REPRO_BENCH_SCALE"])
+    ds = generate_dataset(DatasetConfig(seed=7, scale=scale))
+    tail = _append_store(tmp_path / "store", ds, 8)
+    sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
+    sctx.build(jobs=1)
+    run_all(sctx.merged(), jobs=1)
+    append_shard(tmp_path / "store", tail)
+    assert sctx.refresh() == 1
+    sctx.build(jobs=1)
+    merged = sctx.merged()
+    assert sctx.last_merge_stats["mode"] == "incremental"
+    fresh = AnalysisContext(ds)
+    held = {k for k in merged.view_keys() if k[0] in ("rank_windows", "interval_buckets")}
+    assert held, "the battery on the previous merge built no render views"
+    for key in held:
+        _assert_view_equal(str(key), merge.view_value(merged, key), merge.view_value(fresh, key))
+    remerged = [r.render() for r in run_all(merged, jobs=1)]
+    assert remerged == [r.render() for r in run_all(fresh, jobs=1)]

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stats import ecdf, ecdf_at, summarize
+from repro.core.stats import (
+    RANK_MARGIN,
+    ecdf,
+    extend_rank_windows,
+    rank_windows,
+    summarize,
+)
 
 values_st = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=50
@@ -31,22 +37,6 @@ class TestEcdf:
         assert ps[-1] == pytest.approx(1.0)
         assert ps[0] > 0
 
-    @given(values_st)
-    @settings(max_examples=100)
-    def test_ecdf_at_consistent(self, values):
-        xs, ps = ecdf(values)
-        at = ecdf_at(values, xs)
-        # At duplicated values the step function takes the rightmost
-        # (largest) probability of the duplicate run.
-        expected = {}
-        for x, p in zip(xs, ps):
-            expected[float(x)] = max(expected.get(float(x), 0.0), float(p))
-        assert np.allclose(at, [expected[float(x)] for x in xs])
-
-    def test_ecdf_at_extremes(self):
-        assert ecdf_at([1.0, 2.0], [0.0])[0] == 0.0
-        assert ecdf_at([1.0, 2.0], [5.0])[0] == 1.0
-
 
 class TestSummarize:
     def test_known_values(self):
@@ -70,3 +60,90 @@ class TestSummarize:
         assert s.minimum - eps <= s.mean <= s.maximum + eps
         assert s.minimum - eps <= s.p80 <= s.maximum + eps
         assert s.std >= 0
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def _assert_exact(values, windows) -> None:
+    """Windowed order statistics are bitwise NumPy's, and every window
+    holds exactly its ranks of the sorted series."""
+    s = summarize(values, windows)
+    assert (_bits(s.median), _bits(s.p80), _bits(s.p95)) == (
+        _bits(np.median(values)),
+        _bits(np.percentile(values, 80)),
+        _bits(np.percentile(values, 95)),
+    )
+    ordered = np.sort(values)
+    for lo, w in windows.windows:
+        np.testing.assert_array_equal(w, ordered[lo : lo + w.size])
+
+
+@st.composite
+def _grown_series(draw):
+    """A non-negative series (like durations and gaps) and the prefix
+    lengths an extend sees it at."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 4 * RANK_MARGIN + 500))
+    shape = draw(st.sampled_from(["ties", "constant", "spread", "shift"]))
+    if shape == "ties":
+        values = rng.integers(0, 4, n).astype(float)
+    elif shape == "constant":
+        values = np.full(n, 7.0)
+    else:
+        values = np.round(rng.exponential(1000.0, n), 1)
+        if shape == "shift":
+            # Every later value lands above the windows: their read ranks
+            # climb out of them and they must be rebuilt.
+            values[n // 3 :] += 1e7
+    batches = draw(st.lists(st.integers(1, 400), min_size=1, max_size=25))
+    cuts = [int(c) for c in np.cumsum(batches) if c < n] + [n]
+    return values, cuts
+
+
+class TestRankWindows:
+    @given(_grown_series())
+    @settings(max_examples=150, deadline=None)
+    def test_extend_is_exact_at_every_prefix(self, grown):
+        values, cuts = grown
+        windows = rank_windows(values[: cuts[0]])
+        _assert_exact(values[: cuts[0]], windows)
+        for cut in cuts[1:]:
+            windows, _rebuilt = extend_rank_windows(windows, values[:cut])
+            _assert_exact(values[:cut], windows)
+            assert windows == rank_windows(values[:cut])
+
+    def test_level_shift_forces_a_rebuild(self):
+        rng = np.random.default_rng(5)
+        values = rng.exponential(1000.0, 6000)
+        values[3000:] += 1e7
+        windows = rank_windows(values[:3000])
+        rebuilt = 0
+        for cut in range(3500, 6001, 500):
+            windows, count = extend_rank_windows(windows, values[:cut])
+            rebuilt += count
+            _assert_exact(values[:cut], windows)
+        assert rebuilt > 0
+
+    def test_windows_stay_bounded(self):
+        rng = np.random.default_rng(9)
+        values = rng.exponential(1000.0, 20000)
+        windows = rank_windows(values[:100])
+        for cut in range(600, 20001, 500):
+            windows, _rebuilt = extend_rank_windows(windows, values[:cut])
+        assert all(w.size <= 2 * RANK_MARGIN + 2 for _lo, w in windows.windows)
+
+    def test_equality_ignores_margin_but_not_values(self):
+        values = np.arange(2000.0)
+        full = rank_windows(values)
+        narrow = type(full)(
+            full.n, tuple((lo + 10, w[10:-10]) for lo, w in full.windows)
+        )
+        assert narrow == full
+        shifted = type(full)(full.n, tuple((lo + 1, w) for lo, w in full.windows))
+        assert shifted != full
+
+    def test_summarize_rejects_windows_of_another_length(self):
+        with pytest.raises(ValueError):
+            summarize([1.0, 2.0, 3.0], rank_windows([1.0, 2.0]))

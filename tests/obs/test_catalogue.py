@@ -74,13 +74,17 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
         # ingest round-trip
         api.ingest(ds.iter_attacks(), window=ds.window)
 
-        # streaming: in-order appends with a carry (of the scans too) and
-        # a spill, then an out-of-order batch (the spill must precede it:
-        # a late batch marks the spilled prefix dirty)
+        # streaming: in-order appends with a carry (of the scans and the
+        # duration rank windows too) and a spill, then an out-of-order
+        # batch (the spill must precede it: a late batch marks the
+        # spilled prefix dirty)
+        from repro.core.durations import duration_summary
+
         records = list(ds.iter_attacks())
         stream = api.stream(window=ds.window)
         stream.append_batch(records[:50])
         stream.context().chains()
+        duration_summary(stream.context())
         stream.append_batch(records[50:100])
         stream.context()
         stream.spill_shards(tmp_path / "spill-store")

@@ -1,9 +1,11 @@
 """Reference loops for the vectorised analysis kernels.
 
 The sweep-line collaboration and chain scans, the weekly-shift pass,
-the batched snapshot-dispersion kernel and Fig 14's per-organization
-target count replaced these straightforward Python loops.  They are kept here, unchanged, as the comparison target
-of ``tests/core/test_kernel_parity.py``: exact for the integer/tuple
+the batched snapshot-dispersion kernel, Fig 14's per-organization
+target count, Fig 16's per-event pair walk and Fig 18's per-chain dot
+and magnitude loops replaced these straightforward Python loops.  They
+are kept here, unchanged, as the comparison target of
+``tests/core/test_kernel_parity.py``: exact for the integer/tuple
 kernels, ``allclose`` for the dispersion kernel (its float summation
 order differs).
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.collaboration import CollabEvent
+from repro.core.collaboration import CollabEvent, PairAnalysis
 from repro.core.consecutive import AttackChain
 from repro.core.context import AnalysisContext, AnalysisSource
 from repro.core.shift import WeeklyShift
@@ -212,3 +214,87 @@ def reference_organization_affinity(
         )
     spots.sort(key=lambda s: (-s.attack_count, s.organization))
     return spots
+
+
+def reference_chain_timeline(
+    source: AnalysisSource, chains: list[AttackChain]
+) -> list[tuple[float, int, str, int]]:
+    """Reference per-row dot loop (pre-vectorization); kept for parity tests."""
+    ds = AnalysisContext.of(source).dataset
+    dots: list[tuple[float, int, str, int]] = []
+    for chain in chains:
+        for i in chain.attack_indices:
+            dots.append(
+                (
+                    float(ds.start[i]),
+                    int(ds.target_idx[i]),
+                    ds.family_name(int(ds.family_idx[i])),
+                    int(ds.magnitude[i]),
+                )
+            )
+    dots.sort()
+    return dots
+
+
+def reference_stable_chain_count(source: AnalysisSource, chains: list[AttackChain]) -> int:
+    """Reference per-chain magnitude loop of Fig 18; kept for parity tests."""
+    ds = AnalysisContext.of(source).dataset
+    stable = 0
+    for chain in chains:
+        mags = np.array([ds.magnitude[i] for i in chain.attack_indices], dtype=float)
+        if mags.size and (mags.max() - mags.min()) / max(mags.max(), 1.0) <= 0.3:
+            stable += 1
+    return stable
+
+
+def reference_pair_analysis(
+    source: AnalysisSource, family_a: str, family_b: str, events: list[CollabEvent]
+) -> PairAnalysis:
+    """Reference per-event row walk of Fig 16 (pre-vectorization)."""
+    ctx = AnalysisContext.of(source)
+    ds = ctx.dataset
+    pair = tuple(sorted((family_a, family_b)))
+    mine = [e for e in events if e.is_inter_family and set(pair) <= set(e.families)]
+
+    targets = sorted({e.target_index for e in mine})
+    countries = ds.victims.country_idx[targets] if targets else np.zeros(0, dtype=int)
+    uniq_c, counts_c = (
+        np.unique(countries, return_counts=True) if targets else (np.zeros(0), np.zeros(0))
+    )
+    order = np.argsort(-counts_c, kind="stable")
+    top_countries = [
+        (ds.world.countries[int(uniq_c[i])].code, int(counts_c[i])) for i in order[:5]
+    ]
+
+    series: list[tuple[float, float, float, int, int]] = []
+    durations_a: list[float] = []
+    durations_b: list[float] = []
+    for event in mine:
+        per_family: dict[str, tuple[float, int]] = {}
+        for i in event.attack_indices:
+            fam = ds.family_name(int(ds.family_idx[i]))
+            if fam in (family_a, family_b) and fam not in per_family:
+                per_family[fam] = (float(ds.end[i] - ds.start[i]), int(ds.magnitude[i]))
+        if family_a in per_family and family_b in per_family:
+            dur_a, mag_a = per_family[family_a]
+            dur_b, mag_b = per_family[family_b]
+            durations_a.append(dur_a)
+            durations_b.append(dur_b)
+            series.append((event.start, dur_a, dur_b, mag_a, mag_b))
+
+    starts = [s for s, *_ in series]
+    span_weeks = (max(starts) - min(starts)) / (7 * 86400.0) if len(starts) > 1 else 0.0
+    return PairAnalysis(
+        family_a=family_a,
+        family_b=family_b,
+        n_events=len(series),
+        n_targets=len(targets),
+        n_countries=int(uniq_c.size),
+        n_organizations=int(np.unique(ds.victims.org_idx[targets]).size) if targets else 0,
+        n_asns=int(np.unique(ds.victims.asn[targets]).size) if targets else 0,
+        top_countries=top_countries,
+        mean_duration_a=float(np.mean(durations_a)) if durations_a else 0.0,
+        mean_duration_b=float(np.mean(durations_b)) if durations_b else 0.0,
+        series=sorted(series),
+        span_weeks=float(span_weeks),
+    )

@@ -340,6 +340,19 @@ class TestLifecycle:
         with pytest.raises(OSError):
             urllib.request.urlopen(srv.url + "/v1/healthz", timeout=2)
 
+    def test_stop_drops_the_tenants(self, rows):
+        """A stopped service releases its tenants' streams and epochs."""
+        server = api.serve(port=0, queue_size=8)
+        try:
+            status, _, _ = _call(
+                server.url, "POST", "/v1/ingest?tenant=gone", {"records": rows[:5]}
+            )
+            assert status == 200
+            assert server.tenants.names() == ["gone"]
+        finally:
+            server.stop()
+        assert server.tenants.names() == []
+
     def test_facade_serve_returns_started_server(self):
         server = api.serve(port=0, queue_size=8)
         try:

@@ -41,9 +41,14 @@ def touch_views(ctx: AnalysisContext) -> None:
         ctx.daily_distribution(family)
         ctx.family_participants(family)
         ctx.weekly_shift_pairs(family)
+        ctx.interval_buckets(family)
+        ctx.rank_windows(("durations", family))
+        ctx.rank_windows(("family_intervals", family, True))
         if ctx.family_attacks(family).size:
             ctx.attack_dispersions(family)
             ctx.weekly_shift(family)
+    ctx.rank_windows(("durations",))
+    ctx.rank_windows(("attack_intervals",))
     ctx.attack_intervals()
     ctx.durations()
     ctx.target_country_idx()

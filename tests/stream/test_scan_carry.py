@@ -137,6 +137,7 @@ def test_bench_scale_stream_carry_matches_scratch():
     from repro.datagen.config import DatasetConfig
     from repro.datagen.generator import generate_dataset
 
+    from ..core.test_shard_merge import assert_render_views_match
     from .test_parity import views_equal
     from .test_view_carry import SUMMARY_KINDS, _touch_summaries
 
@@ -144,6 +145,7 @@ def test_bench_scale_stream_carry_matches_scratch():
     ds = generate_dataset(DatasetConfig(seed=7, scale=scale))
     records = list(ds.iter_attacks())
     stream = StreamingDataset(window=ds.window)
+    previous = None
     for lo in range(0, len(records), 500):
         stream.append_batch(records[lo : lo + 500])
         ctx = stream.context(prewarm_jobs=1)
@@ -158,6 +160,10 @@ def test_bench_scale_stream_carry_matches_scratch():
             if key[0] in SUMMARY_KINDS:
                 assert key in views, f"epoch {stream.epoch}: {key} not carried"
                 assert views_equal(views[key], expected), f"epoch {stream.epoch}: {key}"
+        # The rank windows and interval buckets the battery reads (built
+        # on the first epoch, carried ever after) equal a fresh build's.
+        assert_render_views_match(ctx, fresh, previous)
+        previous = ctx
     scratch = dataset_from_records(records, window=ds.window)
     streamed = [r.render() for r in api.run_all(stream.context(), jobs=1)]
     flat = [r.render() for r in api.run_all(AnalysisContext(scratch), jobs=1)]

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 import repro.obs as obs
 from repro.core.context import AnalysisContext
-from repro.core.intervals import simultaneous_attacks
+from repro.core.durations import duration_summary
+from repro.core.intervals import interval_summary, simultaneous_attacks
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
 from repro.stream import StreamingDataset
@@ -200,3 +203,37 @@ def test_family_interned_mid_alphabet():
     report = simultaneous_attacks(ctx)
     assert report.pair_counts == [(("alpha", "gamma"), 1), (("beta", "gamma"), 1)]
     assert report.single_family_names == ["gamma"]
+
+
+def test_rank_windows_rarely_rebuild_on_an_in_order_stream():
+    """A paper-like stream carries its order statistics: the windows the
+    duration and interval summaries read are rebuilt from all rows on
+    only a small share of epochs."""
+    rng = np.random.default_rng(3)
+    n, batch = 6000, 100
+    starts = np.cumsum(np.round(rng.exponential(40.0, n), 0))
+    durations = np.round(rng.lognormal(7.5, 1.2, n), 0) + 1.0
+    records = [
+        _record(i, botnet=int(rng.integers(1, 40)), family=("alpha", "beta")[i % 2],
+                target=int(rng.integers(1, 400)), start=float(starts[i]),
+                duration=float(durations[i]))
+        for i in range(n)
+    ]
+    window = ObservationWindow(start=0, end=int(starts[-1]) + 86400)
+    rebuilt = obs.registry().counter("context.rank_windows.rebuilt")
+    before = rebuilt.value
+    stream = StreamingDataset(window=window)
+    epochs = 0
+    for lo in range(0, n, batch):
+        stream.append_batch(records[lo : lo + batch])
+        ctx = stream.context()
+        duration_summary(ctx)
+        interval_summary(ctx)
+        interval_summary(ctx, family="alpha")
+        epochs += 1
+    # Three series, three windows each, extended at every epoch but the first.
+    share = (rebuilt.value - before) / (9 * (epochs - 1))
+    assert share <= 0.05
+    reference = AnalysisContext(dataset_from_records(records, window))
+    assert duration_summary(ctx) == duration_summary(reference)
+    assert interval_summary(ctx, family="alpha") == interval_summary(reference, family="alpha")
