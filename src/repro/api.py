@@ -343,9 +343,8 @@ def run_all(
     """Run the full experiment battery; results come in registry order.
 
     ``jobs > 1`` first prewarms the shared context —
-    :meth:`AnalysisContext.prewarm` fans the independent view builds
-    (per-family participants/dispersions/intervals, the Table IV
-    forecasts, the collaboration/chain scans) across worker processes —
+    :meth:`AnalysisContext.prewarm` fans the builds of the views the
+    battery reads across worker processes —
     then fans the experiments out over threads.  Neither stage changes
     the output for any ``jobs``.  Pass ``manifest`` to write a
     :class:`~repro.obs.RunManifest` JSON — stage timings, cache hit/miss

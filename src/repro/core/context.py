@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .columns import ColumnStore
     from .collaboration import CollabEvent
     from .consecutive import AttackChain
+    from .intervals import SimultaneousReport
     from .overview import DailyDistribution, WorkloadSummary
     from .prediction import DispersionForecast
     from .shift import WeeklyShift
@@ -242,6 +243,10 @@ class AnalysisContext:
 
         return self.view((key,), build)
 
+    def family_attack_index(self) -> dict[int, np.ndarray]:
+        """Family index -> attack indices (chronological), one grouping pass."""
+        return self._groups_by("family_attack_index", self._ds.family_idx)
+
     def family_attacks(self, family: str) -> np.ndarray:
         """Attack indices (chronological) launched by ``family``.
 
@@ -249,9 +254,8 @@ class AnalysisContext:
         unlike :meth:`AttackDataset.attacks_of`, which scans the full
         column per call.
         """
-        groups = self._groups_by("family_attack_index", self._ds.family_idx)
         fam = self._ds.family_id(family)
-        return groups.get(fam, np.zeros(0, dtype=np.int64))
+        return self.family_attack_index().get(fam, np.zeros(0, dtype=np.int64))
 
     def botnet_attacks(self, botnet_id: int) -> np.ndarray:
         """Attack indices (chronological) launched by one botnet."""
@@ -457,6 +461,16 @@ class AnalysisContext:
 
         return self.view(("victim_org_type_counts",), build)
 
+    def simultaneous_attacks(self) -> "SimultaneousReport":
+        """§III-B simultaneous events (attacks with equal start times)."""
+
+        def build():
+            from . import intervals as _intervals
+
+            return _intervals._simultaneous_attacks(self._ds, 0.0)
+
+        return self.view(("simultaneous_attacks",), build)
+
     # -- overview ----------------------------------------------------------
 
     def workload_summary(self) -> "WorkloadSummary":
@@ -569,55 +583,20 @@ class AnalysisContext:
 
     # -- prewarm -----------------------------------------------------------
 
-    def _prewarm_specs(self, families: list[str]) -> list[tuple]:
-        """Independent prewarm tasks, skipping already-materialised work.
+    def prewarm(self, jobs: int | None = 1) -> int:
+        """Build the views the battery reads ahead of time.
 
-        A family task is emitted when any of its views is missing; the
-        global scans are emitted individually.  On a warm (streaming)
-        context the carried views therefore suppress their tasks and
-        only the invalidated keys are rebuilt.
-        """
-        views = self._views
-        specs: list[tuple] = []
-        for kind in ("collaborations", "chains", "attack_intervals", "globals"):
-            key_probe = {
-                "collaborations": ("collaborations",),
-                "chains": ("chains",),
-                "attack_intervals": ("attack_intervals",),
-                "globals": ("workload_summary",),
-            }[kind]
-            if key_probe not in views:
-                specs.append((kind,))
-        for family in families:
-            family_keys = (
-                ("family_participants", family),
-                ("attack_dispersions", family),
-                ("family_starts", family),
-                ("family_intervals", family, True),
-                ("durations", family),
-                ("weekly_shift", family),
-            )
-            if any(key not in views for key in family_keys):
-                specs.append(("family", family))
-        from ..experiments.table4_prediction import PAPER_TABLE4
-
-        for family in PAPER_TABLE4:
-            if family in families and ("dispersion_forecast", family) not in views:
-                specs.append(("forecast", family))
-        return specs
-
-    def prewarm(self, jobs: int | None = 1, families: list[str] | None = None) -> int:
-        """Build the battery's independent views ahead of time.
-
-        Fans per-family view builds (participants, dispersions, starts,
-        intervals, durations, weekly shift), the Table IV forecasts and
-        the collaboration/chain scans across the :mod:`repro.par` pool
-        (``jobs=None`` picks the default worker count; on platforms
-        without ``fork``, or with fewer CPUs than workers, the same
-        tasks run serially).  Results are installed via
-        :meth:`seed_view`, so a view that is already materialised — for
-        example carried across a streaming epoch — is neither rebuilt
-        nor overwritten.  Returns the number of views that became
+        The views are :func:`~repro.experiments.registry.battery_views`
+        over the active families, minus those already materialised (for
+        example carried across a streaming epoch).  They are built as
+        one task per whole-dataset view and one per family, fanned
+        across the :mod:`repro.par` pool (``jobs=None`` picks the
+        default worker count; on platforms without ``fork``, or with
+        fewer CPUs than workers, the same tasks run serially).  Results
+        are installed via :meth:`seed_view`, so a materialised view is
+        neither rebuilt nor overwritten.  A Table IV forecast that
+        raises for lack of points is skipped, as the paper skips
+        Darkshell.  Returns the number of views that became
         materialised; the result set is identical for every ``jobs``.
 
         Observability: the whole pass runs under a ``prewarm`` stage
@@ -625,23 +604,28 @@ class AnalysisContext:
         ``prewarm.seeded`` the views newly installed.
         """
         from .. import par
+        from ..experiments.registry import battery_views
 
         reg = _obs_registry()
         with reg.span("prewarm"):
-            if families is None:
-                families = list(self._ds.active_families)
             # Cheap shared dependencies built in the parent so forked
             # workers inherit them instead of rebuilding per task.
-            self._groups_by("family_attack_index", self._ds.family_idx)
+            self.family_attack_index()
             self.bot_coords_radians()
             self.durations()
-            specs = self._prewarm_specs(families)
-            reg.counter("prewarm.tasks").inc(len(specs))
-            before = set(self._views)
-            if specs:
+            views = self._views
+            whole = battery_views(())
+            tasks = [[key] for key in whole if key not in views]
+            for family in self._ds.active_families:
+                keys = [k for k in battery_views((family,))[len(whole):] if k not in views]
+                if keys:
+                    tasks.append(keys)
+            reg.counter("prewarm.tasks").inc(len(tasks))
+            before = set(views)
+            if tasks:
                 results = par.parallel_map(
                     _prewarm_worker,
-                    specs,
+                    tasks,
                     jobs=par.resolve_jobs(jobs),
                     payload=self,
                     label="prewarm",
@@ -649,7 +633,7 @@ class AnalysisContext:
                 for pairs in results:
                     for key, value in pairs:
                         self.seed_view(key, value)
-            seeded = len(set(self._views) - before)
+            seeded = len(set(views) - before)
             reg.counter("prewarm.seeded").inc(seeded)
         return seeded
 
@@ -706,11 +690,14 @@ class ShardedAnalysisContext:
     views live in a :class:`~repro.core.columns.ColumnStore` the merged
     context keeps, so a re-merge grows them in place.  Interval arrays
     gain the boundary gaps, and the collaboration/chain scans
-    regenerate only the runs that cross a seam.  Views no experiment
-    reads — the hourly-snapshot dispersions and the per-botnet and
-    per-target groupings — are neither built per shard nor merged: they
-    build lazily on the merged context, with the same kernel a flat
-    context uses.
+    regenerate only the runs that cross a seam.  Which views are built
+    per shard and merged comes from
+    :func:`~repro.experiments.registry.battery_views`.  Views no
+    experiment reads — the hourly-snapshot dispersions, the per-family
+    durations and daily distributions, the per-botnet and per-target
+    groupings — are neither built per shard nor merged: they build
+    lazily on the merged context, with the same kernel a flat context
+    uses.
 
     The reduce is tree-structured: the small re-reduction state of every
     shard (:class:`~repro.core.merge.ShardPartial`) combines over
@@ -815,8 +802,7 @@ class ShardedAnalysisContext:
     def shard_families(self, index: int) -> list[str]:
         """Families with at least one attack in shard ``index``."""
         ctx = self.shard_context(index)
-        groups = ctx._groups_by("family_attack_index", ctx.dataset.family_idx)
-        return [ctx.dataset.family_name(k) for k in sorted(groups)]
+        return [ctx.dataset.family_name(k) for k in sorted(ctx.family_attack_index())]
 
     def shard_snapshot_dispersions(
         self, index: int, family: str
@@ -945,9 +931,9 @@ class ShardedAnalysisContext:
         appended shards, the previous merged context is the left operand
         instead when the layout allows it (same window and registries) —
         only the appended rows are copied and only the new seams are
-        stitched.  Views the seeding skips (hourly-snapshot dispersions,
-        the per-botnet and per-target groupings) build lazily on the
-        returned context.
+        stitched.  Views off the battery's list, and on a full merge the
+        kinds of :data:`repro.core.merge.MERGED_CONTEXT_KINDS`, build
+        lazily on the returned context.
         """
         if self._merged is not None:
             return self._merged
@@ -1012,14 +998,18 @@ class ShardedAnalysisContext:
 
         The full merge passes shard 0 itself (its indices are already
         global); the incremental re-merge passes the previous merged
-        context.  Re-reductions come from the tree partial, the other
-        views (the seam-stitched scans included) from
-        :func:`repro.core.merge.extend_view`.  The merged columns and concatenation
-        views grow in ``prev``'s column store, in place for the previous
-        merged context; shard 0 starts a fresh store.
+        context.  Each key of :func:`~repro.experiments.registry.battery_views`
+        is seeded from the tree partial when it is a re-reduction the
+        partial holds (:func:`repro.core.merge.partial_view`); a kind
+        whose extend step reads the merged context is extended only
+        when ``prev`` holds it (a battery ran there) and otherwise left
+        lazy; every other key takes :func:`repro.core.merge.extend_view`.
+        The merged columns and concatenation views grow in ``prev``'s
+        column store, in place for the previous merged context; shard 0
+        starts a fresh store.
         """
         from . import merge as _merge
-        from . import shift as _shift
+        from ..experiments.registry import battery_views
         from ..io import colstore as _colstore
         from .columns import ColumnStore
 
@@ -1030,79 +1020,26 @@ class ShardedAnalysisContext:
         ctx._columns = columns
         reg = _obs_registry()
         merged_views = reg.counter("shard.merge.views")
-
-        def seed(key: Hashable, value: Any) -> None:
+        held = prev.materialized()
+        stitched: set[int] = set()
+        for key in battery_views(partial.families):
+            value = _merge.partial_view(partial, key, ds, prev)
+            if value is None:
+                if key[0] in _merge.MERGED_CONTEXT_KINDS:
+                    if key not in held or key[0] == "dispersion_forecast":
+                        continue
+                    old = held[key]
+                elif len(key) > 1 and not prev.family_attacks(key[1]).size:
+                    # A battery run on the previous context lazily builds
+                    # empty views for families it has not seen yet, so
+                    # the left operand holds a family only with its rows.
+                    old = None
+                else:
+                    old = _merge.view_value(prev, key)
+                value = _merge.extend_view(key, old, prev, parts, ctx, stitched=stitched)
             if ctx.seed_view(key, value):
                 merged_views.inc()
-
-        stitched: set[int] = set()
-
-        def extend(key: tuple, old: Any) -> None:
-            seed(key, _merge.extend_view(key, old, prev, parts, ctx, stitched=stitched))
-
-        seed(("bot_coords_radians",), self._shared_bot_coords())
-        for key in (
-            ("family_attack_index",),
-            ("target_links",),
-            ("collaborations",),
-            ("chains",),
-            ("attack_intervals",),
-            ("durations",),
-            ("target_country_idx",),
-            ("target_org_idx",),
-        ):
-            extend(key, _merge.view_value(prev, key))
         reg.counter("shard.merge.stitched_targets").inc(len(stitched))
-        seed(("target_country_counts",), partial.target_country_counts)
-        seed(("target_org_counts",), partial.target_org_counts)
-        seed(("protocol_breakdown",), partial.protocol_breakdown)
-        seed(("protocol_popularity",), partial.protocol_popularity)
-        seed(
-            ("daily_distribution", None),
-            _merge.finish_daily_distribution(
-                partial.daily_counts[None], ds, None, prev.daily_distribution(None)
-            ),
-        )
-        # Walks ascending org order over the seeded marginal — the
-        # same order the unsharded builder uses.
-        ctx.victim_org_type_counts()
-
-        for family in partial.families:
-            # A battery run on the previous context lazily builds empty
-            # views for families it has not seen yet, so the left operand
-            # counts as holding the family only when it has its rows.
-            in_prev = prev.family_attacks(family).size > 0
-            for key in (
-                ("family_starts", family),
-                ("family_intervals", family, True),
-                ("durations", family),
-                ("family_participants", family),
-                ("attack_dispersions", family),
-            ):
-                extend(key, _merge.view_value(prev, key) if in_prev else None)
-            seed(
-                ("family_target_country_counts", family),
-                partial.family_country_counts[family],
-            )
-            seed(
-                ("daily_distribution", family),
-                _merge.finish_daily_distribution(
-                    partial.daily_counts[family], ds, family
-                ),
-            )
-            pairs = partial.weekly_pairs[family]
-            seed(("weekly_shift_pairs", family), pairs)
-            seed(
-                ("weekly_shift", family),
-                _shift._finish_weekly_shift(ds, family, *pairs),
-            )
-        # Only a battery run builds the rank windows and interval buckets:
-        # the ones a run on the previous merged context built extend like
-        # the stream carry's, and shard 0 holds none, so a full merge
-        # leaves them lazy.
-        for key, old in prev.materialized().items():
-            if key[0] in ("rank_windows", "interval_buckets"):
-                extend(key, old)
         return ctx
 
 
@@ -1111,46 +1048,34 @@ def _shard_build_worker(
 ) -> list[tuple[Hashable, Any]]:
     """Build one shard's mergeable views; return the view delta.
 
-    Runs in-process or in a forked worker (same contract as
-    :func:`_prewarm_worker`): views memoize on the shard's own context,
-    and the delta — minus the pre-seeded shared geo matrix — is the only
-    pickle a forked fan-out pays for.
+    The views are :func:`~repro.experiments.registry.battery_views` over
+    the shard's families, minus the kinds whose extend step reads the
+    merged context (:data:`repro.core.merge.MERGED_CONTEXT_KINDS`).  The
+    scans are rebased to global rows here, in the (parallel) map phase,
+    so the merge only has to stitch the seams.  Runs in-process or in a
+    forked worker (same contract as :func:`_prewarm_worker`): views
+    memoize on the shard's own context, and the delta — minus the
+    pre-seeded shared geo matrix — is the only pickle a forked fan-out
+    pays for.
     """
+    from . import merge as _merge
+    from ..experiments.registry import battery_views
+
     ctx = sctx.shard_context(index)
     before = set(ctx._views)
     with _obs_registry().span(f"shard:{index}"):
-        ds = ctx.dataset
-        ctx._groups_by("family_attack_index", ds.family_idx)
-        ctx.target_links()
-        ctx.attack_intervals()
-        ctx.durations()
-        ctx.target_country_idx()
-        ctx.target_org_idx()
-        ctx.target_country_counts()
-        ctx.target_org_counts()
-        ctx.protocol_breakdown()
-        ctx.protocol_popularity()
-        ctx.daily_distribution(None)
-        ctx.collaborations()
-        ctx.chains()
-        # Rebase scan events to global rows here, in the (parallel) map
-        # phase, so the merge only has to stitch the boundaries.
-        sctx.shard_scan_events(index, "collaborations")
-        sctx.shard_scan_events(index, "chains")
-        for family in sctx.shard_families(index):
-            ctx.family_starts(family)
-            ctx.family_intervals(family)
-            ctx.durations(family)
-            ctx.family_participants(family)
-            ctx.attack_dispersions(family)
-            ctx.family_target_country_counts(family)
-            ctx.daily_distribution(family)
-            ctx.weekly_shift_pairs(family)
+        for key in battery_views(sctx.shard_families(index)):
+            if key[0] in _merge.MERGED_CONTEXT_KINDS:
+                continue
+            if key[0] in _merge._SCANS:
+                sctx.shard_scan_events(index, key[0])
+            else:
+                _merge.view_value(ctx, key)
     return [(k, v) for k, v in ctx.materialized().items() if k not in before]
 
 
-def _prewarm_worker(ctx: "AnalysisContext", spec: tuple) -> list[tuple[Hashable, Any]]:
-    """One prewarm task: build a related view group, return the delta.
+def _prewarm_worker(ctx: "AnalysisContext", keys: list) -> list[tuple[Hashable, Any]]:
+    """One prewarm task: build ``keys``, return the view delta.
 
     Runs in-process (serial mode) or in a forked worker; either way it
     builds through the context's own accessors, so the views memoize and
@@ -1159,39 +1084,13 @@ def _prewarm_worker(ctx: "AnalysisContext", spec: tuple) -> list[tuple[Hashable,
     fan-out pays for.  Forecasts mirror the paper's Darkshell call:
     families with too few points are skipped, not raised.
     """
-    before = set(ctx._views)
-    kind = spec[0]
-    if kind == "family":
-        family = spec[1]
-        ctx.family_participants(family)
-        ctx.attack_dispersions(family)
-        ctx.family_starts(family)
-        ctx.family_intervals(family)
-        ctx.durations(family)
-        ctx.weekly_shift(family)
-    elif kind == "forecast":
-        try:
-            ctx.dispersion_forecast(spec[1])
-        except ValueError:
-            pass
-    elif kind == "collaborations":
-        ctx.collaborations()
-    elif kind == "chains":
-        ctx.chains()
-    elif kind == "attack_intervals":
-        ctx.attack_intervals()
-    elif kind == "globals":
-        from . import intervals as _intervals
+    from . import merge as _merge
 
-        ctx.workload_summary()
-        ctx.protocol_breakdown()
-        ctx.protocol_popularity()
-        ctx.daily_distribution(None)
-        ctx.target_country_idx()
-        ctx.target_org_idx()
-        ctx.target_country_counts()
-        ctx.victim_org_type_counts()
-        _intervals.simultaneous_attacks(ctx)
-    else:  # pragma: no cover - spec list and worker evolve together
-        raise ValueError(f"unknown prewarm spec {spec!r}")
+    before = set(ctx._views)
+    for key in keys:
+        try:
+            _merge.view_value(ctx, key)
+        except ValueError:
+            if key[0] != "dispersion_forecast":
+                raise
     return [(k, v) for k, v in ctx.materialized().items() if k not in before]

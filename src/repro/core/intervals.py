@@ -113,9 +113,7 @@ def simultaneous_attacks(
     """
     ctx = AnalysisContext.of(source)
     if tolerance == 0.0:
-        return ctx.view(
-            ("simultaneous_attacks",), lambda: _simultaneous_attacks(ctx.dataset, 0.0)
-        )
+        return ctx.simultaneous_attacks()
     return _simultaneous_attacks(ctx.dataset, tolerance)
 
 

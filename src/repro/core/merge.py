@@ -89,6 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from .dataset import AttackDataset
 
 __all__ = [
+    "MERGED_CONTEXT_KINDS",
     "view_value",
     "extend_view",
     "merge_grouped_indices",
@@ -102,6 +103,7 @@ __all__ = [
     "part_scan_events",
     "seam_stitch_scan_events",
     "ShardPartial",
+    "partial_view",
     "make_shard_partial",
     "combine_partials",
     "sketch_summaries",
@@ -110,27 +112,36 @@ __all__ = [
 
 # -- the extend step -------------------------------------------------------
 
-#: Grouping views and the attack column each one groups by.
-_GROUPINGS = {
-    "family_attack_index": "family_idx",
-    "botnet_attack_index": "botnet_id",
-    "target_attack_index": "target_idx",
-}
-
 #: The scan views, whose runs can cross a seam.
 _SCANS = ("collaborations", "chains")
+
+#: View kinds whose extend step reads the context being built rather
+#: than the right parts: the seam re-counts, the weekly shift finished
+#: from the extended pairs, the rank windows and buckets over the
+#: extended series, and the forecast, which has no extend rule at all.
+#: Shard builds skip them (a shard's value is never merged), and the
+#: shard merge extends only the ones its left operand holds.
+MERGED_CONTEXT_KINDS = frozenset(
+    {
+        "workload_summary",
+        "simultaneous_attacks",
+        "weekly_shift",
+        "rank_windows",
+        "interval_buckets",
+        "dispersion_forecast",
+    }
+)
 
 
 def view_value(ctx: "AnalysisContext", key: tuple) -> Any:
     """The value of view ``key`` on ``ctx``, built through its accessor.
 
-    Every view key is ``(accessor name, *accessor args)``, except the
-    groupings, which are keyed by their view name alone.
+    Every key :func:`~repro.experiments.registry.battery_views` lists is
+    ``(accessor name, *accessor args)``.  The per-botnet and per-target
+    groupings and a part's rebased scan events have no accessor of that
+    name and are not read through here.
     """
-    head = key[0]
-    if head in _GROUPINGS:
-        return ctx._groups_by(head, getattr(ctx.dataset, _GROUPINGS[head]))
-    return getattr(ctx, head)(*key[1:])
+    return getattr(ctx, key[0])(*key[1:])
 
 
 def extend_view(
@@ -160,9 +171,12 @@ def extend_view(
     ds = ctx.dataset
     columns = ctx._columns
     head, args = key[0], key[1:]
-    if head in _GROUPINGS:
+    if head == "family_attack_index":
         groups = [view_value(c, key) for c in parts]
         return merge_grouped_indices([old, *groups], _bases(prev, parts), columns, head)
+    if head == "bot_coords_radians":
+        # The parts share the left operand's bot registry.
+        return old
     if head == "target_links":
         return _extend_target_links(old, prev, parts, ds, columns)
     if head == "rank_windows":
@@ -796,8 +810,8 @@ class ShardPartial:
     target_org_counts: tuple[np.ndarray, np.ndarray]
     protocol_breakdown: list[tuple[Protocol, str, int]]
     protocol_popularity: dict[Protocol, int]
-    #: family name (or ``None`` for the headline) -> per-day counts
-    daily_counts: dict[str | None, np.ndarray]
+    #: per-day attack counts (the headline daily distribution's)
+    daily_counts: np.ndarray
     #: family name -> ``(weeks_u, u_week, u_bot)`` weekly-shift table
     weekly_pairs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     #: family name -> ``(uniq, counts)`` target-country marginal
@@ -805,13 +819,37 @@ class ShardPartial:
     families: tuple[str, ...]
 
 
+def partial_view(
+    partial: ShardPartial, key: tuple, ds: "AttackDataset", prev: "AnalysisContext"
+) -> Any:
+    """View ``key`` over ``partial``'s range, or ``None`` for a kind it
+    does not reduce.
+
+    ``ds`` is the dataset of the range and ``prev`` the merge's left
+    operand, whose headline daily distribution may spare the busiest
+    day's column pass.
+    """
+    head = key[0]
+    if head == "daily_distribution" and key[1] is None:
+        return finish_daily_distribution(
+            partial.daily_counts, ds, None, prev.daily_distribution(None)
+        )
+    if head == "weekly_shift_pairs":
+        return partial.weekly_pairs[key[1]]
+    if head == "family_target_country_counts":
+        return partial.family_country_counts[key[1]]
+    if head in (
+        "target_country_counts",
+        "target_org_counts",
+        "protocol_breakdown",
+        "protocol_popularity",
+    ):
+        return getattr(partial, head)
+    return None
+
+
 def make_shard_partial(ctx, families: Sequence[str], index: int) -> ShardPartial:
     """Extract one shard's :class:`ShardPartial` from its built context."""
-    daily: dict[str | None, np.ndarray] = {
-        None: ctx.daily_distribution(None).counts
-    }
-    for family in families:
-        daily[family] = ctx.daily_distribution(family).counts
     return ShardPartial(
         lo=index,
         hi=index + 1,
@@ -819,7 +857,7 @@ def make_shard_partial(ctx, families: Sequence[str], index: int) -> ShardPartial
         target_org_counts=ctx.target_org_counts(),
         protocol_breakdown=ctx.protocol_breakdown(),
         protocol_popularity=ctx.protocol_popularity(),
-        daily_counts=daily,
+        daily_counts=ctx.daily_distribution(None).counts,
         weekly_pairs={f: ctx.weekly_shift_pairs(f) for f in families},
         family_country_counts={
             f: ctx.family_target_country_counts(f) for f in families
@@ -839,11 +877,6 @@ def combine_partials(a: ShardPartial, b: ShardPartial) -> ShardPartial:
     """Combine two adjacent shard partials (``a`` left of ``b``)."""
     if a.hi != b.lo:
         raise ValueError(f"non-adjacent partials: [{a.lo},{a.hi}) + [{b.lo},{b.hi})")
-    daily: dict[str | None, np.ndarray] = {}
-    for key in dict.fromkeys([*a.daily_counts, *b.daily_counts]):
-        pa = a.daily_counts.get(key)
-        pb = b.daily_counts.get(key)
-        daily[key] = pa if pb is None else pb if pa is None else _pad_sum(pa, pb)
     weekly: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for key in dict.fromkeys([*a.weekly_pairs, *b.weekly_pairs]):
         pa = a.weekly_pairs.get(key)
@@ -871,7 +904,7 @@ def combine_partials(a: ShardPartial, b: ShardPartial) -> ShardPartial:
         protocol_popularity=merge_protocol_popularity(
             [a.protocol_popularity, b.protocol_popularity]
         ),
-        daily_counts=daily,
+        daily_counts=_pad_sum(a.daily_counts, b.daily_counts),
         weekly_pairs=weekly,
         family_country_counts=fam_counts,
         families=tuple(sorted(set(a.families) | set(b.families))),

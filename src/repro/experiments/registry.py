@@ -7,17 +7,24 @@ are computed once across the whole battery, and can fan the experiments
 out over a thread pool with ``jobs > 1``.  Results always come back in
 paper order regardless of completion order, so the rendered output is
 identical for any job count.
+
+:func:`battery_views` is the one list of the derived views the battery
+reads.  Shard builds, the shard merge, prewarm and the stream carry all
+derive the views they build or extend from it; a view not on it builds
+lazily, when something asks for it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from typing import Iterable
 
 from ..core.context import AnalysisContext, AnalysisSource
 from ..obs import registry as _obs_registry
 from .base import Experiment, ExperimentResult
 from .fig2_daily import EXPERIMENT as FIG2
 from .fig3_intervals import EXPERIMENT as FIG3
+from .fig3_intervals import SUMMARY_FAMILY as FIG3_FAMILY
 from .fig4_interval_clusters import EXPERIMENT as FIG4
 from .fig5_family_cdf import EXPERIMENT as FIG5
 from .fig7_durations import EXPERIMENT as FIG7
@@ -32,10 +39,11 @@ from .fig18_chains import EXPERIMENT as FIG18
 from .table2_protocols import EXPERIMENT as TABLE2
 from .table3_summary import EXPERIMENT as TABLE3
 from .table4_prediction import EXPERIMENT as TABLE4
+from .table4_prediction import PAPER_TABLE4
 from .table5_countries import EXPERIMENT as TABLE5
 from .table6_collaboration import EXPERIMENT as TABLE6
 
-__all__ = ["ALL_EXPERIMENTS", "get_experiment", "run_all"]
+__all__ = ["ALL_EXPERIMENTS", "battery_views", "get_experiment", "run_all"]
 
 ALL_EXPERIMENTS: tuple[Experiment, ...] = (
     TABLE2,
@@ -57,6 +65,63 @@ ALL_EXPERIMENTS: tuple[Experiment, ...] = (
     FIG17,
     FIG18,
 )
+
+
+#: The views of the whole dataset the battery reads.  ``target_links``
+#: is read by no experiment: the scans' extend step probes it.
+_GLOBAL_VIEWS: tuple[tuple, ...] = (
+    ("family_attack_index",),
+    ("bot_coords_radians",),
+    ("durations",),
+    ("rank_windows", ("durations",)),
+    ("attack_intervals",),
+    ("target_country_idx",),
+    ("target_org_idx",),
+    ("target_country_counts",),
+    ("target_org_counts",),
+    ("victim_org_type_counts",),
+    ("protocol_breakdown",),
+    ("protocol_popularity",),
+    ("daily_distribution", None),
+    ("workload_summary",),
+    ("simultaneous_attacks",),
+    ("target_links",),
+    ("collaborations",),
+    ("chains",),
+)
+
+
+def battery_views(families: Iterable[str]) -> list[tuple]:
+    """The keys of the views the battery reads over ``families``.
+
+    The whole-dataset views come first, then each family's in the given
+    order.  Each key comes after the views its build or extend step
+    reads on the same context: the target links before the scans, a
+    family's gaps before its interval buckets, the weekly pairs before
+    the weekly shift, a series before its rank windows.  Table IV's
+    forecasts are listed for its families, Fig 3's interval windows for
+    its one family; the dispersions of families too small for Figs 9-11
+    and the forecasts that raise for lack of points are the only keys
+    listed that a run may not read.
+    """
+    keys = list(_GLOBAL_VIEWS)
+    for family in families:
+        keys += [
+            ("family_starts", family),
+            ("family_intervals", family, True),
+            ("family_intervals", family, False),
+            ("interval_buckets", family),
+            ("family_participants", family),
+            ("attack_dispersions", family),
+            ("family_target_country_counts", family),
+            ("weekly_shift_pairs", family),
+            ("weekly_shift", family),
+        ]
+        if family == FIG3_FAMILY:
+            keys.append(("rank_windows", ("family_intervals", family, True)))
+        if family in PAPER_TABLE4:
+            keys.append(("dispersion_forecast", family))
+    return keys
 
 
 def get_experiment(experiment_id: str) -> Experiment:

@@ -208,7 +208,7 @@ def load_context_views(
 #: Version of the merge-partial cache entries.  Bump when
 #: :class:`~repro.core.merge.ShardPartial` (or anything else stored
 #: through :class:`MergeCache`) changes incompatibly.
-_MERGE_FORMAT_VERSION = 1
+_MERGE_FORMAT_VERSION = 2
 
 
 class MergeCache:

@@ -25,7 +25,7 @@ from repro.core.columns import ColumnStore
 from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
-from repro.experiments.registry import run_all
+from repro.experiments.registry import battery_views, run_all
 from repro.io.cache import MergeCache
 from repro.io.colstore import (
     ShardedDatasetStore,
@@ -102,14 +102,11 @@ def _collect_views(ctx: AnalysisContext, families: list[str]) -> dict:
 
 def render_view_keys(ds) -> list[tuple]:
     """Keys of the rank windows and interval buckets the battery reads."""
-    keys = [("rank_windows", ("durations",)), ("rank_windows", ("attack_intervals",))]
-    for family in ds.families:
-        keys += [
-            ("rank_windows", ("durations", family)),
-            ("rank_windows", ("family_intervals", family, True)),
-            ("interval_buckets", family),
-        ]
-    return keys
+    return [
+        key
+        for key in battery_views(ds.active_families)
+        if key[0] in ("rank_windows", "interval_buckets")
+    ]
 
 
 def assert_render_views_match(

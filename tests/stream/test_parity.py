@@ -13,8 +13,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import merge
 from repro.core.context import AnalysisContext
-from repro.core.intervals import simultaneous_attacks
+from repro.experiments.registry import battery_views
 from repro.io.ingest import dataset_from_records
 from repro.stream import StreamingDataset
 
@@ -30,42 +31,11 @@ def scratch(records, small_ds):
 
 
 def touch_views(ctx: AnalysisContext) -> None:
-    """Materialize every incrementally-maintained view."""
-    for family in ctx.dataset.families:
-        ctx.family_attacks(family)
-        ctx.family_starts(family)
-        ctx.family_intervals(family)
-        ctx.family_intervals(family, include_simultaneous=False)
-        ctx.durations(family)
-        ctx.family_target_country_counts(family)
-        ctx.daily_distribution(family)
-        ctx.family_participants(family)
-        ctx.weekly_shift_pairs(family)
-        ctx.interval_buckets(family)
-        ctx.rank_windows(("durations", family))
-        ctx.rank_windows(("family_intervals", family, True))
-        if ctx.family_attacks(family).size:
-            ctx.attack_dispersions(family)
-            ctx.weekly_shift(family)
-    ctx.rank_windows(("durations",))
-    ctx.rank_windows(("attack_intervals",))
-    ctx.attack_intervals()
-    ctx.durations()
-    ctx.target_country_idx()
-    ctx.target_org_idx()
-    ctx.target_country_counts()
-    ctx.target_org_counts()
-    ctx.victim_org_type_counts()
-    ctx.workload_summary()
-    simultaneous_attacks(ctx)
-    ctx.daily_distribution()
-    ctx.protocol_popularity()
-    ctx.protocol_breakdown()
-    ctx.target_attacks(0)
-    if ctx.dataset.n_attacks:
-        ctx.botnet_attacks(int(ctx.dataset.botnet_id[0]))
-    ctx.collaborations()
-    ctx.chains()
+    """Materialize every view the carry extends: the battery's, bar the
+    forecasts."""
+    for key in battery_views(ctx.dataset.active_families):
+        if key[0] != "dispersion_forecast":
+            merge.view_value(ctx, key)
 
 
 def views_equal(a, b) -> bool:

@@ -18,6 +18,7 @@ import repro.obs as obs
 from repro.core.context import AnalysisContext
 from repro.core.durations import duration_summary
 from repro.core.intervals import interval_summary, simultaneous_attacks
+from repro.experiments.registry import battery_views
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
 from repro.stream import StreamingDataset
@@ -113,8 +114,9 @@ def test_in_order_epoch_drops_no_view(small_ds):
     new_ctx = stream.context()
     assert invalidated.value == before
     assert set(ctx.view_keys()) <= set(new_ctx.view_keys())
-    families = list(new_ctx.dataset.active_families)
-    assert {spec[0] for spec in new_ctx._prewarm_specs(families)} <= {"forecast"}
+    # The carry leaves the prewarm only the forecasts to build.
+    missing = set(battery_views(new_ctx.dataset.active_families)) - set(new_ctx.view_keys())
+    assert {key[0] for key in missing} <= {"dispersion_forecast"}
     _assert_carried(
         new_ctx, AnalysisContext(dataset_from_records(records)), ctx.materialized()
     )
