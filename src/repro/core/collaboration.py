@@ -13,18 +13,21 @@ against the staged ground truth.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
+from .scans import ScanEvents, in_scan_order
 
 __all__ = [
     "START_WINDOW_SECONDS",
     "DURATION_WINDOW_SECONDS",
     "CollabEvent",
     "detect_collaborations",
+    "collab_events",
+    "inter_family_mask",
+    "family_mask",
     "collaboration_table",
     "IntraFamilyStats",
     "intra_family_stats",
@@ -67,19 +70,25 @@ def detect_collaborations(
     the group's first attack are dropped.  Groups with at least two
     distinct botnets left become events.
 
-    Under the default windows, the event list is memoized on the shared
-    :class:`AnalysisContext` (Table VI, Figs 15-16 and the attribution
-    policies all consume the same detection).
+    The events come as a list of :class:`CollabEvent`, built in bulk
+    from the columnar scan.  Under the default windows the list is
+    memoized on the shared :class:`AnalysisContext`, next to the scan
+    itself (``ctx.collaborations()``, a
+    :class:`~repro.core.scans.ScanEvents`), which Table VI, Figs 15-16
+    read without building the list.
     """
     ctx = AnalysisContext.of(source)
     if start_window == START_WINDOW_SECONDS and duration_window == DURATION_WINDOW_SECONDS:
-        return ctx.collaborations()
-    return _detect_collaborations(ctx.dataset, start_window, duration_window)
+        return ctx.view(
+            ("collaboration_list",),
+            lambda: collab_events(ctx.dataset, ctx.collaborations()),
+        )
+    return collab_events(
+        ctx.dataset, _detect_collaborations(ctx.dataset, start_window, duration_window)
+    )
 
 
-def _detect_collaborations(
-    ds, start_window: float, duration_window: float
-) -> list[CollabEvent]:
+def _detect_collaborations(ds, start_window: float, duration_window: float) -> ScanEvents:
     """The raw scan behind :func:`detect_collaborations`.
 
     A sweep-line kernel over the ``(target, start)``-sorted attack
@@ -87,13 +96,14 @@ def _detect_collaborations(
     (target change *or* start gap beyond the window), the per-run
     botnet dedupe is a second lexsort plus a first-occurrence mask,
     and the duration filter broadcasts each run's first-member duration
-    with ``np.repeat``.  Only surviving events (a few hundred at full
-    scale) are materialised in Python.  Pinned equal to the per-target
+    with ``np.repeat``.  The surviving members of the runs with two or
+    more of them are the events' rows, as they lie in the sweep, so the
+    events come out in NumPy alone.  Pinned equal to the per-target
     loop in ``tests/oracles/kernels.py`` by the parity tests.
     """
     n = ds.n_attacks
     if n == 0:
-        return []
+        return ScanEvents.empty()
     order = np.lexsort((ds.start, ds.target_idx))
     targets = ds.target_idx[order]
     starts = ds.start[order]
@@ -138,57 +148,95 @@ def _detect_collaborations(
 
     kept_per_run = np.bincount(run_id[keep], minlength=n_runs)
     good = kept_per_run >= 2
-    if not np.any(good):
+    members = keep & good[run_id]
+    events = ScanEvents.from_sizes(order[members], kept_per_run[good])
+    return in_scan_order(ds, events)
+
+
+def collab_events(ds, events: ScanEvents) -> list[CollabEvent]:
+    """``events`` as :class:`CollabEvent` objects, in bulk."""
+    if not len(events):
         return []
-
-    kept_pos = np.flatnonzero(keep)
-    kept_run = run_id[kept_pos]
-    run_offsets = np.concatenate(([0], np.cumsum(kept_per_run)))
-
-    family_names = np.asarray(
-        [ds.family_name(k) for k in range(ds.family_idx.max() + 1)], dtype=object
-    )
-    events: list[CollabEvent] = []
-    for r in np.flatnonzero(good):
-        pos = kept_pos[run_offsets[r] : run_offsets[r + 1]]
-        idx = order[pos]
-        families = tuple(sorted(set(family_names[np.unique(ds.family_idx[idx])])))
-        events.append(
+    rows = events.rows
+    heads = events.heads
+    names = np.asarray(ds.families, dtype=object)
+    indices = rows.tolist()
+    botnets = ds.botnet_id[rows].tolist()
+    families = names[ds.family_idx[rows]].tolist()
+    bounds = events.offsets.tolist()
+    out: list[CollabEvent] = []
+    for target, start, lo, hi in zip(
+        ds.target_idx[heads].tolist(), ds.start[heads].tolist(), bounds, bounds[1:]
+    ):
+        names_in = tuple(sorted(set(families[lo:hi])))
+        out.append(
             CollabEvent(
-                attack_indices=tuple(int(i) for i in idx),
-                target_index=int(targets[pos[0]]),
-                families=families,
-                botnet_ids=tuple(int(b) for b in botnets[pos]),
-                start=float(starts[pos[0]]),
-                is_inter_family=len(families) > 1,
+                attack_indices=tuple(indices[lo:hi]),
+                target_index=target,
+                families=names_in,
+                botnet_ids=tuple(botnets[lo:hi]),
+                start=start,
+                is_inter_family=len(names_in) > 1,
             )
         )
-    events.sort(key=lambda e: e.start)
-    return events
+    return out
+
+
+def _scan(ctx: AnalysisContext, events) -> ScanEvents:
+    """The events a render reads: the context's own scan by default."""
+    return ctx.collaborations() if events is None else ScanEvents.of(events)
+
+
+def _family_presence(ds, events: ScanEvents) -> np.ndarray:
+    """``(n_events, n_families)`` mask: which families take part in each
+    event (a family counts once per event, however many rows it has)."""
+    presence = np.zeros((len(events), len(ds.families)), dtype=bool)
+    presence[events.event_of_row(), ds.family_idx[events.rows]] = True
+    return presence
+
+
+def inter_family_mask(
+    source: AnalysisSource, events: ScanEvents | list[CollabEvent] | None = None
+) -> np.ndarray:
+    """Per event, whether its attacks come from more than one family."""
+    ctx = AnalysisContext.of(source)
+    return _family_presence(ctx.dataset, _scan(ctx, events)).sum(axis=1) > 1
+
+
+def family_mask(
+    source: AnalysisSource,
+    family: str,
+    events: ScanEvents | list[CollabEvent] | None = None,
+) -> np.ndarray:
+    """Per event, whether ``family`` takes part in it."""
+    ctx = AnalysisContext.of(source)
+    ds = ctx.dataset
+    events = _scan(ctx, events)
+    if family not in ds.families:
+        return np.zeros(len(events), dtype=bool)
+    return _family_presence(ds, events)[:, ds.family_id(family)]
 
 
 def collaboration_table(
-    source: AnalysisSource, events: list[CollabEvent] | None = None
+    source: AnalysisSource, events: ScanEvents | list[CollabEvent] | None = None
 ) -> dict[str, dict[str, int]]:
     """Table VI: per-family intra- and inter-family collaboration counts.
 
     Every family participating in an event is credited once, matching the
     paper's per-family accounting (which is why Dirtjumper's 121
     inter-family events equal the sum of its partners' counts).
+    ``events`` defaults to the context's scan; a list of
+    :class:`CollabEvent` is accepted too.
     """
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
-    if events is None:
-        events = ctx.collaborations()
-    table: dict[str, dict[str, int]] = {
-        fam: {"intra": 0, "inter": 0} for fam in ds.active_families
+    presence = _family_presence(ds, _scan(ctx, events))
+    inter = presence.sum(axis=1) > 1
+    counts = {"intra": presence[~inter].sum(axis=0), "inter": presence[inter].sum(axis=0)}
+    return {
+        fam: {kind: int(c[ds.family_id(fam)]) for kind, c in counts.items()}
+        for fam in ds.active_families
     }
-    for event in events:
-        kind = "inter" if event.is_inter_family else "intra"
-        for family in event.families:
-            if family in table:
-                table[family][kind] += 1
-    return table
 
 
 @dataclass(frozen=True)
@@ -206,40 +254,43 @@ class IntraFamilyStats:
 
 
 def intra_family_stats(
-    source: AnalysisSource, family: str, events: list[CollabEvent] | None = None
+    source: AnalysisSource,
+    family: str,
+    events: ScanEvents | list[CollabEvent] | None = None,
 ) -> IntraFamilyStats:
-    """Summarise one family's intra-family collaborations (Fig 15)."""
+    """Summarise one family's intra-family collaborations (Fig 15).
+
+    A botnet takes part in an event once, so an event's botnets are its
+    rows; per-event magnitude extremes are segment reductions over the
+    chosen events' rows.
+    """
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
-    if events is None:
-        events = ctx.collaborations()
-    mine = [e for e in events if not e.is_inter_family and e.families == (family,)]
+    events = _scan(ctx, events)
+    presence = _family_presence(ds, events)
+    mine = np.zeros(len(events), dtype=bool)
+    if family in ds.families:
+        mine = (presence.sum(axis=1) == 1) & presence[:, ds.family_id(family)]
+    mine = events.take(np.flatnonzero(mine))
+    n_events = len(mine)
     points: list[tuple[float, int, int]] = []
     equal = 0
-    if mine:
-        # One gather over every event's attacks; per-event magnitude
-        # extremes by segment reductions.
-        sizes = np.fromiter((len(e.attack_indices) for e in mine), np.int64, len(mine))
-        rows = np.fromiter(
-            itertools.chain.from_iterable(e.attack_indices for e in mine),
-            np.int64,
-            int(sizes.sum()),
-        )
+    if n_events:
+        rows = mine.rows
         mags = ds.magnitude[rows]
-        heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        heads = mine.offsets[:-1]
         high = np.maximum.reduceat(mags, heads)
         spread = (high - np.minimum.reduceat(mags, heads)) / np.maximum(high, 1)
         equal = int(np.count_nonzero(spread <= 0.25))
         points = list(
             zip(ds.start[rows].tolist(), ds.botnet_id[rows].tolist(), mags.tolist())
         )
-    n_botnets = [e.n_botnets for e in mine]
     return IntraFamilyStats(
         family=family,
-        n_events=len(mine),
-        mean_botnets_per_event=float(np.mean(n_botnets)) if n_botnets else 0.0,
+        n_events=n_events,
+        mean_botnets_per_event=float(np.mean(mine.sizes)) if n_events else 0.0,
         points=points,
-        equal_magnitude_fraction=float(equal / len(mine)) if mine else 0.0,
+        equal_magnitude_fraction=float(equal / n_events) if n_events else 0.0,
     )
 
 
@@ -266,7 +317,7 @@ def pair_analysis(
     source: AnalysisSource,
     family_a: str,
     family_b: str,
-    events: list[CollabEvent] | None = None,
+    events: ScanEvents | list[CollabEvent] | None = None,
 ) -> PairAnalysis:
     """Analyse the collaborations between ``family_a`` and ``family_b``.
 
@@ -278,16 +329,16 @@ def pair_analysis(
         raise ValueError("pair_analysis needs two different families")
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
-    if events is None:
-        events = ctx.collaborations()
-    pair = tuple(sorted((family_a, family_b)))
-    mine = [e for e in events if e.is_inter_family and set(pair) <= set(e.families)]
-
-    targets = sorted({e.target_index for e in mine})
-    countries = ds.victims.country_idx[targets] if targets else np.zeros(0, dtype=int)
-    uniq_c, counts_c = (
-        np.unique(countries, return_counts=True) if targets else (np.zeros(0), np.zeros(0))
+    events = _scan(ctx, events)
+    mine = events.take(
+        np.flatnonzero(
+            family_mask(ctx, family_a, events) & family_mask(ctx, family_b, events)
+        )
     )
+
+    targets = np.unique(ds.target_idx[mine.heads])
+    countries = ds.victims.country_idx[targets]
+    uniq_c, counts_c = np.unique(countries, return_counts=True)
     order = np.argsort(-counts_c, kind="stable")
     top_countries = [
         (ds.world.countries[int(uniq_c[i])].code, int(counts_c[i])) for i in order[:5]
@@ -295,33 +346,23 @@ def pair_analysis(
 
     series: list[tuple[float, float, float, int, int]] = []
     durations_a = durations_b = np.zeros(0)
-    if mine:
-        # One gather over the events' rows; each side of an event is its
-        # first row of that family.
-        sizes = np.fromiter((len(e.attack_indices) for e in mine), np.int64, len(mine))
-        rows = np.fromiter(
-            itertools.chain.from_iterable(e.attack_indices for e in mine),
-            np.int64,
-            int(sizes.sum()),
-        )
-        event = np.repeat(np.arange(len(mine)), sizes)
+    if len(mine):
+        # Each side of an event is its first row of that family.
+        rows = mine.rows
+        event = mine.event_of_row()
         fams = ds.family_idx[rows]
         first = []
         for name in (family_a, family_b):
-            pos = np.flatnonzero(fams == (ds.family_id(name) if name in ds.families else -1))
+            pos = np.flatnonzero(fams == ds.family_id(name))
             head = np.ones(pos.size, dtype=bool)
             head[1:] = event[pos[1:]] != event[pos[:-1]]
-            row = np.full(len(mine), -1, dtype=np.int64)
-            row[event[pos[head]]] = rows[pos[head]]
-            first.append(row)
-        both = (first[0] >= 0) & (first[1] >= 0)
-        row_a, row_b = first[0][both], first[1][both]
+            first.append(rows[pos[head]])
+        row_a, row_b = first
         durations_a = ds.end[row_a] - ds.start[row_a]
         durations_b = ds.end[row_b] - ds.start[row_b]
-        event_starts = np.fromiter((e.start for e in mine), np.float64, len(mine))[both]
         series = list(
             zip(
-                event_starts.tolist(),
+                ds.start[mine.heads].tolist(),
                 durations_a.tolist(),
                 durations_b.tolist(),
                 ds.magnitude[row_a].tolist(),
@@ -335,10 +376,10 @@ def pair_analysis(
         family_a=family_a,
         family_b=family_b,
         n_events=len(series),
-        n_targets=len(targets),
+        n_targets=int(targets.size),
         n_countries=int(uniq_c.size),
-        n_organizations=int(np.unique(ds.victims.org_idx[targets]).size) if targets else 0,
-        n_asns=int(np.unique(ds.victims.asn[targets]).size) if targets else 0,
+        n_organizations=int(np.unique(ds.victims.org_idx[targets]).size),
+        n_asns=int(np.unique(ds.victims.asn[targets]).size),
         top_countries=top_countries,
         mean_duration_a=float(np.mean(durations_a)) if durations_a.size else 0.0,
         mean_duration_b=float(np.mean(durations_b)) if durations_b.size else 0.0,

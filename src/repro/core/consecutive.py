@@ -10,18 +10,19 @@ gaps under 30 seconds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
+from .scans import ScanEvents, in_scan_order
 from .stats import ecdf
 
 __all__ = [
     "CHAIN_MARGIN_SECONDS",
     "AttackChain",
     "detect_chains",
+    "attack_chains",
     "ChainSummary",
     "chain_summary",
     "consecutive_gap_cdf",
@@ -71,17 +72,20 @@ def detect_chains(
     (identical starts) are concurrent collaborations, not stages, and do
     not link.
 
-    Under the default margin and length, the chain list is memoized on
-    the shared :class:`AnalysisContext` (Figs 17-18 consume the same
-    detection).
+    The chains come as a list of :class:`AttackChain`, built in bulk
+    from the columnar scan.  Under the default margin and length the
+    list is memoized on the shared :class:`AnalysisContext`, next to
+    the scan itself (``ctx.chains()``, a
+    :class:`~repro.core.scans.ScanEvents`), which Figs 17-18 read
+    without building the list.
     """
     ctx = AnalysisContext.of(source)
     if margin == CHAIN_MARGIN_SECONDS and min_length == 2:
-        return ctx.chains()
-    return _detect_chains(ctx.dataset, margin, min_length)
+        return ctx.view(("chain_list",), lambda: attack_chains(ctx.dataset, ctx.chains()))
+    return attack_chains(ctx.dataset, _detect_chains(ctx.dataset, margin, min_length))
 
 
-def _detect_chains(ds, margin: float, min_length: int) -> list[AttackChain]:
+def _detect_chains(ds, margin: float, min_length: int) -> ScanEvents:
     """The raw scan behind :func:`detect_chains`.
 
     A sweep-line kernel: in ``(target, start)`` order, attack ``k``
@@ -90,53 +94,78 @@ def _detect_chains(ds, margin: float, min_length: int) -> list[AttackChain]:
     more than a second apart (simultaneous attacks are collaborations,
     not stages).  Chains are the maximal linked runs, so one adjacent
     link mask plus a ``cumsum`` segment labelling replaces the
-    per-attack Python walk.  Pinned equal to that walk, kept in
-    ``tests/oracles/kernels.py``, by the parity tests.
+    per-attack Python walk, and the runs of ``min_length`` or more rows
+    are the events as they lie in the sweep.  Pinned equal to that
+    walk, kept in ``tests/oracles/kernels.py``, by the parity tests.
     """
     n = ds.n_attacks
     if n == 0:
-        return []
+        return ScanEvents.empty()
     order = np.lexsort((ds.start, ds.target_idx))
     targets = ds.target_idx[order]
     starts = ds.start[order]
     ends = ds.end[order]
 
-    gaps = starts[1:] - ends[:-1]
     linked = (
         (targets[1:] == targets[:-1])
-        & (np.abs(gaps) <= margin)
+        & (np.abs(starts[1:] - ends[:-1]) <= margin)
         & (starts[1:] - starts[:-1] > 1.0)
     )
     new_chain = np.empty(n, dtype=bool)
     new_chain[0] = True
     new_chain[1:] = ~linked
     chain_id = np.cumsum(new_chain) - 1
-    chain_first = np.flatnonzero(new_chain)
-    chain_sizes = np.diff(np.append(chain_first, n))
-    good = np.flatnonzero(chain_sizes >= min_length)
-    if good.size == 0:
-        return []
+    chain_sizes = np.diff(np.append(np.flatnonzero(new_chain), n))
+    long = chain_sizes >= min_length
+    events = ScanEvents.from_sizes(order[long[chain_id]], chain_sizes[long])
+    return in_scan_order(ds, events)
 
-    family_names = np.asarray(
-        [ds.family_name(k) for k in range(ds.family_idx.max() + 1)], dtype=object
-    )
-    fam_sorted = ds.family_idx[order]
-    chains: list[AttackChain] = []
-    for c in good:
-        lo = chain_first[c]
-        hi = lo + chain_sizes[c]
-        chains.append(
+
+def attack_chains(ds, events: ScanEvents) -> list[AttackChain]:
+    """``events`` as :class:`AttackChain` objects, in bulk.
+
+    A chain's gaps are ``start[rows[1:]] - end[rows[:-1]]`` inside it,
+    the kernel's own subtraction.
+    """
+    if not len(events):
+        return []
+    rows = events.rows
+    names = np.asarray(ds.families, dtype=object)
+    indices = rows.tolist()
+    families = names[ds.family_idx[rows]].tolist()
+    gaps = (ds.start[rows[1:]] - ds.end[rows[:-1]]).tolist()
+    bounds = events.offsets.tolist()
+    heads = events.heads
+    out: list[AttackChain] = []
+    for target, start, end, lo, hi in zip(
+        ds.target_idx[heads].tolist(),
+        ds.start[heads].tolist(),
+        ds.end[events.tails].tolist(),
+        bounds,
+        bounds[1:],
+    ):
+        out.append(
             AttackChain(
-                attack_indices=tuple(int(i) for i in order[lo:hi]),
-                target_index=int(targets[lo]),
-                families=tuple(family_names[fam_sorted[lo:hi]]),
-                start=float(starts[lo]),
-                end=float(ends[hi - 1]),
-                gaps=tuple(float(g) for g in gaps[lo : hi - 1]),
+                attack_indices=tuple(indices[lo:hi]),
+                target_index=target,
+                families=tuple(families[lo:hi]),
+                start=start,
+                end=end,
+                gaps=tuple(gaps[lo : hi - 1]),
             )
         )
-    chains.sort(key=lambda c: c.start)
-    return chains
+    return out
+
+
+def _scan(ctx: AnalysisContext, chains) -> ScanEvents:
+    """The chains a render reads: the context's own scan by default."""
+    return ctx.chains() if chains is None else ScanEvents.of(chains)
+
+
+def _gaps(ds, chains: ScanEvents) -> np.ndarray:
+    """Every chain's consecutive gaps, chain by chain."""
+    rows = chains.rows
+    return (ds.start[rows[1:]] - ds.end[rows[:-1]])[chains.inner()]
 
 
 @dataclass(frozen=True)
@@ -149,6 +178,8 @@ class ChainSummary:
     longest_chain_length: int
     longest_chain_family: str
     longest_chain_duration: float
+    #: Start time of the longest chain (the first, on a tie).
+    longest_chain_start: float
     gap_mean: float
     gap_median: float
     gap_std: float
@@ -157,23 +188,35 @@ class ChainSummary:
 
 
 def chain_summary(
-    source: AnalysisSource, chains: list[AttackChain] | None = None
+    source: AnalysisSource, chains: ScanEvents | list[AttackChain] | None = None
 ) -> ChainSummary:
-    """Summarise detected chains the way §V-B reports them."""
-    if chains is None:
-        chains = AnalysisContext.of(source).chains()
-    if not chains:
+    """Summarise detected chains the way §V-B reports them.
+
+    Every number is a reduction over the chains' rows: the gaps, the
+    family set, whether each chain keeps its first row's family, and
+    the longest chain (the first of the longest).
+    """
+    ctx = AnalysisContext.of(source)
+    ds = ctx.dataset
+    chains = _scan(ctx, chains)
+    if not len(chains):
         raise ValueError("no consecutive-attack chains detected")
-    gaps = np.concatenate([np.asarray(c.gaps) for c in chains if c.gaps])
-    longest = max(chains, key=lambda c: c.length)
-    families = sorted({fam for c in chains for fam in c.families})
+    gaps = _gaps(ds, chains)
+    if gaps.size == 0:
+        raise ValueError("no consecutive-attack gaps to characterise")
+    sizes = chains.sizes
+    longest = int(np.argmax(sizes))
+    head = int(chains.heads[longest])
+    fams = ds.family_idx[chains.rows]
+    first_fams = np.repeat(fams[chains.offsets[:-1]], sizes)
     return ChainSummary(
         n_chains=len(chains),
-        families=families,
-        intra_family_only=all(c.is_intra_family for c in chains),
-        longest_chain_length=longest.length,
-        longest_chain_family=longest.families[0],
-        longest_chain_duration=longest.duration,
+        families=sorted({ds.families[k] for k in np.unique(fams).tolist()}),
+        intra_family_only=bool(np.all(fams == first_fams)),
+        longest_chain_length=int(sizes[longest]),
+        longest_chain_family=ds.families[int(fams[chains.offsets[longest]])],
+        longest_chain_duration=float(ds.end[chains.tails[longest]] - ds.start[head]),
+        longest_chain_start=float(ds.start[head]),
         gap_mean=float(np.mean(gaps)),
         gap_median=float(np.median(gaps)),
         gap_std=float(np.std(gaps)),
@@ -183,33 +226,18 @@ def chain_summary(
 
 
 def consecutive_gap_cdf(
-    source: AnalysisSource, chains: list[AttackChain] | None = None
+    source: AnalysisSource, chains: ScanEvents | list[AttackChain] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fig 17: the CDF of gaps between consecutive attacks."""
-    if chains is None:
-        chains = AnalysisContext.of(source).chains()
-    gaps = np.concatenate(
-        [np.asarray(c.gaps) for c in chains if c.gaps]
-    ) if chains else np.zeros(0)
+    ctx = AnalysisContext.of(source)
+    gaps = _gaps(ctx.dataset, _scan(ctx, chains))
     if gaps.size == 0:
         raise ValueError("no consecutive-attack gaps to characterise")
     return ecdf(np.maximum(gaps, 0.0))
 
 
-def _chain_rows(chains: list[AttackChain]) -> tuple[np.ndarray, np.ndarray]:
-    """``(heads, rows)``: every chained row, chain by chain, in one gather,
-    and the position of each chain's first row in ``rows``."""
-    sizes = np.fromiter((len(c.attack_indices) for c in chains), np.int64, len(chains))
-    rows = np.fromiter(
-        itertools.chain.from_iterable(c.attack_indices for c in chains),
-        np.int64,
-        int(sizes.sum()),
-    )
-    return np.concatenate(([0], np.cumsum(sizes)[:-1])), rows
-
-
 def chain_timeline(
-    source: AnalysisSource, chains: list[AttackChain] | None = None
+    source: AnalysisSource, chains: ScanEvents | list[AttackChain] | None = None
 ) -> list[tuple[float, int, str, int]]:
     """Fig 18: one dot per chained attack over time.
 
@@ -222,11 +250,9 @@ def chain_timeline(
     """
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
-    if chains is None:
-        chains = ctx.chains()
-    if not chains:
+    rows = _scan(ctx, chains).rows
+    if not rows.size:
         return []
-    _heads, rows = _chain_rows(chains)
     starts = ds.start[rows]
     targets = ds.target_idx[rows]
     fams = ds.family_idx[rows]
@@ -245,7 +271,7 @@ def chain_timeline(
 
 
 def chain_magnitude_spread(
-    source: AnalysisSource, chains: list[AttackChain] | None = None
+    source: AnalysisSource, chains: ScanEvents | list[AttackChain] | None = None
 ) -> np.ndarray:
     """Per chain, ``(max - min) / max(max, 1)`` of its attacks' magnitudes.
 
@@ -253,11 +279,10 @@ def chain_magnitude_spread(
     chain's attacks stay level (Dirtjumper's outliers aside).
     """
     ctx = AnalysisContext.of(source)
-    if chains is None:
-        chains = ctx.chains()
-    if not chains:
+    chains = _scan(ctx, chains)
+    if not len(chains):
         return np.zeros(0)
-    heads, rows = _chain_rows(chains)
-    mags = ctx.dataset.magnitude[rows].astype(float)
+    heads = chains.offsets[:-1]
+    mags = ctx.dataset.magnitude[chains.rows].astype(float)
     high = np.maximum.reduceat(mags, heads)
     return (high - np.minimum.reduceat(mags, heads)) / np.maximum(high, 1.0)

@@ -45,11 +45,10 @@ from .dataset import AttackDataset
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..monitor.schemas import Protocol
     from .columns import ColumnStore
-    from .collaboration import CollabEvent
-    from .consecutive import AttackChain
     from .intervals import SimultaneousReport
     from .overview import DailyDistribution, WorkloadSummary
     from .prediction import DispersionForecast
+    from .scans import ScanEvents
     from .shift import WeeklyShift
 
 __all__ = ["AnalysisContext", "AnalysisSource", "ShardedAnalysisContext"]
@@ -538,8 +537,13 @@ class AnalysisContext:
 
     # -- detected structure ------------------------------------------------
 
-    def collaborations(self) -> "list[CollabEvent]":
-        """Concurrent collaborations under the paper's default windows."""
+    def collaborations(self) -> "ScanEvents":
+        """Concurrent collaborations under the paper's default windows.
+
+        One :class:`~repro.core.scans.ScanEvents` CSR; a list of
+        :class:`~repro.core.collaboration.CollabEvent` objects comes from
+        :func:`~repro.core.collaboration.detect_collaborations`.
+        """
 
         def build():
             from . import collaboration as _collaboration
@@ -552,8 +556,13 @@ class AnalysisContext:
 
         return self.view(("collaborations",), build)
 
-    def chains(self) -> "list[AttackChain]":
-        """Consecutive-attack chains under the paper's default margin."""
+    def chains(self) -> "ScanEvents":
+        """Consecutive-attack chains under the paper's default margin.
+
+        One :class:`~repro.core.scans.ScanEvents` CSR; a list of
+        :class:`~repro.core.consecutive.AttackChain` objects comes from
+        :func:`~repro.core.consecutive.detect_chains`.
+        """
 
         def build():
             from . import consecutive as _consecutive
@@ -815,16 +824,16 @@ class ShardedAnalysisContext:
         """
         return self.shard_context(index).snapshot_dispersions(family)
 
-    def shard_scan_events(self, index: int, kind: str) -> list:
-        """One shard's collaboration/chain events, rebased to global rows.
+    def shard_scan_events(self, index: int, kind: str) -> "ScanEvents":
+        """One shard's collaboration/chain events in global rows.
 
-        The rebase is done once at shard-build time (in the map phase,
-        where it parallelises) instead of per merge.
+        The shard's own scan (built and memoized on its context, in the
+        map phase) with its rows moved up by the shard's base.
         """
         from . import merge as _merge
 
         base = int(self._store.shard_bases()[index])
-        return _merge.part_scan_events(self.shard_context(index), kind, base)
+        return _merge.view_value(self.shard_context(index), (kind,)).shifted(base)
 
     def build_shard(self, index: int) -> AnalysisContext:
         """Materialise one shard's mergeable views (idempotent)."""
@@ -1051,8 +1060,8 @@ def _shard_build_worker(
     The views are :func:`~repro.experiments.registry.battery_views` over
     the shard's families, minus the kinds whose extend step reads the
     merged context (:data:`repro.core.merge.MERGED_CONTEXT_KINDS`).  The
-    scans are rebased to global rows here, in the (parallel) map phase,
-    so the merge only has to stitch the seams.  Runs in-process or in a
+    scans are built here, in the (parallel) map phase, so the merge only
+    has to stitch the seams.  Runs in-process or in a
     forked worker (same contract as :func:`_prewarm_worker`): views
     memoize on the shard's own context, and the delta — minus the
     pre-seeded shared geo matrix — is the only pickle a forked fan-out

@@ -41,7 +41,11 @@ into these shapes:
   cross it and regenerates only those.  The probe reads the
   ``("target_links",)`` view (each victim's last attack, each attack's
   previous one on its victim), which extends like a concatenation, so
-  it costs O(new rows), not O(targets).
+  it costs O(new rows), not O(targets).  The events are
+  :class:`~repro.core.scans.ScanEvents` CSRs: a part's scan joins with
+  its row base added, the kept events are a mask on each event's first
+  row, and one stable ``lexsort`` on (start, target) orders the kept
+  and regenerated events; no event object is built.
 * **Rank windows** (``("rank_windows", series_key)``) hold the sorted
   values around the ranks a series' median, p80 and p95 read.  They
   read only the series' new tail: values below a window raise its first
@@ -77,11 +81,11 @@ from . import targets as _targets
 from .collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
-    CollabEvent,
     _detect_collaborations,
 )
-from .consecutive import CHAIN_MARGIN_SECONDS, AttackChain
+from .consecutive import CHAIN_MARGIN_SECONDS
 from .overview import DailyDistribution
+from .scans import ScanEvents, in_scan_order
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .columns import ColumnStore
@@ -99,8 +103,6 @@ __all__ = [
     "finish_daily_distribution",
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
-    "rebase_scan_events",
-    "part_scan_events",
     "seam_stitch_scan_events",
     "ShardPartial",
     "partial_view",
@@ -138,8 +140,8 @@ def view_value(ctx: "AnalysisContext", key: tuple) -> Any:
 
     Every key :func:`~repro.experiments.registry.battery_views` lists is
     ``(accessor name, *accessor args)``.  The per-botnet and per-target
-    groupings and a part's rebased scan events have no accessor of that
-    name and are not read through here.
+    groupings and the scans' event lists have no accessor of that name
+    and are not read through here.
     """
     return getattr(ctx, key[0])(*key[1:])
 
@@ -201,7 +203,7 @@ def extend_view(
         bases = _bases(prev, parts)
         events, targets = seam_stitch_scan_events(
             old,
-            [part_scan_events(c, head, b) for c, b in zip(parts, bases[1:])],
+            [view_value(c, key).shifted(b) for c, b in zip(parts, bases[1:])],
             ds,
             ctx.target_links()[1],
             bases,
@@ -308,9 +310,13 @@ def _extend_weekly_pairs(old, values):
     The parts' weeks start at or after the left operand's last week, so
     only the pairs of that seam week can meet new ones: they and the
     parts' pairs go through :func:`merge_weekly_pairs`, and the earlier
-    weeks' pairs are kept as they are.
+    weeks' pairs are kept as they are.  An empty table (a family without
+    attacks in its range) adds nothing.
     """
-    if old is None:
+    values = [v for v in values if v[0].size]
+    if not values:
+        return old
+    if old is None or not old[0].size:
         return merge_weekly_pairs(values)
     weeks_u, u_week, u_bot = old
     cut = int(np.searchsorted(u_week, min(int(v[0][0]) for v in values)))
@@ -522,159 +528,44 @@ class _AttackSlice:
     """Column view of the merged dataset restricted to a row subset.
 
     Quacks like an :class:`AttackDataset` for exactly the columns the
-    collaboration/chain kernels touch.  Rows are given in ascending
-    global order, so the kernels' stable ``lexsort`` preserves the same
-    tie order the global scan would use.
+    scan kernels touch.  Rows are given in ascending global order, so
+    the kernels' stable ``lexsort`` preserves the same tie order the
+    global scan would use.
     """
 
     def __init__(self, ds, rows: np.ndarray) -> None:
-        self._ds = ds
         self.n_attacks = int(rows.size)
         self.start = ds.start[rows]
         self.end = ds.end[rows]
         self.target_idx = ds.target_idx[rows]
         self.botnet_id = ds.botnet_id[rows]
-        self.family_idx = ds.family_idx[rows]
-
-    def family_name(self, family_id: int) -> str:
-        return self._ds.family_name(family_id)
 
 
-def rebase_scan_events(events: Sequence, base: int) -> list:
-    """Shift scan-event attack indices into the global index space."""
-    base = int(base)
-    if base == 0 or not events:
-        return list(events)
-    out = []
-    if isinstance(events[0], CollabEvent):
-        for e in events:
-            out.append(
-                CollabEvent(
-                    attack_indices=tuple(i + base for i in e.attack_indices),
-                    target_index=e.target_index,
-                    families=e.families,
-                    botnet_ids=e.botnet_ids,
-                    start=e.start,
-                    is_inter_family=e.is_inter_family,
-                )
-            )
-    elif isinstance(events[0], AttackChain):
-        for e in events:
-            out.append(
-                AttackChain(
-                    attack_indices=tuple(i + base for i in e.attack_indices),
-                    target_index=e.target_index,
-                    families=e.families,
-                    start=e.start,
-                    end=e.end,
-                    gaps=e.gaps,
-                )
-            )
-    else:
-        for e in events:
-            out.append(
-                dataclasses.replace(
-                    e, attack_indices=tuple(i + base for i in e.attack_indices)
-                )
-            )
-    return out
-
-
-def _materialize_row_runs(ds, row_segs: Sequence[np.ndarray], kind: str) -> list:
+def _materialize_row_runs(ds, row_segs: Sequence[np.ndarray], kind: str) -> ScanEvents:
     """Regenerate the scan events of boundary-crossing runs.
 
     ``row_segs`` holds one ascending global-row array per crossing run.
     Collaboration runs are rescanned through :class:`_AttackSlice` (the
     kernel may split a run into several events or none; runs on the same
     target are separated by more than the start window, and different
-    targets never merge, so the slice rescan is exact).  Chains map
-    one-to-one onto linked runs, so they are materialised directly —
-    rescanning a slice would be *wrong* here: the >1 s stagger condition
-    means omitted in-between rows can break links the slice cannot see.
+    targets never merge, so the slice rescan is exact) and its rows
+    mapped back through the slice.  Chains map one-to-one onto linked
+    runs, so each run is one event — rescanning a slice would be *wrong*
+    here: the >1 s stagger condition means omitted in-between rows can
+    break links the slice cannot see.
     """
     if not row_segs:
-        return []
+        return ScanEvents.empty()
     if kind == "collaborations":
         rows = np.sort(np.concatenate(list(row_segs)))
-        shim = _AttackSlice(ds, rows)
         fresh = _detect_collaborations(
-            shim, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
+            _AttackSlice(ds, rows), START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
         )
-        return [
-            dataclasses.replace(
-                e, attack_indices=tuple(int(rows[i]) for i in e.attack_indices)
-            )
-            for e in fresh
-        ]
+        return ScanEvents(rows[fresh.rows], fresh.offsets)
     if kind != "chains":
         raise ValueError(f"unknown scan kind {kind!r}")
-    chains = []
-    for seg in row_segs:
-        s = ds.start[seg]
-        e = ds.end[seg]
-        chains.append(
-            AttackChain(
-                attack_indices=tuple(int(i) for i in seg),
-                target_index=int(ds.target_idx[seg[0]]),
-                families=tuple(
-                    ds.family_name(int(k)) for k in ds.family_idx[seg]
-                ),
-                start=float(s[0]),
-                end=float(e[-1]),
-                gaps=tuple(float(g) for g in (s[1:] - e[:-1])),
-            )
-        )
-    return chains
-
-
-def _merge_sorted_events(kept: list, fresh: list) -> list:
-    """Merge kept (already sorted) and few fresh events by (start, target).
-
-    Equal-start events only arise across targets, and both scans emit at
-    most one event per (start, target) — the key is a total order that
-    matches the global kernel's stable target-major enumeration.
-    """
-    key = lambda e: (e.start, e.target_index)  # noqa: E731
-    if not fresh:
-        return kept
-    fresh = sorted(fresh, key=key)
-    if not kept:
-        return fresh
-    if len(fresh) <= 32:
-        out = kept
-        for e in fresh:
-            bisect.insort(out, e, key=key)
-        return out
-    starts = np.fromiter(
-        (e.start for e in kept), dtype=np.float64, count=len(kept)
-    )
-    out = []
-    prev = 0
-    for e in fresh:
-        pos = int(np.searchsorted(starts, e.start, side="left"))
-        while (
-            pos < len(kept)
-            and kept[pos].start == e.start
-            and kept[pos].target_index < e.target_index
-        ):
-            pos += 1
-        pos = max(pos, prev)
-        out.extend(kept[prev:pos])
-        out.append(e)
-        prev = pos
-    out.extend(kept[prev:])
-    return out
-
-
-def part_scan_events(ctx: "AnalysisContext", kind: str, base: int) -> list:
-    """A right part's ``kind`` scan events in global rows.
-
-    The part's own scan rebased by ``base``, the number of rows before
-    it; memoized on the part, so a shard rebases once, in the map phase.
-    """
-    return ctx.view(
-        (f"{kind}_global",),
-        lambda: rebase_scan_events(view_value(ctx, (kind,)), base),
+    return ScanEvents.from_sizes(
+        np.concatenate(list(row_segs)), np.array([seg.size for seg in row_segs])
     )
 
 
@@ -695,55 +586,35 @@ def _scan_link(kind: str, ds):
     raise ValueError(f"unknown scan kind {kind!r}")
 
 
-def _event_key(event) -> tuple[float, int]:
-    return event.start, event.target_index
-
-
-def _concat_events(lists: Sequence[Sequence]) -> list:
-    """Concatenate event lists of consecutive row ranges in global order.
-
-    No event of a later range starts before one of an earlier range, but
-    both may start at the seam's start; that tied stretch is re-sorted by
-    target, the global kernel's tie order.
-    """
-    out = list(lists[0])
-    for events in lists[1:]:
-        if not events:
-            continue
-        if out and _event_key(out[-1]) > _event_key(events[0]):
-            tie = events[0].start
-            lo = bisect.bisect_left(out, tie, key=lambda e: e.start)
-            hi = bisect.bisect_right(events, tie, key=lambda e: e.start)
-            out[lo:] = sorted([*out[lo:], *events[:hi]], key=_event_key)
-            events = events[hi:]
-        out.extend(events)
-    return out
-
-
 def seam_stitch_scan_events(
-    prev_events: Sequence,
-    new_parts: Sequence[list],
+    prev_events: ScanEvents,
+    new_parts: Sequence[ScanEvents],
     ds,
     prev_row: np.ndarray,
     bases: Sequence[int],
     kind: str,
-) -> tuple[list, set[int]]:
+) -> tuple[ScanEvents, set[int]]:
     """Merge scan events across the seams of consecutive row ranges.
 
-    ``prev_events`` is the left operand's event list (rows
-    ``[0, bases[1])``); ``new_parts`` are the right parts' lists, already
-    rebased to global rows.  ``prev_row[i]`` is the row of the attack on
+    ``prev_events`` is the left operand's events (rows
+    ``[0, bases[1])``); ``new_parts`` are the right parts' events,
+    already in global rows.  ``prev_row[i]`` is the row of the attack on
     row ``i``'s target just before it (``-1`` for none; the second array
     of the ``("target_links",)`` view).  A run crosses a seam exactly
     when some part row's same-target predecessor lies before the part's
     seam and the two link, so one vectorised pass over the new rows finds
     every crossing; each is grown backwards through ``prev_row`` and
     forwards through the new rows while the link holds, and only those
-    runs are regenerated.  The inputs are left untouched.  Returns
+    runs are regenerated.  Every event whose first row lies in a
+    crossing run is dropped (it is a fragment of one) and the
+    regenerated events join the rest.  None of this reaches the left
+    operand's events that start before the parts' and the crossing
+    runs' earliest start, so those are kept as they are; one stable
+    ``lexsort`` on (start, target) — skipped when nothing is out of
+    order — puts the others in the global scan's order.  The inputs are
+    left untouched.  Returns
     ``(events, targets)`` where ``targets`` is the set of target ids that
-    needed stitching.  Dropped left-operand events all have ``start >=``
-    the earliest crossing run's first start, so the kept prefix is a
-    bisect, not a filter.
+    needed stitching.
     """
     linked = _scan_link(kind, ds)
     seams = np.asarray(bases[1:], dtype=np.int64)
@@ -753,8 +624,6 @@ def seam_stitch_scan_events(
     seam = seams[np.searchsorted(seams, rows, side="right") - 1]
     hits = np.flatnonzero((before >= 0) & (before < seam))
     hits = hits[linked(before[hits], rows[hits])]
-    if not hits.size:
-        return _concat_events([prev_events, *new_parts]), set()
 
     # The next same-target row of every new row.
     after = np.full(rows.size, -1, dtype=np.int64)
@@ -776,17 +645,26 @@ def seam_stitch_scan_events(
             run.append(q)
         segs.append(np.asarray(run, dtype=np.int64))
 
-    crossing_rows = {int(i) for seg in segs for i in seg}
-    threshold = min(float(ds.start[seg[0]]) for seg in segs)
-    cut = bisect.bisect_left(prev_events, threshold, key=lambda e: e.start)
-
-    def keep(events: Sequence) -> list:
-        return [e for e in events if e.attack_indices[0] not in crossing_rows]
-
-    kept = [prev_events[:cut] + keep(prev_events[cut:]), *map(keep, new_parts)]
-    fresh = _materialize_row_runs(ds, segs, kind)
+    # Every part event, regenerated event and dropped left-operand event
+    # (its first row lies in a crossing run) starts at or after the
+    # earliest of these starts; the left operand's events before it are
+    # final and kept as they are.
+    starts = [ds.start[p.rows[0]] for p in new_parts if len(p)]
+    starts += [ds.start[seg[0]] for seg in segs]
+    if not starts:
+        return prev_events, set()
+    cut = bisect.bisect_left(
+        range(len(prev_events)),
+        min(starts),
+        key=lambda e: ds.start[prev_events.rows[prev_events.offsets[e]]],
+    )
+    done, tail = prev_events.split(cut)
+    tail = ScanEvents.concat([tail, *new_parts])
+    if segs:
+        tail = tail.take(np.flatnonzero(~np.isin(tail.heads, np.concatenate(segs))))
+        tail = ScanEvents.concat([tail, _materialize_row_runs(ds, segs, kind)])
     stitched = {int(ds.target_idx[seg[0]]) for seg in segs}
-    return _merge_sorted_events(_concat_events(kept), fresh), stitched
+    return ScanEvents.concat([done, in_scan_order(ds, tail)]), stitched
 
 
 # -- tree-reducible shard partials -----------------------------------------
@@ -879,11 +757,11 @@ def combine_partials(a: ShardPartial, b: ShardPartial) -> ShardPartial:
         raise ValueError(f"non-adjacent partials: [{a.lo},{a.hi}) + [{b.lo},{b.hi})")
     weekly: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for key in dict.fromkeys([*a.weekly_pairs, *b.weekly_pairs]):
+        # ``b``'s weeks start at or after ``a``'s last: only the seam
+        # week's pairs re-sort.
         pa = a.weekly_pairs.get(key)
         pb = b.weekly_pairs.get(key)
-        weekly[key] = (
-            pa if pb is None else pb if pa is None else merge_weekly_pairs([pa, pb])
-        )
+        weekly[key] = pa if pb is None else pb if pa is None else _extend_weekly_pairs(pa, [pb])
     fam_counts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for key in dict.fromkeys([*a.family_country_counts, *b.family_country_counts]):
         pa = a.family_country_counts.get(key)

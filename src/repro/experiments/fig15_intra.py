@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core.collaboration import detect_collaborations, intra_family_stats
+from ..core.collaboration import intra_family_stats
 from ..core.context import AnalysisContext, AnalysisSource
 from .base import Experiment, ExperimentResult
 
@@ -10,8 +10,7 @@ from .base import Experiment, ExperimentResult
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
     result = ExperimentResult("fig15_intra")
-    events = detect_collaborations(ctx)
-    stats = intra_family_stats(ctx, "dirtjumper", events)
+    stats = intra_family_stats(ctx, "dirtjumper")
     result.add("dirtjumper intra-family events", 756, stats.n_events)
     result.add(
         "mean botnets per collaboration", "2.19", f"{stats.mean_botnets_per_event:.2f}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.collaboration import detect_collaborations, pair_analysis
+from ..core.collaboration import pair_analysis
 from ..core.context import AnalysisContext, AnalysisSource
 from .base import Experiment, ExperimentResult
 
@@ -12,8 +12,7 @@ from .base import Experiment, ExperimentResult
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
     result = ExperimentResult("fig16_pair")
-    events = detect_collaborations(ctx)
-    pa = pair_analysis(ctx, "dirtjumper", "pandora", events)
+    pa = pair_analysis(ctx, "dirtjumper", "pandora")
     result.add("collaboration events", 118, pa.n_events)
     result.add("unique targets", 96, pa.n_targets)
     result.add("target countries", 16, pa.n_countries)

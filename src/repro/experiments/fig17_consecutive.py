@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core.consecutive import chain_summary, detect_chains
+from ..core.consecutive import chain_summary
 from ..core.context import AnalysisContext, AnalysisSource
 from .base import Experiment, ExperimentResult
 
@@ -10,8 +10,8 @@ from .base import Experiment, ExperimentResult
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
     result = ExperimentResult("fig17_consecutive")
-    chains = detect_chains(ctx)
-    if not chains:
+    chains = ctx.chains()
+    if not len(chains):
         result.add("chains detected", ">0", 0)
         return result
     summary = chain_summary(ctx, chains)

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.consecutive import (
-    chain_magnitude_spread,
-    chain_summary,
-    chain_timeline,
-    detect_chains,
-)
+from ..core.consecutive import chain_magnitude_spread, chain_summary
 from ..core.context import AnalysisContext, AnalysisSource
 from ..simulation.clock import to_datetime
 from .base import Experiment, ExperimentResult
@@ -18,12 +13,11 @@ from .base import Experiment, ExperimentResult
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
     result = ExperimentResult("fig18_chains")
-    chains = detect_chains(ctx)
-    if not chains:
+    chains = ctx.chains()
+    if not len(chains):
         result.add("chains detected", ">0", 0)
         return result
     summary = chain_summary(ctx, chains)
-    longest = max(chains, key=lambda c: c.length)
     result.add("longest chain length", 22, summary.longest_chain_length)
     result.add("longest chain family", "ddoser", summary.longest_chain_family)
     result.add(
@@ -32,10 +26,10 @@ def run(source: AnalysisSource) -> ExperimentResult:
     result.add(
         "longest chain date",
         "2012-08-30",
-        to_datetime(longest.start).strftime("%Y-%m-%d"),
+        to_datetime(summary.longest_chain_start).strftime("%Y-%m-%d"),
     )
-    dots = chain_timeline(ctx, chains)
-    result.add("timeline dots", None, len(dots))
+    # chain_timeline plots one dot per chained attack.
+    result.add("timeline dots", None, int(chains.rows.size))
     # Magnitude stability within chains (except Dirtjumper's outliers).
     stable = np.count_nonzero(chain_magnitude_spread(ctx, chains) <= 0.3)
     result.add(

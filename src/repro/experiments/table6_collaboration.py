@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from ..core.collaboration import collaboration_table, detect_collaborations
+import numpy as np
+
+from ..core.collaboration import collaboration_table, family_mask, inter_family_mask
 from ..core.context import AnalysisContext, AnalysisSource
 from .base import Experiment, ExperimentResult
 
@@ -23,26 +25,25 @@ def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
     result = ExperimentResult("table6_collaboration")
-    events = detect_collaborations(ctx)
-    table = collaboration_table(ds, events)
+    events = ctx.collaborations()
+    table = collaboration_table(ctx, events)
+    inter = inter_family_mask(ctx, events)
     for family, (paper_intra, paper_inter) in PAPER_TABLE6.items():
         if family not in table:
             continue
         result.add(f"{family}: intra-family", paper_intra, table[family]["intra"])
         result.add(f"{family}: inter-family", paper_inter, table[family]["inter"])
-    intra_events = [e for e in events if not e.is_inter_family]
     if table:
         hub = max(table, key=lambda f: table[f]["intra"])
         result.add("intra-family hub", "dirtjumper", hub)
-        inter_families = {f for e in events if e.is_inter_family for f in e.families}
         result.add(
             "dirtjumper in every inter-family collab",
             "true",
-            str(
-                all("dirtjumper" in e.families for e in events if e.is_inter_family)
-            ).lower() if any(e.is_inter_family for e in events) else "n/a",
+            str(bool(family_mask(ctx, "dirtjumper", events)[inter].all())).lower()
+            if inter.any()
+            else "n/a",
         )
-    result.add("total intra-family events", 1103, len(intra_events))
+    result.add("total intra-family events", 1103, int(np.count_nonzero(~inter)))
     result.notes = (
         "the paper's Ddoser count (134) exceeds its verified attacks (126); "
         "the generator stages 20 instead — see EXPERIMENTS.md"

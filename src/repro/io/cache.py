@@ -53,7 +53,9 @@ _FORMAT_VERSION = 2
 #: shape of :class:`AnalysisContext` views changes incompatibly.
 #: v2: the payload gained the shard-layout key — a snapshot taken over
 #: one sharding (or the unsharded path) is rejected against any other.
-_VIEWS_FORMAT_VERSION = 2
+#: v3: the collaboration and chain views are
+#: :class:`~repro.core.scans.ScanEvents` CSRs, no longer event lists.
+_VIEWS_FORMAT_VERSION = 3
 
 
 def config_key(config: DatasetConfig) -> str:

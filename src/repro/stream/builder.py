@@ -29,6 +29,7 @@ cell-for-cell identical; out-of-order streams keep the same joined
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable
 
@@ -71,7 +72,10 @@ def _validated(records: Iterable[DDoSAttackRecord], strict: bool) -> list[DDoSAt
 
     With ``strict`` (the default) a malformed record raises
     :class:`IngestError` carrying its position; otherwise malformed
-    records are dropped.
+    records are dropped.  A record is malformed when it is not a
+    :class:`DDoSAttackRecord`, when its start or end time is not finite
+    (JSON bodies may carry ``NaN`` or ``Infinity``) or when it ends
+    before it starts.
     """
     out: list[DDoSAttackRecord] = []
     for index, rec in enumerate(records):
@@ -79,6 +83,12 @@ def _validated(records: Iterable[DDoSAttackRecord], strict: bool) -> list[DDoSAt
             if strict:
                 raise IngestError(
                     f"expected DDoSAttackRecord, got {type(rec).__name__}", index
+                )
+            continue
+        if not (math.isfinite(rec.timestamp) and math.isfinite(rec.end_time)):
+            if strict:
+                raise IngestError(
+                    f"start or end time is not finite (ddos_id={rec.ddos_id})", index
                 )
             continue
         if rec.end_time < rec.timestamp:

@@ -22,28 +22,37 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import geolocation as geo
+from repro.core import merge
 from repro.core.collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
     _detect_collaborations,
+    collab_events,
+    detect_collaborations,
     pair_analysis,
 )
 from repro.core.consecutive import (
     CHAIN_MARGIN_SECONDS,
     _detect_chains,
+    attack_chains,
     chain_magnitude_spread,
     chain_timeline,
+    detect_chains,
 )
-from repro.core.context import AnalysisContext
+from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.core.shift import _weekly_shift
 from repro.core.targets import organization_affinity
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
+from repro.io.colstore import ShardedDatasetStore, _slice_dataset
 from repro.io.ingest import dataset_from_records
 from repro.monitor.schemas import DDoSAttackRecord, Protocol
-from repro.simulation.clock import to_datetime
+from repro.simulation.clock import ObservationWindow, to_datetime
+from repro.stream import StreamingDataset
 
 from ..oracles.kernels import (
     reference_chain_timeline,
@@ -120,14 +129,24 @@ def _assert_shift_equal(got, ref):
     np.testing.assert_array_equal(got.new_countries, ref.new_countries)
 
 
+def _collabs(ds, start_window: float, duration_window: float):
+    """The columnar collaboration scan as a list of events."""
+    return collab_events(ds, _detect_collaborations(ds, start_window, duration_window))
+
+
+def _chains(ds, margin: float, min_length: int):
+    """The columnar chain scan as a list of chains."""
+    return attack_chains(ds, _detect_chains(ds, margin, min_length))
+
+
 def _assert_dataset_parity(ds):
     """Exact collaboration/chain parity on one dataset."""
-    assert _detect_collaborations(
+    assert _collabs(
         ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
     ) == reference_detect_collaborations(
         ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
     )
-    assert _detect_chains(ds, CHAIN_MARGIN_SECONDS, 2) == reference_detect_chains(
+    assert _chains(ds, CHAIN_MARGIN_SECONDS, 2) == reference_detect_chains(
         ds, CHAIN_MARGIN_SECONDS, 2
     )
 
@@ -140,10 +159,10 @@ class TestRandomizedParity:
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_nondefault_windows(self, seed):
         ds = _random_attack_table(seed)
-        assert _detect_collaborations(ds, 120.0, 300.0) == (
+        assert _collabs(ds, 120.0, 300.0) == (
             reference_detect_collaborations(ds, 120.0, 300.0)
         )
-        assert _detect_chains(ds, 15.0, 3) == reference_detect_chains(ds, 15.0, 3)
+        assert _chains(ds, 15.0, 3) == reference_detect_chains(ds, 15.0, 3)
 
     def test_generated_dataset(self, tiny_ds):
         """The generated tiny dataset exercises the full Botlist side."""
@@ -164,17 +183,19 @@ def _assert_render_pass_parity(ctx):
     """Fig 18's dots and magnitude spreads and Fig 16's pair series equal
     their per-row loops, element types included."""
     chains = ctx.chains()
+    chain_list = attack_chains(ctx.dataset, chains)
     dots = chain_timeline(ctx, chains)
-    ref_dots = reference_chain_timeline(ctx, chains)
+    ref_dots = reference_chain_timeline(ctx, chain_list)
     assert dots == ref_dots
     assert [tuple(map(type, d)) for d in dots] == [tuple(map(type, d)) for d in ref_dots]
     stable = np.count_nonzero(chain_magnitude_spread(ctx, chains) <= 0.3)
-    assert stable == reference_stable_chain_count(ctx, chains)
+    assert stable == reference_stable_chain_count(ctx, chain_list)
     events = ctx.collaborations()
+    event_list = collab_events(ctx.dataset, events)
     for a, b in combinations(ctx.dataset.active_families, 2):
         for x, y in ((a, b), (b, a)):
             got = pair_analysis(ctx, x, y, events)
-            want = reference_pair_analysis(ctx, x, y, events)
+            want = reference_pair_analysis(ctx, x, y, event_list)
             assert got == want
             assert [tuple(map(type, e)) for e in got.series] == [
                 tuple(map(type, e)) for e in want.series
@@ -227,8 +248,8 @@ class TestEdgeCases:
         ds = dataset_from_records(
             [_record(0, botnet=1, family="alpha", target=1, start=30.0, duration=60.0)]
         )
-        assert _detect_collaborations(ds, 60.0, 1800.0) == []
-        assert _detect_chains(ds, 60.0, 2) == []
+        assert _collabs(ds, 60.0, 1800.0) == []
+        assert _chains(ds, 60.0, 2) == []
         _assert_dataset_parity(ds)
 
     def test_all_simultaneous_starts(self):
@@ -239,9 +260,9 @@ class TestEdgeCases:
                 for i in range(6)
             ]
         )
-        events = _detect_collaborations(ds, 60.0, 1800.0)
+        events = _collabs(ds, 60.0, 1800.0)
         assert len(events) == 1 and len(events[0].attack_indices) == 6
-        assert _detect_chains(ds, 60.0, 2) == []
+        assert _chains(ds, 60.0, 2) == []
         _assert_dataset_parity(ds)
 
     def test_chain_margin_boundaries(self):
@@ -258,7 +279,7 @@ class TestEdgeCases:
             _record(4, botnet=5, family="alpha", target=1, start=361.5, duration=100.0),
         ]
         ds = dataset_from_records(base)
-        chains = _detect_chains(ds, 60.0, 2)
+        chains = _chains(ds, 60.0, 2)
         assert [c.attack_indices for c in chains] == [(0, 1), (2, 3)]
         _assert_dataset_parity(ds)
 
@@ -271,7 +292,7 @@ class TestEdgeCases:
                 _record(2, botnet=3, family="alpha", target=1, start=20.0, duration=2400.5),
             ]
         )
-        events = _detect_collaborations(ds, 60.0, 1800.0)
+        events = _collabs(ds, 60.0, 1800.0)
         assert [e.attack_indices for e in events] == [(0, 1)]
         _assert_dataset_parity(ds)
 
@@ -285,7 +306,7 @@ class TestEdgeCases:
                 _record(2, botnet=2, family="alpha", target=1, start=20.0, duration=700.0),
             ]
         )
-        events = _detect_collaborations(ds, 60.0, 1800.0)
+        events = _collabs(ds, 60.0, 1800.0)
         assert [e.attack_indices for e in events] == [(0, 2)]
         _assert_dataset_parity(ds)
 
@@ -324,6 +345,128 @@ class TestPrewarmIdentity:
         keys = set(ctx.view_keys())
         assert ctx.prewarm(jobs=1) == 0
         assert set(ctx.view_keys()) == keys
+
+
+SCANS = ("collaborations", "chains")
+
+
+def _stitched_at_rows(ds, cuts) -> dict:
+    """Both scans of ``ds`` as the extend step builds them from row
+    slices cut at ``cuts``: the first slice is the left operand, the
+    rest its right parts (the shard merge's and the re-merge's shape)."""
+    bounds = [0, *cuts, ds.n_attacks]
+    prev = AnalysisContext(_slice_dataset(ds, 0, bounds[1]))
+    parts = [AnalysisContext(_slice_dataset(ds, lo, hi)) for lo, hi in zip(bounds[1:], bounds[2:])]
+    ctx = AnalysisContext(ds)
+    return {
+        kind: merge.extend_view((kind,), merge.view_value(prev, (kind,)), prev, parts, ctx)
+        for kind in SCANS
+    }
+
+
+def _streamed_at_rows(records, window, cuts) -> list[dict]:
+    """Both scans of every epoch of a stream fed ``records`` cut at
+    ``cuts``; each epoch reads them, so the next one carries them."""
+    bounds = [0, *cuts, len(records)]
+    stream = StreamingDataset(window=window)
+    epochs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        stream.append_batch(records[lo:hi])
+        ctx = stream.context()
+        carried = ctx.materialized()
+        assert all(((kind,) in carried) == (lo > 0) for kind in SCANS)
+        epochs.append({kind: merge.view_value(ctx, (kind,)) for kind in SCANS})
+    return epochs
+
+
+def _assert_stitches_match_flat(records, window, cuts) -> None:
+    """The stream carry and the row-slice extend at ``cuts`` equal a flat
+    scan of the same rows, every stream epoch included."""
+    records = sorted(records, key=lambda r: (r.timestamp, r.botnet_id))
+    flat = AnalysisContext(dataset_from_records(records, window))
+    for kind, events in _stitched_at_rows(flat.dataset, cuts).items():
+        assert events == merge.view_value(flat, (kind,)), kind
+    bounds = [*cuts, len(records)]
+    for hi, epoch in zip(bounds, _streamed_at_rows(records, window, cuts)):
+        scratch = AnalysisContext(dataset_from_records(records[:hi], window))
+        for kind in SCANS:
+            assert epoch[kind] == merge.view_value(scratch, (kind,)), (hi, kind)
+
+
+PROPERTY_WINDOW = ObservationWindow(start=0, end=2 * 86400)
+
+
+@st.composite
+def _scan_tables(draw):
+    """Small attack tables that hit every branch of both scans: few
+    targets, tied and window-edge starts, durations near the chain
+    margin and the duration window, and botnets that attack again."""
+    n = draw(st.integers(1, 36))
+    gaps = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 30.0, 59.0, 60.0, 61.0, 90.0, 400.0, 3000.0])
+    durations = st.sampled_from([1.0, 30.0, 60.0, 61.0, 89.0, 120.0, 1800.0, 2000.0, 4000.0])
+    t = 10.0
+    records = []
+    for i in range(n):
+        t += draw(gaps)
+        botnet = draw(st.integers(1, 4))
+        records.append(
+            _record(
+                i,
+                botnet=botnet,
+                family=("alpha", "beta", "gamma")[botnet % 3],
+                target=draw(st.integers(1, 3)),
+                start=t,
+                duration=draw(durations),
+            )
+        )
+    cuts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=4, unique=True))
+    return records, sorted(c for c in cuts if c < n)
+
+
+class TestScanProperties:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_scan_tables())
+    def test_lists_match_the_reference_loops(self, table):
+        records, _cuts = table
+        ds = dataset_from_records(records, PROPERTY_WINDOW)
+        _assert_dataset_parity(ds)
+        ctx = AnalysisContext(ds)
+        assert detect_collaborations(ctx) == reference_detect_collaborations(
+            ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
+        )
+        assert detect_chains(ctx) == reference_detect_chains(ds, CHAIN_MARGIN_SECONDS, 2)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_scan_tables())
+    def test_stitches_at_random_cuts_match_flat(self, table):
+        records, cuts = table
+        _assert_stitches_match_flat(records, PROPERTY_WINDOW, cuts)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the bench-scale scan stitch sweep",
+)
+def test_bench_scale_scan_stitches():
+    """At bench scale: the lists equal the reference loops, and the stream
+    carry, the row-slice extend and an 8-shard merge at random cuts all
+    stitch to the flat scans."""
+    ds = generate_dataset(DatasetConfig(seed=7, scale=float(os.environ["REPRO_BENCH_SCALE"])))
+    records = list(ds.iter_attacks())
+    rng = np.random.default_rng(20)
+    cuts = sorted(rng.choice(np.arange(1, len(records)), size=7, replace=False).tolist())
+    _assert_stitches_match_flat(records, ds.window, cuts)
+    flat = AnalysisContext(ds)
+    assert detect_collaborations(flat) == reference_detect_collaborations(
+        ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
+    )
+    assert detect_chains(flat) == reference_detect_chains(ds, CHAIN_MARGIN_SECONDS, 2)
+    sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(ds, shards=8))
+    sctx.build(jobs=1)
+    merged = sctx.merged()
+    for kind in SCANS:
+        assert merge.view_value(merged, (kind,)) == merge.view_value(flat, (kind,)), kind
 
 
 @pytest.mark.slow

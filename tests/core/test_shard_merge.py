@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro.core import merge
+from repro.core.collaboration import detect_collaborations
 from repro.core.columns import ColumnStore
+from repro.core.consecutive import detect_chains
 from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
@@ -247,6 +249,56 @@ class TestMergeOrderInvariance:
             np.testing.assert_array_equal(g, b)
 
 
+class TestCombinePartials:
+    """``combine_partials`` re-sorts only the seam week's (week, bot) pairs;
+    any tree of combines over any row cuts equals the flat pair table."""
+
+    @staticmethod
+    def _partials(ds, bounds, all_families_at=None):
+        """One partial per row range; the range at ``all_families_at``
+        holds every family, the others only those with rows in it."""
+        out = []
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            ctx = AnalysisContext(_slice_dataset(ds, lo, hi))
+            families = list(ds.active_families) if k == all_families_at else [
+                ctx.dataset.family_name(f) for f in sorted(ctx.family_attack_index())
+            ]
+            out.append(merge.make_shard_partial(ctx, families, k))
+        return out
+
+    @staticmethod
+    def _tree(partials):
+        while len(partials) > 1:
+            paired = [merge.combine_partials(a, b) for a, b in zip(partials[::2], partials[1::2])]
+            partials = paired + partials[len(paired) * 2 :]
+        return partials[0]
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_weekly_pairs_match_a_flat_build(self, small_ds, seed):
+        from repro.core.shift import _weekly_pairs
+
+        ds = small_ds
+        rng = np.random.default_rng(seed)
+        weeks = ((ds.start - ds.window.start) // (7 * 86400)).astype(np.int64)
+        # A cut inside a week, so that week's pairs meet at a seam.
+        inside = np.flatnonzero(weeks[1:] == weeks[:-1]) + 1
+        cuts = {int(rng.choice(inside)), *rng.integers(1, ds.n_attacks, size=6).tolist()}
+        bounds = [0, *sorted(cuts), ds.n_attacks]
+        partials = self._partials(ds, bounds, all_families_at=int(rng.integers(len(bounds) - 1)))
+        assert any(set(p.families) != set(ds.active_families) for p in partials)
+        assert any(not v[0].size for p in partials for v in p.weekly_pairs.values())
+        flat = AnalysisContext(ds)
+        left = partials[0]
+        for partial in partials[1:]:
+            left = merge.combine_partials(left, partial)
+        for combined in (left, self._tree(partials)):
+            assert sorted(combined.weekly_pairs) == sorted(ds.active_families)
+            for family in ds.active_families:
+                _assert_view_equal(
+                    family, combined.weekly_pairs[family], _weekly_pairs(flat, family)
+                )
+
+
 def _boundary_dataset(records):
     """Two-day dataset; shard boundary (2 shards) falls at t = 86400."""
     return dataset_from_records(records, ObservationWindow(start=0, end=2 * 86400))
@@ -272,7 +324,7 @@ class TestBoundaryStitching:
         flat = AnalysisContext(ds)
         assert merged.collaborations() == flat.collaborations()
         assert len(merged.collaborations()) == 1
-        assert merged.collaborations()[0].attack_indices == (1, 2)
+        assert detect_collaborations(merged)[0].attack_indices == (1, 2)
 
     def test_chain_straddles_boundary(self):
         # Consecutive same-target attacks handed off across the cut.
@@ -292,7 +344,7 @@ class TestBoundaryStitching:
         flat = AnalysisContext(ds)
         assert merged.chains() == flat.chains()
         assert len(merged.chains()) == 1
-        assert merged.chains()[0].attack_indices == (0, 1, 2)
+        assert detect_chains(merged)[0].attack_indices == (0, 1, 2)
 
     def test_chain_link_over_a_shard_without_the_target(self):
         # A day-long attack in shard 0 hands off to one in shard 2; the
@@ -312,7 +364,7 @@ class TestBoundaryStitching:
         sctx.build(jobs=1)
         merged = sctx.merged()
         assert merged.chains() == AnalysisContext(ds).chains()
-        assert [c.attack_indices for c in merged.chains()] == [(0, 2)]
+        assert [c.attack_indices for c in detect_chains(merged)] == [(0, 2)]
 
     def test_boundary_suspects_flag_handoff_targets(self):
         ds = _boundary_dataset(

@@ -148,6 +148,33 @@ def test_groupings_off_the_list_are_not_carried(small_ds):
     assert (new.botnet_attacks(botnet) == flat.botnet_attacks(botnet)).all()
 
 
+def test_no_plane_builds_event_objects(small_ds, monkeypatch):
+    """The battery reads the scans as CSRs: a run on the flat context, the
+    shard merge and every prewarmed stream epoch builds no
+    ``CollabEvent`` or ``AttackChain``; the public lists still do."""
+    from repro.core.collaboration import CollabEvent, detect_collaborations
+    from repro.core.consecutive import AttackChain, detect_chains
+
+    built = []
+    for cls in (CollabEvent, AttackChain):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *a, _init=init, **kw: built.append(1) or _init(self, *a, **kw)
+        )
+    flat = AnalysisContext(small_ds)
+    run_all(flat, jobs=1)
+    sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=4))
+    sctx.build(jobs=1)
+    run_all(sctx.merged(), jobs=1)
+    records = list(small_ds.iter_attacks())
+    stream = StreamingDataset(window=small_ds.window)
+    for lo in range(0, len(records), 400):
+        stream.append_batch(records[lo : lo + 400])
+        run_all(stream.context(prewarm_jobs=1), jobs=1)
+    assert built == []
+    assert len(detect_collaborations(flat)) + len(detect_chains(flat)) == len(built) > 0
+
+
 @pytest.mark.slow
 @needs_bench_scale
 def test_bench_scale_list_pins_the_battery():

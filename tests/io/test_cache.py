@@ -112,6 +112,30 @@ class TestContextViewSnapshots:
         assert warm.n_views == 0
         assert not path.exists()
 
+    def test_v2_snapshot_of_event_lists_is_a_miss(self, tmp_path):
+        """A v2 snapshot holds the scans as event lists: it is discarded
+        and the scans rebuild as CSRs, never load as lists."""
+        import gzip
+        import pickle
+
+        from repro.core.collaboration import detect_collaborations
+        from repro.core.scans import ScanEvents
+        from repro.io.colstore import UNSHARDED_LAYOUT
+
+        config = DatasetConfig.tiny(seed=48)
+        ctx = load_or_generate_context(config, tmp_path)
+        path = save_context_views(ctx, config, tmp_path)
+        legacy = {("collaborations",): detect_collaborations(ctx)}
+        with gzip.open(path, "wb") as fh:
+            pickle.dump((2, config_key(config), UNSHARDED_LAYOUT, legacy), fh)
+        with pytest.raises(ValueError, match="format v2"):
+            load_context_views(path, config_key(config))
+        warm = load_or_generate_context(config, tmp_path)
+        assert warm.n_views == 0
+        assert not path.exists()
+        assert isinstance(warm.collaborations(), ScanEvents)
+        assert warm.collaborations() == ctx.collaborations()
+
     def test_sharded_snapshot_rejected_on_flat_load(self, tmp_path):
         """Views built under a sharding never restore against the flat path."""
         from repro.core.context import ShardedAnalysisContext

@@ -17,7 +17,6 @@ shard sizes.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +25,10 @@ from repro.core import shift
 from repro.core.collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
-    CollabEvent,
     _detect_collaborations,
 )
 from repro.core.columns import ColumnStore
-from repro.core.consecutive import CHAIN_MARGIN_SECONDS, AttackChain, _detect_chains
+from repro.core.consecutive import CHAIN_MARGIN_SECONDS, _detect_chains
 from repro.core.context import AnalysisContext
 from repro.core.merge import (
     _AttackSlice,
@@ -43,6 +41,7 @@ from repro.core.merge import (
     merge_weekly_pairs,
 )
 from repro.core.overview import DailyDistribution
+from repro.core.scans import ScanEvents
 
 
 def merge_concat(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -171,35 +170,30 @@ def find_boundary_suspects(datasets: Sequence, n_targets: int) -> np.ndarray:
 
 
 def merge_scan_events(
-    parts: Sequence[list],
+    parts: Sequence[ScanEvents],
     bases: Sequence[int],
     suspect: np.ndarray,
     merged_ds,
     kind: str,
-) -> "list[CollabEvent] | list[AttackChain]":
-    """Merge per-shard collaboration/chain event lists.
+) -> ScanEvents:
+    """Merge per-shard collaboration/chain scans.
 
     Events on non-suspect targets pass through with rebased attack
     indices; suspect targets are rescanned on the merged columns and the
     rescan's local indices mapped back through the row subset.  Both
     scans group strictly per target, so the union reproduces the global
-    scan; the final sort key ``(start, target)`` matches the global
-    enumeration order exactly (runs are enumerated target-major, so the
-    global ``sort(key=start)`` leaves equal-start events in ascending
-    target order).
+    scan; the final sort key ``(start, target)`` of each event's first
+    row matches the global enumeration order exactly (runs are
+    enumerated target-major, so the global stable sort by start leaves
+    equal-start events in ascending target order).
     """
-    events = []
+    events: list[tuple[int, ...]] = []
     for shard_events, base in zip(parts, bases):
-        offset = int(base)
-        for event in shard_events:
-            if suspect[event.target_index]:
-                continue
-            events.append(
-                dataclasses.replace(
-                    event,
-                    attack_indices=tuple(int(i) + offset for i in event.attack_indices),
-                )
-            )
+        bounds = shard_events.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = tuple(int(i) + int(base) for i in shard_events.rows[lo:hi])
+            if not suspect[merged_ds.target_idx[rows[0]]]:
+                events.append(rows)
     if suspect.any():
         rows = np.flatnonzero(suspect[merged_ds.target_idx])
         shim = _AttackSlice(merged_ds, rows)
@@ -211,17 +205,15 @@ def merge_scan_events(
             rescanned = _detect_chains(shim, CHAIN_MARGIN_SECONDS, 2)
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
-        for event in rescanned:
-            events.append(
-                dataclasses.replace(
-                    event,
-                    attack_indices=tuple(
-                        int(rows[i]) for i in event.attack_indices
-                    ),
-                )
-            )
-    events.sort(key=lambda e: (e.start, e.target_index))
-    return events
+        bounds = rescanned.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            events.append(tuple(int(rows[i]) for i in rescanned.rows[lo:hi]))
+    events.sort(
+        key=lambda e: (float(merged_ds.start[e[0]]), int(merged_ds.target_idx[e[0]]))
+    )
+    return ScanEvents.from_sizes(
+        np.array([i for e in events for i in e], dtype=np.int64), [len(e) for e in events]
+    )
 
 
 def merged_reference(sctx) -> AnalysisContext:

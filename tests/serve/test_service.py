@@ -145,6 +145,25 @@ class TestErrorMapping:
         )
         assert (status, body["error"]) == (422, "IngestError")
 
+    def test_non_finite_time_422_leaves_the_tenant_serving(self, server, rows, tiny_ds):
+        """JSON's NaN and Infinity parse as floats; such a row is malformed
+        (422), nothing of its batch is folded, and later batches answer."""
+        bad = dict(rows[3], timestamp=float("nan"))
+        status, body, _ = _call(
+            server.url, "POST", "/v1/ingest?tenant=nan", {"records": rows[:3] + [bad]}
+        )
+        assert (status, body["error"]) == (422, "IngestError")
+        assert "record #3" in body["detail"]
+        status, _, _ = _call(
+            server.url, "POST", "/v1/ingest?tenant=nan", {"records": rows[:60]}
+        )
+        assert status == 200
+        status, served, _ = _call(server.url, "GET", "/v1/experiments?tenant=nan")
+        assert status == 200
+        good = list(tiny_ds.iter_attacks())[:60]
+        local = [(r.experiment_id, r.render()) for r in api.run_all(api.context(api.ingest(good)))]
+        assert [(e["id"], e["render"]) for e in served["experiments"]] == local
+
     def test_failed_async_ingest_is_counted(self, server, rows):
         import repro.obs as obs
 

@@ -56,6 +56,22 @@ class TestAppend:
         assert n == 4
         assert stream.n_attacks == 4
 
+    @pytest.mark.parametrize("field", ["timestamp", "end_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_is_malformed(self, records, field, value):
+        bad = dataclasses.replace(records[2], **{field: value})
+        stream = StreamingDataset()
+        with pytest.raises(IngestError) as exc_info:
+            stream.append_batch(records[:2] + [bad])
+        assert exc_info.value.index == 2
+        assert "not finite" in str(exc_info.value)
+        assert (stream.n_attacks, stream.epoch) == (0, 0)
+        # Non-strict drops the row and the rest fold and analyse.
+        assert stream.append_batch(records[:2] + [bad] + records[3:6], strict=False) == 5
+        ds = stream.context().dataset
+        assert np.isfinite(ds.start).all() and np.isfinite(ds.end).all()
+        assert stream.context().daily_distribution().counts.sum() == 5
+
     def test_strict_failure_leaves_stream_unchanged(self, records):
         stream = StreamingDataset()
         stream.append_batch(records[:5])

@@ -8,6 +8,7 @@ touched after EACH append so the incremental carry path (not just the
 lazy rebuild) is what gets verified.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -139,7 +140,7 @@ def test_scans_are_carried_exactly(records, small_ds):
     stream.append_batch(records[:400])
     ctx1 = stream.context()
     collabs1, chains1 = ctx1.collaborations(), ctx1.chains()
-    before = (list(collabs1), list(chains1))
+    before = copy.deepcopy((collabs1, chains1))
     stream.append_batch(records[400:])
     ctx2 = stream.context()
     # The new epoch's context inherits both scans, stitched at the seam ...

@@ -12,6 +12,8 @@ import os
 import pytest
 
 import repro.obs as obs
+from repro.core.collaboration import detect_collaborations
+from repro.core.consecutive import detect_chains
 from repro.core.context import AnalysisContext
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
@@ -66,8 +68,8 @@ def test_collaboration_and_chain_straddle_a_seam():
     ]
     stream = _stream_batches([first, second], expect_carried=[False, True])
     ctx = stream.context()
-    assert [e.attack_indices for e in ctx.collaborations()] == [(1, 3)]
-    assert [c.attack_indices for c in ctx.chains()] == [(0, 2, 4)]
+    assert [e.attack_indices for e in detect_collaborations(ctx)] == [(1, 3)]
+    assert [c.attack_indices for c in detect_chains(ctx)] == [(0, 2, 4)]
     assert _stitched() - stitched == 2
 
 
@@ -87,7 +89,7 @@ def test_chain_predecessor_many_batches_back():
     ]
     batches = [long_attack, *filler, handoff]
     stream = _stream_batches(batches, expect_carried=[False] + [True] * 5)
-    chains = stream.context().chains()
+    chains = detect_chains(stream.context())
     assert [c.attack_indices for c in chains] == [(0, 5, 6)]
 
 
@@ -105,7 +107,7 @@ def test_equal_starts_across_a_seam_keep_target_order():
         _record(4, botnet=4, family="beta", target=3, start=1_000.0, duration=60.0),
     ]
     stream = _stream_batches([opening, first, second], expect_carried=[False, True, True])
-    events = stream.context().collaborations()
+    events = detect_collaborations(stream.context())
     assert [e.target_index for e in events] == [0, 1]
 
 
