@@ -19,6 +19,7 @@ import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
 from .scans import ScanEvents, in_scan_order
+from .stats import sorted_unique
 
 __all__ = [
     "START_WINDOW_SECONDS",
@@ -336,7 +337,7 @@ def pair_analysis(
         )
     )
 
-    targets = np.unique(ds.target_idx[mine.heads])
+    targets = sorted_unique(ds.target_idx[mine.heads])
     countries = ds.victims.country_idx[targets]
     uniq_c, counts_c = np.unique(countries, return_counts=True)
     order = np.argsort(-counts_c, kind="stable")
@@ -378,8 +379,8 @@ def pair_analysis(
         n_events=len(series),
         n_targets=int(targets.size),
         n_countries=int(uniq_c.size),
-        n_organizations=int(np.unique(ds.victims.org_idx[targets]).size),
-        n_asns=int(np.unique(ds.victims.asn[targets]).size),
+        n_organizations=int(sorted_unique(ds.victims.org_idx[targets]).size),
+        n_asns=int(sorted_unique(ds.victims.asn[targets]).size),
         top_countries=top_countries,
         mean_duration_a=float(np.mean(durations_a)) if durations_a.size else 0.0,
         mean_duration_b=float(np.mean(durations_b)) if durations_b.size else 0.0,

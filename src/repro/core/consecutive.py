@@ -16,7 +16,7 @@ import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
 from .scans import ScanEvents, in_scan_order
-from .stats import ecdf
+from .stats import ecdf, sorted_unique
 
 __all__ = [
     "CHAIN_MARGIN_SECONDS",
@@ -211,7 +211,7 @@ def chain_summary(
     first_fams = np.repeat(fams[chains.offsets[:-1]], sizes)
     return ChainSummary(
         n_chains=len(chains),
-        families=sorted({ds.families[k] for k in np.unique(fams).tolist()}),
+        families=sorted({ds.families[k] for k in sorted_unique(fams).tolist()}),
         intra_family_only=bool(np.all(fams == first_fams)),
         longest_chain_length=int(sizes[longest]),
         longest_chain_family=ds.families[int(fams[chains.offsets[longest]])],

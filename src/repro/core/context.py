@@ -1038,7 +1038,11 @@ class ShardedAnalysisContext:
                     if key not in held or key[0] == "dispersion_forecast":
                         continue
                     old = held[key]
-                elif len(key) > 1 and not prev.family_attacks(key[1]).size:
+                elif (
+                    len(key) > 1
+                    and key[1] is not None
+                    and not prev.family_attacks(key[1]).size
+                ):
                     # A battery run on the previous context lazily builds
                     # empty views for families it has not seen yet, so
                     # the left operand holds a family only with its rows.

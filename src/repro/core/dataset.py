@@ -18,7 +18,7 @@ them — they exist so tests can compare *detected* structure against
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -127,8 +127,12 @@ class AttackDataset:
     truth_chain_id: np.ndarray = field(repr=False, default=None)
     truth_symmetric: np.ndarray = field(repr=False, default=None)
     truth_residual_km: np.ndarray = field(repr=False, default=None)
+    #: Leading rows whose order and spans the caller already checked: an
+    #: extend of a checked dataset passes the old row count, so only the
+    #: appended rows and the seam pair are checked again.
+    _checked_rows: InitVar[int] = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _checked_rows: int) -> None:
         n = self.start.size
         for name in ("end", "family_idx", "botnet_id", "protocol", "target_idx",
                      "magnitude", "truth_collab_group", "truth_collab_kind",
@@ -138,9 +142,11 @@ class AttackDataset:
                 raise ValueError(f"attack column {name} missing or length mismatch")
         if self.part_offsets is None or self.part_offsets.size != n + 1:
             raise ValueError("part_offsets must have length n_attacks + 1")
-        if n and np.any(np.diff(self.start) < 0):
+        lo = max(min(_checked_rows, n) - 1, 0)
+        start = self.start[lo:]
+        if start.size and np.any(np.diff(start) < 0):
             raise ValueError("attacks must be sorted by start time")
-        if np.any(self.end < self.start):
+        if np.any(self.end[lo:] < start):
             raise ValueError("attack end precedes start")
         self._family_index = {name: i for i, name in enumerate(self.families)}
 

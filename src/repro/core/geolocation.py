@@ -22,7 +22,7 @@ import numpy as np
 
 from ..geo.haversine import EARTH_RADIUS_KM
 from .context import AnalysisContext, AnalysisSource
-from .stats import ecdf
+from .stats import ecdf, unique_pairs
 
 __all__ = [
     "SYMMETRY_TOLERANCE_KM",
@@ -189,14 +189,7 @@ def _snapshot_dispersions(
         bots = np.asarray(flat)[pos]
 
         # Per-snapshot unique bot sets (the 24-hour reports are sets).
-        o = np.lexsort((bots, snap))
-        s_sorted = snap[o]
-        b_sorted = bots[o]
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        first[1:] = (s_sorted[1:] != s_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
-        u_snap = s_sorted[first]
-        u_bot = b_sorted[first]
+        u_snap, u_bot = unique_pairs(snap, bots, all_lats_r.size)
         u_counts = np.bincount(u_snap, minlength=c1 - c0)
         good = u_counts >= 2
         sel = good[u_snap]

@@ -436,18 +436,12 @@ def merge_weekly_pairs(
     that week on both sides of a boundary); the merged table re-sorts and
     dedupes, which reproduces the global sorted-unique pair table.
     """
-    weeks_u = np.unique(np.concatenate([p[0] for p in parts]))
+    weeks_u = _stats.sorted_unique(np.concatenate([p[0] for p in parts]))
     cw = np.concatenate([p[1] for p in parts])
     cb = np.concatenate([p[2] for p in parts])
     if cw.size == 0:
         return weeks_u, cw, cb
-    order = np.lexsort((cb, cw))
-    w_sorted = cw[order]
-    b_sorted = cb[order]
-    first = np.empty(w_sorted.size, dtype=bool)
-    first[0] = True
-    first[1:] = (w_sorted[1:] != w_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
-    return weeks_u, w_sorted[first], b_sorted[first]
+    return (weeks_u, *_stats.unique_pairs(cw, cb, int(cb.max()) + 1))
 
 
 def finish_daily_distribution(

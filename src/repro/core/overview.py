@@ -21,6 +21,7 @@ import numpy as np
 from ..monitor.schemas import Protocol
 from .context import AnalysisContext, AnalysisSource
 from .dataset import AttackDataset
+from .stats import sorted_unique
 
 __all__ = [
     "SideSummary",
@@ -67,14 +68,14 @@ def workload_summary(source: AnalysisSource) -> WorkloadSummary:
 
 
 def _distinct_count(column: np.ndarray) -> int:
-    """``np.unique(column).size`` without the sort for small-int columns.
+    """``np.unique(column).size`` of an integer column.
 
     Table III only needs cardinalities.  Entity-index columns (cities,
     countries, orgs, small ASN tables) are non-negative integers drawn
-    from a compact id space, so a boolean scatter is O(n) instead of the
-    O(n log n) sort ``np.unique`` pays on the ~1.9 M-row bot columns.
+    from a compact id space, so a boolean scatter is O(n) instead of an
+    O(n log n) sort of the ~1.9 M-row bot columns.
     Anything else (IPs span the full uint32 range) falls back to
-    ``np.unique``.
+    :func:`~repro.core.stats.sorted_unique`.
     """
     if column.size and np.issubdtype(column.dtype, np.integer):
         lo = int(column.min())
@@ -83,7 +84,7 @@ def _distinct_count(column: np.ndarray) -> int:
             seen = np.zeros(hi + 1, dtype=bool)
             seen[column] = True
             return int(np.count_nonzero(seen))
-    return int(np.unique(column).size)
+    return int(sorted_unique(column).size)
 
 
 #: The victim-registry columns behind Table III's victim side, in
@@ -93,7 +94,7 @@ _VICTIM_COLUMNS = ("ip", "city_idx", "country_idx", "org_idx", "asn")
 
 def _attacker_side(bots) -> SideSummary:
     return SideSummary(
-        n_ips=int(np.unique(bots.ip).size),
+        n_ips=int(sorted_unique(bots.ip).size),
         n_cities=_distinct_count(bots.city_idx),
         n_countries=_distinct_count(bots.country_idx),
         n_organizations=_distinct_count(bots.org_idx),
@@ -104,7 +105,7 @@ def _attacker_side(bots) -> SideSummary:
 def _sorted_union(values: np.ndarray, new: np.ndarray) -> np.ndarray:
     """``np.unique(np.concatenate([values, new]))`` for sorted-unique
     ``values``, in O(len(values)) copying plus a sort of ``new`` only."""
-    new = np.unique(new)
+    new = sorted_unique(new)
     if values.size == 0 or new.size == 0:
         return new if values.size == 0 else values
     pos = np.searchsorted(values, new)
@@ -129,7 +130,7 @@ def _workload_summary(
     victims = ds.victims
     if prev is None:
         attackers = _attacker_side(ds.bots)
-        values = tuple(np.unique(getattr(victims, c)) for c in _VICTIM_COLUMNS)
+        values = tuple(sorted_unique(getattr(victims, c)) for c in _VICTIM_COLUMNS)
     else:
         attackers = prev.attackers if ds.bots is prev_ds.bots else _attacker_side(ds.bots)
         values = prev.victim_values

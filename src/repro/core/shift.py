@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
+from .stats import sorted_unique, unique_pairs
 
 __all__ = ["WeeklyShift", "weekly_shift", "aggregate_shift"]
 
@@ -81,14 +82,8 @@ def _weekly_pairs(
     week_rep = np.repeat(weeks_of_attack, counts)
 
     # Unique (week, bot) pairs: a bot counts once per active week.
-    o = np.lexsort((flat, week_rep))
-    w_sorted = week_rep[o]
-    b_sorted = flat[o]
-    first = np.empty(w_sorted.size, dtype=bool)
-    if first.size:
-        first[0] = True
-        first[1:] = (w_sorted[1:] != w_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
-    return np.unique(weeks_of_attack), w_sorted[first], b_sorted[first]
+    u_week, u_bot = unique_pairs(week_rep, flat, ds.bots.n_bots)
+    return sorted_unique(weeks_of_attack), u_week, u_bot
 
 
 def _weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:

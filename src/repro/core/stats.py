@@ -15,6 +15,8 @@ __all__ = [
     "RankWindows",
     "rank_windows",
     "extend_rank_windows",
+    "sorted_unique",
+    "unique_pairs",
 ]
 
 
@@ -29,6 +31,65 @@ def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("ecdf of empty data")
     p = np.arange(1, v.size + 1, dtype=float) / v.size
     return v, p
+
+
+# -- integer dedupes --------------------------------------------------------
+#
+# A plain ``np.unique`` of an integer array (no ``return_*`` argument)
+# takes NumPy's hash-table path since 2.3; on the 311k bot IPs it costs
+# 0.21 s against 5 ms for a sort plus a neighbour mask.  These two are the
+# sort-based dedupes the analyses use instead.
+
+
+def _first_of_runs(v: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted ``v``."""
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return keep
+
+
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique(values)`` of an integer array, by a sort: the sorted
+    distinct values, flattened, in the input's dtype."""
+    v = np.asarray(values)
+    if not np.issubdtype(v.dtype, np.integer):
+        raise TypeError(f"sorted_unique takes integers, got {v.dtype}")
+    v = np.sort(v, axis=None)
+    return v[_first_of_runs(v)]
+
+
+def unique_pairs(major, minor, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(major, minor)`` pairs, sorted major then minor.
+
+    Equal to a ``np.lexsort((minor, major))`` and a neighbour mask, but
+    sorts one int64 key ``major * bound + minor``, built in place.  Every
+    ``minor`` must lie in ``[0, bound)``; raises ``ValueError`` otherwise
+    or when the key could overflow int64.  The two returned arrays keep
+    the inputs' dtypes.
+    """
+    major = np.asarray(major)
+    minor = np.asarray(minor)
+    if major.size == 0:
+        return major.copy(), minor.copy()
+    bound = int(bound)
+    lo, hi = int(major.min()), int(major.max())
+    if int(minor.min()) < 0 or int(minor.max()) >= bound:
+        raise ValueError(f"minor keys must lie in [0, {bound})")
+    if lo * bound < -(2**63) or hi * bound + bound - 1 >= 2**63:
+        raise ValueError("major * bound + minor overflows int64")
+    key = major.astype(np.int64)
+    key *= bound
+    # Every minor is below bound <= 2**63, so a uint64 view as int64 is
+    # exact and costs no copy.
+    key += minor.view(np.int64) if minor.dtype == np.uint64 else minor
+    key.sort()
+    key = key[_first_of_runs(key)]
+    u_major, u_minor = np.divmod(key, bound)
+    return (
+        u_major.astype(major.dtype, copy=False),
+        u_minor.astype(minor.dtype, copy=False),
+    )
 
 
 # -- rank windows ----------------------------------------------------------

@@ -766,4 +766,4 @@ def extend_dataset(
     grown["part_offsets"] = columns.extend(
         ("dataset", "part_offsets"), prev.part_offsets, offsets
     )
-    return dataclasses.replace(prev, **grown)
+    return dataclasses.replace(prev, **grown, _checked_rows=prev.n_attacks)

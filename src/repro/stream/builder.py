@@ -503,6 +503,13 @@ class StreamingDataset:
             magnitude=self._magnitude.view(),
             participants=np.zeros(0, dtype=np.int64),
             **{name: col.view() for name, col in self._unfilled.items()},
+            # Appends since the last snapshot left its rows a prefix
+            # unless a late batch re-sorted them.
+            _checked_rows=(
+                self._snapshot_ctx.dataset.n_attacks
+                if self._snapshot_ctx is not None and self._carry_ok
+                else 0
+            ),
         )
 
     def context(self, *, prewarm_jobs: int | None = None) -> AnalysisContext:

@@ -362,7 +362,7 @@ class ARIMA:
         a_full = np.empty(q + 1)
         a_full[0] = 1.0
 
-        def objective(x: np.ndarray) -> float:
+        def evaluate(x: np.ndarray) -> float:
             const = x[0]
             phi = x[1 : 1 + p]
             theta = x[1 + p :]
@@ -378,10 +378,28 @@ class ARIMA:
             violation = _instability(phi) + _instability(-theta)
             return css * (1.0 + 1e4 * violation)
 
+        # ``evaluate`` is a pure function of ``x``, so a memo keyed by its
+        # bytes returns exactly what a fresh evaluation would: the simplex
+        # path and the fit stay bitwise identical.  It lives for this fit
+        # only.
+        memo: dict[bytes, float] = {}
+
+        def objective(x: np.ndarray) -> float:
+            key = x.tobytes()
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = evaluate(x)
+            return value
+
         if x0.size == 1:
             # Mean-only model: closed form.
             best = np.array([float(y.mean())])
         else:
+            # ``fatol`` is absolute, and one ulp of a CSS value near 1.7e9
+            # is ~2.4e-7, so it holds only once every simplex value is
+            # bit-equal: long series run to ``maxiter``.  By then the
+            # shrinking simplex keeps re-visiting the same few points,
+            # which is what the memo above answers without re-filtering.
             result = optimize.minimize(
                 objective,
                 x0,

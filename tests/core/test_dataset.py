@@ -1,8 +1,12 @@
 """Tests for the columnar dataset container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.columns import ColumnStore
+from repro.io.colstore import _slice_dataset, extend_dataset
 from repro.monitor.schemas import Protocol
 
 
@@ -70,3 +74,49 @@ class TestSubset:
         sub = tiny_ds.subset(np.arange(5))
         assert sub.bots is tiny_ds.bots
         assert sub.victims is tiny_ds.victims
+
+
+class TestRowChecks:
+    """An extend checks only the appended rows and the seam pair."""
+
+    def test_out_of_order_appended_row_raises(self, tiny_ds):
+        head = _slice_dataset(tiny_ds, 0, 100)
+        tail = _slice_dataset(tiny_ds, 100, 200)
+        start = tail.start.copy()
+        start[50] = start[10]
+        assert start[50] < tail.start[49]
+        tail.start = start  # a part whose rows were altered after its check
+        with pytest.raises(ValueError, match="sorted by start"):
+            extend_dataset(ColumnStore(), head, [tail])
+
+    def test_inverted_seam_raises(self, tiny_ds):
+        head = _slice_dataset(tiny_ds, 0, 100)
+        early = _slice_dataset(tiny_ds, 50, 80)
+        assert early.start[0] < head.start[-1]
+        with pytest.raises(ValueError, match="sorted by start"):
+            extend_dataset(ColumnStore(), head, [early])
+
+    def test_appended_end_before_start_raises(self, tiny_ds):
+        head = _slice_dataset(tiny_ds, 0, 100)
+        tail = _slice_dataset(tiny_ds, 100, 200)
+        end = tail.end.copy()
+        end[-1] = tail.start[-1] - 1.0
+        tail.end = end
+        with pytest.raises(ValueError, match="end precedes start"):
+            extend_dataset(ColumnStore(), head, [tail])
+
+    def test_checked_prefix_is_not_rechecked(self, tiny_ds):
+        start = tiny_ds.start.copy()
+        start[3] = start[4] + 1.0
+        with pytest.raises(ValueError, match="sorted by start"):
+            dataclasses.replace(tiny_ds, start=start)
+        dataclasses.replace(tiny_ds, start=start, _checked_rows=10)
+        # A 4-row checked prefix still checks its seam pair, rows 3 and 4.
+        with pytest.raises(ValueError, match="sorted by start"):
+            dataclasses.replace(tiny_ds, start=start, _checked_rows=4)
+
+    def test_extend_equals_a_fresh_build(self, tiny_ds):
+        n = tiny_ds.n_attacks
+        parts = [_slice_dataset(tiny_ds, lo, min(lo + 60, n)) for lo in range(60, n, 60)]
+        grown = extend_dataset(ColumnStore(), _slice_dataset(tiny_ds, 0, 60), parts)
+        assert grown.attack_columns_equal(tiny_ds)

@@ -206,6 +206,16 @@ class TestMergedParity:
         flat = [r.render() for r in run_all(AnalysisContext(small_ds), jobs=1)]
         assert sharded == flat
 
+    def test_extend_rules_alone_render_identically(self, small_ds, monkeypatch):
+        """With no tree partial, every key takes its extend rule, the
+        headline ``("daily_distribution", None)`` included."""
+        monkeypatch.setattr(merge, "partial_view", lambda *args: None)
+        sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=8))
+        sctx.build(jobs=1)
+        sharded = [r.render() for r in run_all(sctx.merged(), jobs=1)]
+        flat = [r.render() for r in run_all(AnalysisContext(small_ds), jobs=1)]
+        assert sharded == flat
+
 
 class TestMergeOrderInvariance:
     """The commutative combinators give the same answer in any part order."""

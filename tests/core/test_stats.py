@@ -10,7 +10,9 @@ from repro.core.stats import (
     ecdf,
     extend_rank_windows,
     rank_windows,
+    sorted_unique,
     summarize,
+    unique_pairs,
 )
 
 values_st = st.lists(
@@ -147,3 +149,89 @@ class TestRankWindows:
     def test_summarize_rejects_windows_of_another_length(self):
         with pytest.raises(ValueError):
             summarize([1.0, 2.0, 3.0], rank_windows([1.0, 2.0]))
+
+
+# -- integer dedupes ----------------------------------------------------------
+
+_INT_DTYPES = (np.int16, np.int32, np.int64, np.uint64)
+
+
+def _lexsort_pairs(major, minor):
+    """The dedupe ``unique_pairs`` replaced: a two-key lexsort plus a
+    neighbour mask."""
+    o = np.lexsort((minor, major))
+    w, b = major[o], minor[o]
+    first = np.ones(w.size, dtype=bool)
+    first[1:] = (w[1:] != w[:-1]) | (b[1:] != b[:-1])
+    return w[first], b[first]
+
+
+@st.composite
+def _int_keys(draw):
+    """An integer array in one of the dtypes the analyses dedupe: few
+    distinct values (many duplicates) or the dtype's whole range."""
+    dtype = np.dtype(draw(st.sampled_from(_INT_DTYPES)))
+    info = np.iinfo(dtype)
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lo, hi = (0, 6) if info.min == 0 else (-3, 3)
+    else:
+        lo, hi = int(info.min), int(info.max)
+    return rng.integers(lo, hi, n, dtype=dtype, endpoint=True)
+
+
+class TestIntegerDedupes:
+    @settings(max_examples=150, deadline=None)
+    @given(_int_keys())
+    def test_sorted_unique_is_np_unique(self, values):
+        got = sorted_unique(values)
+        want = np.unique(values)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype == values.dtype
+
+    def test_sorted_unique_rejects_floats(self):
+        with pytest.raises(TypeError):
+            sorted_unique(np.array([1.0, 1.0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_unique_pairs_is_the_lexsort_dedupe(self, data):
+        n = data.draw(st.integers(0, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def keys(top):
+            dtype = np.dtype(data.draw(st.sampled_from(_INT_DTYPES)))
+            hi = min(data.draw(st.sampled_from([0, 1, 5, top])), np.iinfo(dtype).max)
+            return rng.integers(0, hi, n, dtype=dtype, endpoint=True)
+
+        major = keys(2**20)
+        if n and data.draw(st.booleans()):
+            major[rng.integers(0, n, n // 2 + 1)] = 0  # major 0 next to larger ones
+        minor = keys(2**40)
+        bound = int(minor.max()) + 1 + data.draw(st.integers(0, 3)) if n else 1
+        got_major, got_minor = unique_pairs(major, minor, bound)
+        want_major, want_minor = _lexsort_pairs(major, minor)
+        np.testing.assert_array_equal(got_major, want_major)
+        np.testing.assert_array_equal(got_minor, want_minor)
+        assert got_major.dtype == major.dtype and got_minor.dtype == minor.dtype
+
+    def test_unique_pairs_empty(self):
+        major, minor = unique_pairs(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), 0
+        )
+        assert major.dtype == np.int64 and minor.dtype == np.int32
+        assert major.size == minor.size == 0
+
+    def test_unique_pairs_raises_on_overflow(self):
+        major = np.array([0, 2**40], dtype=np.int64)
+        minor = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflows"):
+            unique_pairs(major, minor, 2**23)
+        unique_pairs(major, minor, 2**22)  # 2**62 + 2**22 - 1 still fits
+
+    def test_unique_pairs_rejects_a_minor_out_of_bound(self):
+        with pytest.raises(ValueError):
+            unique_pairs(np.array([0, 1]), np.array([0, 3]), 3)
+        with pytest.raises(ValueError):
+            unique_pairs(np.array([0, 1]), np.array([-1, 2]), 3)

@@ -175,6 +175,33 @@ def test_no_plane_builds_event_objects(small_ds, monkeypatch):
     assert len(detect_collaborations(flat)) + len(detect_chains(flat)) == len(built) > 0
 
 
+def test_battery_dedupes_integers_by_sort(small_ds, monkeypatch):
+    """A plain ``np.unique`` of integers takes NumPy's hash-table path,
+    far slower than a sort; the battery dedupes with
+    :func:`repro.core.stats.sorted_unique` and ``unique_pairs``."""
+    import traceback
+
+    import numpy as np
+
+    from repro import api
+
+    unique = np.unique
+    hashed = []
+
+    def guarded(ar, *args, **kwargs):
+        flags = dict(zip(("return_index", "return_inverse", "return_counts"), args))
+        flags.update(kwargs)
+        if np.issubdtype(np.asarray(ar).dtype, np.integer) and not any(
+            flags.get(k) for k in ("return_index", "return_inverse", "return_counts")
+        ):
+            hashed.append(traceback.extract_stack(limit=2)[0])
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", guarded)
+    api.run_all(AnalysisContext(small_ds))
+    assert hashed == []
+
+
 @pytest.mark.slow
 @needs_bench_scale
 def test_bench_scale_list_pins_the_battery():

@@ -7,18 +7,23 @@ and magnitude loops replaced these straightforward Python loops.  They
 are kept here, unchanged, as the comparison target of
 ``tests/core/test_kernel_parity.py``: exact for the integer/tuple
 kernels, ``allclose`` for the dispersion kernel (its float summation
-order differs).
+order differs).  The CSS fit without its objective memo is the bitwise
+target of ``tests/timeseries/test_arima_vectorized.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import optimize
 
 from repro.core.collaboration import CollabEvent, PairAnalysis
 from repro.core.consecutive import AttackChain
 from repro.core.context import AnalysisContext, AnalysisSource
 from repro.core.shift import WeeklyShift
 from repro.core.targets import OrganizationSpot, _month_mask
+from repro.timeseries.arima import ARIMAFit, _css_residuals, _iir_all_pole, _instability
+from repro.timeseries.differencing import difference
+from repro.timeseries.hannan_rissanen import hannan_rissanen
 
 
 def reference_detect_collaborations(
@@ -298,3 +303,74 @@ def reference_pair_analysis(
         series=sorted(series),
         span_weeks=float(span_weeks),
     )
+
+
+def reference_css_fit(order, series, maxiter: int = 500):
+    """``ARIMA(order).fit(series, maxiter)`` with every objective call
+    evaluated afresh (no memo); returns ``(fit, optimize result)``."""
+    p, d, q = order
+    y_orig = np.asarray(series, dtype=float)
+    y = difference(y_orig, d) if d else y_orig.copy()
+    phi0, theta0 = hannan_rissanen(y - y.mean(), p, q)
+    const0 = float(y.mean()) * (1.0 - float(np.sum(phi0)))
+    x0 = np.concatenate(([const0], phi0, theta0))
+
+    n = y.size
+    y_tail = y[p:]
+    lags = [y[p - 1 - i : n - 1 - i] for i in range(p)]
+    a_full = np.empty(q + 1)
+    a_full[0] = 1.0
+
+    def objective(x: np.ndarray) -> float:
+        const = x[0]
+        phi = x[1 : 1 + p]
+        theta = x[1 + p :]
+        z = y_tail - const
+        for i in range(p):
+            z -= phi[i] * lags[i]
+        if q:
+            a_full[1:] = theta
+            eps = _iir_all_pole(a_full, z)
+        else:
+            eps = z
+        css = float(np.dot(eps, eps))
+        violation = _instability(phi) + _instability(-theta)
+        return css * (1.0 + 1e4 * violation)
+
+    result = None
+    if x0.size == 1:
+        best = np.array([float(y.mean())])
+    else:
+        result = optimize.minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": maxiter * max(1, x0.size), "xatol": 1e-6, "fatol": 1e-8},
+        )
+        best = result.x
+
+    const = float(best[0])
+    phi = np.asarray(best[1 : 1 + p], dtype=float)
+    theta = np.asarray(best[1 + p :], dtype=float)
+    eps = _css_residuals(y, const, phi, theta)
+    n_eff = max(y.size - p, 1)
+    sigma2 = max(float(np.dot(eps[p:], eps[p:])) / n_eff, 1e-12)
+    loglike = -0.5 * n_eff * (np.log(2.0 * np.pi * sigma2) + 1.0)
+    diff_tail = np.empty(d)
+    level = y_orig.copy()
+    for lvl in range(d):
+        diff_tail[lvl] = level[-1]
+        level = np.diff(level)
+    fit = ARIMAFit(
+        order=(p, d, q),
+        const=const,
+        phi=phi,
+        theta=theta,
+        sigma2=sigma2,
+        n_obs=int(y.size),
+        loglike=float(loglike),
+        train_tail=y[-max(p, 1) :].copy(),
+        diff_tail=diff_tail,
+        eps_tail=eps[-q:].copy() if q else np.zeros(0),
+    )
+    return fit, result

@@ -3,9 +3,10 @@
 ``ARIMAFit.forecast`` / ``rolling_forecast`` / ``forecast_interval`` are
 implemented with :func:`scipy.signal.lfilter`; these tests pin them
 against straightforward per-step reference loops (the textbook
-recursions) across the whole order grid, and pin the order search's
-shared-differencing fast path against fitting each candidate from
-scratch.
+recursions) across the whole order grid, pin the memoised CSS fit
+bitwise against the un-memoised one in ``tests/oracles/kernels.py``,
+and pin the order search's shared-differencing fast path against
+fitting each candidate from scratch.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import pytest
 from repro.timeseries.arima import ARIMA, ARIMAFit
 from repro.timeseries.differencing import integrate_forecast
 from repro.timeseries.order_selection import select_order
+
+from ..oracles.kernels import reference_css_fit
 
 ORDERS = [
     (p, d, q) for p in range(4) for d in range(3) for q in range(4)
@@ -122,6 +125,36 @@ def test_interval_psi_matches_reference(series, order):
     half = 1.96 * np.sqrt(var)
     np.testing.assert_allclose(upper - point, half, rtol=1e-9)
     np.testing.assert_allclose(point - lower, half, rtol=1e-9)
+
+
+def _assert_same_bits(got: ARIMAFit, want: ARIMAFit) -> None:
+    for name in ("const", "sigma2", "loglike"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(
+            getattr(want, name)
+        ).tobytes(), name
+    for name in ("phi", "theta", "eps_tail", "train_tail", "diff_tail"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.order == want.order and got.n_obs == want.n_obs
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_memoised_fit_is_bitwise_the_reference(series, order):
+    want, _ = reference_css_fit(order, series[:160])
+    _assert_same_bits(ARIMA(order).fit(series[:160]), want)
+
+
+def test_memoised_fit_at_maxiter_is_bitwise_the_reference():
+    """A CSS near 1e9 never meets the absolute ``fatol``: the reference
+    runs to ``maxiter``, revisiting points the memo answers."""
+    rng = np.random.default_rng(1)
+    y = np.cumsum(rng.normal(0.0, 3000.0, 160)) + 2e5
+    order = (2, 1, 2)
+    want, result = reference_css_fit(order, y)
+    assert result.status == 2 and result.nit == 500 * 5
+    assert np.unique(result.final_simplex[1]).size > 1
+    _assert_same_bits(ARIMA(order).fit(y), want)
 
 
 def test_rolling_forecast_empty(series):
