@@ -70,16 +70,14 @@ is accepted.  Scale-out legs per scale:
   and the slowest of the per-shard view builds (their ratio is the
   scale-out headroom on a multi-core box; the full per-shard list is
   stored next to the timings);
-* ``merge_views`` — the reduce phase: the memoized tree reduce over
-  the per-shard partials plus the vectorised boundary stitch;
-* ``merge_views_parallel`` — the same reduce re-run with the subtree
-  memo cleared and ``jobs=4`` fanning out each tree level;
+* ``merge_views`` — the reduce phase: one left fold of the extend
+  rules over the shards plus the vectorised boundary stitch;
 * ``run_all_merged`` / ``run_all_flat`` — the battery on the merged
   context vs a fresh unsharded context, asserted byte-identical;
 * ``append_shard_build`` / ``remerge_after_append`` — the held-back
-  shard is appended to the store and the merge re-run: only the O(log
-  K) spine of the reduce tree recombines and only the new seams are
-  stitched (the merge stats are stored under ``derived``, and the
+  shard is appended to the store and the merge re-run: the previous
+  merged context is extended by the new shard only and only the new
+  seams are stitched (the merge stats are stored under ``derived``, and the
   appended battery is asserted against the unsharded full table at
   ``small`` scale).
 
@@ -391,14 +389,6 @@ def measure_scaleout_scale(name: str, scale: float, workdir: Path) -> dict:
     print(f"[{name}] merge ...", flush=True)
     t_merge, merged = _timed(sctx.merged)
 
-    # Re-reduce with the level-synchronous fan-out (the subtree memo is
-    # cleared so every pairwise combine really runs; on a multi-core
-    # box each tree level's combines execute concurrently).
-    sctx._merged = None
-    sctx._finalized = None
-    sctx._partials.clear()
-    t_merge_par, merged = _timed(lambda: sctx.merged(jobs=PARALLEL_JOBS))
-
     timings = {
         "synthesize": t_synth,
         "partition_save": t_save,
@@ -406,7 +396,6 @@ def measure_scaleout_scale(name: str, scale: float, workdir: Path) -> dict:
         "shard_build_total": round(sum(per_shard), 4),
         "shard_build_max": round(max(per_shard), 4),
         "merge_views": t_merge,
-        "merge_views_parallel": t_merge_par,
     }
 
     # Parity gate: the merged battery must render byte-identical to the
@@ -420,8 +409,8 @@ def measure_scaleout_scale(name: str, scale: float, workdir: Path) -> dict:
     )
     assert sharded_results == flat_results, "sharded battery output diverged"
 
-    # Append one shard and re-merge: only the new seams are stitched
-    # and only the O(log K) spine of the reduce tree recombines.
+    # Append one shard and re-merge: the previous merged context is
+    # extended by it and only the new seams are stitched.
     print(f"[{name}] append {tail_rows} rows, incremental re-merge ...", flush=True)
     colstore.append_shard(store_dir, tail)
     assert sctx.refresh() == 1, "store refresh did not adopt the appended shard"

@@ -296,7 +296,7 @@ def watch(
     )
 
 
-def context(ds, *, merge_cache=None) -> AnalysisContext | ShardedAnalysisContext:
+def context(ds) -> AnalysisContext | ShardedAnalysisContext:
     """The dataset's shared memoized analysis context.
 
     A flat :class:`AttackDataset` (or an existing context) coerces to
@@ -306,10 +306,6 @@ def context(ds, *, merge_cache=None) -> AnalysisContext | ShardedAnalysisContext
     context is bitwise-identical to the unsharded build; a
     :class:`StreamingDataset` yields its current epoch snapshot's
     context.  Anything else raises :class:`~repro.errors.FormatError`.
-
-    ``merge_cache`` (a :class:`~repro.io.cache.MergeCache`) only applies
-    to sharded stores: it persists subtree merge results so repeat and
-    post-append merges reuse everything but the spine.
 
     >>> from repro import api
     >>> ds = api.generate(scale=0.005)
@@ -322,7 +318,7 @@ def context(ds, *, merge_cache=None) -> AnalysisContext | ShardedAnalysisContext
     if isinstance(ds, (AnalysisContext, ShardedAnalysisContext)):
         return ds
     if isinstance(ds, ShardedDatasetStore):
-        return ShardedAnalysisContext(ds, merge_cache=merge_cache)
+        return ShardedAnalysisContext(ds)
     if isinstance(ds, StreamingDataset):
         return ds.context()
     if isinstance(ds, AttackDataset):
@@ -367,7 +363,6 @@ def run_all(
     from .experiments.registry import run_all as _run_all
 
     if isinstance(ctx, ShardedAnalysisContext):
-        ctx.build(jobs=jobs)
         ctx = ctx.merged(jobs=jobs)
     if jobs > 1:
         ctx.prewarm(jobs=jobs)

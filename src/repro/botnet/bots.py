@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.stats import sorted_unique
 from ..geo.haversine import geographic_center, signed_distances_km
 from ..geo.ipam import SequentialAssigner
 from ..geo.mapping import GeoIPService
@@ -401,7 +402,7 @@ class BotPool:
                 n_rec = min(magnitude, self.core_by_recruit.size)
             sel = rng.integers(0, n_rec, size=need)
             picked.append(self.core_by_recruit[sel])
-        return np.unique(np.concatenate(picked))
+        return sorted_unique(np.concatenate(picked))
 
     def _candidate_ladder(
         self, rng: np.random.Generator, ts: float, sample: np.ndarray
@@ -436,7 +437,7 @@ class BotPool:
             n_rec = min(64, self.core_by_recruit.size)
         k = min(n_rec, _CANDIDATES)
         parts.append(self.core_by_recruit[rng.integers(0, n_rec, size=k)])
-        cand = np.unique(np.concatenate(parts))
+        cand = sorted_unique(np.concatenate(parts))
         return cand[~np.isin(cand, sample)]
 
     def _scan_candidates(
@@ -518,7 +519,7 @@ class BotPool:
             if n_exp and rng.random() < 0.5:
                 k = int(rng.integers(1, min(4, n_exp) + 1))
                 sel = self.expansion_idx[rng.integers(0, n_exp, size=k)]
-                sample = np.unique(np.concatenate([sample, sel]))
+                sample = sorted_unique(np.concatenate([sample, sel]))
 
         target = 0.0 if symmetric else float(target_residual_km)
         tol = _FEEDBACK_TOL_KM if symmetric else max(_FEEDBACK_TOL_KM, 0.08 * target)

@@ -480,19 +480,14 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     shard_layout = None
     if args.shards is not None:
         from .core.context import ShardedAnalysisContext
-        from .io.cache import MergeCache, load_or_generate
+        from .io.cache import load_or_generate
         from .io.colstore import ShardedDatasetStore
 
         store = ShardedDatasetStore.partition(
             load_or_generate(config, args.cache_dir), shards=args.shards
         )
         shard_layout = store.layout_key()
-        # Persist subtree merge results next to the dataset cache, so a
-        # repeat invocation (or one more appended shard) reuses every
-        # unchanged subtree and re-merges only the spine.
-        sctx = ShardedAnalysisContext(store, merge_cache=MergeCache(args.cache_dir))
-        sctx.build(jobs=args.jobs)
-        ctx = sctx.merged(jobs=args.jobs)
+        ctx = ShardedAnalysisContext(store).merged(jobs=args.jobs)
     else:
         ctx = load_or_generate_context(config, args.cache_dir)
     args._manifest_dataset = ctx.dataset

@@ -693,9 +693,13 @@ class ShardedAnalysisContext:
     concatenated dataset, which downstream consumers (the experiment
     battery, the report renderers) use unchanged.
 
-    Every merge is the extend step of :func:`repro.core.merge.extend_view`:
-    a left operand (shard 0, or the previous merged context) grows by
-    the shards after it.  The merged attack columns and concatenation
+    Every merge is one left fold of the extend step
+    (:func:`repro.core.merge.combine_partials` over
+    :func:`~repro.core.merge.extend_view`): a left operand grows by the
+    shards after it.  The full merge folds shards ``1..K-1`` into shard
+    0; after :meth:`refresh` picks up appended shards, the re-merge
+    extends the previous merged context by the new shards only.  The
+    merged attack columns and concatenation
     views live in a :class:`~repro.core.columns.ColumnStore` the merged
     context keeps, so a re-merge grows them in place.  Interval arrays
     gain the boundary gaps, and the collaboration/chain scans
@@ -708,46 +712,31 @@ class ShardedAnalysisContext:
     lazily on the merged context, with the same kernel a flat context
     uses.
 
-    The reduce is tree-structured: the small re-reduction state of every
-    shard (:class:`~repro.core.merge.ShardPartial`) combines over
-    :func:`repro.par.tree_reduce` — ~log2(K) parallel levels instead of
-    a serial left-fold — with subtree results memoized in-process and,
-    when a :class:`~repro.io.cache.MergeCache` is supplied, on disk.
-    After :meth:`refresh` picks up appended shards, :meth:`merged`
-    re-merges incrementally: cached subtrees cover the untouched prefix,
-    the previous merged context is reused as one big left operand (its
-    columns grow by the new shards' rows only), and only the new shard
-    seams are re-stitched.
-
     Observability: each per-shard build runs under a ``shard:<i>`` span
     inside the ``shard.build`` stage; the merge runs under
-    ``shard.merge`` and ticks ``shard.merge.views`` per seeded view,
-    ``shard.merge.stitched_targets`` per boundary-stitched target,
-    ``shard.merge.levels`` per parallel combine round and
-    ``shard.merge.reused`` per memoized subtree served.
+    ``shard.merge`` and ticks ``shard.merge.views`` per seeded view and
+    ``shard.merge.stitched_targets`` per boundary-stitched target.
 
     >>> from repro import api
     >>> from repro.io.colstore import ShardedDatasetStore
     >>> store = ShardedDatasetStore.partition(api.generate(scale=0.005), shards=2)
     >>> sctx = api.context(store)
-    >>> _ = sctx.build(jobs=1)
     >>> sctx.merged().dataset.n_attacks == store.n_attacks
     True
     """
 
-    def __init__(self, store, *, merge_cache=None) -> None:
+    def __init__(self, store) -> None:
         self._store = store
-        self._merge_cache = merge_cache
         self._shard_ctxs: list[AnalysisContext | None] = [None] * store.n_shards
         self._merged: AnalysisContext | None = None
         self._shared_coords: tuple[np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
-        #: Memoized subtree partials keyed by half-open shard range.
-        self._partials: dict[tuple[int, int], Any] = {}
+        #: Shards whose mergeable views are built.
+        self._built: set[int] = set()
         #: The last finalised merge: (shard signatures, merged context).
         self._finalized: tuple[tuple, AnalysisContext] | None = None
         #: What the last :meth:`merged` call actually did (diagnostics):
-        #: ``{"mode": "full" | "incremental", "levels", "reused", "combined"}``.
+        #: ``{"mode", "levels", "reused", "combined"}``, see :meth:`merged`.
         self.last_merge_stats: dict[str, Any] | None = None
 
     @property
@@ -763,11 +752,11 @@ class ShardedAnalysisContext:
 
         Re-reads the store's manifest; appended shards get fresh (lazy)
         contexts while every already-built shard keeps its views, so the
-        next :meth:`merged` call only maps the new shards and re-merges
-        the O(log K) spine.  If the append rewrote the shared registries
-        (new families/bots/victims interned), all per-shard state is
-        reset — the old contexts index into the old registries.  Returns
-        the number of shards adopted.
+        next :meth:`merged` call only maps the new shards and extends the
+        previous merged context by them.  If the append rewrote the
+        shared registries (new families/bots/victims interned), all
+        per-shard state is reset — the old contexts index into the old
+        registries.  Returns the number of shards adopted.
         """
         refresh_store = getattr(self._store, "refresh", None)
         if refresh_store is None:
@@ -777,7 +766,7 @@ class ShardedAnalysisContext:
             if reset:
                 self._shard_ctxs = [None] * self._store.n_shards
                 self._shared_coords = None
-                self._partials = {}
+                self._built = set()
                 self._finalized = None
                 self._merged = None
             elif appended:
@@ -820,7 +809,8 @@ class ShardedAnalysisContext:
 
         Nothing in the package calls this: no experiment reads snapshot
         dispersions, so neither :meth:`build` nor :meth:`merged` derives
-        them, and the merged context builds its own on demand.
+        them, and the merged context builds its own on demand.  It stays
+        because ``perfbench/tracing.py`` wraps it by name.
         """
         return self.shard_context(index).snapshot_dispersions(family)
 
@@ -838,10 +828,11 @@ class ShardedAnalysisContext:
     def build_shard(self, index: int) -> AnalysisContext:
         """Materialise one shard's mergeable views (idempotent)."""
         _shard_build_worker(self, index)
+        self._built.add(index)
         return self.shard_context(index)
 
     def build(self, jobs: int | None = 1) -> int:
-        """Build every shard's mergeable views, possibly in parallel.
+        """Build the mergeable views of every shard not built yet.
 
         Fans :func:`_shard_build_worker` across the :mod:`repro.par`
         pool (same serial fallback rules as prewarm) and seeds each
@@ -850,8 +841,8 @@ class ShardedAnalysisContext:
         """
         from .. import par
 
+        indices = [i for i in range(self.n_shards) if i not in self._built]
         with _obs_registry().span("shard.build"):
-            indices = list(range(self.n_shards))
             # Touch every shard context in the parent so forked workers
             # inherit the datasets (and shared geo matrix) copy-on-write.
             for index in indices:
@@ -867,6 +858,7 @@ class ShardedAnalysisContext:
                 ctx = self.shard_context(index)
                 for key, value in pairs:
                     ctx.seed_view(key, value)
+            self._built.update(indices)
         return sum(self.shard_context(i).n_views for i in range(self.n_shards))
 
     # -- the reduce step ---------------------------------------------------
@@ -877,108 +869,62 @@ class ShardedAnalysisContext:
             self._store.shard_signature(k) for k in range(self.n_shards)
         )
 
-    def _reduce_partials(self, jobs: int | None):
-        """Tree-reduce the per-shard partials; returns (partial, stats).
-
-        Subtree results memoize in ``self._partials`` (keyed by shard
-        range — shards are immutable, so ranges never go stale within a
-        store lineage) and, when a merge cache was supplied, on disk
-        keyed by the range's shard signatures.  Spine prefixes are
-        memoized too, so a repeat merge is a single lookup.
-        """
-        from .. import par
-        from . import merge as _merge
-
-        sigs = self._signatures()
-        window = self._store.window
-        cache = self._merge_cache
-        memo = self._partials
-
-        def fingerprint(lo: int, hi: int) -> tuple:
-            return ((float(window.start), float(window.end)), sigs[lo:hi])
-
-        def lookup(lo: int, hi: int):
-            value = memo.get((lo, hi))
-            if value is not None:
-                return value
-            if cache is not None and hi - lo > 1:
-                value = cache.load("partial", fingerprint(lo, hi))
-                if value is not None:
-                    memo[(lo, hi)] = value
-            return value
-
-        def store(lo: int, hi: int, value) -> None:
-            memo[(lo, hi)] = value
-            if cache is not None:
-                cache.save("partial", fingerprint(lo, hi), value)
-
-        def leaf(index: int):
-            partial = _merge.make_shard_partial(
-                self.shard_context(index), self.shard_families(index), index
-            )
-            memo[(index, index + 1)] = partial
-            return partial
-
-        return par.tree_reduce(
-            self.n_shards,
-            leaf,
-            _merge.combine_partials,
-            jobs=par.resolve_jobs(jobs),
-            lookup=lookup,
-            store=store,
-            label="shard_merge",
-        )
-
     def merged(self, jobs: int | None = 1) -> AnalysisContext:
         """The merged context: every mergeable view seeded, bitwise equal
         to an unsharded build over the concatenated dataset.
 
-        The re-reduction views combine through a memoized tree reduce
-        (``jobs`` bounds the per-level fan-out); everything else takes
-        the extend step of :func:`repro.core.merge.extend_view`, with
-        shard 0 as the left operand.  After :meth:`refresh` adopted
-        appended shards, the previous merged context is the left operand
-        instead when the layout allows it (same window and registries) —
-        only the appended rows are copied and only the new seams are
+        First :meth:`build` maps the shards not built yet (across
+        ``jobs`` workers); then one left fold,
+        :func:`repro.core.merge.combine_partials`, extends shard 0 by
+        shards ``1..K-1``.  After :meth:`refresh` adopted appended
+        shards, the previous merged context is the left operand instead
+        when the layout allows it (same window and registries): only
+        the appended rows are copied and only the new seams are
         stitched.  Views off the battery's list, and on a full merge the
         kinds of :data:`repro.core.merge.MERGED_CONTEXT_KINDS`, build
         lazily on the returned context.
+
+        :attr:`last_merge_stats` records what the call did: ``mode``
+        (``"full"``, ``"incremental"`` or ``"unchanged"``), ``combined``
+        (right parts folded: K-1 on a full merge, the appended count on
+        a re-merge, 0 when unchanged), ``reused`` (shards covered by a
+        reused previous merged context) and ``levels`` (1 if anything
+        was folded, else 0).
         """
         if self._merged is not None:
             return self._merged
+        from . import merge as _merge
 
-        for index in range(self.n_shards):
-            self.build_shard(index)
-
+        self.build(jobs)
         reg = _obs_registry()
         with reg.span("shard.merge"):
             sigs = self._signatures()
-            partial, stats = self._reduce_partials(jobs)
-            reg.counter("shard.merge.levels").inc(stats.levels)
-            reg.counter("shard.merge.reused").inc(stats.reused)
-            mode = "full"
-            ctx: AnalysisContext | None = None
+            mode, prev, first = "full", self.shard_context(0), 1
             if self._finalized is not None:
                 prev_sigs, prev_ctx = self._finalized
                 n_prev = len(prev_sigs)
                 if sigs == prev_sigs:
-                    ctx = prev_ctx
-                    mode = "unchanged"
+                    mode, prev, first = "unchanged", prev_ctx, n_prev
                 elif (
                     0 < n_prev < self.n_shards
                     and sigs[:n_prev] == prev_sigs
                     and self._append_compatible(prev_ctx, n_prev)
                 ):
-                    ctx = self._extend(prev_ctx, n_prev, partial)
-                    mode = "incremental"
-            if ctx is None:
-                ctx = self._extend(self.shard_context(0), 1, partial)
+                    mode, prev, first = "incremental", prev_ctx, n_prev
+            ctx = prev
+            if mode != "unchanged":
+                families = sorted(
+                    {f for k in range(self.n_shards) for f in self.shard_families(k)}
+                )
+                parts = [self.shard_context(k) for k in range(first, self.n_shards)]
+                ctx = _merge.combine_partials(prev, parts, families)
+            combined = self.n_shards - first
             self._finalized = (sigs, ctx)
             self.last_merge_stats = {
                 "mode": mode,
-                "levels": stats.levels,
-                "reused": stats.reused,
-                "combined": stats.combined,
+                "levels": int(combined > 0),
+                "reused": 0 if mode == "full" else first,
+                "combined": combined,
             }
             self._merged = ctx
         return self._merged
@@ -1001,59 +947,6 @@ class ShardedAnalysisContext:
             ):
                 return False
         return True
-
-    def _extend(self, prev: AnalysisContext, first: int, partial) -> AnalysisContext:
-        """Extend ``prev`` — the merge of shards ``[0, first)`` — by the rest.
-
-        The full merge passes shard 0 itself (its indices are already
-        global); the incremental re-merge passes the previous merged
-        context.  Each key of :func:`~repro.experiments.registry.battery_views`
-        is seeded from the tree partial when it is a re-reduction the
-        partial holds (:func:`repro.core.merge.partial_view`); a kind
-        whose extend step reads the merged context is extended only
-        when ``prev`` holds it (a battery ran there) and otherwise left
-        lazy; every other key takes :func:`repro.core.merge.extend_view`.
-        The merged columns and concatenation views grow in ``prev``'s
-        column store, in place for the previous merged context; shard 0
-        starts a fresh store.
-        """
-        from . import merge as _merge
-        from ..experiments.registry import battery_views
-        from ..io import colstore as _colstore
-        from .columns import ColumnStore
-
-        parts = [self.shard_context(k) for k in range(first, self.n_shards)]
-        columns = prev._columns or ColumnStore()
-        ds = _colstore.extend_dataset(columns, prev.dataset, [c.dataset for c in parts])
-        ctx = AnalysisContext.of(ds)
-        ctx._columns = columns
-        reg = _obs_registry()
-        merged_views = reg.counter("shard.merge.views")
-        held = prev.materialized()
-        stitched: set[int] = set()
-        for key in battery_views(partial.families):
-            value = _merge.partial_view(partial, key, ds, prev)
-            if value is None:
-                if key[0] in _merge.MERGED_CONTEXT_KINDS:
-                    if key not in held or key[0] == "dispersion_forecast":
-                        continue
-                    old = held[key]
-                elif (
-                    len(key) > 1
-                    and key[1] is not None
-                    and not prev.family_attacks(key[1]).size
-                ):
-                    # A battery run on the previous context lazily builds
-                    # empty views for families it has not seen yet, so
-                    # the left operand holds a family only with its rows.
-                    old = None
-                else:
-                    old = _merge.view_value(prev, key)
-                value = _merge.extend_view(key, old, prev, parts, ctx, stitched=stitched)
-            if ctx.seed_view(key, value):
-                merged_views.inc()
-        reg.counter("shard.merge.stitched_targets").inc(len(stitched))
-        return ctx
 
 
 def _shard_build_worker(

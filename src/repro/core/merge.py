@@ -14,6 +14,9 @@ path takes it:
 * the stream carry uses the previous snapshot's context and the appended
   rows as a one-part slice.
 
+The two shard merges are one left fold, :func:`combine_partials`, which
+takes the step for every view the battery reads.
+
 The result must be **bitwise** what a flat
 :class:`~repro.core.context.AnalysisContext` builds over all the rows,
 pinned by the shard-merge and stream parity tests.  The view kinds fall
@@ -27,9 +30,8 @@ into these shapes:
   gap per seam.
 * **Re-reductions** (groupings, marginal counts, organization types,
   protocol tables, daily histograms, weekly (week, bot) pair tables)
-  re-reduce the left value with the parts' values.  The sharded merge
-  takes most of its re-reductions from the :class:`ShardPartial` the
-  tree reduce combines instead; both use the combinators below.
+  re-reduce the left value with the parts' values through the
+  combinators below.
 * **Seam re-counts** (the Table III summary, simultaneous-attack
   events, finished weekly shifts) keep what the new rows cannot change:
   the summary merges only appended victims into its carried distinct
@@ -66,7 +68,6 @@ boundary-suspect rescan that this replaced is kept in
 from __future__ import annotations
 
 import bisect
-import dataclasses
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -104,9 +105,6 @@ __all__ = [
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
     "seam_stitch_scan_events",
-    "ShardPartial",
-    "partial_view",
-    "make_shard_partial",
     "combine_partials",
     "sketch_summaries",
 ]
@@ -268,11 +266,65 @@ def extend_view(
     if head == "daily_distribution":
         # Padded to the window: a carry past a grown stream window adds
         # days even when no part has rows of the family.
-        counts = np.zeros(ds.window.n_days, dtype=np.int64)
-        for dist in olds + values:
-            counts = _pad_sum(counts, dist.counts)
+        dists = olds + values
+        n_days = max([ds.window.n_days, *(d.counts.size for d in dists)])
+        counts = np.zeros(n_days, dtype=np.int64)
+        for dist in dists:
+            counts[: dist.counts.size] += dist.counts
         return finish_daily_distribution(counts, ds, family, old)
     raise ValueError(f"no extend rule for view {key!r}")
+
+
+def combine_partials(
+    prev: "AnalysisContext", parts: Sequence["AnalysisContext"], families: Sequence[str]
+) -> "AnalysisContext":
+    """The shard merge's fold step: ``prev`` extended by every part.
+
+    ``prev`` is the left operand (shard 0 on a full merge, the previous
+    merged context on a re-merge) and ``parts`` are the shard contexts
+    after it, in time order.  Returns a new context over all their rows
+    with each key of :func:`~repro.experiments.registry.battery_views`
+    over ``families`` seeded by :func:`extend_view`.  A kind of
+    :data:`MERGED_CONTEXT_KINDS` is extended only when ``prev`` holds it
+    (a battery ran there) and otherwise left lazy.  The merged columns
+    and concatenation views grow in ``prev``'s column store, in place
+    for the previous merged context; shard 0 starts a fresh store.
+
+    The name is older than the fold: ``perfbench/tracing.py`` looks it
+    up in this module and times it as its ``merge.combine`` layer, and
+    :meth:`~repro.core.context.ShardedAnalysisContext.merged` calls it
+    through the module so that wrap sees every merge.
+    """
+    from ..experiments.registry import battery_views
+    from ..io.colstore import extend_dataset
+    from .columns import ColumnStore
+    from .context import AnalysisContext
+
+    columns = prev._columns or ColumnStore()
+    ds = extend_dataset(columns, prev.dataset, [c.dataset for c in parts])
+    ctx = AnalysisContext.of(ds)
+    ctx._columns = columns
+    reg = _obs_registry()
+    merged_views = reg.counter("shard.merge.views")
+    held = prev.materialized()
+    stitched: set[int] = set()
+    for key in battery_views(families):
+        if key[0] in MERGED_CONTEXT_KINDS:
+            if key not in held or key[0] == "dispersion_forecast":
+                continue
+            old = held[key]
+        elif len(key) > 1 and key[1] is not None and not prev.family_attacks(key[1]).size:
+            # A battery run on the previous context lazily builds empty
+            # views for families it has not seen yet, so the left
+            # operand holds a family only with its rows.
+            old = None
+        else:
+            old = view_value(prev, key)
+        value = extend_view(key, old, prev, parts, ctx, stitched=stitched)
+        if ctx.seed_view(key, value):
+            merged_views.inc()
+    reg.counter("shard.merge.stitched_targets").inc(len(stitched))
+    return ctx
 
 
 def _bases(prev: "AnalysisContext", parts: Sequence["AnalysisContext"]) -> np.ndarray:
@@ -659,128 +711,6 @@ def seam_stitch_scan_events(
         tail = ScanEvents.concat([tail, _materialize_row_runs(ds, segs, kind)])
     stitched = {int(ds.target_idx[seg[0]]) for seg in segs}
     return ScanEvents.concat([done, in_scan_order(ds, tail)]), stitched
-
-
-# -- tree-reducible shard partials -----------------------------------------
-
-
-@dataclasses.dataclass
-class ShardPartial:
-    """The re-reduction state of one contiguous shard range ``[lo, hi)``.
-
-    Everything in here merges under :func:`combine_partials` — a small,
-    associative algebra (integer sums, sorted-unique unions), bitwise
-    stable under any tree shape, and cheap to pickle for the subtree
-    cache.  The concatenation-shaped views (index groupings, per-family
-    series, scan events) stay out: they are linear-size and assembled
-    once during finalisation instead of being copied at every level.
-    """
-
-    lo: int
-    hi: int
-    target_country_counts: tuple[np.ndarray, np.ndarray]
-    target_org_counts: tuple[np.ndarray, np.ndarray]
-    protocol_breakdown: list[tuple[Protocol, str, int]]
-    protocol_popularity: dict[Protocol, int]
-    #: per-day attack counts (the headline daily distribution's)
-    daily_counts: np.ndarray
-    #: family name -> ``(weeks_u, u_week, u_bot)`` weekly-shift table
-    weekly_pairs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    #: family name -> ``(uniq, counts)`` target-country marginal
-    family_country_counts: dict[str, tuple[np.ndarray, np.ndarray]]
-    families: tuple[str, ...]
-
-
-def partial_view(
-    partial: ShardPartial, key: tuple, ds: "AttackDataset", prev: "AnalysisContext"
-) -> Any:
-    """View ``key`` over ``partial``'s range, or ``None`` for a kind it
-    does not reduce.
-
-    ``ds`` is the dataset of the range and ``prev`` the merge's left
-    operand, whose headline daily distribution may spare the busiest
-    day's column pass.
-    """
-    head = key[0]
-    if head == "daily_distribution" and key[1] is None:
-        return finish_daily_distribution(
-            partial.daily_counts, ds, None, prev.daily_distribution(None)
-        )
-    if head == "weekly_shift_pairs":
-        return partial.weekly_pairs[key[1]]
-    if head == "family_target_country_counts":
-        return partial.family_country_counts[key[1]]
-    if head in (
-        "target_country_counts",
-        "target_org_counts",
-        "protocol_breakdown",
-        "protocol_popularity",
-    ):
-        return getattr(partial, head)
-    return None
-
-
-def make_shard_partial(ctx, families: Sequence[str], index: int) -> ShardPartial:
-    """Extract one shard's :class:`ShardPartial` from its built context."""
-    return ShardPartial(
-        lo=index,
-        hi=index + 1,
-        target_country_counts=ctx.target_country_counts(),
-        target_org_counts=ctx.target_org_counts(),
-        protocol_breakdown=ctx.protocol_breakdown(),
-        protocol_popularity=ctx.protocol_popularity(),
-        daily_counts=ctx.daily_distribution(None).counts,
-        weekly_pairs={f: ctx.weekly_shift_pairs(f) for f in families},
-        family_country_counts={
-            f: ctx.family_target_country_counts(f) for f in families
-        },
-        families=tuple(families),
-    )
-
-
-def _pad_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(max(a.size, b.size), dtype=a.dtype)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
-def combine_partials(a: ShardPartial, b: ShardPartial) -> ShardPartial:
-    """Combine two adjacent shard partials (``a`` left of ``b``)."""
-    if a.hi != b.lo:
-        raise ValueError(f"non-adjacent partials: [{a.lo},{a.hi}) + [{b.lo},{b.hi})")
-    weekly: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for key in dict.fromkeys([*a.weekly_pairs, *b.weekly_pairs]):
-        # ``b``'s weeks start at or after ``a``'s last: only the seam
-        # week's pairs re-sort.
-        pa = a.weekly_pairs.get(key)
-        pb = b.weekly_pairs.get(key)
-        weekly[key] = pa if pb is None else pb if pa is None else _extend_weekly_pairs(pa, [pb])
-    fam_counts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for key in dict.fromkeys([*a.family_country_counts, *b.family_country_counts]):
-        pa = a.family_country_counts.get(key)
-        pb = b.family_country_counts.get(key)
-        fam_counts[key] = (
-            pa if pb is None else pb if pa is None else merge_counts([pa, pb])
-        )
-    return ShardPartial(
-        lo=a.lo,
-        hi=b.hi,
-        target_country_counts=merge_counts(
-            [a.target_country_counts, b.target_country_counts]
-        ),
-        target_org_counts=merge_counts([a.target_org_counts, b.target_org_counts]),
-        protocol_breakdown=merge_protocol_breakdown(
-            [a.protocol_breakdown, b.protocol_breakdown]
-        ),
-        protocol_popularity=merge_protocol_popularity(
-            [a.protocol_popularity, b.protocol_popularity]
-        ),
-        daily_counts=_pad_sum(a.daily_counts, b.daily_counts),
-        weekly_pairs=weekly,
-        family_country_counts=fam_counts,
-        families=tuple(sorted(set(a.families) | set(b.families))),
-    )
 
 
 # -- sketch summaries ------------------------------------------------------

@@ -34,7 +34,6 @@ from ..obs import registry as _obs_registry
 from . import colstore
 
 __all__ = [
-    "MergeCache",
     "config_key",
     "resolve_cache_dir",
     "save_dataset",
@@ -205,70 +204,6 @@ def load_context_views(
     if not isinstance(views, dict):
         raise TypeError(f"view snapshot {path} does not contain a view dict")
     return views
-
-
-#: Version of the merge-partial cache entries.  Bump when
-#: :class:`~repro.core.merge.ShardPartial` (or anything else stored
-#: through :class:`MergeCache`) changes incompatibly.
-_MERGE_FORMAT_VERSION = 2
-
-
-class MergeCache:
-    """Disk memo for subtree merge results of the sharded reduce.
-
-    Entries are keyed by a *kind* (today only ``"partial"``) and a
-    fingerprint — the observation window plus the
-    :meth:`~repro.io.colstore.ShardedDatasetStore.shard_signature` of
-    every shard in the subtree's range — so a cold process re-merging
-    the same store serves every unchanged subtree from disk, and an
-    appended shard invalidates nothing but the spine.  The fingerprint
-    is stored inside the entry and re-verified on load; any unreadable,
-    corrupt, version-skewed or mismatching entry is a silent miss (the
-    merge falls back to recombining), never an error.
-
-    Only load cache directories you created yourself — entries are
-    pickles.
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None) -> None:
-        self.dir = resolve_cache_dir(cache_dir) / "merge"
-
-    def _path(self, kind: str, fingerprint: tuple) -> Path:
-        token = hashlib.sha256(
-            repr((_MERGE_FORMAT_VERSION, kind, fingerprint)).encode()
-        ).hexdigest()[:24]
-        return self.dir / f"{kind}-{token}.pkl"
-
-    def load(self, kind: str, fingerprint: tuple):
-        """The cached value for ``(kind, fingerprint)``, or ``None``."""
-        path = self._path(kind, fingerprint)
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            version, stored_kind, stored_fp, value = payload
-        except Exception:
-            return None
-        if (
-            version != _MERGE_FORMAT_VERSION
-            or stored_kind != kind
-            or stored_fp != fingerprint
-        ):
-            return None
-        return value
-
-    def save(self, kind: str, fingerprint: tuple, value) -> Path:
-        """Store ``value`` under ``(kind, fingerprint)`` (atomic write)."""
-        path = self._path(kind, fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(
-                (_MERGE_FORMAT_VERSION, kind, fingerprint, value),
-                fh,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        tmp.replace(path)
-        return path
 
 
 def load_or_generate_context(

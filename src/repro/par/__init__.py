@@ -5,13 +5,10 @@ payloads, serial fallback, parent-side instrumentation).
 """
 
 from .pool import default_jobs, fork_available, parallel_map, resolve_jobs
-from .tree import TreeReduceStats, tree_reduce
 
 __all__ = [
-    "TreeReduceStats",
     "default_jobs",
     "fork_available",
     "parallel_map",
     "resolve_jobs",
-    "tree_reduce",
 ]

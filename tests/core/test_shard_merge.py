@@ -28,7 +28,6 @@ from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
 from repro.experiments.registry import battery_views, run_all
-from repro.io.cache import MergeCache
 from repro.io.colstore import (
     ShardedDatasetStore,
     _slice_dataset,
@@ -199,19 +198,9 @@ class TestMergedParity:
         run_all(merged, jobs=1)
         assert _unread_view_keys(sctx, merged) == []
 
-    def test_battery_renders_identically(self, small_ds):
-        sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=4))
-        sctx.build(jobs=1)
-        sharded = [r.render() for r in run_all(sctx.merged(), jobs=1)]
-        flat = [r.render() for r in run_all(AnalysisContext(small_ds), jobs=1)]
-        assert sharded == flat
-
-    def test_extend_rules_alone_render_identically(self, small_ds, monkeypatch):
-        """With no tree partial, every key takes its extend rule, the
-        headline ``("daily_distribution", None)`` included."""
-        monkeypatch.setattr(merge, "partial_view", lambda *args: None)
-        sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=8))
-        sctx.build(jobs=1)
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_battery_renders_identically(self, small_ds, k):
+        sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
         sharded = [r.render() for r in run_all(sctx.merged(), jobs=1)]
         flat = [r.render() for r in run_all(AnalysisContext(small_ds), jobs=1)]
         assert sharded == flat
@@ -260,28 +249,8 @@ class TestMergeOrderInvariance:
 
 
 class TestCombinePartials:
-    """``combine_partials`` re-sorts only the seam week's (week, bot) pairs;
-    any tree of combines over any row cuts equals the flat pair table."""
-
-    @staticmethod
-    def _partials(ds, bounds, all_families_at=None):
-        """One partial per row range; the range at ``all_families_at``
-        holds every family, the others only those with rows in it."""
-        out = []
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            ctx = AnalysisContext(_slice_dataset(ds, lo, hi))
-            families = list(ds.active_families) if k == all_families_at else [
-                ctx.dataset.family_name(f) for f in sorted(ctx.family_attack_index())
-            ]
-            out.append(merge.make_shard_partial(ctx, families, k))
-        return out
-
-    @staticmethod
-    def _tree(partials):
-        while len(partials) > 1:
-            paired = [merge.combine_partials(a, b) for a, b in zip(partials[::2], partials[1::2])]
-            partials = paired + partials[len(paired) * 2 :]
-        return partials[0]
+    """The weekly (week, bot) pair tables folded by ``extend_view`` over
+    any row cuts equal the flat table; only the seam week's pairs re-sort."""
 
     @pytest.mark.parametrize("seed", [3, 5, 8])
     def test_weekly_pairs_match_a_flat_build(self, small_ds, seed):
@@ -294,19 +263,26 @@ class TestCombinePartials:
         inside = np.flatnonzero(weeks[1:] == weeks[:-1]) + 1
         cuts = {int(rng.choice(inside)), *rng.integers(1, ds.n_attacks, size=6).tolist()}
         bounds = [0, *sorted(cuts), ds.n_attacks]
-        partials = self._partials(ds, bounds, all_families_at=int(rng.integers(len(bounds) - 1)))
-        assert any(set(p.families) != set(ds.active_families) for p in partials)
-        assert any(not v[0].size for p in partials for v in p.weekly_pairs.values())
+        parts = [AnalysisContext(_slice_dataset(ds, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        heads = [AnalysisContext(_slice_dataset(ds, 0, hi)) for hi in bounds[1:]]
+        assert any(not p.family_attacks(f).size for p in parts for f in ds.active_families)
         flat = AnalysisContext(ds)
-        left = partials[0]
-        for partial in partials[1:]:
-            left = merge.combine_partials(left, partial)
-        for combined in (left, self._tree(partials)):
-            assert sorted(combined.weekly_pairs) == sorted(ds.active_families)
-            for family in ds.active_families:
-                _assert_view_equal(
-                    family, combined.weekly_pairs[family], _weekly_pairs(flat, family)
-                )
+
+        def first(family):
+            key = ("weekly_shift_pairs", family)
+            return merge.view_value(parts[0], key) if parts[0].family_attacks(family).size else None
+
+        for family in ds.active_families:
+            key = ("weekly_shift_pairs", family)
+            want = _weekly_pairs(flat, family)
+            # One part per step, as a chain of re-merges folds them ...
+            value = first(family)
+            for prev, part, ctx in zip(heads, parts[1:], heads[1:]):
+                value = merge.extend_view(key, value, prev, [part], ctx)
+            _assert_view_equal(family, value, want)
+            # ... and every part at once, as a full merge does.
+            value = merge.extend_view(key, first(family), parts[0], parts[1:], flat)
+            _assert_view_equal(family, value, want)
 
 
 def _boundary_dataset(records):
@@ -435,8 +411,9 @@ def _gapped_store(path, ds):
 
 
 class TestIncrementalRemerge:
-    """append_shard + refresh + merged() re-merges only the spine —
-    and the result is byte-identical to a from-scratch build."""
+    """append_shard + refresh + merged() folds only the appended shards
+    into the previous merged context — and the result is byte-identical
+    to a from-scratch build."""
 
     @pytest.mark.parametrize("k", [2, 5, 8, "gaps"])
     def test_append_then_remerge_equals_from_scratch(self, small_ds, k, tmp_path):
@@ -559,28 +536,21 @@ class TestIncrementalRemerge:
         for label in want:
             _assert_view_equal(label, got[label], want[label])
 
-    def test_remerge_recombines_only_the_spine(self, small_ds, tmp_path):
+    def test_remerge_folds_only_the_appended_shards(self, small_ds, tmp_path):
         k = 8
         tail = _append_store(tmp_path / "store", small_ds, k)
-        sctx = ShardedAnalysisContext(
-            ShardedDatasetStore(tmp_path / "store"),
-            merge_cache=MergeCache(tmp_path / "mc"),
-        )
-        sctx.build(jobs=1)
+        sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
         sctx.merged()
-        full = sctx.last_merge_stats
-        assert full["combined"] == k - 1
+        assert sctx.last_merge_stats == {
+            "mode": "full", "levels": 1, "reused": 0, "combined": k - 1
+        }
 
         append_shard(tmp_path / "store", tail)
-        sctx.refresh()
-        sctx.build(jobs=1)
+        assert sctx.refresh() == 1
         sctx.merged()
-        stats = sctx.last_merge_stats
-        assert stats["mode"] == "incremental"
-        # The aligned (0, 8) subtree is served from the memo; only the
-        # one spine combine against the new leaf runs.
-        assert stats["reused"] >= 1
-        assert stats["combined"] < k - 1
+        assert sctx.last_merge_stats == {
+            "mode": "incremental", "levels": 1, "reused": k, "combined": 1
+        }
 
     def test_unchanged_store_reuses_finalized_context(self, small_ds, tmp_path):
         _append_store(tmp_path / "store", small_ds, 3)
@@ -594,51 +564,12 @@ class TestIncrementalRemerge:
         assert sctx.merged() is first
         assert sctx.last_merge_stats["mode"] == "unchanged"
 
-    def test_cold_process_reuses_disk_memo(self, small_ds, tmp_path):
-        _append_store(tmp_path / "store", small_ds, 5)
-        cache = MergeCache(tmp_path / "mc")
-        warm = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        warm.build(jobs=1)
-        warm.merged()
-        assert warm.last_merge_stats["combined"] == 4
-
-        # A new context over the same store: the whole reduce is one
-        # disk lookup of the (0, n) spine prefix.
-        cold = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        cold.build(jobs=1)
-        merged = cold.merged()
-        stats = cold.last_merge_stats
-        assert (stats["reused"], stats["combined"]) == (1, 0)
-        assert merged.dataset.attack_columns_equal(warm.merged().dataset)
-
-    def test_corrupt_cache_entry_falls_back_to_full_merge(self, small_ds, tmp_path):
-        tail = _append_store(tmp_path / "store", small_ds, 3)
-        append_shard(tmp_path / "store", tail)  # 4 shards covering all rows
-        cache = MergeCache(tmp_path / "mc")
-        warm = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        warm.build(jobs=1)
-        warm.merged()
-        for entry in cache.dir.iterdir():
-            entry.write_bytes(b"not a pickle")
-
-        cold = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        cold.build(jobs=1)
-        merged = cold.merged()  # silent miss, never an error
-        stats = cold.last_merge_stats
-        assert (stats["reused"], stats["combined"]) == (0, 3)
-        fresh = AnalysisContext(small_ds)
-        families = [f for f in small_ds.active_families if fresh.family_attacks(f).size]
-        got = _collect_views(merged, families)
-        want = _collect_views(fresh, families)
-        for label in want:
-            _assert_view_equal(label, got[label], want[label])
-
 
 class TestReferenceFoldParity:
     """merged() against the retained serial reference fold."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_tree_merge_matches_reference_fold(self, small_ds, k):
+    def test_merge_matches_reference_fold(self, small_ds, k):
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
         sctx.build(jobs=1)
         merged = sctx.merged()

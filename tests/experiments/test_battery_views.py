@@ -177,8 +177,9 @@ def test_no_plane_builds_event_objects(small_ds, monkeypatch):
 
 def test_battery_dedupes_integers_by_sort(small_ds, monkeypatch):
     """A plain ``np.unique`` of integers takes NumPy's hash-table path,
-    far slower than a sort; the battery dedupes with
-    :func:`repro.core.stats.sorted_unique` and ``unique_pairs``."""
+    far slower than a sort; the battery and the generator's participant
+    sampler dedupe with :func:`repro.core.stats.sorted_unique` and
+    ``unique_pairs``."""
     import traceback
 
     import numpy as np
@@ -199,6 +200,7 @@ def test_battery_dedupes_integers_by_sort(small_ds, monkeypatch):
 
     monkeypatch.setattr(np, "unique", guarded)
     api.run_all(AnalysisContext(small_ds))
+    generate_dataset(DatasetConfig(seed=3, scale=0.005), jobs=1)
     assert hashed == []
 
 

@@ -169,50 +169,3 @@ class TestContextViewSnapshots:
         assert load_context_views(path, config_key(config), two.layout_key())
         with pytest.raises(ValueError, match="shard layout"):
             load_context_views(path, config_key(config), four.layout_key())
-
-
-class TestMergeCache:
-    def _cache(self, tmp_path):
-        from repro.io.cache import MergeCache
-
-        return MergeCache(tmp_path)
-
-    def test_roundtrip(self, tmp_path):
-        cache = self._cache(tmp_path)
-        fp = ((0.0, 86400.0), ((10, 1.0, 2.0, 3.0),))
-        cache.save("partial", fp, {"value": 42})
-        assert cache.load("partial", fp) == {"value": 42}
-
-    def test_miss_on_unknown_fingerprint(self, tmp_path):
-        cache = self._cache(tmp_path)
-        assert cache.load("partial", ((0.0, 1.0), ())) is None
-
-    def test_corrupt_entry_is_a_silent_miss(self, tmp_path):
-        cache = self._cache(tmp_path)
-        fp = ((0.0, 86400.0), ((10, 1.0, 2.0, 3.0),))
-        path = cache.save("partial", fp, [1, 2, 3])
-        path.write_bytes(b"garbage")
-        assert cache.load("partial", fp) is None
-
-    def test_version_skew_is_a_silent_miss(self, tmp_path, monkeypatch):
-        from repro.io import cache as cache_mod
-
-        cache = self._cache(tmp_path)
-        fp = ((0.0, 86400.0), ((10, 1.0, 2.0, 3.0),))
-        cache.save("partial", fp, "payload")
-        monkeypatch.setattr(cache_mod, "_MERGE_FORMAT_VERSION", 999)
-        # the version participates in the filename hash, so a bumped
-        # format simply never finds the old entry
-        assert cache.load("partial", fp) is None
-
-    def test_fingerprint_collision_rejected(self, tmp_path):
-        # A file renamed (or hashed) onto another key must not serve:
-        # the stored fingerprint is re-verified on load.
-        cache = self._cache(tmp_path)
-        fp_a = ((0.0, 1.0), ((1, 0.0, 0.0, 0.0),))
-        fp_b = ((0.0, 1.0), ((2, 0.0, 0.0, 0.0),))
-        path_a = cache.save("partial", fp_a, "A")
-        path_b = cache._path("partial", fp_b)
-        path_b.parent.mkdir(parents=True, exist_ok=True)
-        path_b.write_bytes(path_a.read_bytes())
-        assert cache.load("partial", fp_b) is None

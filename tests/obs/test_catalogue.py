@@ -63,14 +63,6 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
         sctx = api.context(api.load(tmp_path / "store"))
         api.run_all(sctx, jobs=1)
 
-        # re-merge the same store through the disk memo: the second
-        # context's whole reduce is a cache hit (shard.merge.reused)
-        from repro.io.cache import MergeCache
-
-        cache = MergeCache(tmp_path / "merge-cache")
-        api.context(api.load(tmp_path / "store"), merge_cache=cache).merged()
-        api.context(api.load(tmp_path / "store"), merge_cache=cache).merged()
-
         # ingest round-trip
         api.ingest(ds.iter_attacks(), window=ds.window)
 

@@ -6,8 +6,8 @@ concatenated or re-reduced from the per-shard values, and the
 collaboration/chain scans stitched by the conservative boundary-suspect
 rescan — every target whose shard-edge attacks *could* link under the
 paper's windows is rescanned on the merged columns.  It shares no
-finaliser state with :meth:`ShardedAnalysisContext.merged` (no tree
-reduce, no growable buffers, no seam probe), which makes it the
+finaliser state with :meth:`ShardedAnalysisContext.merged` (no extend
+rules, no growable buffers, no seam probe), which makes it the
 comparison target of the merge-parity tests.
 
 All index-valued outputs are global attack indices: shard ``k``'s local
