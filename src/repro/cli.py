@@ -16,10 +16,8 @@ Subcommands::
 All subcommands share ``--scale``, ``--seed`` and ``--cache-dir``; the
 dataset is generated once per (scale, seed) and cached on disk (the
 cache directory falls back to ``$REPRO_CACHE_DIR``, then
-``.repro-cache``).  The ``experiments`` battery additionally snapshots
-the derived analysis views, so a repeat invocation skips the heavy
-scans, and ``--jobs N`` fans the experiments out over a thread pool
-without changing the output.
+``.repro-cache``).  The ``experiments`` battery's ``--jobs N`` fans the
+experiments out over a thread pool without changing the output.
 
 Every subcommand accepts ``--metrics PATH``: after the command runs,
 the observability registry (stage spans, counters, histograms — see
@@ -36,16 +34,11 @@ import sys
 from pathlib import Path
 
 from .core import report
+from .core.context import AnalysisContext, ShardedAnalysisContext
 from .core.prediction import predict_family_dispersion
 from .datagen.config import DatasetConfig
 from .experiments.registry import ALL_EXPERIMENTS, get_experiment, run_all
-from .io.cache import (
-    config_key,
-    load_or_generate,
-    load_or_generate_context,
-    resolve_cache_dir,
-    save_context_views,
-)
+from .io.cache import config_key, load_or_generate, resolve_cache_dir
 from .io.csvio import export_attacks_csv, export_botlist_csv, export_botnetlist_csv
 from .obs import RunManifest, registry as obs_registry
 from .obs.report import render_metrics_summary, render_stage_tree
@@ -199,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the table/figure reproductions",
         description=(
             "Run the full battery of table and figure reproductions (Tables "
-            "II-VI, Figures 2-18) against one shared analysis context, and "
-            "snapshot the derived views so the next run starts warm. Use "
+            "II-VI, Figures 2-18) against one shared analysis context. Use "
             "--only to run a single experiment, --list to see the ids, "
             "--jobs to fan out over threads, and --shards to partition the "
             "dataset and run map-reduce — neither changes the output."
@@ -459,7 +451,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    ctx = load_or_generate_context(_config(args), args.cache_dir)
+    ctx = AnalysisContext.of(load_or_generate(_config(args), args.cache_dir))
     args._manifest_dataset = ctx.dataset
     print(report.render_headline(ctx))
     print()
@@ -476,20 +468,14 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         for experiment in ALL_EXPERIMENTS:
             print(f"{experiment.id:<24s} {experiment.section:<28s} {experiment.title}")
         return 0
-    config = _config(args)
-    shard_layout = None
+    ds = load_or_generate(_config(args), args.cache_dir)
     if args.shards is not None:
-        from .core.context import ShardedAnalysisContext
-        from .io.cache import load_or_generate
         from .io.colstore import ShardedDatasetStore
 
-        store = ShardedDatasetStore.partition(
-            load_or_generate(config, args.cache_dir), shards=args.shards
-        )
-        shard_layout = store.layout_key()
+        store = ShardedDatasetStore.partition(ds, shards=args.shards)
         ctx = ShardedAnalysisContext(store).merged(jobs=args.jobs)
     else:
-        ctx = load_or_generate_context(config, args.cache_dir)
+        ctx = AnalysisContext.of(ds)
     args._manifest_dataset = ctx.dataset
     if args.only:
         print(get_experiment(args.only).run(ctx).render())
@@ -502,12 +488,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         for result in run_all(ctx, jobs=args.jobs):
             print(result.render())
             print()
-    save_context_views(ctx, config, args.cache_dir, shard_layout=shard_layout)
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    ctx = load_or_generate_context(_config(args), args.cache_dir)
+    ctx = AnalysisContext.of(load_or_generate(_config(args), args.cache_dir))
     args._manifest_dataset = ctx.dataset
     if args.order == "auto":
         order = None
@@ -535,7 +520,7 @@ def _cmd_defense(args: argparse.Namespace) -> int:
     from .defense.detection import sweep_detection_windows
     from .defense.provisioning import backtest_provisioning
 
-    ds = load_or_generate_context(_config(args), args.cache_dir).dataset
+    ds = load_or_generate(_config(args), args.cache_dir)
     args._manifest_dataset = ds
     cutoff = ds.window.start + args.train_fraction * ds.window.duration
 

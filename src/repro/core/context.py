@@ -20,10 +20,11 @@ Design notes:
   functions; the context only orchestrates and caches.  Builders resolve
   the impls through the module object at call time, so tests can spy on
   them with ``monkeypatch``.
-* Views with picklable values can be exported/imported as a *snapshot*
-  (:meth:`export_views` / :meth:`import_views`); :mod:`repro.io.cache`
-  stores snapshots next to the dataset pickle so repeat CLI invocations
-  skip the derivation work entirely.
+* A view is built in one of two ways: by its accessor, on first access
+  or through :meth:`prewarm`, or by extending the same view of an
+  earlier context (:func:`repro.core.merge.extend_views`, behind the
+  shard merge and the stream carry).  Views live only in memory: a new
+  process builds them again from the memory-mapped columns.
 
 ``AnalysisContext.of`` attaches the context to the dataset instance, so
 code that still passes a raw ``AttackDataset`` around transparently
@@ -203,11 +204,11 @@ class AnalysisContext:
         return list(self._views)
 
     def materialized(self) -> dict[Hashable, Any]:
-        """Shallow copy of the materialised views (no pickling check).
+        """Shallow copy of the materialised views.
 
-        The streaming layer walks this to carry cheap views forward
-        across an append; :meth:`export_views` stays the picklable
-        variant for on-disk snapshots.
+        The extend fold (:func:`repro.core.merge.extend_views`) reads its
+        left operand's views from this, and the prewarm workers return
+        what they built through it.
         """
         return dict(self._views)
 
@@ -645,40 +646,6 @@ class AnalysisContext:
             seeded = len(set(views) - before)
             reg.counter("prewarm.seeded").inc(seeded)
         return seeded
-
-    # -- snapshotting ------------------------------------------------------
-
-    def export_views(self) -> dict[Hashable, Any]:
-        """Picklable snapshot of the materialised views.
-
-        Values that cannot be pickled (none today, but snapshots must
-        degrade gracefully as views evolve) are skipped.
-        """
-        import pickle
-
-        out: dict[Hashable, Any] = {}
-        for key, value in list(self._views.items()):
-            try:
-                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                continue
-            out[key] = value
-        return out
-
-    def import_views(self, views: dict[Hashable, Any]) -> int:
-        """Restore a snapshot produced by :meth:`export_views`.
-
-        Existing views win over imported ones (they were computed from
-        this dataset in this process).  Returns the number of views
-        actually restored.
-        """
-        restored = 0
-        with self._meta_lock:
-            for key, value in views.items():
-                if key not in self._views:
-                    self._views[key] = value
-                    restored += 1
-        return restored
 
 
 class ShardedAnalysisContext:

@@ -14,8 +14,11 @@ path takes it:
 * the stream carry uses the previous snapshot's context and the appended
   rows as a one-part slice.
 
-The two shard merges are one left fold, :func:`combine_partials`, which
-takes the step for every view the battery reads.
+One loop, :func:`extend_views`, takes the step for a list of views and
+owns the rules every path shares: where a view's old value comes from,
+the family-index remap and the column store handed down.  The two shard
+merges call it through :func:`combine_partials`, the stream carry
+through :func:`repro.stream.incremental.carry_views`.
 
 The result must be **bitwise** what a flat
 :class:`~repro.core.context.AnalysisContext` builds over all the rows,
@@ -105,6 +108,7 @@ __all__ = [
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
     "seam_stitch_scan_events",
+    "extend_views",
     "combine_partials",
     "sketch_summaries",
 ]
@@ -275,6 +279,51 @@ def extend_view(
     raise ValueError(f"no extend rule for view {key!r}")
 
 
+def extend_views(
+    prev: "AnalysisContext",
+    parts: Sequence["AnalysisContext"],
+    ctx: "AnalysisContext",
+    keys: Sequence[tuple],
+) -> tuple[int, set[int]]:
+    """Seed ``ctx`` with each of ``keys`` extended from ``prev`` by ``parts``.
+
+    The one loop over :func:`extend_view`, shared by the shard merge
+    (:func:`combine_partials`) and the stream carry
+    (:func:`repro.stream.incremental.carry_views`).  A forecast key is
+    skipped: the forecasts have no extend rule and rebuild lazily on
+    ``ctx``.  A key's old value is the one ``prev`` holds; else ``None``
+    when ``prev`` has no rows of the key's family; else it is built on
+    ``prev``.  When the family
+    list changed (a stream interned a family mid-alphabet), the old
+    ``family_attack_index`` moves to ``ctx``'s family indices.  ``ctx``
+    takes ``prev``'s column store unless it already has one, so a
+    lineage of contexts grows its concatenations in place.  Returns how
+    many views it seeded and the targets whose scan runs it re-stitched.
+    """
+    from .columns import ColumnStore
+
+    if ctx._columns is None:
+        ctx._columns = prev._columns or ColumnStore()
+    ds, prev_ds = ctx.dataset, prev.dataset
+    held = prev.materialized()
+    stitched: set[int] = set()
+    seeded = 0
+    for key in keys:
+        if key[0] == "dispersion_forecast":
+            continue
+        if key in held:
+            old = held[key]
+        elif len(key) > 1 and key[1] is not None and not prev.family_attacks(key[1]).size:
+            old = None
+        else:
+            old = view_value(prev, key)
+        if key[0] == "family_attack_index" and prev_ds.families != ds.families:
+            # Its member arrays are row positions and stay valid.
+            old = {ds.family_id(prev_ds.family_name(k)): v for k, v in old.items()}
+        seeded += ctx.seed_view(key, extend_view(key, old, prev, parts, ctx, stitched=stitched))
+    return seeded, stitched
+
+
 def combine_partials(
     prev: "AnalysisContext", parts: Sequence["AnalysisContext"], families: Sequence[str]
 ) -> "AnalysisContext":
@@ -284,7 +333,7 @@ def combine_partials(
     merged context on a re-merge) and ``parts`` are the shard contexts
     after it, in time order.  Returns a new context over all their rows
     with each key of :func:`~repro.experiments.registry.battery_views`
-    over ``families`` seeded by :func:`extend_view`.  A kind of
+    over ``families`` seeded by :func:`extend_views`.  A kind of
     :data:`MERGED_CONTEXT_KINDS` is extended only when ``prev`` holds it
     (a battery ran there) and otherwise left lazy.  The merged columns
     and concatenation views grow in ``prev``'s column store, in place
@@ -301,28 +350,13 @@ def combine_partials(
     from .context import AnalysisContext
 
     columns = prev._columns or ColumnStore()
-    ds = extend_dataset(columns, prev.dataset, [c.dataset for c in parts])
-    ctx = AnalysisContext.of(ds)
+    ctx = AnalysisContext.of(extend_dataset(columns, prev.dataset, [c.dataset for c in parts]))
     ctx._columns = columns
-    reg = _obs_registry()
-    merged_views = reg.counter("shard.merge.views")
     held = prev.materialized()
-    stitched: set[int] = set()
-    for key in battery_views(families):
-        if key[0] in MERGED_CONTEXT_KINDS:
-            if key not in held or key[0] == "dispersion_forecast":
-                continue
-            old = held[key]
-        elif len(key) > 1 and key[1] is not None and not prev.family_attacks(key[1]).size:
-            # A battery run on the previous context lazily builds empty
-            # views for families it has not seen yet, so the left
-            # operand holds a family only with its rows.
-            old = None
-        else:
-            old = view_value(prev, key)
-        value = extend_view(key, old, prev, parts, ctx, stitched=stitched)
-        if ctx.seed_view(key, value):
-            merged_views.inc()
+    keys = [k for k in battery_views(families) if k[0] not in MERGED_CONTEXT_KINDS or k in held]
+    seeded, stitched = extend_views(prev, parts, ctx, keys)
+    reg = _obs_registry()
+    reg.counter("shard.merge.views").inc(seeded)
     reg.counter("shard.merge.stitched_targets").inc(len(stitched))
     return ctx
 

@@ -13,8 +13,6 @@ everything else that ran before it).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..monitor.schemas import Protocol
 from .collaboration import collaboration_table
 from .context import AnalysisContext, AnalysisSource
@@ -137,7 +135,3 @@ def render_headline(source: AnalysisSource) -> str:
         f"top target countries: {top}",
     ]
     return "\n".join(lines)
-
-
-def _fmt_float(x: float, digits: int = 1) -> str:  # small shared helper
-    return f"{np.round(x, digits):g}"

@@ -36,19 +36,6 @@ class NoiseImpact:
         return self.inter_events / total if total else 0.0
 
 
-def _relabelled_families(ds: AttackDataset, labeler: FamilyLabeler) -> np.ndarray:
-    """Per-attack family index under a (possibly noisy) labeler."""
-    name_to_idx = {name: i for i, name in enumerate(ds.families)}
-    out = np.empty(ds.n_attacks, dtype=np.int16)
-    cache: dict[int, int] = {}
-    for i in range(ds.n_attacks):
-        botnet = int(ds.botnet_id[i])
-        if botnet not in cache:
-            cache[botnet] = name_to_idx[labeler.label(botnet)]
-        out[i] = cache[botnet]
-    return out
-
-
 def labeling_sensitivity(
     ds: AttackDataset,
     error_rates=(0.0, 0.01, 0.05, 0.10, 0.25),

@@ -53,7 +53,6 @@ from ..simulation.clock import ObservationWindow
 __all__ = [
     "COLSTORE_VERSION",
     "SHARDED_VERSION",
-    "UNSHARDED_LAYOUT",
     "ColstoreError",
     "ShardedDatasetStore",
     "append_shard",
@@ -75,9 +74,6 @@ SHARDED_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 _REGISTRIES_NAME = "registries.npz"
-
-#: Shard-layout token of a plain single-archive dataset (see ``io.cache``).
-UNSHARDED_LAYOUT = ("unsharded",)
 
 _ATTACK_COLS = (
     "start", "end", "family_idx", "botnet_id", "protocol", "target_idx",
@@ -579,10 +575,6 @@ class ShardedDatasetStore:
     def shard_bases(self) -> np.ndarray:
         """Global attack index of each shard's first row."""
         return np.concatenate(([0], np.cumsum(self._counts)[:-1])).astype(np.int64)
-
-    def layout_key(self) -> tuple:
-        """Hashable shard-layout token: count plus boundary timestamps."""
-        return ("sharded", self.n_shards, tuple(float(e) for e in self.edges))
 
     def _shared_state(self) -> dict:
         if self._shared is None:

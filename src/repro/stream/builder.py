@@ -52,6 +52,29 @@ _KNOWN_CENTROIDS = {code: (lat, lon) for code, _n, lat, lon, _w in COUNTRY_TABLE
 
 _SECONDS_PER_DAY = 86400
 
+#: The attack columns a batch fills: ``AttackDataset`` field -> dtype.
+_FILLED = {
+    "start": float,
+    "end": float,
+    "family_idx": np.int16,
+    "botnet_id": np.int32,
+    "protocol": np.int8,
+    "target_idx": np.int32,
+    "magnitude": np.int32,
+}
+
+#: The victim registry's columns, in :meth:`StreamingDataset._intern_victim`
+#: row order: ``VictimRegistry`` field -> dtype.
+_VICTIM = {
+    "ip": np.uint64,
+    "lat": float,
+    "lon": float,
+    "country_idx": np.int16,
+    "city_idx": np.int32,
+    "org_idx": np.int32,
+    "asn": np.int32,
+}
+
 #: The per-row attack columns a stream has nothing to fill with (no
 #: Botlist, no ground truth): name -> (dtype, constant).  They grow with
 #: the rows like the others, so every snapshot views one buffer instead
@@ -163,13 +186,7 @@ class StreamingDataset:
         )
 
         self._target_of: dict[int, int] = {}
-        self._v_ip = GrowableColumn(np.uint64)
-        self._v_lat = GrowableColumn(float)
-        self._v_lon = GrowableColumn(float)
-        self._v_cc = GrowableColumn(np.int16)
-        self._v_city = GrowableColumn(np.int32)
-        self._v_org = GrowableColumn(np.int32)
-        self._v_asn = GrowableColumn(np.int32)
+        self._victims = {name: GrowableColumn(dtype) for name, dtype in _VICTIM.items()}
 
         #: botnet_id -> [family, first_seen, last_seen]; family is the
         #: first arrival's, matching the batch builder's setdefault.
@@ -178,15 +195,11 @@ class StreamingDataset:
         self._botnet_pos: dict[int, int] = {}
         self._botnets_dirty: set[int] = set()
 
-        self._start = GrowableColumn(float)
-        self._end = GrowableColumn(float)
-        self._family_idx = GrowableColumn(np.int16)
-        self._botnet_id = GrowableColumn(np.int32)
-        self._protocol = GrowableColumn(np.int8)
-        self._target_idx = GrowableColumn(np.int32)
-        self._magnitude = GrowableColumn(np.int32)
-        self._unfilled = {name: GrowableColumn(dtype) for name, (dtype, _) in _UNFILLED.items()}
-        self._unfilled["part_offsets"].append([0])
+        #: The attack table, one column per ``AttackDataset`` field.
+        self._attacks = {name: GrowableColumn(dtype) for name, dtype in _FILLED.items()}
+        for name, (dtype, _) in _UNFILLED.items():
+            self._attacks[name] = GrowableColumn(dtype)
+        self._attacks["part_offsets"].append([0])
 
         self._epoch = 0
         #: Snapshot state: the context served at `_snapshot_epoch`, the
@@ -209,7 +222,7 @@ class StreamingDataset:
 
     @property
     def n_attacks(self) -> int:
-        return len(self._start)
+        return len(self._attacks["start"])
 
     @property
     def epoch(self) -> int:
@@ -237,9 +250,9 @@ class StreamingDataset:
         self._families.insert(pos, name)
         self._family_of = {fam: i for i, fam in enumerate(self._families)}
         if pos < len(self._families) - 1 and self.n_attacks:
-            col = self._family_idx.view()
-            remapped = np.where(col >= pos, col + 1, col).astype(np.int16)
-            self._family_idx.replace(remapped)
+            col = self._attacks["family_idx"]
+            idx = col.view()
+            col.replace(np.where(idx >= pos, idx + 1, idx).astype(np.int16))
         return pos
 
     def _intern_country(self, rec: DDoSAttackRecord) -> int:
@@ -306,13 +319,6 @@ class StreamingDataset:
             self._target_of[rec.target_ip] = len(self._target_of)
             new.append((rec.target_ip, rec.lat, rec.lon, c_idx, city_idx, org_idx, rec.asn))
 
-    def _victim_columns(self) -> tuple[GrowableColumn, ...]:
-        """The victim registry's columns, in :meth:`_intern_victim` row order."""
-        return (
-            self._v_ip, self._v_lat, self._v_lon, self._v_cc,
-            self._v_city, self._v_org, self._v_asn,
-        )
-
     # -- the append path ---------------------------------------------------
 
     def append_batch(
@@ -337,10 +343,10 @@ class StreamingDataset:
             return 0
         batch.sort(key=lambda r: (r.timestamp, r.botnet_id))
 
-        n_before = self.n_attacks
+        cols = self._attacks
         last_key = (
-            (float(self._start.view()[-1]), int(self._botnet_id.view()[-1]))
-            if n_before
+            (float(cols["start"].view()[-1]), int(cols["botnet_id"].view()[-1]))
+            if self.n_attacks
             else None
         )
 
@@ -363,24 +369,25 @@ class StreamingDataset:
                 self._max_end = rec.end_time
 
         if new_victims:
-            for column, values in zip(self._victim_columns(), zip(*new_victims)):
+            for column, values in zip(self._victims.values(), zip(*new_victims)):
                 column.append(values)
 
         # Family indices are resolved after the whole batch is interned:
         # a new family landing mid-alphabet shifts indices assigned to
         # earlier rows of this very batch.
-        family_col = np.asarray(
-            [self._family_of[r.family] for r in batch], dtype=np.int16
-        )
-
-        start = np.asarray([r.timestamp for r in batch], dtype=float)
-        end = np.asarray([r.end_time for r in batch], dtype=float)
-        botnet = np.asarray([r.botnet_id for r in batch], dtype=np.int32)
-        proto = np.asarray([int(r.category) for r in batch], dtype=np.int8)
-        target = np.asarray(
-            [self._target_of[r.target_ip] for r in batch], dtype=np.int32
-        )
-        magnitude = np.asarray([r.magnitude for r in batch], dtype=np.int32)
+        values = {
+            "start": [r.timestamp for r in batch],
+            "end": [r.end_time for r in batch],
+            "family_idx": [self._family_of[r.family] for r in batch],
+            "botnet_id": [r.botnet_id for r in batch],
+            "protocol": [int(r.category) for r in batch],
+            "target_idx": [self._target_of[r.target_ip] for r in batch],
+            "magnitude": [r.magnitude for r in batch],
+        }
+        rows = {name: np.asarray(values[name], dtype=dtype) for name, dtype in _FILLED.items()}
+        for name, (dtype, value) in _UNFILLED.items():
+            rows[name] = np.full(len(batch), value, dtype=dtype)
+        start, botnet = rows["start"], rows["botnet_id"]
 
         if self._spilled_rows and start[0] <= self._spill_max_start:
             self._spill_dirty = True
@@ -388,7 +395,7 @@ class StreamingDataset:
         if self._summary is not None:
             self._summary.update_arrays(
                 start=start,
-                end=end,
+                end=rows["end"],
                 family=np.asarray([r.family for r in batch], dtype=object),
                 country=np.asarray([r.country_code for r in batch], dtype=object),
                 victim=np.asarray([r.target_ip for r in batch], dtype=np.uint64),
@@ -396,25 +403,17 @@ class StreamingDataset:
             )
 
         in_order = last_key is None or (start[0], int(botnet[0])) >= last_key
-        self._start.append(start)
-        self._end.append(end)
-        self._family_idx.append(family_col)
-        self._botnet_id.append(botnet)
-        self._protocol.append(proto)
-        self._target_idx.append(target)
-        self._magnitude.append(magnitude)
-        for name, (dtype, value) in _UNFILLED.items():
-            self._unfilled[name].append(np.full(len(batch), value, dtype=dtype))
+        for name, values in rows.items():
+            cols[name].append(values)
 
         if not in_order:
             # Stable merge: equivalent to stable-sorting the records in
             # arrival order by (start, botnet_id) — exactly what the
-            # scratch batch build does.
-            order = np.lexsort((self._botnet_id.view(), self._start.view()))
-            for col in (self._start, self._end, self._family_idx,
-                        self._botnet_id, self._protocol, self._target_idx,
-                        self._magnitude):
-                col.replace(col.view()[order])
+            # scratch batch build does.  The unfilled columns hold one
+            # constant each and need no re-order.
+            order = np.lexsort((cols["botnet_id"].view(), cols["start"].view()))
+            for name in _FILLED:
+                cols[name].replace(cols[name].view()[order])
             self._carry_ok = False
 
         self._epoch += 1
@@ -477,14 +476,8 @@ class StreamingDataset:
     def _materialize(self) -> AttackDataset:
         families = list(self._families)
         victims = VictimRegistry(
-            ip=self._v_ip.view(),
-            lat=self._v_lat.view(),
-            lon=self._v_lon.view(),
-            country_idx=self._v_cc.view(),
-            city_idx=self._v_city.view(),
-            org_idx=self._v_org.view(),
-            asn=self._v_asn.view(),
-            owner_family_idx=np.full(len(self._v_ip), -1, dtype=np.int16),
+            **{name: col.view() for name, col in self._victims.items()},
+            owner_family_idx=np.full(len(self._victims["ip"]), -1, dtype=np.int16),
         )
         return AttackDataset(
             window=self._window(),
@@ -494,15 +487,8 @@ class StreamingDataset:
             bots=self._bots,
             victims=victims,
             botnets=self._botnets(),
-            start=self._start.view(),
-            end=self._end.view(),
-            family_idx=self._family_idx.view(),
-            botnet_id=self._botnet_id.view(),
-            protocol=self._protocol.view(),
-            target_idx=self._target_idx.view(),
-            magnitude=self._magnitude.view(),
             participants=np.zeros(0, dtype=np.int64),
-            **{name: col.view() for name, col in self._unfilled.items()},
+            **{name: col.view() for name, col in self._attacks.items()},
             # Appends since the last snapshot left its rows a prefix
             # unless a late batch re-sorted them.
             _checked_rows=(
@@ -599,12 +585,9 @@ class StreamingDataset:
         not included — this is the number the serve layer's per-tenant
         memory ceiling compares against.
         """
-        columns = (
-            self._start, self._end, self._family_idx, self._botnet_id,
-            self._protocol, self._target_idx, self._magnitude,
-            *self._victim_columns(),
+        total = sum(
+            col.nbytes for table in (self._attacks, self._victims) for col in table.values()
         )
-        total = sum(col.nbytes for col in (*columns, *self._unfilled.values()))
         if self._summary is not None:
             total += self._summary.memory_bytes()
         return int(total)
@@ -646,7 +629,7 @@ class StreamingDataset:
             )
         if self.n_attacks == 0:
             return 0
-        start_col = self._start.view()
+        start_col = self._attacks["start"].view()
         cut = int(np.searchsorted(start_col, start_col[-1], side="left"))
         if cut <= self._spilled_rows:
             return 0

@@ -6,9 +6,10 @@ views computed for the first ``base_n`` attacks, and the appended rows
 sit at ``[base_n:]`` of the new snapshot's sorted columns.  That is the
 shard merge's extend step with the previous context as the left operand
 and the appended rows as the one right part, so :func:`carry_views`
-takes :func:`repro.core.merge.extend_view`, at O(batch) cost, for each
-view of :func:`~repro.experiments.registry.battery_views` the previous
-context has materialised.  :mod:`repro.core.merge` describes the shapes
+runs the shard merge's fold, :func:`repro.core.merge.extend_views`, at
+O(batch) cost, over each view of
+:func:`~repro.experiments.registry.battery_views` the previous context
+has materialised.  :mod:`repro.core.merge` describes the shapes
 those views extend in.
 
 The concatenation-shaped views grow in a
@@ -35,7 +36,6 @@ build, array for array and key order included.
 from __future__ import annotations
 
 from ..core import merge
-from ..core.columns import ColumnStore
 from ..core.context import AnalysisContext
 from ..io.colstore import _slice_dataset
 from ..obs import registry as _obs_registry
@@ -49,34 +49,17 @@ def carry_views(old_ctx: AnalysisContext, new_ctx: AnalysisContext) -> int:
     ``old_ctx`` covered the first ``base_n`` attacks of ``new_ctx``'s
     dataset (callers only carry across in-order appends).  Every key of
     :func:`~repro.experiments.registry.battery_views` over the new
-    dataset's active families that ``old_ctx`` holds is extended, except
-    the forecasts.  Returns how many views it carried, and counts the
-    targets whose scan runs were re-stitched into
-    ``stream.carry.stitched_targets``.
+    dataset's active families that ``old_ctx`` holds is extended by
+    :func:`repro.core.merge.extend_views`, which skips the forecasts.
+    Returns how many views it carried, and counts the targets whose scan
+    runs were re-stitched into ``stream.carry.stitched_targets``.
     """
     from ..experiments.registry import battery_views
 
     ds = new_ctx.dataset
-    old_ds = old_ctx.dataset
-    batch = AnalysisContext(_slice_dataset(ds, old_ds.n_attacks, ds.n_attacks))
-    # The snapshots of one stream hand a column store down, so each carry
-    # grows the previous snapshot's concatenation views in place.
-    columns = old_ctx._columns or ColumnStore()
-    new_ctx._columns = columns
-
-    views = old_ctx.materialized()
-    stitched: set[int] = set()
-    seeded = 0
-    for key in battery_views(ds.active_families):
-        if key not in views or key[0] == "dispersion_forecast":
-            continue
-        value = views[key]
-        if key[0] == "family_attack_index" and old_ds.families != ds.families:
-            # A family interned mid-alphabet shifts the family indices
-            # after it; the old grouping's keys move to the new index
-            # space (its member arrays are row positions and stay valid).
-            value = {ds.family_id(old_ds.family_name(k)): v for k, v in value.items()}
-        value = merge.extend_view(key, value, old_ctx, [batch], new_ctx, stitched=stitched)
-        seeded += new_ctx.seed_view(key, value)
+    batch = AnalysisContext(_slice_dataset(ds, old_ctx.dataset.n_attacks, ds.n_attacks))
+    held = old_ctx.materialized()
+    keys = [key for key in battery_views(ds.active_families) if key in held]
+    seeded, stitched = merge.extend_views(old_ctx, [batch], new_ctx, keys)
     _obs_registry().counter("stream.carry.stitched_targets").inc(len(stitched))
     return seeded

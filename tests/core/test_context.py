@@ -195,33 +195,3 @@ class TestRunAllParity:
         assert ids[0] == "table2_protocols"
         assert ids[-1] == "fig18_chains"
         assert len(ids) == 18
-
-
-class TestSnapshot:
-    def test_export_import_roundtrip(self, small_ds):
-        ctx = AnalysisContext(small_ds)
-        ctx.attack_intervals()
-        ctx.durations()
-        ctx.collaborations()
-        snapshot = ctx.export_views()
-        assert len(snapshot) == ctx.n_views
-
-        fresh = AnalysisContext(small_ds)
-        assert fresh.import_views(snapshot) == len(snapshot)
-        assert np.array_equal(fresh.attack_intervals(), ctx.attack_intervals())
-        assert fresh.collaborations() == ctx.collaborations()
-
-    def test_existing_views_win_on_import(self, small_ds):
-        ctx = AnalysisContext(small_ds)
-        mine = ctx.attack_intervals()
-        restored = ctx.import_views({("attack_intervals",): np.zeros(3)})
-        assert restored == 0
-        assert ctx.attack_intervals() is mine
-
-    def test_unpicklable_views_skipped(self, small_ds):
-        ctx = AnalysisContext(small_ds)
-        ctx.view(("unpicklable",), lambda: threading.Lock())
-        ctx.attack_intervals()
-        snapshot = ctx.export_views()
-        assert ("unpicklable",) not in snapshot
-        assert ("attack_intervals",) in snapshot

@@ -496,11 +496,11 @@ class TestIncrementalRemerge:
     def test_family_first_seen_only_in_appended_shard(self, small_ds, tmp_path):
         """A battery run before the append must not poison the re-merge.
 
-        Reading a family with no attacks yet lazily builds an *empty*
-        ``family_starts`` view on the merged context; the incremental
-        path must not take key presence as evidence the family has a
-        previous series to extend (its dispersion kernels raise on
-        empty families).
+        Reading a family with no attacks yet lazily builds *empty*
+        views (``family_starts`` and every other family view whose
+        kernel accepts no rows) on the merged context; the fold extends
+        those held values, and builds none of the views it lacks (the
+        dispersion kernels raise on empty families).
         """
         from repro.io import colstore as colstore_mod
 
@@ -521,6 +521,13 @@ class TestIncrementalRemerge:
         prev = sctx.merged()
         # Simulate the battery touching the not-yet-seen family.
         assert prev.family_starts(family).size == 0
+        for key in battery_views([family]):
+            if key[1:2] == (family,):
+                try:
+                    merge.view_value(prev, key)
+                except (ValueError, IndexError):
+                    pass
+        assert ("family_intervals", family, True) in prev.materialized()
 
         append_shard(tmp_path / "store", tail)
         assert sctx.refresh() == 1

@@ -8,12 +8,9 @@ import pytest
 from repro.datagen.config import DatasetConfig
 from repro.io.cache import (
     config_key,
-    load_context_views,
     load_dataset,
     load_or_generate,
-    load_or_generate_context,
     resolve_cache_dir,
-    save_context_views,
     save_dataset,
 )
 
@@ -78,94 +75,3 @@ class TestCacheDirResolution:
         config = DatasetConfig.tiny(seed=47)
         load_or_generate(config)
         assert list((tmp_path / "env").glob("dataset-*.npz"))
-
-
-class TestContextViewSnapshots:
-    def test_roundtrip(self, tmp_path):
-        config = DatasetConfig.tiny(seed=48)
-        ctx = load_or_generate_context(config, tmp_path)
-        ctx.attack_intervals()
-        ctx.collaborations()
-        save_context_views(ctx, config, tmp_path)
-
-        warm = load_or_generate_context(config, tmp_path)
-        assert warm is not ctx  # separate object, same dataset bytes
-        assert warm.n_views >= 2
-        assert np.array_equal(warm.attack_intervals(), ctx.attack_intervals())
-        assert warm.collaborations() == ctx.collaborations()
-
-    def test_wrong_key_rejected(self, tmp_path):
-        config = DatasetConfig.tiny(seed=48)
-        ctx = load_or_generate_context(config, tmp_path)
-        ctx.attack_intervals()
-        path = save_context_views(ctx, config, tmp_path)
-        with pytest.raises(ValueError):
-            load_context_views(path, "deadbeefdeadbeef")
-
-    def test_corrupt_snapshot_discarded(self, tmp_path):
-        config = DatasetConfig.tiny(seed=48)
-        ctx = load_or_generate_context(config, tmp_path)
-        ctx.attack_intervals()
-        path = save_context_views(ctx, config, tmp_path)
-        path.write_bytes(b"garbage")
-        warm = load_or_generate_context(config, tmp_path)
-        assert warm.n_views == 0
-        assert not path.exists()
-
-    def test_v2_snapshot_of_event_lists_is_a_miss(self, tmp_path):
-        """A v2 snapshot holds the scans as event lists: it is discarded
-        and the scans rebuild as CSRs, never load as lists."""
-        import gzip
-        import pickle
-
-        from repro.core.collaboration import detect_collaborations
-        from repro.core.scans import ScanEvents
-        from repro.io.colstore import UNSHARDED_LAYOUT
-
-        config = DatasetConfig.tiny(seed=48)
-        ctx = load_or_generate_context(config, tmp_path)
-        path = save_context_views(ctx, config, tmp_path)
-        legacy = {("collaborations",): detect_collaborations(ctx)}
-        with gzip.open(path, "wb") as fh:
-            pickle.dump((2, config_key(config), UNSHARDED_LAYOUT, legacy), fh)
-        with pytest.raises(ValueError, match="format v2"):
-            load_context_views(path, config_key(config))
-        warm = load_or_generate_context(config, tmp_path)
-        assert warm.n_views == 0
-        assert not path.exists()
-        assert isinstance(warm.collaborations(), ScanEvents)
-        assert warm.collaborations() == ctx.collaborations()
-
-    def test_sharded_snapshot_rejected_on_flat_load(self, tmp_path):
-        """Views built under a sharding never restore against the flat path."""
-        from repro.core.context import ShardedAnalysisContext
-        from repro.io.colstore import ShardedDatasetStore
-
-        config = DatasetConfig.tiny(seed=48)
-        ds = load_or_generate_context(config, tmp_path).dataset
-        store = ShardedDatasetStore.partition(ds, shards=2)
-        sctx = ShardedAnalysisContext(store)
-        sctx.build(jobs=1)
-        path = save_context_views(sctx.merged(), config, tmp_path, shard_layout=store.layout_key())
-        with pytest.raises(ValueError, match="shard layout"):
-            load_context_views(path, config_key(config))
-        # load_or_generate_context treats it as a miss and discards it
-        warm = load_or_generate_context(config, tmp_path)
-        assert warm.n_views == 0
-        assert not path.exists()
-
-    def test_snapshot_keyed_by_shard_count_and_edges(self, tmp_path):
-        from repro.core.context import ShardedAnalysisContext
-        from repro.io.colstore import ShardedDatasetStore
-
-        config = DatasetConfig.tiny(seed=48)
-        ds = load_or_generate_context(config, tmp_path).dataset
-        two = ShardedDatasetStore.partition(ds, shards=2)
-        four = ShardedDatasetStore.partition(ds, shards=4)
-        sctx = ShardedAnalysisContext(two)
-        sctx.build(jobs=1)
-        path = save_context_views(sctx.merged(), config, tmp_path, shard_layout=two.layout_key())
-        # same layout restores; any other sharding is rejected
-        assert load_context_views(path, config_key(config), two.layout_key())
-        with pytest.raises(ValueError, match="shard layout"):
-            load_context_views(path, config_key(config), four.layout_key())

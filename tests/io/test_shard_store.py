@@ -74,12 +74,6 @@ class TestShardedRoundTrip:
         np.testing.assert_array_equal(store.edges, want)
         assert_identical(tiny_ds, store.merged_dataset())
 
-    def test_layout_key_distinguishes_shardings(self, tiny_ds):
-        a = ShardedDatasetStore.partition(tiny_ds, shards=2).layout_key()
-        b = ShardedDatasetStore.partition(tiny_ds, shards=4).layout_key()
-        assert a != b
-        assert a != colstore.UNSHARDED_LAYOUT
-
 
 class TestMmapGauge:
     def test_gauge_tracks_mmap_engagement(self, tiny_ds, tmp_path):

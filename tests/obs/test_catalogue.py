@@ -38,7 +38,6 @@ def test_catalogue_table_parses():
 
 def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
     from repro import api
-    from repro.io.cache import load_or_generate_context, save_context_views
     from repro.io.jsonlio import append_attacks_jsonl
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -48,13 +47,8 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
         ds = api.generate(config=tiny_config)
         api.generate(config=tiny_config)
 
-        # view-snapshot cache (miss, save, hit)
-        ctx = load_or_generate_context(tiny_config)
-        save_context_views(ctx, tiny_config)
-        load_or_generate_context(tiny_config)
-
         # experiment battery: context views + experiment spans
-        api.run_all(ctx, jobs=2)
+        api.run_all(api.context(ds), jobs=2)
 
         # sharded map-reduce: store round-trip, per-shard builds, merge
         from repro.io.colstore import save_sharded_npz

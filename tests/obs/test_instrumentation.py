@@ -65,24 +65,13 @@ def test_ingest_emits_span_and_count(tiny_ds):
 
 
 def test_cache_counters(tiny_config, tmp_path):
-    from repro.io.cache import (
-        load_or_generate,
-        load_or_generate_context,
-        save_context_views,
-    )
+    from repro.io.cache import load_or_generate
 
     reg = obs.registry()
     load_or_generate(tiny_config, tmp_path)
     assert reg.counter("cache.dataset.miss").value == 1
     load_or_generate(tiny_config, tmp_path)
     assert reg.counter("cache.dataset.hit").value == 1
-
-    ctx = load_or_generate_context(tiny_config, tmp_path)
-    assert reg.counter("cache.views.miss").value == 1
-    ctx.view(("probe",), lambda: 1)
-    save_context_views(ctx, tiny_config, tmp_path)
-    load_or_generate_context(tiny_config, tmp_path)
-    assert reg.counter("cache.views.hit").value == 1
 
 
 def test_stream_append_and_carry_metrics(tiny_ds):

@@ -169,11 +169,16 @@ class TestShardCli:
             main(["convert", str(flat_npz), str(tmp_path / "s"), "--shard-by", "soon"])
         assert exc_info.value.code == 2
 
-    def test_experiments_sharded_matches_flat(self, capsys, cache_dir):
-        code, flat = run_cli(capsys, *BASE, "--cache-dir", cache_dir, "experiments")
-        assert code == 0
-        code, sharded = run_cli(
-            capsys, *BASE, "--cache-dir", cache_dir, "experiments", "--shards", "3"
-        )
-        assert code == 0
+    def test_experiments_sharded_matches_flat(self, capsys, tmp_path):
+        """A repeat run and a sharded run render the flat run byte for
+        byte, and the cache directory holds only the dataset."""
+        runs = [
+            run_cli(capsys, *BASE, "--cache-dir", str(tmp_path), "experiments", *extra)
+            for extra in ((), (), ("--shards", "3"))
+        ]
+        assert [code for code, _out in runs] == [0, 0, 0]
+        flat, repeat, sharded = (out for _code, out in runs)
+        assert repeat == flat
         assert sharded == flat
+        files = [p.name for p in tmp_path.iterdir()]
+        assert len(files) == 1 and files[0].startswith("dataset-") and files[0].endswith(".npz")
