@@ -46,6 +46,7 @@ from .dataset import AttackDataset
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..monitor.schemas import Protocol
     from .columns import ColumnStore
+    from .geolocation import BotCoords
     from .intervals import SimultaneousReport
     from .overview import DailyDistribution, WorkloadSummary
     from .prediction import DispersionForecast
@@ -358,12 +359,16 @@ class AnalysisContext:
 
     # -- participants and geolocation --------------------------------------
 
-    def bot_coords_radians(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lat, lon) of every bot in radians — the participant geo matrix."""
-        return self.view(
-            ("bot_coords_radians",),
-            lambda: (np.radians(self._ds.bots.lat), np.radians(self._ds.bots.lon)),
-        )
+    def bot_coords_radians(self) -> BotCoords:
+        """Every bot's lat/lon in radians and the per-bot columns the
+        dispersion kernel gathers — the participant geo matrix."""
+
+        def build() -> BotCoords:
+            from .geolocation import bot_coords
+
+            return bot_coords(self._ds.bots)
+
+        return self.view(("bot_coords_radians",), build)
 
     def family_participants(self, family: str) -> tuple[np.ndarray, np.ndarray]:
         """CSR participant layout restricted to one family's attacks.
@@ -696,7 +701,7 @@ class ShardedAnalysisContext:
         self._store = store
         self._shard_ctxs: list[AnalysisContext | None] = [None] * store.n_shards
         self._merged: AnalysisContext | None = None
-        self._shared_coords: tuple[np.ndarray, np.ndarray] | None = None
+        self._shared_coords: BotCoords | None = None
         self._lock = threading.Lock()
         #: Shards whose mergeable views are built.
         self._built: set[int] = set()
@@ -743,11 +748,12 @@ class ShardedAnalysisContext:
 
     # -- per-shard layer ---------------------------------------------------
 
-    def _shared_bot_coords(self) -> tuple[np.ndarray, np.ndarray]:
+    def _shared_bot_coords(self) -> BotCoords:
         """The bot geo matrix, computed once (registries are shared)."""
         if self._shared_coords is None:
-            bots = self._store.load_shard(0).bots
-            self._shared_coords = (np.radians(bots.lat), np.radians(bots.lon))
+            from .geolocation import bot_coords
+
+            self._shared_coords = bot_coords(self._store.load_shard(0).bots)
         return self._shared_coords
 
     def shard_context(self, index: int) -> AnalysisContext:

@@ -17,6 +17,7 @@ predictor all share one computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,58 +41,73 @@ __all__ = [
 SYMMETRY_TOLERANCE_KM = 100.0
 
 
-def _segment_centers(
-    lats_r: np.ndarray, lons_r: np.ndarray, offsets: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Geographic centre per CSR segment (3-D unit-vector mean)."""
-    x = np.cos(lats_r) * np.cos(lons_r)
-    y = np.cos(lats_r) * np.sin(lons_r)
-    z = np.sin(lats_r)
-    # Zero-count segments (attacks with no recorded participants, e.g.
-    # on ingested attack-table-only datasets) would index ``reduceat``
-    # out of range and divide by zero.  The clamps keep the kernel total
-    # — positive-count segments are untouched, clamped ones produce
-    # meaningless centres that every caller masks via ``counts < 2``.
-    starts = np.minimum(offsets[:-1], lats_r.size - 1)
-    denom = np.maximum(counts, 1)
-    sx = np.add.reduceat(x, starts) / denom
-    sy = np.add.reduceat(y, starts) / denom
-    sz = np.add.reduceat(z, starts) / denom
-    norm = np.sqrt(sx * sx + sy * sy + sz * sz)
-    norm = np.maximum(norm, 1e-12)
-    lat_c = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
-    lon_c = np.arctan2(sy, sx)
-    return lat_c, lon_c
+class BotCoords(NamedTuple):
+    """Per-bot geo columns, radians: the participant geo matrix.
+
+    The dispersion kernel gathers these by bot index, so its per-bot
+    trigonometry runs once per bot rather than once per participation.
+    """
+
+    lat: np.ndarray
+    lon: np.ndarray
+    #: The bot's 3-D unit vector.
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    cos_lat: np.ndarray
+
+
+def bot_coords(bots) -> BotCoords:
+    """The :class:`BotCoords` of a bot registry."""
+    lat = np.radians(bots.lat)
+    lon = np.radians(bots.lon)
+    cos_lat = np.cos(lat)
+    return BotCoords(
+        lat, lon, cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat), cos_lat
+    )
 
 
 def _segment_dispersions(
-    lats_r: np.ndarray, lons_r: np.ndarray, offsets: np.ndarray, counts: np.ndarray
+    coords: BotCoords, bots: np.ndarray, offsets: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Geolocation-distribution value per CSR segment (radian coords).
+    """Geolocation-distribution value per CSR segment of bot indices.
 
     The shared kernel behind the per-attack and per-snapshot dispersion
     analyses: segment centres via the 3-D unit-vector mean, a broadcast
     signed haversine from every point to its segment's centre, and one
     ``np.add.reduceat`` rollup of the signed sums.
     """
-    if counts.size == 0 or lats_r.size == 0:
+    if counts.size == 0 or bots.size == 0:
         return np.zeros(counts.size)
-    lat_c, lon_c = _segment_centers(lats_r, lons_r, offsets, counts)
+    # Zero-count segments (attacks with no recorded participants, e.g.
+    # on ingested attack-table-only datasets) would index ``reduceat``
+    # out of range and divide by zero.  The clamps keep the kernel total
+    # — positive-count segments are untouched, clamped ones produce
+    # meaningless values that every caller masks via ``counts < 2``.
+    starts = np.minimum(offsets[:-1], bots.size - 1)
+    denom = np.maximum(counts, 1)
+    # Geographic centre per segment (3-D unit-vector mean).
+    sx = np.add.reduceat(coords.x[bots], starts) / denom
+    sy = np.add.reduceat(coords.y[bots], starts) / denom
+    sz = np.add.reduceat(coords.z[bots], starts) / denom
+    norm = np.sqrt(sx * sx + sy * sy + sz * sz)
+    norm = np.maximum(norm, 1e-12)
+    lat_c = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
+    lon_c = np.arctan2(sy, sx)
 
     # Broadcast each segment's centre back onto its participants.
-    seg = np.repeat(np.arange(counts.size), counts)
-    clat = lat_c[seg]
-    clon = lon_c[seg]
-    dlat = lats_r - clat
-    dlon = lons_r - clon
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(clat) * np.cos(lats_r) * np.sin(dlon / 2.0) ** 2
+    dlat = coords.lat[bots] - np.repeat(lat_c, counts)
+    dlon = coords.lon[bots] - np.repeat(lon_c, counts)
+    a = (
+        np.sin(dlat / 2.0) ** 2
+        + np.repeat(np.cos(lat_c), counts) * coords.cos_lat[bots] * np.sin(dlon / 2.0) ** 2
+    )
     dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
     # Paper's sign convention: east positive, west negative; ties by north/south.
     wrapped = np.mod(dlon + np.pi, 2.0 * np.pi) - np.pi
     sign = np.sign(wrapped)
     sign = np.where(sign == 0, np.sign(dlat), sign)
-    # Same zero-count clamp as in the centre kernel (see above).
-    sums = np.add.reduceat(sign * dist, np.minimum(offsets[:-1], lats_r.size - 1))
+    sums = np.add.reduceat(sign * dist, starts)
     return np.abs(sums)
 
 
@@ -118,8 +134,7 @@ def _attack_dispersions(
     offsets, flat = ctx.family_participants(family)
     counts = np.diff(offsets)
 
-    all_lats_r, all_lons_r = ctx.bot_coords_radians()
-    values = _segment_dispersions(all_lats_r[flat], all_lons_r[flat], offsets, counts)
+    values = _segment_dispersions(ctx.bot_coords_radians(), flat, offsets, counts)
     # Single-bot attacks have no dispersion by definition.
     values[counts < 2] = 0.0
     return ds.start[idx], values
@@ -166,7 +181,7 @@ def _snapshot_dispersions(
     if ts.size == 0:
         return np.zeros(0), np.zeros(0)
 
-    all_lats_r, all_lons_r = ctx.bot_coords_radians()
+    coords = ctx.bot_coords_radians()
     out_times: list[np.ndarray] = []
     out_values: list[np.ndarray] = []
     # Every attack participation lands in up to 24 hourly snapshots, so
@@ -189,7 +204,7 @@ def _snapshot_dispersions(
         bots = np.asarray(flat)[pos]
 
         # Per-snapshot unique bot sets (the 24-hour reports are sets).
-        u_snap, u_bot = unique_pairs(snap, bots, all_lats_r.size)
+        u_snap, u_bot = unique_pairs(snap, bots, coords.lat.size)
         u_counts = np.bincount(u_snap, minlength=c1 - c0)
         good = u_counts >= 2
         sel = good[u_snap]
@@ -198,9 +213,7 @@ def _snapshot_dispersions(
             continue
         u_offsets = np.concatenate(([0], np.cumsum(counts_sel)))
         bot_sel = u_bot[sel]
-        vals = _segment_dispersions(
-            all_lats_r[bot_sel], all_lons_r[bot_sel], u_offsets, counts_sel
-        )
+        vals = _segment_dispersions(coords, bot_sel, u_offsets, counts_sel)
         out_times.append(ts[c0:c1][good])
         out_values.append(vals)
     if not out_times:

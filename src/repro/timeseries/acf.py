@@ -8,7 +8,6 @@ model's residuals look like white noise.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["acf", "pacf", "ljung_box"]
 
@@ -77,6 +76,8 @@ def ljung_box(residuals, nlags: int = 10, fitted_params: int = 0) -> tuple[float
     from the degrees of freedom (``p + q`` for an ARMA fit).  A large
     p-value means we cannot reject residual whiteness.
     """
+    from scipy import stats
+
     r = np.asarray(residuals, dtype=float)
     n = r.size
     if n <= nlags:

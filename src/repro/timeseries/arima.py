@@ -8,19 +8,22 @@ conditional-sum-of-squares (CSS) estimator:
 * difference the series ``d`` times;
 * estimate the ARMA(p, q) parameters of the differenced series by
   minimising the sum of squared one-step-ahead innovations, starting from
-  Hannan-Rissanen initial values (:mod:`repro.timeseries.hannan_rissanen`);
+  Hannan-Rissanen initial values (:mod:`repro.timeseries.hannan_rissanen`),
+  with :func:`_nelder_mead`, an exact port of scipy's Nelder-Mead that
+  also stops once a pass leaves the simplex bitwise unchanged;
 * forecast recursively, re-integrating the differenced predictions.
 
 The estimator is validated in the test suite against synthetic AR/MA
-processes with known coefficients.
+processes with known coefficients.  ``scipy.signal`` is imported on
+first use, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
 
 from .differencing import difference, integrate_forecast
 from .hannan_rissanen import hannan_rissanen
@@ -28,6 +31,7 @@ from .hannan_rissanen import hannan_rissanen
 __all__ = ["ARIMA", "ARIMAFit"]
 
 
+@functools.cache
 def _make_iir_all_pole():
     """Fast all-pole IIR filter ``1 / a(B)`` with zero initial conditions.
 
@@ -36,8 +40,10 @@ def _make_iir_all_pole():
     the C routine directly is bitwise-identical and skips ~30 µs of Python
     overhead per call — which matters inside the CSS optimiser, where the
     filter runs thousands of times per fit.  The private entry point is
-    probed once at import; any surprise falls back to the public API.
+    probed once, on first use; any surprise falls back to the public API.
     """
+    from scipy import signal
+
     b = np.array([1.0])
     try:
         from scipy.signal import _sigtools
@@ -54,7 +60,116 @@ def _make_iir_all_pole():
     return lambda a, x: signal.lfilter(b, a, x)
 
 
-_iir_all_pole = _make_iir_all_pole()
+def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+    """Minimise ``func`` from ``x0``; returns the best vertex.
+
+    A line-for-line port of scipy 1.17's ``_minimize_neldermead`` as
+    ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})`` runs
+    it (non-adaptive, no bounds, no ``maxfev``): the same initial simplex,
+    the same sorts, the same convergence test and the same numpy
+    expressions in the same order, so every vertex is bit for bit
+    scipy's.  ``func`` must be pure and must not modify its argument.
+
+    It adds one exit.  The next pass depends only on ``(sim, fsim)``, and
+    so does the convergence test; a pass that leaves both bitwise
+    unchanged therefore leaves them unchanged until ``maxiter``, where
+    scipy returns this same ``sim[0]``.  The CSS objective meets that
+    fixed point long before ``maxiter`` on long series, whose absolute
+    ``fatol`` lies below one ulp of the CSS values.
+    """
+    rho = 1
+    chi = 2
+    psi = 0.5
+    sigma = 0.5
+    nonzdelt = 0.05
+    zdelt = 0.00025
+
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    one2np1 = list(range(1, N + 1))
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = func(sim[k])
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    # sort so sim[0,:] has the lowest function value
+    sim = np.take(sim, ind, 0)
+
+    state = sim.tobytes() + fsim.tobytes()
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        doshrink = 0
+
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        else:  # fsim[0] <= fxr
+            if fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:  # fxr >= fsim[-2]
+                # Perform contraction
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = func(xc)
+
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = 1
+                else:
+                    # Perform an inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = func(xcc)
+
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = 1
+
+                if doshrink:
+                    for j in one2np1:
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        # The fixed-point exit (see the docstring).
+        prev, state = state, sim.tobytes() + fsim.tobytes()
+        if state == prev:
+            break
+    return sim[0]
 
 
 def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -81,7 +196,7 @@ def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarr
     z[:p] = 0.0
     if q == 0:
         return z
-    return _iir_all_pole(np.concatenate(([1.0], theta)), z)
+    return _make_iir_all_pole()(np.concatenate(([1.0], theta)), z)
 
 
 def _min_root_modulus(coeffs: np.ndarray) -> float:
@@ -195,6 +310,8 @@ class ARIMAFit:
         ``steps`` psi-weights by recursion and returns ``(point, lower,
         upper)`` arrays.  Bands assume Gaussian innovations.
         """
+        from scipy import signal
+
         point = self.forecast(steps)
         # psi-weights are the impulse response of theta(B)/phi(B).
         impulse = np.zeros(steps)
@@ -223,6 +340,8 @@ class ARIMAFit:
         collapses to a short input vector, and the AR side runs in C via
         :func:`scipy.signal.lfilter` seeded from the training tail.
         """
+        from scipy import signal
+
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
         p, d, q = self.order
@@ -255,6 +374,8 @@ class ARIMAFit:
         first half, predict each subsequent point).  Returns an array the
         same length as ``series``.
         """
+        from scipy import signal
+
         cont = np.asarray(series, dtype=float)
         p, d, q = self.order
         n = cont.size
@@ -361,8 +482,9 @@ class ARIMA:
         lags = [y[p - 1 - i : n - 1 - i] for i in range(p)]
         a_full = np.empty(q + 1)
         a_full[0] = 1.0
+        iir_all_pole = _make_iir_all_pole()
 
-        def evaluate(x: np.ndarray) -> float:
+        def objective(x: np.ndarray) -> float:
             const = x[0]
             phi = x[1 : 1 + p]
             theta = x[1 + p :]
@@ -371,25 +493,12 @@ class ARIMA:
                 z -= phi[i] * lags[i]
             if q:
                 a_full[1:] = theta
-                eps = _iir_all_pole(a_full, z)
+                eps = iir_all_pole(a_full, z)
             else:
                 eps = z
             css = float(np.dot(eps, eps))
             violation = _instability(phi) + _instability(-theta)
             return css * (1.0 + 1e4 * violation)
-
-        # ``evaluate`` is a pure function of ``x``, so a memo keyed by its
-        # bytes returns exactly what a fresh evaluation would: the simplex
-        # path and the fit stay bitwise identical.  It lives for this fit
-        # only.
-        memo: dict[bytes, float] = {}
-
-        def objective(x: np.ndarray) -> float:
-            key = x.tobytes()
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = evaluate(x)
-            return value
 
         if x0.size == 1:
             # Mean-only model: closed form.
@@ -397,16 +506,12 @@ class ARIMA:
         else:
             # ``fatol`` is absolute, and one ulp of a CSS value near 1.7e9
             # is ~2.4e-7, so it holds only once every simplex value is
-            # bit-equal: long series run to ``maxiter``.  By then the
-            # shrinking simplex keeps re-visiting the same few points,
-            # which is what the memo above answers without re-filtering.
-            result = optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": maxiter * max(1, x0.size), "xatol": 1e-6, "fatol": 1e-8},
+            # bit-equal: long series would run to ``maxiter``.  They reach
+            # a bitwise fixed point first, where ``_nelder_mead`` stops
+            # with scipy's answer.
+            best = _nelder_mead(
+                objective, x0, maxiter * max(1, x0.size), xatol=1e-6, fatol=1e-8
             )
-            best = result.x
 
         const = float(best[0])
         phi = np.asarray(best[1 : 1 + p], dtype=float)

@@ -8,7 +8,9 @@ loops; the originals are kept in ``tests/oracles/kernels.py`` and these
 tests pin the two implementations equal — exactly for the integer/tuple
 kernels, allclose for the dispersion kernel (its float summation order
 differs) — across randomized datasets and the boundary cases the window
-arithmetic is most likely to get wrong.
+arithmetic is most likely to get wrong.  The dispersion kernel is also
+pinned byte for byte to its form before the per-bot trigonometry moved
+into the bot geo matrix.
 
 The full-scale sweep (marked ``slow``) only runs when
 ``REPRO_BENCH_SCALE`` names a scale, as in the CI parity step.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,6 +63,8 @@ from ..oracles.kernels import (
     reference_detect_collaborations,
     reference_organization_affinity,
     reference_pair_analysis,
+    reference_segment_dispersions,
+    reference_segment_dispersions_of,
     reference_snapshot_dispersions,
     reference_stable_chain_count,
     reference_weekly_shift,
@@ -177,6 +182,77 @@ class TestRandomizedParity:
             np.testing.assert_array_equal(ts, ref_ts)
             np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
             _assert_affinity_parity(ctx, family)
+
+
+def _random_segments(seed: int):
+    """Bot coordinates (degrees) and a CSR segment layout over them.
+
+    The pool holds the poles, both signs of the date line and an
+    antipodal pair; segments draw bots with replacement (repeated
+    bots), and the counts include single-bot and zero-count segments,
+    one of them last so the ``reduceat`` clamp is hit.
+    """
+    rng = np.random.default_rng(seed)
+    n_bots = int(rng.integers(8, 40))
+    lat = rng.uniform(-90.0, 90.0, n_bots)
+    lon = rng.uniform(-180.0, 180.0, n_bots)
+    lat[:6] = [90.0, -90.0, 0.0, 45.0, -45.0, 0.0]
+    lon[:6] = [0.0, 123.0, 180.0, -180.0, 0.0, 0.0]
+    counts = rng.integers(0, 9, int(rng.integers(5, 30)))
+    counts[:4] = [0, 1, 2, 2]
+    counts[-1] = 0
+    bots = rng.integers(0, n_bots, int(counts.sum()))
+    # Segments 2 and 3: the two poles, then an antipodal pair on the
+    # equator (a zero-norm centre).
+    bots[1:5] = [0, 1, 2, 5]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return lat, lon, bots, offsets, counts
+
+
+def _assert_dispersions_bytes_equal(ctx_factory, families, monkeypatch):
+    """Per-attack and per-snapshot dispersions equal, byte for byte, a
+    build on a fresh context whose kernel is the pre-hoist oracle."""
+    fresh = ctx_factory()
+    with monkeypatch.context() as m:
+        m.setattr(geo, "_segment_dispersions", reference_segment_dispersions_of)
+        oracle = ctx_factory()
+        want = {f: (oracle.attack_dispersions(f), oracle.snapshot_dispersions(f))
+                for f in families}
+    for family in families:
+        for got, ref in zip(
+            (fresh.attack_dispersions(family), fresh.snapshot_dispersions(family)),
+            want[family],
+        ):
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), family
+
+
+class TestDispersionKernelBytes:
+    """The hoisted dispersion kernel is the pre-hoist one, to the byte."""
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS + [5, 6, 7, 8])
+    def test_random_segments(self, seed):
+        lat, lon, bots, offsets, counts = _random_segments(seed)
+        coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+        got = geo._segment_dispersions(coords, bots, offsets, counts)
+        want = reference_segment_dispersions(
+            np.radians(lat)[bots], np.radians(lon)[bots], offsets, counts
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_layouts(self):
+        lat, lon, _, _, _ = _random_segments(RANDOM_SEEDS[0])
+        coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+        none = np.zeros(0, dtype=np.int64)
+        assert geo._segment_dispersions(coords, none, np.zeros(1, np.int64), none).size == 0
+        zeros = np.zeros(3, dtype=np.int64)
+        got = geo._segment_dispersions(coords, none, np.zeros(4, np.int64), zeros)
+        assert got.tobytes() == np.zeros(3).tobytes()
+
+    def test_generated_dataset(self, tiny_ds, monkeypatch):
+        _assert_dispersions_bytes_equal(
+            lambda: AnalysisContext(tiny_ds), tiny_ds.active_families, monkeypatch
+        )
 
 
 def _assert_render_pass_parity(ctx):
@@ -467,6 +543,20 @@ def test_bench_scale_scan_stitches():
     merged = sctx.merged()
     for kind in SCANS:
         assert merge.view_value(merged, (kind,)) == merge.view_value(flat, (kind,)), kind
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the bench-scale dispersion byte pin",
+)
+def test_bench_scale_dispersion_bytes(monkeypatch):
+    """Every family's per-attack and per-snapshot dispersions at bench
+    scale are the pre-hoist kernel's bytes."""
+    ds = generate_dataset(DatasetConfig(seed=7, scale=float(os.environ["REPRO_BENCH_SCALE"])))
+    _assert_dispersions_bytes_equal(
+        lambda: AnalysisContext(ds), ds.active_families, monkeypatch
+    )
 
 
 @pytest.mark.slow

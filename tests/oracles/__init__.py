@@ -5,7 +5,9 @@ faster or incrementally, so a parity test can compare the two:
 
 * :mod:`.kernels` — the per-target / per-week / per-snapshot loops the
   vectorised collaboration, chain, weekly-shift and snapshot-dispersion
-  kernels replaced, and the CSS fit without its objective memo;
+  kernels replaced, the dispersion kernel before its per-bot
+  trigonometry was hoisted, and the CSS fit through
+  ``scipy.optimize.minimize``;
 * :mod:`.merge_fold` — the serial left-fold shard merge with the
   conservative boundary-suspect rescan, against which
   :meth:`repro.core.context.ShardedAnalysisContext.merged` is diffed.

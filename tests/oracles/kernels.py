@@ -7,8 +7,10 @@ and magnitude loops replaced these straightforward Python loops.  They
 are kept here, unchanged, as the comparison target of
 ``tests/core/test_kernel_parity.py``: exact for the integer/tuple
 kernels, ``allclose`` for the dispersion kernel (its float summation
-order differs).  The CSS fit without its objective memo is the bitwise
-target of ``tests/timeseries/test_arima_vectorized.py``.
+order differs).  The CSS fit through ``scipy.optimize.minimize`` is the
+bitwise target of ``tests/timeseries/test_arima_vectorized.py``, and the
+dispersion kernel as it was before its per-bot trigonometry moved into
+the bot geo matrix is the byte target of the hoisted one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from repro.core.consecutive import AttackChain
 from repro.core.context import AnalysisContext, AnalysisSource
 from repro.core.shift import WeeklyShift
 from repro.core.targets import OrganizationSpot, _month_mask
-from repro.timeseries.arima import ARIMAFit, _css_residuals, _iir_all_pole, _instability
+from repro.geo.haversine import EARTH_RADIUS_KM
+from repro.timeseries.arima import ARIMAFit, _css_residuals, _instability, _make_iir_all_pole
 from repro.timeseries.differencing import difference
 from repro.timeseries.hannan_rissanen import hannan_rissanen
 
@@ -185,6 +188,68 @@ def reference_snapshot_dispersions(
     return np.asarray(times), np.asarray(values)
 
 
+def reference_segment_centers(
+    lats_r: np.ndarray, lons_r: np.ndarray, offsets: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geographic centre per CSR segment (3-D unit-vector mean)."""
+    x = np.cos(lats_r) * np.cos(lons_r)
+    y = np.cos(lats_r) * np.sin(lons_r)
+    z = np.sin(lats_r)
+    # Zero-count segments (attacks with no recorded participants, e.g.
+    # on ingested attack-table-only datasets) would index ``reduceat``
+    # out of range and divide by zero.  The clamps keep the kernel total
+    # — positive-count segments are untouched, clamped ones produce
+    # meaningless centres that every caller masks via ``counts < 2``.
+    starts = np.minimum(offsets[:-1], lats_r.size - 1)
+    denom = np.maximum(counts, 1)
+    sx = np.add.reduceat(x, starts) / denom
+    sy = np.add.reduceat(y, starts) / denom
+    sz = np.add.reduceat(z, starts) / denom
+    norm = np.sqrt(sx * sx + sy * sy + sz * sz)
+    norm = np.maximum(norm, 1e-12)
+    lat_c = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
+    lon_c = np.arctan2(sy, sx)
+    return lat_c, lon_c
+
+
+def reference_segment_dispersions(
+    lats_r: np.ndarray, lons_r: np.ndarray, offsets: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Geolocation-distribution value per CSR segment (radian coords).
+
+    The shared kernel behind the per-attack and per-snapshot dispersion
+    analyses: segment centres via the 3-D unit-vector mean, a broadcast
+    signed haversine from every point to its segment's centre, and one
+    ``np.add.reduceat`` rollup of the signed sums.
+    """
+    if counts.size == 0 or lats_r.size == 0:
+        return np.zeros(counts.size)
+    lat_c, lon_c = reference_segment_centers(lats_r, lons_r, offsets, counts)
+
+    # Broadcast each segment's centre back onto its participants.
+    seg = np.repeat(np.arange(counts.size), counts)
+    clat = lat_c[seg]
+    clon = lon_c[seg]
+    dlat = lats_r - clat
+    dlon = lons_r - clon
+    a = np.sin(dlat / 2.0) ** 2 + np.cos(clat) * np.cos(lats_r) * np.sin(dlon / 2.0) ** 2
+    dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    # Paper's sign convention: east positive, west negative; ties by north/south.
+    wrapped = np.mod(dlon + np.pi, 2.0 * np.pi) - np.pi
+    sign = np.sign(wrapped)
+    sign = np.where(sign == 0, np.sign(dlat), sign)
+    # Same zero-count clamp as in the centre kernel (see above).
+    sums = np.add.reduceat(sign * dist, np.minimum(offsets[:-1], lats_r.size - 1))
+    return np.abs(sums)
+
+
+def reference_segment_dispersions_of(coords, bots, offsets, counts) -> np.ndarray:
+    """:func:`reference_segment_dispersions` with the hoisted kernel's
+    signature: the bots' radian coordinates gathered first, as the
+    callers did before the hoist."""
+    return reference_segment_dispersions(coords.lat[bots], coords.lon[bots], offsets, counts)
+
+
 def reference_organization_affinity(
     source: AnalysisSource, family: str, year: int | None = None, month: int | None = None
 ) -> list[OrganizationSpot]:
@@ -330,7 +395,7 @@ def reference_css_fit(order, series, maxiter: int = 500):
             z -= phi[i] * lags[i]
         if q:
             a_full[1:] = theta
-            eps = _iir_all_pole(a_full, z)
+            eps = _make_iir_all_pole()(a_full, z)
         else:
             eps = z
         css = float(np.dot(eps, eps))

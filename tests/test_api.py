@@ -1,9 +1,31 @@
 """Tests for the stable ``repro.api`` facade."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import api
+
+
+def test_importing_the_facade_and_cli_loads_no_scipy():
+    """scipy loads on first use (an ARIMA fit or a Ljung-Box p-value),
+    so a subcommand that fits nothing never pays for importing it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, repro.api, repro.cli, repro.serve; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestFacade:

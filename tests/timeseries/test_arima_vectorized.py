@@ -3,17 +3,20 @@
 ``ARIMAFit.forecast`` / ``rolling_forecast`` / ``forecast_interval`` are
 implemented with :func:`scipy.signal.lfilter`; these tests pin them
 against straightforward per-step reference loops (the textbook
-recursions) across the whole order grid, pin the memoised CSS fit
-bitwise against the un-memoised one in ``tests/oracles/kernels.py``,
-and pin the order search's shared-differencing fast path against
-fitting each candidate from scratch.
+recursions) across the whole order grid, pin the CSS fit and its
+Nelder-Mead port bitwise against ``scipy.optimize.minimize`` (the fit
+through ``tests/oracles/kernels.py``), and pin the order search's
+shared-differencing fast path against fitting each candidate from
+scratch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from repro.timeseries import arima
 from repro.timeseries.arima import ARIMA, ARIMAFit
 from repro.timeseries.differencing import integrate_forecast
 from repro.timeseries.order_selection import select_order
@@ -141,20 +144,84 @@ def _assert_same_bits(got: ARIMAFit, want: ARIMAFit) -> None:
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_memoised_fit_is_bitwise_the_reference(series, order):
+    """The fit through the Nelder-Mead port is bitwise the fit through
+    ``scipy.optimize.minimize``.  (The id predates the port, when a memo
+    sat in front of the objective; it is kept so the 48 case ids stay.)"""
     want, _ = reference_css_fit(order, series[:160])
     _assert_same_bits(ARIMA(order).fit(series[:160]), want)
 
 
-def test_memoised_fit_at_maxiter_is_bitwise_the_reference():
+def test_fit_stops_at_a_fixed_point_with_the_scipy_bits_at_maxiter(monkeypatch):
     """A CSS near 1e9 never meets the absolute ``fatol``: the reference
-    runs to ``maxiter``, revisiting points the memo answers."""
+    runs to ``maxiter``, while the port stops at the simplex's bitwise
+    fixed point with the same answer."""
     rng = np.random.default_rng(1)
     y = np.cumsum(rng.normal(0.0, 3000.0, 160)) + 2e5
     order = (2, 1, 2)
     want, result = reference_css_fit(order, y)
     assert result.status == 2 and result.nit == 500 * 5
     assert np.unique(result.final_simplex[1]).size > 1
+
+    calls = []
+    original = arima._nelder_mead
+
+    def counted(func, *args, **kwargs):
+        def wrapped(x):
+            calls.append(1)
+            return func(x)
+
+        return original(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(arima, "_nelder_mead", counted)
     _assert_same_bits(ARIMA(order).fit(y), want)
+    # Each pass evaluates at least once: fewer calls than the reference's
+    # means the port returned before ``maxiter``.
+    assert 0 < len(calls) < result.nfev
+
+
+# -- the Nelder-Mead port ------------------------------------------------
+
+
+def _scipy_nelder_mead(func, x0, maxiter, xatol, fatol):
+    return optimize.minimize(
+        func, x0, method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
+    )
+
+
+def _flat_valley(x):
+    """Depends on ``x[0]`` only: vertices that differ elsewhere tie."""
+    return float((x[0] - 0.75) ** 2)
+
+
+def _shifted_bowl(x):
+    return float(np.sum((x - np.arange(x.size)) ** 2)) + 1.0
+
+
+NELDER_MEAD_CASES = [
+    # (objective, x0 seed, N, zero entry at, maxiter, xatol, fatol)
+    (optimize.rosen, 1, 2, None, 400, 1e-4, 1e-4),
+    (optimize.rosen, 2, 2, None, 4000, 0.0, 0.0),
+    (optimize.rosen, 3, 5, None, 1000, 1e-6, 1e-8),
+    (optimize.rosen, 4, 5, 2, 5000, 0.0, 0.0),
+    (_flat_valley, 5, 3, None, 600, 1e-6, 1e-8),
+    (_flat_valley, 6, 3, 1, 600, 0.0, 0.0),
+    (_shifted_bowl, 7, 1, 0, 500, 0.0, 0.0),
+    (_shifted_bowl, 8, 1, None, 200, 1e-4, 1e-4),
+    (_shifted_bowl, 9, 5, 0, 5000, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("case", NELDER_MEAD_CASES)
+def test_nelder_mead_is_bitwise_scipy(case):
+    func, seed, n, zero_at, maxiter, xatol, fatol = case
+    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+    if zero_at is not None:
+        x0[zero_at] = 0.0  # the ``zdelt`` branch of the initial simplex
+    want = _scipy_nelder_mead(func, x0, maxiter, xatol, fatol)
+    got = arima._nelder_mead(func, x0, maxiter, xatol, fatol)
+    assert got.dtype == want.x.dtype and got.tobytes() == want.x.tobytes()
+
 
 
 def test_rolling_forecast_empty(series):
