@@ -573,15 +573,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    import json
-
     from .io import colstore
 
     path = Path(args.path)
-    if not colstore.is_sharded_store(path):
-        print(f"error: not a sharded store (no manifest.json): {path}", file=sys.stderr)
-        return 1
-    manifest = json.loads((path / colstore.MANIFEST_NAME).read_text())
+    manifest = colstore._read_manifest(path)
     window = manifest["window"]
     print(f"store:     {path}")
     print(f"shards:    {manifest['n_shards']}")
@@ -590,8 +585,11 @@ def _cmd_shard(args: argparse.Namespace) -> int:
           f"({(window['end'] - window['start']) / 86400:.1f} days)")
     print(f"{'file':<16s} {'attacks':>10s} {'t_lo':>12s} {'t_first':>12s} {'t_last':>12s}")
     for entry in manifest["shards"]:
+        first, last = (
+            "-" if t is None else f"{t:.0f}" for t in (entry["t_first"], entry["t_last"])
+        )
         print(f"{entry['file']:<16s} {entry['n_attacks']:>10d} "
-              f"{entry['t_lo']:>12.0f} {entry['t_first']:>12.0f} {entry['t_last']:>12.0f}")
+              f"{entry['t_lo']:>12.0f} {first:>12s} {last:>12s}")
     return 0
 
 

@@ -670,9 +670,10 @@ class ShardedAnalysisContext:
     :func:`~repro.core.merge.extend_view`): a left operand grows by the
     shards after it.  The full merge folds shards ``1..K-1`` into shard
     0; after :meth:`refresh` picks up appended shards, the re-merge
-    extends the previous merged context by the new shards only.  The
-    merged attack columns and concatenation
-    views live in a :class:`~repro.core.columns.ColumnStore` the merged
+    extends the previous merged context by the new shards only — unless
+    the append reset the registries, which makes the next merge a full
+    fold again.  The merged attack columns and concatenation views live
+    in a :class:`~repro.core.columns.ColumnStore` the merged
     context keeps, so a re-merge grows them in place.  Interval arrays
     gain the boundary gaps, and the collaboration/chain scans
     regenerate only the runs that cross a seam.  Which views are built
@@ -700,13 +701,12 @@ class ShardedAnalysisContext:
     def __init__(self, store) -> None:
         self._store = store
         self._shard_ctxs: list[AnalysisContext | None] = [None] * store.n_shards
-        self._merged: AnalysisContext | None = None
+        #: The last merge: (shards it covers, merged context).
+        self._merge: tuple[int, AnalysisContext] | None = None
         self._shared_coords: BotCoords | None = None
         self._lock = threading.Lock()
         #: Shards whose mergeable views are built.
         self._built: set[int] = set()
-        #: The last finalised merge: (shard signatures, merged context).
-        self._finalized: tuple[tuple, AnalysisContext] | None = None
         #: What the last :meth:`merged` call actually did (diagnostics):
         #: ``{"mode", "levels", "reused", "combined"}``, see :meth:`merged`.
         self.last_merge_stats: dict[str, Any] | None = None
@@ -719,31 +719,39 @@ class ShardedAnalysisContext:
     def n_shards(self) -> int:
         return self._store.n_shards
 
+    @property
+    def _merged(self) -> AnalysisContext | None:
+        """The merged context if it covers every shard, else None.
+
+        ``perfbench/tracing.py`` reads it to tell a :meth:`merged` call
+        that merges from one that returns the kept context.
+        """
+        if self._merge is not None and self._merge[0] == self.n_shards:
+            return self._merge[1]
+        return None
+
     def refresh(self) -> int:
         """Adopt shards appended to the backing store since construction.
 
-        Re-reads the store's manifest; appended shards get fresh (lazy)
-        contexts while every already-built shard keeps its views, so the
-        next :meth:`merged` call only maps the new shards and extends the
-        previous merged context by them.  If the append rewrote the
-        shared registries (new families/bots/victims interned), all
-        per-shard state is reset — the old contexts index into the old
-        registries.  Returns the number of shards adopted.
+        Re-reads the store's manifest (:meth:`ShardedDatasetStore.refresh`);
+        appended shards get fresh (lazy) contexts while every
+        already-built shard keeps its views, so the next :meth:`merged`
+        call only maps the new shards and extends the previous merged
+        context by them.  If the append rewrote the shared registries
+        (new families/bots/victims interned), all per-shard state and the
+        previous merge are dropped — the old contexts index into the old
+        registries — and the next :meth:`merged` is a full fold.
+        Returns the number of shards adopted.
         """
-        refresh_store = getattr(self._store, "refresh", None)
-        if refresh_store is None:
-            return 0
         with self._lock:
-            appended, reset = refresh_store()
+            appended, reset = self._store.refresh()
             if reset:
                 self._shard_ctxs = [None] * self._store.n_shards
                 self._shared_coords = None
                 self._built = set()
-                self._finalized = None
-                self._merged = None
-            elif appended:
+                self._merge = None
+            else:
                 self._shard_ctxs.extend([None] * appended)
-                self._merged = None
         return appended
 
     # -- per-shard layer ---------------------------------------------------
@@ -836,12 +844,6 @@ class ShardedAnalysisContext:
 
     # -- the reduce step ---------------------------------------------------
 
-    def _signatures(self) -> tuple:
-        """Per-shard content signatures, in shard order."""
-        return tuple(
-            self._store.shard_signature(k) for k in range(self.n_shards)
-        )
-
     def merged(self, jobs: int | None = 1) -> AnalysisContext:
         """The merged context: every mergeable view seeded, bitwise equal
         to an unsharded build over the concatenated dataset.
@@ -849,77 +851,46 @@ class ShardedAnalysisContext:
         First :meth:`build` maps the shards not built yet (across
         ``jobs`` workers); then one left fold,
         :func:`repro.core.merge.combine_partials`, extends shard 0 by
-        shards ``1..K-1``.  After :meth:`refresh` adopted appended
-        shards, the previous merged context is the left operand instead
-        when the layout allows it (same window and registries): only
-        the appended rows are copied and only the new seams are
-        stitched.  Views off the battery's list, and on a full merge the
+        shards ``1..K-1``.  The result is kept with the number of shards
+        it covers and returned as long as it covers them all.  After
+        :meth:`refresh` adopted appended shards, the kept context is the
+        left operand instead: only the appended rows are copied and only
+        the new seams are stitched.  A refresh that reset the registries
+        drops the kept context, so the next call folds from shard 0
+        again.  Views off the battery's list, and on a full merge the
         kinds of :data:`repro.core.merge.MERGED_CONTEXT_KINDS`, build
         lazily on the returned context.
 
-        :attr:`last_merge_stats` records what the call did: ``mode``
-        (``"full"``, ``"incremental"`` or ``"unchanged"``), ``combined``
-        (right parts folded: K-1 on a full merge, the appended count on
-        a re-merge, 0 when unchanged), ``reused`` (shards covered by a
-        reused previous merged context) and ``levels`` (1 if anything
+        :attr:`last_merge_stats` records what the last merge did:
+        ``mode`` (``"full"`` or ``"incremental"``), ``combined`` (right
+        parts folded: K-1 on a full merge, the appended count on a
+        re-merge), ``reused`` (shards covered by the extended previous
+        merged context, 0 on a full merge) and ``levels`` (1 if anything
         was folded, else 0).
         """
-        if self._merged is not None:
-            return self._merged
+        current = self._merged
+        if current is not None:
+            return current
         from . import merge as _merge
 
         self.build(jobs)
-        reg = _obs_registry()
-        with reg.span("shard.merge"):
-            sigs = self._signatures()
-            mode, prev, first = "full", self.shard_context(0), 1
-            if self._finalized is not None:
-                prev_sigs, prev_ctx = self._finalized
-                n_prev = len(prev_sigs)
-                if sigs == prev_sigs:
-                    mode, prev, first = "unchanged", prev_ctx, n_prev
-                elif (
-                    0 < n_prev < self.n_shards
-                    and sigs[:n_prev] == prev_sigs
-                    and self._append_compatible(prev_ctx, n_prev)
-                ):
-                    mode, prev, first = "incremental", prev_ctx, n_prev
-            ctx = prev
-            if mode != "unchanged":
-                families = sorted(
-                    {f for k in range(self.n_shards) for f in self.shard_families(k)}
-                )
-                parts = [self.shard_context(k) for k in range(first, self.n_shards)]
-                ctx = _merge.combine_partials(prev, parts, families)
+        with _obs_registry().span("shard.merge"):
+            mode = "full" if self._merge is None else "incremental"
+            first, prev = self._merge or (1, self.shard_context(0))
+            families = sorted(
+                {f for k in range(self.n_shards) for f in self.shard_families(k)}
+            )
+            parts = [self.shard_context(k) for k in range(first, self.n_shards)]
+            ctx = _merge.combine_partials(prev, parts, families)
             combined = self.n_shards - first
-            self._finalized = (sigs, ctx)
+            self._merge = (self.n_shards, ctx)
             self.last_merge_stats = {
                 "mode": mode,
                 "levels": int(combined > 0),
                 "reused": 0 if mode == "full" else first,
                 "combined": combined,
             }
-            self._merged = ctx
-        return self._merged
-
-    def _append_compatible(self, prev_ctx: AnalysisContext, n_prev: int) -> bool:
-        """Can the previous merged context absorb shards ``n_prev..``?"""
-        pds = prev_ctx.dataset
-        window = self._store.window
-        if (float(pds.window.start), float(pds.window.end)) != (
-            float(window.start),
-            float(window.end),
-        ):
-            return False
-        for k in range(n_prev, self.n_shards):
-            sds = self.shard_context(k).dataset
-            if (
-                list(sds.families) != list(pds.families)
-                or sds.victims.n_targets != pds.victims.n_targets
-                or sds.bots.lat.size != pds.bots.lat.size
-            ):
-                return False
-        return True
+        return ctx
 
 
 def _shard_build_worker(

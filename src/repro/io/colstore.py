@@ -19,12 +19,13 @@ the error to the caller.
 
 Datasets too large for one archive are stored *sharded*: a directory
 holding ``manifest.json``, a ``registries.npz`` with the scalar state
-plus bot/victim registries, and one ``shard-NNNN.npz`` of attack
-columns per time shard.  Shards partition the attack table by start
-time (:func:`shard_edges`), every shard keeps the *global* observation
-window, and :class:`ShardedDatasetStore` lazily mmap-loads individual
-shards or concatenates them back into one dataset.  The streaming
-builder appends closed epochs with :func:`append_shard`.
+plus bot/victim registries (a flat archive minus its attack columns),
+and one ``shard-NNNN.npz`` of attack columns per time shard.  Shards
+partition the attack table by start time (:func:`shard_edges`), every
+shard keeps the *global* observation window, and
+:class:`ShardedDatasetStore` lazily mmap-loads individual shards or
+concatenates them back into one dataset.  The streaming builder appends
+closed epochs with :func:`append_shard`.
 
 Instrumented: saves time under a ``colstore.save`` span and count bytes
 in ``colstore.bytes_written``; loads time under ``colstore.load`` and
@@ -161,23 +162,36 @@ def save_dataset_npz(ds: AttackDataset, path: str | Path) -> Path:
     path = Path(path)
     reg = _obs_registry()
     with reg.span("colstore.save"):
-        arrays: dict[str, np.ndarray] = {}
-        for name in _ATTACK_COLS:
-            arrays[f"attacks.{name}"] = getattr(ds, name)
-        for name in _BOT_COLS:
-            arrays[f"bots.{name}"] = getattr(ds.bots, name)
-        for name in _VICTIM_COLS:
-            arrays[f"victims.{name}"] = getattr(ds.victims, name)
-        meta = json.dumps(_meta_payload(ds)).encode()
-        arrays["__meta__"] = np.frombuffer(meta, dtype=np.uint8)
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        tmp.replace(path)
-        reg.counter("colstore.bytes_written").inc(path.stat().st_size)
+        arrays = {**_columns(ds, "attacks", _ATTACK_COLS), **_registry_arrays(ds)}
+        reg.counter("colstore.bytes_written").inc(_write_npz(path, arrays))
     return path
+
+
+def _columns(obj, prefix: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    return {f"{prefix}.{name}": getattr(obj, name) for name in names}
+
+
+def _json_member(payload: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)
+
+
+def _registry_arrays(ds: AttackDataset) -> dict[str, np.ndarray]:
+    """The registry columns plus ``__meta__``: every member but the attacks."""
+    return {
+        **_columns(ds.bots, "bots", _BOT_COLS),
+        **_columns(ds.victims, "victims", _VICTIM_COLS),
+        "__meta__": _json_member(_meta_payload(ds)),
+    }
+
+
+def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> int:
+    """Atomically write one uncompressed ``.npz``; returns bytes written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+    tmp.replace(path)
+    return path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +275,27 @@ def _group_cols(
     return cols
 
 
+def _registries(arrays: dict[str, np.ndarray], path: Path) -> dict:
+    """Decode ``__meta__`` and the registry columns: every dataset field
+    but the attack columns, as keyword arguments of :class:`AttackDataset`."""
+    meta = _pop_meta(arrays, path)
+    return {
+        "window": ObservationWindow(**meta["window"]),
+        "world": _world_restore(meta["world"]),
+        "families": list(meta["families"]),
+        "active_families": list(meta["active_families"]),
+        "bots": BotRegistry(**_group_cols(arrays, "bots", _BOT_COLS, path)),
+        "victims": VictimRegistry(**_group_cols(arrays, "victims", _VICTIM_COLS, path)),
+        "botnets": [
+            BotnetRecord(
+                botnet_id=int(b[0]), family=b[1], controller_ip=int(b[2]),
+                first_seen=float(b[3]), last_seen=float(b[4]),
+            )
+            for b in meta["botnets"]
+        ],
+    }
+
+
 def load_dataset_npz(path: str | Path, *, mmap: bool = True) -> AttackDataset:
     """Load a dataset written by :func:`save_dataset_npz`.
 
@@ -277,23 +312,8 @@ def load_dataset_npz(path: str | Path, *, mmap: bool = True) -> AttackDataset:
             if isinstance(exc, ColstoreError):
                 raise
             raise ColstoreError(f"{path}: not a colstore archive ({exc})") from exc
-        meta = _pop_meta(arrays, path)
         ds = AttackDataset(
-            window=ObservationWindow(
-                start=meta["window"]["start"], end=meta["window"]["end"]
-            ),
-            world=_world_restore(meta["world"]),
-            families=list(meta["families"]),
-            active_families=list(meta["active_families"]),
-            bots=BotRegistry(**_group_cols(arrays, "bots", _BOT_COLS, path)),
-            victims=VictimRegistry(**_group_cols(arrays, "victims", _VICTIM_COLS, path)),
-            botnets=[
-                BotnetRecord(
-                    botnet_id=int(b[0]), family=b[1], controller_ip=int(b[2]),
-                    first_seen=float(b[3]), last_seen=float(b[4]),
-                )
-                for b in meta["botnets"]
-            ],
+            **_registries(arrays, path),
             **_group_cols(arrays, "attacks", _ATTACK_COLS, path),
         )
         reg.counter("colstore.loads", mmap="true" if used_mmap else "false").inc()
@@ -374,30 +394,8 @@ def _slice_dataset(ds: AttackDataset, lo: int, hi: int) -> AttackDataset:
     )
 
 
-def _json_member(payload: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)
-
-
-def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> int:
-    """Atomically write one uncompressed ``.npz``; returns bytes written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    tmp.replace(path)
-    return path.stat().st_size
-
-
-def _registry_arrays(ds: AttackDataset) -> dict[str, np.ndarray]:
-    arrays = {f"bots.{name}": getattr(ds.bots, name) for name in _BOT_COLS}
-    for name in _VICTIM_COLS:
-        arrays[f"victims.{name}"] = getattr(ds.victims, name)
-    arrays["__meta__"] = _json_member(_meta_payload(ds))
-    return arrays
-
-
 def _shard_arrays(shard: AttackDataset) -> dict[str, np.ndarray]:
-    arrays = {f"attacks.{name}": getattr(shard, name) for name in _ATTACK_COLS}
+    arrays = _columns(shard, "attacks", _ATTACK_COLS)
     # A shard remembers its own family list: spilled shards may predate
     # later family interning, so family_idx is remapped at load time.
     arrays["__meta__"] = _json_member(
@@ -417,7 +415,7 @@ def _shard_entry(index: int, shard: AttackDataset, t_lo: float) -> dict:
     }
 
 
-def _write_manifest(path: Path, window: ObservationWindow, entries: list[dict]) -> dict:
+def _write_manifest(path: Path, window: ObservationWindow, entries: list[dict]) -> None:
     manifest = {
         "sharded_version": SHARDED_VERSION,
         "colstore_version": COLSTORE_VERSION,
@@ -429,6 +427,19 @@ def _write_manifest(path: Path, window: ObservationWindow, entries: list[dict]) 
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
     tmp.replace(path)
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest of the sharded store at ``path``, version-checked."""
+    try:
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+    except (OSError, ValueError) as exc:
+        raise ColstoreError(f"{path}: not a sharded store ({exc})") from exc
+    if manifest.get("sharded_version") != SHARDED_VERSION:
+        raise ColstoreError(
+            f"{path}: sharded version {manifest.get('sharded_version')}"
+            f" != {SHARDED_VERSION}"
+        )
     return manifest
 
 
@@ -477,16 +488,9 @@ def append_shard(path: str | Path, ds: AttackDataset) -> Path:
     path = Path(path)
     if ds.n_attacks == 0:
         raise ValueError("refusing to append an empty shard")
-    manifest_path = path / MANIFEST_NAME
     entries: list[dict] = []
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("sharded_version") != SHARDED_VERSION:
-            raise ColstoreError(
-                f"{path}: sharded version {manifest.get('sharded_version')}"
-                f" != {SHARDED_VERSION}"
-            )
-        entries = list(manifest["shards"])
+    if (path / MANIFEST_NAME).is_file():
+        entries = list(_read_manifest(path)["shards"])
         last = max(
             (e["t_last"] for e in entries if e["t_last"] is not None), default=None
         )
@@ -502,7 +506,7 @@ def append_shard(path: str | Path, ds: AttackDataset) -> Path:
         written = _write_npz(path / entry["file"], _shard_arrays(ds))
         written += _write_npz(path / _REGISTRIES_NAME, _registry_arrays(ds))
         entries.append(entry)
-        _write_manifest(manifest_path, ds.window, entries)
+        _write_manifest(path / MANIFEST_NAME, ds.window, entries)
         reg.counter("colstore.bytes_written").inc(written)
     return path
 
@@ -516,30 +520,16 @@ class ShardedDatasetStore:
     :meth:`partition` splits an in-memory dataset without touching
     disk.  Either way every shard dataset keeps the *global*
     observation window and shares the bot/victim registries, so global
-    attack index = ``shard_bases()[k]`` + local index.
+    attack index = ``shard_bases()[k]`` + local index.  A disk store
+    follows appends through :meth:`refresh`; an in-memory partition
+    never changes.
     """
 
     def __init__(self, path: str | Path, *, mmap: bool = True) -> None:
         self.path: Path | None = Path(path)
         self._mmap = mmap
-        manifest_path = self.path / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise ColstoreError(f"{path}: not a sharded store ({exc})") from exc
-        if manifest.get("sharded_version") != SHARDED_VERSION:
-            raise ColstoreError(
-                f"{path}: sharded version {manifest.get('sharded_version')}"
-                f" != {SHARDED_VERSION}"
-            )
-        self._entries: list[dict] = list(manifest["shards"])
-        self.window = ObservationWindow(
-            start=manifest["window"]["start"], end=manifest["window"]["end"]
-        )
-        self.edges = np.array([e["t_lo"] for e in self._entries], dtype=float)
-        self.n_attacks = int(manifest["n_attacks"])
-        self._counts = np.array([e["n_attacks"] for e in self._entries], dtype=np.int64)
         self._shared: dict | None = None
+        self._adopt(_read_manifest(self.path))
         self._datasets: list[AttackDataset | None] = [None] * len(self._entries)
 
     @classmethod
@@ -559,7 +549,6 @@ class ShardedDatasetStore:
         store._entries = []
         store.window = ds.window
         store.edges = edges
-        store.n_attacks = int(ds.n_attacks)
         store._counts = np.diff(bounds)
         store._shared = None
         store._datasets = [
@@ -568,9 +557,20 @@ class ShardedDatasetStore:
         ]
         return store
 
+    def _adopt(self, manifest: dict) -> None:
+        """Take the shard layout and window ``manifest`` records."""
+        self._entries: list[dict] = list(manifest["shards"])
+        self.window = ObservationWindow(**manifest["window"])
+        self.edges = np.array([e["t_lo"] for e in self._entries], dtype=float)
+        self._counts = np.array([e["n_attacks"] for e in self._entries], dtype=np.int64)
+
     @property
     def n_shards(self) -> int:
         return len(self._datasets)
+
+    @property
+    def n_attacks(self) -> int:
+        return int(self._counts.sum())
 
     def shard_bases(self) -> np.ndarray:
         """Global attack index of each shard's first row."""
@@ -580,143 +580,77 @@ class ShardedDatasetStore:
         if self._shared is None:
             path = self.path / _REGISTRIES_NAME
             arrays, _ = _read_members(path, self._mmap)
-            meta = _pop_meta(arrays, path)
-            self._shared = {
-                "window": ObservationWindow(
-                    start=meta["window"]["start"], end=meta["window"]["end"]
-                ),
-                "world": _world_restore(meta["world"]),
-                "families": list(meta["families"]),
-                "active_families": list(meta["active_families"]),
-                "bots": BotRegistry(**_group_cols(arrays, "bots", _BOT_COLS, path)),
-                "victims": VictimRegistry(
-                    **_group_cols(arrays, "victims", _VICTIM_COLS, path)
-                ),
-                "botnets": [
-                    BotnetRecord(
-                        botnet_id=int(b[0]), family=b[1], controller_ip=int(b[2]),
-                        first_seen=float(b[3]), last_seen=float(b[4]),
-                    )
-                    for b in meta["botnets"]
-                ],
-            }
+            self._shared = _registries(arrays, path)
         return self._shared
 
     def load_shard(self, index: int) -> AttackDataset:
         """The shard dataset at ``index`` (cached; mmap on disk stores)."""
         ds = self._datasets[index]
         if ds is None:
-            entry = self._entries[index]
-            path = self.path / entry["file"]
+            path = self.path / self._entries[index]["file"]
             with _obs_registry().span("colstore.load"):
                 arrays, _ = _read_members(path, self._mmap)
-                meta = _pop_meta(arrays, path)
+                # A shard remembers the family list it was written with.
+                shard_families = _pop_meta(arrays, path)["families"]
                 shared = self._shared_state()
                 cols = _group_cols(arrays, "attacks", _ATTACK_COLS, path)
-                shard_families = list(meta["families"])
                 if shard_families != shared["families"]:
                     mapping = np.array(
                         [shared["families"].index(name) for name in shard_families],
                         dtype=np.asarray(cols["family_idx"]).dtype,
                     )
                     cols["family_idx"] = mapping[np.asarray(cols["family_idx"])]
-                ds = AttackDataset(
-                    window=shared["window"],
-                    world=shared["world"],
-                    families=list(shared["families"]),
-                    active_families=list(shared["active_families"]),
-                    bots=shared["bots"],
-                    victims=shared["victims"],
-                    botnets=list(shared["botnets"]),
-                    **cols,
-                )
+                ds = AttackDataset(**shared, **cols)
             self._datasets[index] = ds
         return ds
-
-    def shard_signature(self, index: int) -> tuple:
-        """Cheap content signature of one shard: (rows, t_lo, first, last).
-
-        The same tuple for the same slice of data whether the store is a
-        disk directory or an in-memory partition.  It is a manifest-level
-        fingerprint — it does not hash the columns — which is the same
-        trust level the manifest itself gets.
-        """
-        if self._entries:
-            entry = self._entries[index]
-            return (
-                int(entry["n_attacks"]),
-                float(entry["t_lo"]),
-                None if entry["t_first"] is None else float(entry["t_first"]),
-                None if entry["t_last"] is None else float(entry["t_last"]),
-            )
-        ds = self._datasets[index]
-        n = int(ds.n_attacks)
-        return (
-            n,
-            float(self.edges[index]),
-            float(ds.start[0]) if n else None,
-            float(ds.start[-1]) if n else None,
-        )
 
     def refresh(self) -> tuple[int, bool]:
         """Re-read the manifest after an :func:`append_shard`.
 
-        Returns ``(appended, registries_reset)``.  Existing shard
-        entries must be unchanged — a rewritten store (different files
-        or counts for already-known shards) raises rather than silently
-        serving mixed data.  ``registries_reset`` is True when the
-        append rewrote ``registries.npz`` with different scalar state
-        (new families/bots/victims interned), in which case every cached
-        shard dataset was dropped: the old ones index the old registries.
+        Returns ``(appended, registries_reset)``; an in-memory partition
+        always returns ``(0, False)``.  Existing shard entries must be
+        unchanged — a rewritten store (different files or counts for
+        already-known shards) raises rather than silently serving mixed
+        data.  ``registries_reset`` is True when the append rewrote
+        ``registries.npz`` with different scalar state (another window,
+        new families, botnets, bots or victims interned); every cached
+        shard dataset was then dropped, since the old ones index the old
+        registries.  Otherwise the cached shards stay valid as they are.
         """
         if self.path is None:
             return 0, False
-        manifest_path = self.path / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("sharded_version") != SHARDED_VERSION:
-            raise ColstoreError(
-                f"{self.path}: sharded version {manifest.get('sharded_version')}"
-                f" != {SHARDED_VERSION}"
-            )
-        new_entries = list(manifest["shards"])
-        if len(new_entries) < len(self._entries) or any(
+        manifest = _read_manifest(self.path)
+        entries = manifest["shards"]
+        if len(entries) < len(self._entries) or any(
             new["file"] != old["file"] or new["n_attacks"] != old["n_attacks"]
-            for new, old in zip(new_entries, self._entries)
+            for new, old in zip(entries, self._entries)
         ):
             raise ColstoreError(
                 f"{self.path}: store was rewritten, not appended; reopen it"
             )
-        appended = len(new_entries) - len(self._entries)
+        appended = len(entries) - len(self._entries)
         if appended == 0:
             return 0, False
+        old = self._shared
         reset = False
-        if self._shared is not None:
+        if old is not None:
+            # Names and sizes only: a full decode also restores the world.
             path = self.path / _REGISTRIES_NAME
             arrays, _ = _read_members(path, self._mmap)
             meta = _pop_meta(arrays, path)
-            shared = self._shared
-            if (
-                list(meta["families"]) != shared["families"]
-                or int(meta["window"]["start"]) != int(shared["window"].start)
-                or int(meta["window"]["end"]) != int(shared["window"].end)
-                or len(meta["botnets"]) != len(shared["botnets"])
-                or np.asarray(arrays["bots.ip"]).size != shared["bots"].ip.size
-                or np.asarray(arrays["victims.ip"]).size != shared["victims"].ip.size
-            ):
-                reset = True
-                self._shared = None
-                self._datasets = [None] * len(new_entries)
-        if not reset:
-            self._datasets = self._datasets + [None] * appended
-        self._entries = new_entries
-        self.window = ObservationWindow(
-            start=manifest["window"]["start"], end=manifest["window"]["end"]
-        )
-        self.edges = np.array([e["t_lo"] for e in new_entries], dtype=float)
-        self.n_attacks = int(manifest["n_attacks"])
-        self._counts = np.array(
-            [e["n_attacks"] for e in new_entries], dtype=np.int64
-        )
+            reset = (
+                ObservationWindow(**meta["window"]) != old["window"]
+                or meta["families"] != old["families"]
+                or len(meta["botnets"]) != len(old["botnets"])
+                or arrays["bots.ip"].size != old["bots"].n_bots
+                or arrays["victims.ip"].size != old["victims"].ip.size
+            )
+        if reset:
+            self._shared = None
+            self._datasets = [None] * len(entries)
+        else:
+            self._datasets.extend([None] * appended)
+        self._adopt(manifest)
         return appended, reset
 
     def merged_dataset(self) -> AttackDataset:

@@ -613,7 +613,9 @@ class StreamingDataset:
         Pass the store's live
         :class:`~repro.core.context.ShardedAnalysisContext` as
         ``context`` and it is refreshed after the append, so its next
-        ``merged()`` re-merges incrementally instead of from scratch.
+        ``merged()`` covers the spilled rows: incrementally when the
+        spill left the registries as they were, by a full fold when the
+        spilled rows' batches interned new bots, victims or families.
 
         Raises ``ValueError`` if a batch arrived at or before the spilled
         frontier since the last spill: those rows were merged into a

@@ -559,17 +559,16 @@ class TestIncrementalRemerge:
             "mode": "incremental", "levels": 1, "reused": k, "combined": 1
         }
 
-    def test_unchanged_store_reuses_finalized_context(self, small_ds, tmp_path):
+    def test_covering_merge_is_reused(self, small_ds, tmp_path):
         _append_store(tmp_path / "store", small_ds, 3)
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
-        sctx.build(jobs=1)
         first = sctx.merged()
+        stats = sctx.last_merge_stats
         assert sctx.merged() is first  # memoized, no re-dispatch
-        # Even with the memo dropped, matching shard signatures serve
-        # the previously finalized context instead of re-merging.
-        sctx._merged = None
+        # A refresh that finds nothing appended keeps the merge current.
+        assert sctx.refresh() == 0
         assert sctx.merged() is first
-        assert sctx.last_merge_stats["mode"] == "unchanged"
+        assert sctx.last_merge_stats is stats
 
 
 class TestReferenceFoldParity:

@@ -74,6 +74,22 @@ def test_version_mismatch_raises(tiny_ds, tmp_path, monkeypatch):
         load_dataset_npz(path)
 
 
+def test_archive_members_and_meta_are_stable(tiny_ds, archive, tmp_path):
+    """The flat archive holds exactly the column members plus ``__meta__``,
+    and its ``__meta__`` is byte for byte a sharded store's registries'."""
+    store = colstore.save_sharded_npz(tiny_ds, tmp_path / "store", shards=2)
+    want = {"__meta__"}
+    for prefix, names in (
+        ("attacks", colstore._ATTACK_COLS),
+        ("bots", colstore._BOT_COLS),
+        ("victims", colstore._VICTIM_COLS),
+    ):
+        want |= {f"{prefix}.{name}" for name in names}
+    with np.load(archive) as flat, np.load(store / "registries.npz") as regs:
+        assert set(flat.files) == want
+        assert bytes(flat["__meta__"]) == bytes(regs["__meta__"])
+
+
 def test_truncated_archive_raises(tiny_ds, archive):
     data = archive.read_bytes()
     archive.write_bytes(data[: len(data) // 2])

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.cli import main
+from repro.core.context import AnalysisContext, ShardedAnalysisContext
+from repro.experiments.registry import run_all
 from repro.io import colstore
 from repro.io.colstore import (
+    ColstoreError,
     ShardedDatasetStore,
     append_shard,
     is_sharded_store,
@@ -111,6 +115,22 @@ class TestAppendShard:
         with pytest.raises(ValueError, match="empty"):
             append_shard(tmp_path / "empty", colstore._slice_dataset(tiny_ds, 0, 0))
 
+    def test_sharded_version_skew_raises(self, tiny_ds, store_path, capsys):
+        opened = ShardedDatasetStore(store_path)
+        manifest_path = store_path / colstore.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sharded_version"] = colstore.SHARDED_VERSION + 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ColstoreError, match="sharded version"):
+            ShardedDatasetStore(store_path)
+        with pytest.raises(ColstoreError, match="sharded version"):
+            opened.refresh()
+        tail = colstore._slice_dataset(tiny_ds, tiny_ds.n_attacks - 1, tiny_ds.n_attacks)
+        with pytest.raises(ColstoreError, match="sharded version"):
+            append_shard(store_path, tail)
+        assert main(["shard", "info", str(store_path)]) != 0
+        assert "sharded version" in capsys.readouterr().err
+
 
 class TestStreamSpill:
     def _stream(self, tiny_ds):
@@ -132,6 +152,39 @@ class TestStreamSpill:
         merged = store.merged_dataset()
         np.testing.assert_array_equal(merged.start, full.start[:spilled])
         np.testing.assert_array_equal(merged.botnet_id, full.botnet_id[:spilled])
+
+    def test_spill_refreshes_a_live_context(self, tiny_ds, tmp_path):
+        """Each spill refreshes the context it is handed; a spill that
+        interned new registry entries makes the next merge a full fold,
+        and every merge renders the battery like a flat build."""
+
+        def registries(ds):
+            return (ds.window, ds.families, ds.bots.n_bots, ds.victims.ip.size,
+                    len(ds.botnets))
+
+        s, records = self._stream(tiny_ds)
+        path = tmp_path / "spill"
+        s.append_batch(records[:60])
+        assert s.spill_shards(path) > 0
+        store = ShardedDatasetStore(path)
+        sctx = ShardedAnalysisContext(store)
+        prev = sctx.merged().dataset
+        modes = []
+        for lo in range(60, len(records), 60):
+            s.append_batch(records[lo : lo + 60])
+            if not s.spill_shards(path, context=sctx):
+                continue
+            merged = sctx.merged()
+            reset = registries(merged.dataset) != registries(prev)
+            assert sctx.last_merge_stats["mode"] == ("full" if reset else "incremental")
+            modes.append(sctx.last_merge_stats["mode"])
+            got = [r.render() for r in run_all(merged, jobs=1)]
+            want = [
+                r.render() for r in run_all(AnalysisContext(store.merged_dataset()), jobs=1)
+            ]
+            assert got == want
+            prev = merged.dataset
+        assert "full" in modes
 
     def test_spill_without_new_frontier_is_noop(self, tiny_ds, tmp_path):
         s, records = self._stream(tiny_ds)

@@ -131,14 +131,26 @@ class TestShardCli:
         return save_dataset_npz(ds, tmp_path / "flat.npz")
 
     def test_convert_shards_then_info(self, capsys, tmp_path, flat_npz):
-        store = tmp_path / "store"
-        code, out = run_cli(capsys, "convert", str(flat_npz), str(store), "--shards", "3")
-        assert code == 0
-        assert "across 3 shards" in out
-        code, out = run_cli(capsys, "shard", "info", str(store))
-        assert code == 0
-        assert "shards:    3" in out
-        assert "shard-0000.npz" in out
+        from repro import api
+        from repro.io.colstore import save_dataset_npz
+
+        from .core.test_shard_merge import _gapped
+
+        # A time gap leaves shards 0 and 3 of six empty: no first/last start.
+        gapped = save_dataset_npz(_gapped(api.load(flat_npz)), tmp_path / "gapped.npz")
+        for src, k in ((flat_npz, 3), (gapped, 6)):
+            store = tmp_path / f"store-{k}"
+            code, out = run_cli(capsys, "convert", str(src), str(store), "--shards", str(k))
+            assert code == 0
+            assert f"across {k} shards" in out
+            code, out = run_cli(capsys, "shard", "info", str(store))
+            assert code == 0
+            assert f"shards:    {k}" in out
+            assert "shard-0000.npz" in out
+        rows = [line.split() for line in out.splitlines() if line.startswith("shard-")]
+        empty = [row[0] for row in rows if row[1] == "0"]
+        assert empty == ["shard-0000.npz", "shard-0003.npz"]
+        assert all(row[3:] == ["-", "-"] for row in rows if row[0] in empty)
 
     def test_convert_shard_by_duration(self, capsys, tmp_path, flat_npz):
         store = tmp_path / "by-month"
