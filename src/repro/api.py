@@ -180,13 +180,11 @@ def load(path: str | Path, *, shards: int | None = None) -> LoadedData:
       (:func:`repro.io.csvio.export_attacks_csv`);
     * ``.npz`` — the columnar binary store
       (:func:`repro.io.colstore.save_dataset_npz`; memory-mapped, the
-      fastest cold load — create one with ``ddos-repro convert``);
-    * ``.pkl.gz`` — a pickled dataset
-      (:func:`repro.io.cache.save_dataset`; only load your own files).
+      fastest cold load — create one with ``ddos-repro convert``).
 
     JSONL/CSV logs rebuild an attack-table-only dataset via
-    :func:`ingest`; the colstore archive and the pickle round-trip the
-    full dataset including the Botlist side.  Pass ``shards=N`` to
+    :func:`ingest`; the colstore archive round-trips the full dataset
+    including the Botlist side.  Pass ``shards=N`` to
     partition a flat dataset into ``N`` equal time windows in memory
     (returns a :class:`~repro.io.colstore.ShardedDatasetStore`).
 
@@ -198,7 +196,7 @@ def load(path: str | Path, *, shards: int | None = None) -> LoadedData:
     >>> from repro import api
     >>> api.load("attacks.xyz")
     Traceback (most recent call last):
-    repro.errors.FormatError: cannot infer format of attacks.xyz: expected .jsonl, .csv, .npz or .pkl.gz
+    repro.errors.FormatError: cannot infer format of attacks.xyz: expected .jsonl, .csv or .npz
     """
     from .io import colstore
 
@@ -221,14 +219,8 @@ def load(path: str | Path, *, shards: int | None = None) -> LoadedData:
         ds = ingest(read_attacks_csv(path))
     elif name.endswith(".npz"):
         ds = colstore.load_dataset_npz(path)
-    elif name.endswith(".pkl.gz"):
-        from .io.cache import load_dataset
-
-        ds = load_dataset(path)
     else:
-        raise FormatError(
-            f"cannot infer format of {path}: expected .jsonl, .csv, .npz or .pkl.gz"
-        )
+        raise FormatError(f"cannot infer format of {path}: expected .jsonl, .csv or .npz")
     if shards is not None:
         return colstore.ShardedDatasetStore.partition(ds, shards=shards)
     return ds

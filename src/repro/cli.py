@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         "convert",
         help="convert a dataset file between storage formats",
         description=(
-            "Load a dataset file in any supported format (.jsonl, .csv, .npz "
-            "or .pkl.gz, or a sharded store directory) and rewrite it in the "
+            "Load a dataset file in any supported format (.jsonl, .csv or "
+            ".npz, or a sharded store directory) and rewrite it in the "
             "format implied by the output extension. Converting to .npz "
             "produces the memory-mapped columnar store — the fastest format "
             "to load cold (see docs/PERFORMANCE.md). With --shards or "
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  ddos-repro convert attacks.npz store/ --shard-by 30d"
         ),
     )
-    conv.add_argument("src", help="input dataset file (.jsonl, .csv, .npz or .pkl.gz)")
+    conv.add_argument("src", help="input dataset file (.jsonl, .csv or .npz)")
     conv.add_argument("dst", help="output file; the extension picks the format")
     conv_shard = conv.add_mutually_exclusive_group()
     conv_shard.add_argument(
@@ -436,15 +436,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         export_attacks_jsonl(ds, dst)
     elif name.endswith(".csv"):
         export_attacks_csv(ds, dst)
-    elif name.endswith(".pkl.gz"):
-        from .io.cache import save_dataset
-
-        save_dataset(ds, dst)
     else:
-        print(
-            f"cannot infer format of {dst}: expected .jsonl, .csv, .npz or .pkl.gz",
-            file=sys.stderr,
-        )
+        print(f"cannot infer format of {dst}: expected .jsonl, .csv or .npz", file=sys.stderr)
         return 2
     print(f"converted {args.src} -> {dst} ({ds.n_attacks} attacks)")
     return 0

@@ -50,7 +50,7 @@ class FormatError(ReproError, ValueError):
     >>> from repro import api
     >>> api.load("attacks.xyz")
     Traceback (most recent call last):
-    repro.errors.FormatError: cannot infer format of attacks.xyz: expected .jsonl, .csv, .npz or .pkl.gz
+    repro.errors.FormatError: cannot infer format of attacks.xyz: expected .jsonl, .csv or .npz
     """
 
 

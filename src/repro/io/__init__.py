@@ -1,6 +1,6 @@
 """Persistence: schema exports (CSV/JSONL) and dataset caching."""
 
-from .cache import config_key, load_dataset, load_or_generate, save_dataset
+from .cache import config_key, load_or_generate
 from .csvio import (
     ATTACK_FIELDS,
     export_attacks_csv,
@@ -21,9 +21,7 @@ from .jsonlio import (
 
 __all__ = [
     "config_key",
-    "load_dataset",
     "load_or_generate",
-    "save_dataset",
     "ATTACK_FIELDS",
     "export_attacks_csv",
     "export_botlist_csv",

@@ -16,10 +16,8 @@ to ``.repro-cache``.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import os
-import pickle
 from pathlib import Path
 
 from ..core.dataset import AttackDataset
@@ -31,8 +29,6 @@ from . import colstore
 __all__ = [
     "config_key",
     "resolve_cache_dir",
-    "save_dataset",
-    "load_dataset",
     "load_or_generate",
 ]
 
@@ -73,32 +69,6 @@ def resolve_cache_dir(cache_dir: str | Path | None = None) -> Path:
         return Path(cache_dir)
     env = os.environ.get("REPRO_CACHE_DIR")
     return Path(env) if env else Path(".repro-cache")
-
-
-def save_dataset(ds: AttackDataset, path: str | Path) -> Path:
-    """Serialise a dataset (gzip pickle).  Returns the path written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with gzip.open(tmp, "wb", compresslevel=4) as fh:
-        pickle.dump((_FORMAT_VERSION, ds), fh, protocol=pickle.HIGHEST_PROTOCOL)
-    tmp.replace(path)
-    return path
-
-
-def load_dataset(path: str | Path) -> AttackDataset:
-    """Load a dataset written by :func:`save_dataset`.
-
-    Only load files you created yourself — this is a pickle.
-    """
-    path = Path(path)
-    with gzip.open(path, "rb") as fh:
-        version, ds = pickle.load(fh)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"dataset file {path} has format v{version}, expected v{_FORMAT_VERSION}")
-    if not isinstance(ds, AttackDataset):
-        raise TypeError(f"dataset file {path} does not contain an AttackDataset")
-    return ds
 
 
 def load_or_generate(

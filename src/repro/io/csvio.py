@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from ..monitor.schemas import DDoSAttackRecord, Protocol
 from ..core.dataset import AttackDataset
+from ..monitor.schemas import ATTACK_ROW, DDoSAttackRecord, record_from_json
 
 __all__ = [
     "ATTACK_FIELDS",
@@ -22,22 +22,7 @@ __all__ = [
 ]
 
 #: Column order of the DDoSattack CSV — the Table I fields plus magnitude.
-ATTACK_FIELDS = [
-    "ddos_id",
-    "botnet_id",
-    "family",
-    "category",
-    "target_ip",
-    "timestamp",
-    "end_time",
-    "asn",
-    "cc",
-    "city",
-    "organization",
-    "latitude",
-    "longitude",
-    "magnitude",
-]
+ATTACK_FIELDS = list(ATTACK_ROW)
 
 
 def export_attacks_csv(ds: AttackDataset, path: str | Path) -> int:
@@ -72,35 +57,13 @@ def export_attacks_csv(ds: AttackDataset, path: str | Path) -> int:
 
 def read_attacks_csv(path: str | Path) -> list[DDoSAttackRecord]:
     """Read a DDoSattack CSV back into records."""
-    from ..geo.ipam import str_to_ip
-
     path = Path(path)
-    records: list[DDoSAttackRecord] = []
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(ATTACK_FIELDS) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"attack CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            records.append(
-                DDoSAttackRecord(
-                    ddos_id=int(row["ddos_id"]),
-                    botnet_id=int(row["botnet_id"]),
-                    family=row["family"],
-                    category=Protocol.from_name(row["category"]),
-                    target_ip=str_to_ip(row["target_ip"]),
-                    timestamp=float(row["timestamp"]),
-                    end_time=float(row["end_time"]),
-                    asn=int(row["asn"]),
-                    country_code=row["cc"],
-                    city=row["city"],
-                    organization=row["organization"],
-                    lat=float(row["latitude"]),
-                    lon=float(row["longitude"]),
-                    magnitude=int(row["magnitude"]),
-                )
-            )
-    return records
+        return [record_from_json(row) for row in reader]
 
 
 def export_botlist_csv(ds: AttackDataset, path: str | Path, limit: int | None = None) -> int:

@@ -13,8 +13,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from ..core.dataset import AttackDataset
-from ..geo.ipam import str_to_ip
-from ..monitor.schemas import DDoSAttackRecord, Protocol
+from ..monitor.schemas import DDoSAttackRecord, record_from_json, record_to_json
 
 __all__ = [
     "export_attacks_jsonl",
@@ -23,65 +22,37 @@ __all__ = [
     "iter_attacks_jsonl",
     "record_from_json",
     "record_to_json",
+    "records_of_lines",
 ]
 
 
-def record_to_json(rec: DDoSAttackRecord) -> dict:
-    """The JSONL row for one attack record."""
-    return {
-        "ddos_id": rec.ddos_id,
-        "botnet_id": rec.botnet_id,
-        "family": rec.family,
-        "category": rec.category.name,
-        "target_ip": rec.target_ip_str,
-        "timestamp": rec.timestamp,
-        "end_time": rec.end_time,
-        "asn": rec.asn,
-        "cc": rec.country_code,
-        "city": rec.city,
-        "organization": rec.organization,
-        "latitude": rec.lat,
-        "longitude": rec.lon,
-        "magnitude": rec.magnitude,
-    }
+def records_of_lines(lines, path, start: int = 1) -> Iterator[DDoSAttackRecord]:
+    """Decode JSONL lines (``str`` or ``bytes``), numbered from ``start``.
 
-
-def record_from_json(row: dict) -> DDoSAttackRecord:
-    """Decode one JSONL row back into an attack record."""
-    return DDoSAttackRecord(
-        ddos_id=int(row["ddos_id"]),
-        botnet_id=int(row["botnet_id"]),
-        family=row["family"],
-        category=Protocol.from_name(row["category"]),
-        target_ip=str_to_ip(row["target_ip"]),
-        timestamp=float(row["timestamp"]),
-        end_time=float(row["end_time"]),
-        asn=int(row["asn"]),
-        country_code=row["cc"],
-        city=row["city"],
-        organization=row["organization"],
-        lat=float(row["latitude"]),
-        lon=float(row["longitude"]),
-        magnitude=int(row["magnitude"]),
-    )
+    Blank lines are skipped; a line that is not JSON raises
+    ``ValueError`` naming ``path`` and its line number.
+    """
+    for lineno, line in enumerate(lines, start=start):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        yield record_from_json(row)
 
 
 def export_attacks_jsonl(ds: AttackDataset, path: str | Path) -> int:
     """Write one JSON object per attack; returns the row count."""
-    path = Path(path)
-    n = 0
-    with path.open("w") as fh:
-        for rec in ds.iter_attacks():
-            fh.write(json.dumps(record_to_json(rec), separators=(",", ":")) + "\n")
-            n += 1
-    return n
+    Path(path).write_text("")
+    return append_attacks_jsonl(ds.iter_attacks(), path)
 
 
 def append_attacks_jsonl(records, path: str | Path) -> int:
     """Append records to a JSONL log (the producer side of ``watch``)."""
-    path = Path(path)
     n = 0
-    with path.open("a") as fh:
+    with Path(path).open("a") as fh:
         for rec in records:
             fh.write(json.dumps(record_to_json(rec), separators=(",", ":")) + "\n")
             n += 1
@@ -92,15 +63,7 @@ def iter_attacks_jsonl(path: str | Path) -> Iterator[DDoSAttackRecord]:
     """Lazily yield attack records from a JSONL file (blank lines skipped)."""
     path = Path(path)
     with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield record_from_json(row)
+        yield from records_of_lines(fh, path)
 
 
 def read_attacks_jsonl(path: str | Path) -> list[DDoSAttackRecord]:

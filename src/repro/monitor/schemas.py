@@ -5,16 +5,29 @@ The vendor dataset consists of a *Botlist* (bots: IP + BGP + GeoIP), a
 *DDoSattack* list (one record per verified attack).  These dataclasses
 are the row-level view; :class:`repro.core.dataset.AttackDataset` stores
 the same information columnar for the analyses.
+
+:data:`ATTACK_ROW` is the one codec of a DDoSattack row: the JSONL and
+CSV readers build records from it (:func:`record_from_json`), the JSONL
+writer and the wire clients write rows from it (:func:`record_to_json`),
+and the live ingest path builds columns from it (:func:`columns_of_rows`,
+:func:`columns_of_records`), so every feed meets the same conversions.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
-from ..geo.ipam import ip_to_str
+import numpy as np
 
-__all__ = ["Protocol", "BotRecord", "BotnetRecord", "DDoSAttackRecord", "AttackPulse"]
+from ..errors import FormatError
+from ..geo.ipam import ip_to_str, str_to_ip
+
+__all__ = [
+    "Protocol", "BotRecord", "BotnetRecord", "DDoSAttackRecord", "AttackPulse",
+    "ATTACK_ROW", "record_from_json", "record_to_json", "columns_of_rows", "columns_of_records",
+]
 
 
 class Protocol(enum.IntEnum):
@@ -144,3 +157,94 @@ class AttackPulse:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError(f"pulse ends before it starts: {self}")
+
+
+def _same(value):
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+#: The DDoSattack row (Table I), one entry per JSONL/CSV key, in column
+#: order: key -> (DDoSAttackRecord field, decoder of one value, column
+#: dtype, encoder of one value); ``_same`` passes a value as it is, and
+#: ``_text`` passes only a string.
+ATTACK_ROW = {
+    "ddos_id": ("ddos_id", int, np.int64, _same),
+    "botnet_id": ("botnet_id", int, np.int32, _same),
+    "family": ("family", _text, object, _same),
+    "category": ("category", Protocol.from_name, np.int8, attrgetter("name")),
+    "target_ip": ("target_ip", str_to_ip, np.uint64, ip_to_str),
+    "timestamp": ("timestamp", float, np.float64, _same),
+    "end_time": ("end_time", float, np.float64, _same),
+    "asn": ("asn", int, np.int32, _same),
+    "cc": ("country_code", _text, object, _same),
+    "city": ("city", _text, object, _same),
+    "organization": ("organization", _text, object, _same),
+    "latitude": ("lat", float, np.float64, _same),
+    "longitude": ("lon", float, np.float64, _same),
+    "magnitude": ("magnitude", int, np.int32, _same),
+}
+
+#: What decoding a malformed row raises (``OverflowError``: a number
+#: outside its column's dtype).
+_ROW_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def record_from_json(row: dict) -> DDoSAttackRecord:
+    """Decode one JSONL (or CSV) row into an attack record."""
+    return DDoSAttackRecord(
+        **{field: decode(row[key]) for key, (field, decode, *_) in ATTACK_ROW.items()}
+    )
+
+
+def record_to_json(rec: DDoSAttackRecord) -> dict:
+    """The JSONL row for one attack record."""
+    return {key: encode(getattr(rec, field)) for key, (field, *_, encode) in ATTACK_ROW.items()}
+
+
+def _columns(rows: list) -> dict[str, np.ndarray]:
+    return {
+        field: np.fromiter((decode(row[key]) for row in rows), dtype, len(rows))
+        for key, (field, decode, dtype, _) in ATTACK_ROW.items()
+    }
+
+
+def columns_of_rows(rows: list) -> dict[str, np.ndarray]:
+    """Decode rows into one array per record field.
+
+    Each value goes through the same decoder as :func:`record_from_json`.  An
+    undecodable row, or a number outside its column's dtype, raises
+    :class:`~repro.errors.FormatError` naming the first bad row as
+    ``records[i]``.
+
+    >>> cols = columns_of_rows([{"ddos_id": 7, "botnet_id": 1, "family": "optima",
+    ...     "category": "udp", "target_ip": "10.0.0.1", "timestamp": 0, "end_time": 60,
+    ...     "asn": 1, "cc": "US", "city": "x", "organization": "y",
+    ...     "latitude": 0, "longitude": 0, "magnitude": 3}])
+    >>> cols["category"], cols["target_ip"]
+    (array([2], dtype=int8), array([167772161], dtype=uint64))
+    """
+    try:
+        return _columns(rows)
+    except _ROW_ERRORS:
+        for index, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise FormatError(f"records[{index}] is not a row object") from None
+            try:
+                _columns([row])
+            except _ROW_ERRORS as exc:
+                raise FormatError(f"records[{index}] is malformed: {exc}") from exc
+        raise
+
+
+def columns_of_records(records: list[DDoSAttackRecord]) -> dict[str, np.ndarray]:
+    """The records as one array per field (the :func:`columns_of_rows` layout)."""
+    return {
+        field: np.fromiter((getattr(rec, field) for rec in records), dtype, len(records))
+        for field, _, dtype, _ in ATTACK_ROW.values()
+    }

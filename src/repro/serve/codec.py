@@ -1,20 +1,23 @@
 """Request/response codec: JSON bodies in the Table I row schema.
 
-Ingest bodies reuse the exact row codec of the JSONL export/tailer path
-(:func:`repro.io.jsonlio.record_from_json`), so a log line written by
-``export_attacks_jsonl`` can be POSTed verbatim inside a ``records``
-array — the service speaks the same schema as the files.  Anything
-undecodable raises :class:`~repro.errors.FormatError` (HTTP 400) with
-the offending row's position.
+Ingest bodies decode through the same row table as the JSONL and CSV
+readers (:data:`repro.monitor.schemas.ATTACK_ROW`), so a log line
+written by ``export_attacks_jsonl`` can be POSTed verbatim inside a
+``records`` array — the service speaks the same schema as the files.
+The rows decode straight to columns, which the tenant's stream appends
+without building a record per row.  Anything undecodable raises
+:class:`~repro.errors.FormatError` (HTTP 400) with the offending row's
+position.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from ..errors import FormatError
-from ..io.jsonlio import record_from_json, record_to_json
-from ..monitor.schemas import DDoSAttackRecord
+from ..monitor.schemas import columns_of_rows, record_to_json
 
 __all__ = ["decode_ingest", "encode_body", "decode_body", "record_to_json"]
 
@@ -43,13 +46,14 @@ def decode_body(body: bytes) -> dict:
     return payload
 
 
-def decode_ingest(body: bytes) -> list[DDoSAttackRecord]:
+def decode_ingest(body: bytes) -> dict[str, np.ndarray]:
     """Decode an ingest body: ``{"records": [<Table I row>, ...]}``.
 
-    Returns the decoded records; the batch must be a non-empty list of
-    row objects in the JSONL schema (a missing or malformed row raises
-    :class:`~repro.errors.FormatError` carrying its index, so the client
-    can pinpoint the bad record).
+    Returns the batch as columns, one per record field
+    (:func:`~repro.monitor.schemas.columns_of_rows`); the batch must be
+    a non-empty list of row objects in the JSONL schema (a missing or
+    malformed row raises :class:`~repro.errors.FormatError` carrying
+    its index, so the client can pinpoint the bad record).
     """
     payload = decode_body(body)
     rows = payload.get("records")
@@ -60,12 +64,4 @@ def decode_ingest(body: bytes) -> list[DDoSAttackRecord]:
             f"batch of {len(rows)} records exceeds the {MAX_BATCH_RECORDS} "
             "per-request cap; split the load into smaller batches"
         )
-    records = []
-    for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise FormatError(f"records[{index}] is not a row object")
-        try:
-            records.append(record_from_json(row))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"records[{index}] is malformed: {exc}") from exc
-    return records
+    return columns_of_rows(rows)

@@ -173,9 +173,9 @@ class Router:
     def _ingest(self, query: dict, body: bytes) -> Response:
         tenant_name = _one(query, "tenant", _DEFAULT_TENANT)
         wait = _one(query, "wait", "1") not in ("0", "false", "no")
-        records = decode_ingest(body)
+        columns = decode_ingest(body)
         tenant = self.tenants.get_or_create(tenant_name)
-        result = tenant.ingest(records, wait=wait)
+        result = tenant.ingest(columns, wait=wait)
         return Response(
             status=200 if wait else 202, payload=result, route="ingest"
         )

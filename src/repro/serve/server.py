@@ -122,7 +122,6 @@ class AnalysisServer:
         queue_size: int = 64,
         prewarm_jobs: int = 1,
         keep_epochs: int = 4,
-        retry_after: float = 1.0,
         max_tenant_bytes: int | None = None,
     ) -> None:
         from .tenants import TenantRegistry
@@ -134,7 +133,6 @@ class AnalysisServer:
                 queue_size=queue_size,
                 prewarm_jobs=prewarm_jobs,
                 keep_epochs=keep_epochs,
-                retry_after=retry_after,
                 max_tenant_bytes=max_tenant_bytes,
             )
         )

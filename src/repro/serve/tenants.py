@@ -28,6 +28,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Mapping
 from concurrent.futures import Future
 
 from ..core.context import AnalysisContext
@@ -63,7 +64,6 @@ class Tenant:
         queue_size: int = 64,
         prewarm_jobs: int = 1,
         keep_epochs: int = 4,
-        retry_after: float = 1.0,
         max_tenant_bytes: int | None = None,
     ) -> None:
         if not _TENANT_NAME.match(name):
@@ -77,15 +77,14 @@ class Tenant:
         self.created_at = time.time()
         self._prewarm_jobs = prewarm_jobs
         self._keep_epochs = max(1, keep_epochs)
-        self._retry_after = retry_after
         self._max_tenant_bytes = max_tenant_bytes
         self._stream = StreamingDataset(sketches=True)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._running = threading.Event()
         self._running.set()
         self._lock = threading.Lock()
-        self._epochs: "OrderedDict[int, AnalysisContext]" = OrderedDict()
-        self._sketches: "OrderedDict[int, object]" = OrderedDict()
+        #: The snapshot shelf: epoch -> (context, frozen sketch summary).
+        self._epochs: "OrderedDict[int, tuple[AnalysisContext, object]]" = OrderedDict()
         self._render_lock = threading.Lock()
         self._renders: dict[int, list[tuple[str, str]]] = {}
         self._writer = threading.Thread(
@@ -95,8 +94,12 @@ class Tenant:
 
     # -- the write side ----------------------------------------------------
 
-    def ingest(self, records, *, wait: bool = True, timeout: float = 60.0) -> dict:
+    def ingest(self, batch, *, wait: bool = True, timeout: float = 60.0) -> dict:
         """Enqueue one batch; with ``wait`` return the applied epoch.
+
+        ``batch`` is what :meth:`StreamingDataset.append_batch
+        <repro.stream.StreamingDataset.append_batch>` takes: the columns
+        the codec decodes, or records.
 
         The queue is bounded: a full queue raises
         :class:`~repro.serve.errors.BackpressureError` (HTTP 429 with
@@ -109,7 +112,8 @@ class Tenant:
         before it starts) re-raises here.  ``wait=False`` returns
         ``{"queued": True, ...}`` as soon as the batch is admitted.
         """
-        batch = list(records)
+        if not isinstance(batch, Mapping):
+            batch = list(batch)
         if (
             self._max_tenant_bytes is not None
             and self._stream.resident_bytes() >= self._max_tenant_bytes
@@ -119,8 +123,7 @@ class Tenant:
                 f"tenant {self.name!r} is at its memory ceiling "
                 f"({self._stream.resident_bytes()} of {self._max_tenant_bytes} "
                 "resident bytes); query /v1/sketch for the bounded-memory "
-                "summary, or retry after eviction",
-                retry_after=self._retry_after,
+                "summary, or retry after eviction"
             )
         future: Future = Future()
         try:
@@ -129,8 +132,7 @@ class Tenant:
             _obs_registry().counter("serve.ingest.rejected").inc()
             raise BackpressureError(
                 f"tenant {self.name!r} ingest queue is full "
-                f"({self._queue.maxsize} pending batches); retry later",
-                retry_after=self._retry_after,
+                f"({self._queue.maxsize} pending batches); retry later"
             ) from None
         self._gauge_depth()
         if not wait:
@@ -181,11 +183,9 @@ class Tenant:
     def _publish(self, epoch: int, ctx: AnalysisContext) -> None:
         sketch = self._stream.sketch_snapshot()
         with self._lock:
-            self._epochs[epoch] = ctx
-            self._sketches[epoch] = sketch
+            self._epochs[epoch] = (ctx, sketch)
             while len(self._epochs) > self._keep_epochs:
                 evicted, _ = self._epochs.popitem(last=False)
-                self._sketches.pop(evicted, None)
                 self._renders.pop(evicted, None)
 
     def _gauge_depth(self) -> None:
@@ -221,6 +221,23 @@ class Tenant:
 
     # -- the read side -----------------------------------------------------
 
+    def _shelf(self, epoch: int | None) -> tuple[int, AnalysisContext, object]:
+        """A published epoch's context and sketch (latest when ``None``)."""
+        with self._lock:
+            if not self._epochs:
+                raise ConflictError(
+                    f"tenant {self.name!r} has no data yet; POST /v1/ingest first"
+                )
+            if epoch is None:
+                epoch = next(reversed(self._epochs))
+            shelved = self._epochs.get(epoch)
+        if shelved is None:
+            raise NotFoundError(
+                f"epoch {epoch} of tenant {self.name!r} is not on the "
+                f"snapshot shelf (retained: {self.retained_epochs()})"
+            )
+        return (epoch, *shelved)
+
     def context_at(self, epoch: int | None = None) -> tuple[int, AnalysisContext]:
         """A published epoch's immutable context (latest when ``None``).
 
@@ -229,41 +246,16 @@ class Tenant:
         :class:`~repro.serve.errors.NotFoundError` for an epoch that was
         never published or has been evicted from the shelf.
         """
-        with self._lock:
-            if not self._epochs:
-                raise ConflictError(
-                    f"tenant {self.name!r} has no data yet; POST /v1/ingest first"
-                )
-            if epoch is None:
-                epoch = next(reversed(self._epochs))
-            ctx = self._epochs.get(epoch)
-        if ctx is None:
-            raise NotFoundError(
-                f"epoch {epoch} of tenant {self.name!r} is not on the "
-                f"snapshot shelf (retained: {self.retained_epochs()})"
-            )
+        epoch, ctx, _ = self._shelf(epoch)
         return epoch, ctx
 
     def sketch_at(self, epoch: int | None = None) -> tuple[int, object]:
         """A published epoch's frozen sketch summary (latest when ``None``).
 
-        The sketch shelf is published in lockstep with the context shelf
-        (same epochs, same eviction), so any epoch :meth:`context_at`
-        can serve, this can too.  Raises the same 409/404 errors.
+        Each sketch shares its shelf slot with the context, so any epoch
+        :meth:`context_at` can serve, this can too, with the same errors.
         """
-        with self._lock:
-            if not self._sketches:
-                raise ConflictError(
-                    f"tenant {self.name!r} has no data yet; POST /v1/ingest first"
-                )
-            if epoch is None:
-                epoch = next(reversed(self._sketches))
-            sketch = self._sketches.get(epoch)
-        if sketch is None:
-            raise NotFoundError(
-                f"epoch {epoch} of tenant {self.name!r} is not on the "
-                f"snapshot shelf (retained: {self.retained_epochs()})"
-            )
+        epoch, _, sketch = self._shelf(epoch)
         return epoch, sketch
 
     @property
@@ -280,7 +272,7 @@ class Tenant:
         """Epoch-tagged snapshot metadata (the ``/v1/snapshot`` payload)."""
         with self._lock:
             epoch = next(reversed(self._epochs)) if self._epochs else 0
-            ctx = self._epochs.get(epoch)
+            ctx = self._epochs[epoch][0] if self._epochs else None
         info = {
             "tenant": self.name,
             "epoch": epoch,
@@ -352,14 +344,12 @@ class TenantRegistry:
         queue_size: int = 64,
         prewarm_jobs: int = 1,
         keep_epochs: int = 4,
-        retry_after: float = 1.0,
         max_tenant_bytes: int | None = None,
     ) -> None:
         self._config = dict(
             queue_size=queue_size,
             prewarm_jobs=prewarm_jobs,
             keep_epochs=keep_epochs,
-            retry_after=retry_after,
             max_tenant_bytes=max_tenant_bytes,
         )
         self._lock = threading.Lock()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..monitor.schemas import columns_of_records
 from ..obs import registry as _obs_registry
 from .cms import CountMinSketch
 from .hll import HyperLogLog
@@ -161,13 +162,10 @@ class AttackStreamSummary:
         batch = sorted(records, key=lambda r: r.timestamp)
         if not batch:
             return 0
+        cols = columns_of_records(batch)
         return self.update_arrays(
-            start=np.asarray([r.timestamp for r in batch], dtype=np.float64),
-            end=np.asarray([r.end_time for r in batch], dtype=np.float64),
-            family=np.asarray([r.family for r in batch], dtype=object),
-            country=np.asarray([r.country_code for r in batch], dtype=object),
-            victim=np.asarray([r.target_ip for r in batch], dtype=np.uint64),
-            botnet=np.asarray([r.botnet_id for r in batch], dtype=np.int64),
+            start=cols["timestamp"], end=cols["end_time"], family=cols["family"],
+            country=cols["country_code"], victim=cols["target_ip"], botnet=cols["botnet_id"],
         )
 
     def update_arrays(self, *, start, end, family, country, victim, botnet) -> int:

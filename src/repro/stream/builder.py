@@ -5,9 +5,9 @@ attacks accumulate over 207 days — while the batch builders
 (:func:`repro.io.ingest.dataset_from_records`,
 :func:`repro.datagen.generator.generate_dataset`) rebuild everything
 from scratch.  :class:`StreamingDataset` closes that gap: it accepts
-batches of :class:`~repro.monitor.schemas.DDoSAttackRecord`\\ s, keeps
-the per-attack columns sorted by start time with amortized merges, and
-materialises :class:`~repro.core.dataset.AttackDataset` snapshots whose
+batches of Table I rows, keeps the per-attack columns sorted by start
+time with amortized merges, and materialises
+:class:`~repro.core.dataset.AttackDataset` snapshots whose
 :class:`~repro.core.context.AnalysisContext` views are maintained
 *incrementally* (see :mod:`repro.stream.incremental`).
 
@@ -20,8 +20,15 @@ appends take the in-place fast path and snapshot views are carried
 forward in O(batch); an out-of-order batch triggers a stable merge and
 a cold (lazy) view rebuild for the next snapshot.
 
-Entity interning (world countries/cities/organizations, victims,
-botnets) happens in arrival order.  For in-order streams that is the
+There is one ingest path.  A batch is columns, one array per record
+field: the serve codec decodes them straight from the wire
+(:func:`~repro.monitor.schemas.columns_of_rows`), and a batch of
+:class:`~repro.monitor.schemas.DDoSAttackRecord`\\ s is converted once
+on entry (:func:`~repro.monitor.schemas.columns_of_records`).  The
+checks are masks over the batch, and entities (world
+countries/cities/organizations, victims, families, botnets) are
+interned once per distinct value, in first-appearance order of the
+batch sorted by (start, botnet_id).  For in-order streams that is the
 same first-appearance order the scratch build uses, so snapshots are
 cell-for-cell identical; out-of-order streams keep the same joined
 *content* but may number entities differently.
@@ -29,9 +36,8 @@ cell-for-cell identical; out-of-order streams keep the same joined
 
 from __future__ import annotations
 
-import math
 import time
-from collections.abc import Iterable
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from ..core.context import AnalysisContext
 from ..core.dataset import AttackDataset, BotRegistry, VictimRegistry
 from ..errors import IngestError
 from ..geo.world import COUNTRY_TABLE, City, Country, Organization, World
-from ..monitor.schemas import BotnetRecord, DDoSAttackRecord
+from ..monitor.schemas import BotnetRecord, DDoSAttackRecord, columns_of_records
 from ..obs import registry as _obs_registry
 from ..simulation.clock import ObservationWindow
 
@@ -63,8 +69,8 @@ _FILLED = {
     "magnitude": np.int32,
 }
 
-#: The victim registry's columns, in :meth:`StreamingDataset._intern_victim`
-#: row order: ``VictimRegistry`` field -> dtype.
+#: The victim registry's columns: ``VictimRegistry`` field -> dtype, in
+#: the order :meth:`StreamingDataset.append_batch` fills them.
 _VICTIM = {
     "ip": np.uint64,
     "lat": float,
@@ -90,38 +96,67 @@ _UNFILLED = {
 }
 
 
-def _validated(records: Iterable[DDoSAttackRecord], strict: bool) -> list[DDoSAttackRecord]:
-    """Materialise and validate an input iterable.
+def _checked(batch, strict: bool) -> dict[str, np.ndarray]:
+    """The batch as Table I columns, its malformed rows checked.
 
-    With ``strict`` (the default) a malformed record raises
-    :class:`IngestError` carrying its position; otherwise malformed
-    records are dropped.  A record is malformed when it is not a
-    :class:`DDoSAttackRecord`, when its start or end time is not finite
-    (JSON bodies may carry ``NaN`` or ``Infinity``) or when it ends
-    before it starts.
+    ``batch`` is either columns (:func:`~repro.monitor.schemas.columns_of_rows`)
+    or an iterable of records, converted once here.  A row is malformed
+    when it is not a :class:`DDoSAttackRecord`, when its start or end
+    time is not finite (JSON bodies may carry ``NaN`` or ``Infinity``)
+    or when it ends before it starts.  With ``strict`` the first
+    malformed row raises :class:`IngestError` carrying its input
+    position; otherwise malformed rows are dropped.
     """
-    out: list[DDoSAttackRecord] = []
-    for index, rec in enumerate(records):
-        if not isinstance(rec, DDoSAttackRecord):
-            if strict:
-                raise IngestError(
-                    f"expected DDoSAttackRecord, got {type(rec).__name__}", index
-                )
-            continue
-        if not (math.isfinite(rec.timestamp) and math.isfinite(rec.end_time)):
-            if strict:
-                raise IngestError(
-                    f"start or end time is not finite (ddos_id={rec.ddos_id})", index
-                )
-            continue
-        if rec.end_time < rec.timestamp:
-            if strict:
-                raise IngestError(
-                    f"ends before it starts (ddos_id={rec.ddos_id})", index
-                )
-            continue
-        out.append(rec)
-    return out
+    if isinstance(batch, Mapping):
+        cols = batch
+    else:
+        records = list(batch)
+        typed = [rec for rec in records if isinstance(rec, DDoSAttackRecord)]
+        if strict and len(typed) < len(records):
+            index = next(
+                i for i, rec in enumerate(records) if not isinstance(rec, DDoSAttackRecord)
+            )
+            _checked(columns_of_records(records[:index]), strict)  # an earlier fault wins
+            raise IngestError(
+                f"expected DDoSAttackRecord, got {type(records[index]).__name__}", index
+            )
+        cols = columns_of_records(typed)
+    start, end = cols["timestamp"], cols["end_time"]
+    finite = np.isfinite(start) & np.isfinite(end)
+    keep = finite & (end >= start)
+    if keep.all():
+        return cols
+    if strict:
+        index = int(np.argmin(keep))
+        fault = "ends before it starts" if finite[index] else "start or end time is not finite"
+        raise IngestError(f"{fault} (ddos_id={cols['ddos_id'][index]})", index)
+    return {name: col[keep] for name, col in cols.items()}
+
+
+def _distinct(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """A column's distinct values in first-appearance order, each row's
+    slot among them, and the first row of each."""
+    slots: dict = {}
+    inverse = np.fromiter(
+        (slots.setdefault(v, len(slots)) for v in values.tolist()), np.intp, len(values)
+    )
+    return list(slots), inverse, np.unique(inverse, return_index=True)[1]
+
+
+def _lists(rows: np.ndarray, *columns: np.ndarray) -> list[list]:
+    """The given rows of each column, as Python scalars."""
+    return [column[rows].tolist() for column in columns]
+
+
+def _number(numbers: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number a column's values; ``numbers`` gains the new ones in
+    first-appearance order.  Returns each row's number and the first
+    row of every new value."""
+    keys, inverse, first = _distinct(values)
+    new = [slot for slot, key in enumerate(keys) if key not in numbers]
+    for slot in new:
+        numbers[keys[slot]] = len(numbers)
+    return np.array([numbers[key] for key in keys])[inverse], first[new]
 
 
 class StreamingDataset:
@@ -234,103 +269,23 @@ class StreamingDataset:
         """Families seen so far, sorted (the snapshot index space)."""
         return list(self._families)
 
-    # -- interning ---------------------------------------------------------
-
-    def _intern_family(self, name: str) -> int:
-        idx = self._family_of.get(name)
-        if idx is not None:
-            return idx
-        # Families stay alphabetically sorted (the batch builder's
-        # contract), so a new family can land mid-list and shift the
-        # indices after it.  The committed column is rewritten through
-        # replace() so snapshots taken earlier keep their own indexing.
-        import bisect
-
-        pos = bisect.bisect_left(self._families, name)
-        self._families.insert(pos, name)
-        self._family_of = {fam: i for i, fam in enumerate(self._families)}
-        if pos < len(self._families) - 1 and self.n_attacks:
-            col = self._attacks["family_idx"]
-            idx = col.view()
-            col.replace(np.where(idx >= pos, idx + 1, idx).astype(np.int16))
-        return pos
-
-    def _intern_country(self, rec: DDoSAttackRecord) -> int:
-        idx = self._country_of.get(rec.country_code)
-        if idx is not None:
-            return idx
-        lat, lon = _KNOWN_CENTROIDS.get(rec.country_code, (rec.lat, rec.lon))
-        country = Country(
-            index=len(self._world.countries),
-            code=rec.country_code,
-            name=rec.country_code,
-            lat=lat,
-            lon=lon,
-            weight=1.0,
-        )
-        self._world.countries.append(country)
-        self._world._country_by_code[rec.country_code] = country.index
-        self._world._cities_by_country[country.index] = []
-        self._world._orgs_by_country[country.index] = []
-        self._country_of[rec.country_code] = country.index
-        return country.index
-
-    def _intern_city(self, rec: DDoSAttackRecord, country_idx: int) -> int:
-        idx = self._city_of.get(rec.city)
-        if idx is not None:
-            return idx
-        city = City(
-            index=len(self._world.cities),
-            name=rec.city,
-            country_index=country_idx,
-            lat=rec.lat,
-            lon=rec.lon,
-            weight=1.0,
-        )
-        self._world.cities.append(city)
-        self._world._cities_by_country[country_idx].append(city.index)
-        self._city_of[rec.city] = city.index
-        return city.index
-
-    def _intern_org(self, rec: DDoSAttackRecord, country_idx: int, city_idx: int) -> int:
-        idx = self._org_of.get(rec.organization)
-        if idx is not None:
-            return idx
-        org = Organization(
-            index=len(self._world.organizations),
-            name=rec.organization,
-            org_type="unknown",
-            country_index=country_idx,
-            city_index=city_idx,
-            asn=rec.asn,
-            weight=1.0,
-        )
-        self._world.organizations.append(org)
-        self._world._orgs_by_country[country_idx].append(org.index)
-        self._org_of[rec.organization] = org.index
-        return org.index
-
-    def _intern_victim(
-        self, rec: DDoSAttackRecord, c_idx: int, city_idx: int, org_idx: int, new: list
-    ) -> None:
-        """Number a victim on first sight; its row joins ``new``, which
-        :meth:`append_batch` appends to the victim columns once per batch."""
-        if rec.target_ip not in self._target_of:
-            self._target_of[rec.target_ip] = len(self._target_of)
-            new.append((rec.target_ip, rec.lat, rec.lon, c_idx, city_idx, org_idx, rec.asn))
-
     # -- the append path ---------------------------------------------------
 
-    def append_batch(
-        self, records: Iterable[DDoSAttackRecord], *, strict: bool = True
-    ) -> int:
-        """Fold a batch of records into the stream; returns the count added.
+    def append_batch(self, batch, *, strict: bool = True) -> int:
+        """Fold a batch into the stream; returns the count added.
 
-        The batch may be any iterable (a generator is consumed once).
-        An empty batch is a no-op and does not bump the epoch.  Records
-        may arrive in any order; chronologically non-decreasing batches
-        take the O(batch) fast path, others trigger a stable merge of
-        the sorted columns.
+        ``batch`` is columns as :func:`~repro.monitor.schemas.columns_of_rows`
+        decodes them from the wire, or any iterable of
+        :class:`DDoSAttackRecord` (a generator is consumed once), which
+        is converted to columns on entry.  An empty batch is a no-op and
+        does not bump the epoch.  Rows may arrive in any order;
+        chronologically non-decreasing batches take the O(batch) fast
+        path, others trigger a stable merge of the sorted columns.
+
+        The batch is sorted by (start, botnet_id), and its countries,
+        cities, organizations, victims, families and botnets are
+        interned once per distinct value, new ones in their order of
+        first appearance.
 
         Each non-empty fold counts into ``stream.records_appended`` and
         ``stream.batches`` (labelled by whether it took the in-order
@@ -338,91 +293,118 @@ class StreamingDataset:
         and updates the ``stream.epoch`` gauge.
         """
         t0 = time.perf_counter()
-        batch = _validated(records, strict)
-        if not batch:
+        cols = _checked(batch, strict)
+        n = len(cols["timestamp"])
+        if not n:
             return 0
-        batch.sort(key=lambda r: (r.timestamp, r.botnet_id))
+        order = np.lexsort((cols["botnet_id"], cols["timestamp"]))
+        cols = {name: col[order] for name, col in cols.items()}
+        start, end, botnet = cols["timestamp"], cols["end_time"], cols["botnet_id"]
+        lat, lon, asn = cols["lat"], cols["lon"], cols["asn"]
 
-        cols = self._attacks
-        last_key = (
-            (float(cols["start"].view()[-1]), int(cols["botnet_id"].view()[-1]))
-            if self.n_attacks
-            else None
+        attacks = self._attacks
+        in_order = not self.n_attacks or (start[0], botnet[0]) >= (
+            attacks["start"].view()[-1], attacks["botnet_id"].view()[-1]
         )
 
-        new_victims: list[tuple] = []
-        for rec in batch:
-            c_idx = self._intern_country(rec)
-            city_idx = self._intern_city(rec, c_idx)
-            org_idx = self._intern_org(rec, c_idx, city_idx)
-            self._intern_victim(rec, c_idx, city_idx, org_idx, new_victims)
-            self._intern_family(rec.family)
-            entry = self._botnet_seen.setdefault(
-                rec.botnet_id, [rec.family, rec.timestamp, rec.end_time]
+        # A new country, city or organization takes its coordinates and
+        # ASN from its first row (a country its known centroid, if any).
+        world = self._world
+        country_idx, new = _number(self._country_of, cols["country_code"])
+        for code, y, x in zip(cols["country_code"][new], lat[new].tolist(), lon[new].tolist()):
+            y, x = _KNOWN_CENTROIDS.get(code, (y, x))
+            world._country_by_code[code] = index = len(world.countries)
+            world.countries.append(Country(index, code, code, y, x, 1.0))
+            world._cities_by_country[index], world._orgs_by_country[index] = [], []
+        city_idx, new = _number(self._city_of, cols["city"])
+        for name, c, y, x in zip(cols["city"][new], *_lists(new, country_idx, lat, lon)):
+            world._cities_by_country[c].append(len(world.cities))
+            world.cities.append(City(len(world.cities), name, c, y, x, 1.0))
+        org_idx, new = _number(self._org_of, cols["organization"])
+        for name, c, ci, a in zip(
+            cols["organization"][new], *_lists(new, country_idx, city_idx, asn)
+        ):
+            world._orgs_by_country[c].append(len(world.organizations))
+            world.organizations.append(
+                Organization(len(world.organizations), name, "unknown", c, ci, a, 1.0)
             )
-            entry[1] = min(entry[1], rec.timestamp)
-            entry[2] = max(entry[2], rec.end_time)
-            self._botnets_dirty.add(rec.botnet_id)
-            if self._min_start is None or rec.timestamp < self._min_start:
-                self._min_start = rec.timestamp
-            if self._max_end is None or rec.end_time > self._max_end:
-                self._max_end = rec.end_time
+        target_idx, new = _number(self._target_of, cols["target_ip"])
+        for column, values in zip(
+            self._victims.values(),
+            (cols["target_ip"], lat, lon, country_idx, city_idx, org_idx, asn),
+        ):
+            column.append(values[new])
 
-        if new_victims:
-            for column, values in zip(self._victims.values(), zip(*new_victims)):
-                column.append(values)
+        # Families stay alphabetically sorted (the batch builder's
+        # contract), so a new family can land mid-list and shift the
+        # indices after it.  The committed column is rewritten through
+        # replace() so snapshots taken earlier keep their own indexing.
+        names, family_slot, _ = _distinct(cols["family"])
+        added = [name for name in names if name not in self._family_of]
+        if added:
+            old = self._families
+            self._families = sorted(old + added)
+            self._family_of = {fam: i for i, fam in enumerate(self._families)}
+            remap = np.array([self._family_of[fam] for fam in old], dtype=np.int16)
+            if np.any(remap != np.arange(len(old))):
+                column = attacks["family_idx"]
+                column.replace(remap[column.view()])
+        family_idx = np.array([self._family_of[name] for name in names])[family_slot]
 
-        # Family indices are resolved after the whole batch is interned:
-        # a new family landing mid-alphabet shifts indices assigned to
-        # earlier rows of this very batch.
-        values = {
-            "start": [r.timestamp for r in batch],
-            "end": [r.end_time for r in batch],
-            "family_idx": [self._family_of[r.family] for r in batch],
-            "botnet_id": [r.botnet_id for r in batch],
-            "protocol": [int(r.category) for r in batch],
-            "target_idx": [self._target_of[r.target_ip] for r in batch],
-            "magnitude": [r.magnitude for r in batch],
-        }
-        rows = {name: np.asarray(values[name], dtype=dtype) for name, dtype in _FILLED.items()}
+        # Botnets: first/last seen in one grouped reduction.  The batch
+        # is sorted by start, so a botnet's first row is its earliest
+        # and its family is the first arrival's (the batch builder's
+        # setdefault).
+        ids, first = np.unique(botnet, return_index=True)
+        by_id = np.argsort(botnet, kind="stable")
+        last = np.maximum.reduceat(end[by_id], np.searchsorted(botnet[by_id], ids))
+        for bid, fam, lo, hi in zip(
+            ids.tolist(), cols["family"][first].tolist(), start[first].tolist(), last.tolist()
+        ):
+            entry = self._botnet_seen.setdefault(bid, [fam, lo, hi])
+            entry[1] = min(entry[1], lo)
+            entry[2] = max(entry[2], hi)
+        self._botnets_dirty.update(ids.tolist())
+        lo, hi = float(start[0]), float(end.max())
+        self._min_start = lo if self._min_start is None else min(self._min_start, lo)
+        self._max_end = hi if self._max_end is None else max(self._max_end, hi)
+
+        rows = dict(
+            start=start, end=end, family_idx=family_idx, botnet_id=botnet,
+            protocol=cols["category"], target_idx=target_idx, magnitude=cols["magnitude"],
+        )
         for name, (dtype, value) in _UNFILLED.items():
-            rows[name] = np.full(len(batch), value, dtype=dtype)
-        start, botnet = rows["start"], rows["botnet_id"]
+            rows[name] = np.full(n, value, dtype=dtype)
 
         if self._spilled_rows and start[0] <= self._spill_max_start:
             self._spill_dirty = True
 
         if self._summary is not None:
             self._summary.update_arrays(
-                start=start,
-                end=rows["end"],
-                family=np.asarray([r.family for r in batch], dtype=object),
-                country=np.asarray([r.country_code for r in batch], dtype=object),
-                victim=np.asarray([r.target_ip for r in batch], dtype=np.uint64),
-                botnet=botnet,
+                start=start, end=end, family=cols["family"], country=cols["country_code"],
+                victim=cols["target_ip"], botnet=botnet,
             )
 
-        in_order = last_key is None or (start[0], int(botnet[0])) >= last_key
         for name, values in rows.items():
-            cols[name].append(values)
+            attacks[name].append(values)
 
         if not in_order:
             # Stable merge: equivalent to stable-sorting the records in
             # arrival order by (start, botnet_id) — exactly what the
             # scratch batch build does.  The unfilled columns hold one
             # constant each and need no re-order.
-            order = np.lexsort((cols["botnet_id"].view(), cols["start"].view()))
+            order = np.lexsort((attacks["botnet_id"].view(), attacks["start"].view()))
             for name in _FILLED:
-                cols[name].replace(cols[name].view()[order])
+                attacks[name].replace(attacks[name].view()[order])
             self._carry_ok = False
 
         self._epoch += 1
         reg = _obs_registry()
-        reg.counter("stream.records_appended").inc(len(batch))
+        reg.counter("stream.records_appended").inc(n)
         reg.counter("stream.batches", in_order="true" if in_order else "false").inc()
         reg.gauge("stream.epoch").set(self._epoch)
         reg.histogram("stream.append_seconds").observe(time.perf_counter() - t0)
-        return len(batch)
+        return n
 
     # -- snapshots ---------------------------------------------------------
 

@@ -25,7 +25,6 @@ Sessions come in two memory models (``docs/STREAMING.md``):
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from pathlib import Path
@@ -44,6 +43,7 @@ class JsonlTail:
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
         self._offset = 0
+        self._lines = 0
 
     @property
     def path(self) -> Path:
@@ -61,14 +61,14 @@ class JsonlTail:
         a truncated file (size below the consumed offset, e.g. log
         rotation) restarts from the beginning.
         """
-        from ..io.jsonlio import record_from_json  # late: avoids an import cycle
+        from ..io.jsonlio import records_of_lines  # late: avoids an import cycle
 
         try:
             with self._path.open("rb") as fh:
                 fh.seek(0, 2)
                 size = fh.tell()
                 if size < self._offset:
-                    self._offset = 0  # rotated/truncated: start over
+                    self._offset = self._lines = 0  # rotated/truncated: start over
                 fh.seek(self._offset)
                 data = fh.read()
         except FileNotFoundError:
@@ -77,19 +77,10 @@ class JsonlTail:
         if cut < 0:
             return []
         consumed = data[: cut + 1]
-        records: list[DDoSAttackRecord] = []
-        for lineno, line in enumerate(consumed.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{self._path}: invalid JSON on appended line {lineno}: {exc}"
-                ) from exc
-            records.append(record_from_json(row))
+        lines = consumed.splitlines()
+        records = list(records_of_lines(lines, self._path, self._lines + 1))
         self._offset += len(consumed)
+        self._lines += len(lines)
         return records
 
 

@@ -3,16 +3,9 @@
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.datagen.config import DatasetConfig
-from repro.io.cache import (
-    config_key,
-    load_dataset,
-    load_or_generate,
-    resolve_cache_dir,
-    save_dataset,
-)
+from repro.io.cache import config_key, load_or_generate, resolve_cache_dir
 
 
 class TestConfigKey:
@@ -24,19 +17,6 @@ class TestConfigKey:
 
     def test_scale_sensitivity(self):
         assert config_key(DatasetConfig.tiny()) != config_key(DatasetConfig.small())
-
-
-class TestSaveLoad:
-    def test_roundtrip(self, tiny_ds, tmp_path):
-        path = save_dataset(tiny_ds, tmp_path / "ds.pkl.gz")
-        loaded = load_dataset(path)
-        assert loaded.n_attacks == tiny_ds.n_attacks
-        assert np.array_equal(loaded.start, tiny_ds.start)
-        assert np.array_equal(loaded.participants, tiny_ds.participants)
-
-    def test_load_missing(self, tmp_path):
-        with pytest.raises(OSError):
-            load_dataset(tmp_path / "missing.pkl.gz")
 
 
 class TestLoadOrGenerate:

@@ -76,3 +76,86 @@ class TestRecords:
                 botnet_id=1, family="x", target_index=0,
                 start=10.0, end=5.0, protocol=Protocol.HTTP, attack_tag=0,
             )
+
+
+def _drop_asn(row):
+    del row["asn"]
+    return row
+
+
+class TestRowCodec:
+    """The wire's column decoder and the file readers' record decoder
+    read one schema table, so they accept and reject the same rows."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, tiny_ds):
+        from repro.io.jsonlio import record_to_json
+
+        return [record_to_json(r) for r in list(tiny_ds.iter_attacks())[:4]]
+
+    @pytest.mark.parametrize(
+        "spoil, decodes",
+        [
+            (_drop_asn, False),
+            (lambda row: dict(row, timestamp=None), False),
+            (lambda row: dict(row, magnitude="lots"), False),
+            (lambda row: dict(row, timestamp=float("nan")), True),
+            (lambda row: dict(row, end_time=float("inf")), True),
+            (lambda row: dict(row, target_ip="10.0.0"), False),
+            (lambda row: dict(row, category="quic"), False),
+            (lambda row: [row["ddos_id"]], False),
+            (lambda row: dict(row, family=5), False),
+            (lambda row: dict(row, cc=None), False),
+        ],
+        ids=["missing-key", "null-time", "non-numeric", "nan", "infinity",
+             "bad-dotted-quad", "unknown-protocol", "non-object", "numeric-family",
+             "null-country"],
+    )
+    def test_columns_and_records_agree(self, rows, spoil, decodes):
+        import json
+
+        from repro.errors import FormatError, IngestError
+        from repro.io.jsonlio import record_from_json
+        from repro.monitor.schemas import columns_of_rows
+        from repro.serve.codec import decode_ingest
+        from repro.stream import StreamingDataset
+
+        rows = list(rows)
+        rows[2] = spoil(dict(rows[2]))
+        body = json.dumps({"records": rows}).encode()
+        if not decodes:
+            with pytest.raises((KeyError, TypeError, ValueError)) as rec_err:
+                [record_from_json(row) for row in rows]
+            with pytest.raises(FormatError) as col_err:
+                columns_of_rows(rows)
+            expected = (
+                "records[2] is not a row object"
+                if isinstance(rows[2], list)
+                else f"records[2] is malformed: {rec_err.value}"
+            )
+            assert str(col_err.value) == expected
+            with pytest.raises(FormatError) as wire_err:
+                decode_ingest(body)
+            assert str(wire_err.value) == expected
+            return
+        records = [record_from_json(row) for row in rows]
+        messages = []
+        for batch in (decode_ingest(body), columns_of_rows(rows), records):
+            stream = StreamingDataset()
+            with pytest.raises(IngestError) as exc_info:
+                stream.append_batch(batch)
+            assert exc_info.value.index == 2
+            messages.append(str(exc_info.value))
+            assert stream.append_batch(batch, strict=False) == 3
+        assert messages[0] == messages[1] == messages[2]
+        assert "record #2" in messages[0] and "not finite" in messages[0]
+
+    @pytest.mark.parametrize("key, value", [("botnet_id", 2**40), ("ddos_id", 2**64)])
+    def test_number_outside_its_dtype_names_the_row(self, rows, key, value):
+        from repro.errors import FormatError
+        from repro.monitor.schemas import columns_of_rows
+
+        rows = list(rows)
+        rows[1] = dict(rows[1], **{key: value})
+        with pytest.raises(FormatError, match=r"^records\[1\] is malformed: .*int"):
+            columns_of_rows(rows)

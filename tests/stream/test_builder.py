@@ -165,3 +165,45 @@ class TestSnapshots:
         assert np.array_equal(
             np.sort(ds.start), np.sort(np.asarray([r.timestamp for r in records]))
         )
+
+
+def test_wire_columns_fold_like_records(records):
+    """A stream fed wire columns equals one fed the same records, batch
+    by batch, through a new family that sorts mid-list and a late batch."""
+    from repro import api
+    from repro.io.jsonlio import record_to_json
+    from repro.monitor.schemas import columns_of_rows
+
+    by_family: dict[str, list] = {}
+    for rec in records:
+        by_family.setdefault(rec.family, []).append(rec)
+    fams = sorted(by_family)
+    first = by_family[fams[0]][:30] + by_family[fams[-1]][:30]
+    seen = {id(rec) for rec in first}
+    rest = [rec for rec in records if id(rec) not in seen]
+    batches = [first] + [rest[lo : lo + 250] for lo in range(0, len(rest), 250)]
+    batches.insert(2, batches.pop())  # the latest rows arrive early
+    assert fams[1] not in {rec.family for rec in first}
+
+    by_records, by_wire = StreamingDataset(), StreamingDataset()
+    for batch in batches:
+        by_records.append_batch(batch)
+        by_wire.append_batch(columns_of_rows([record_to_json(rec) for rec in batch]))
+        ours, theirs = by_wire.dataset(), by_records.dataset()
+        for name in ("start", "end", "family_idx", "botnet_id", "protocol",
+                     "target_idx", "magnitude", "part_offsets"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+        for name in ("ip", "lat", "lon", "country_idx", "city_idx", "org_idx", "asn"):
+            assert np.array_equal(getattr(ours.victims, name), getattr(theirs.victims, name))
+        assert ours.world.countries == theirs.world.countries
+        assert ours.world.cities == theirs.world.cities
+        assert ours.world.organizations == theirs.world.organizations
+        assert (ours.families, ours.botnets, ours.window) == (
+            theirs.families, theirs.botnets, theirs.window
+        )
+    assert by_wire.families == fams
+    rendered = [
+        [r.render() for r in api.run_all(stream.context(), jobs=1)]
+        for stream in (by_wire, by_records)
+    ]
+    assert rendered[0] == rendered[1]

@@ -80,11 +80,11 @@ class TestLoad:
         ds = api.load(path)
         assert ds.n_attacks == tiny_ds.n_attacks
 
-    def test_load_pickle(self, tiny_ds, tmp_path):
-        from repro.io.cache import save_dataset
+    def test_load_npz(self, tiny_ds, tmp_path):
+        from repro.io.colstore import save_dataset_npz
 
-        path = tmp_path / "ds.pkl.gz"
-        save_dataset(tiny_ds, path)
+        path = tmp_path / "ds.npz"
+        save_dataset_npz(tiny_ds, path)
         ds = api.load(path)
         assert ds.n_attacks == tiny_ds.n_attacks
         assert ds.bots.n_bots == tiny_ds.bots.n_bots  # full round-trip
