@@ -161,16 +161,16 @@ def protocol_breakdown(source: AnalysisSource) -> list[tuple[Protocol, str, int]
 
 
 def _protocol_breakdown(ds: AttackDataset) -> list[tuple[Protocol, str, int]]:
+    # One count per (protocol, family) cell; ``Protocol`` values are 0..6.
+    n_fam = len(ds.families)
+    cells = np.bincount(
+        ds.protocol.astype(np.int64) * n_fam + ds.family_idx, minlength=len(Protocol) * n_fam
+    ).reshape(len(Protocol), n_fam)
     rows: list[tuple[Protocol, str, int]] = []
     for proto in Protocol:
-        mask = ds.protocol == int(proto)
-        if not mask.any():
-            continue
-        fams, counts = np.unique(ds.family_idx[mask], return_counts=True)
-        cells = sorted(
-            (ds.family_name(int(f)), int(c)) for f, c in zip(fams, counts)
-        )
-        rows.extend((proto, fam, count) for fam, count in cells)
+        row = cells[int(proto)]
+        named = sorted((ds.family_name(f), int(row[f])) for f in np.flatnonzero(row).tolist())
+        rows.extend((proto, fam, count) for fam, count in named)
     return rows
 
 

@@ -148,15 +148,16 @@ def _lists(rows: np.ndarray, *columns: np.ndarray) -> list[list]:
     return [column[rows].tolist() for column in columns]
 
 
-def _number(numbers: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number a column's values; ``numbers`` gains the new ones in
-    first-appearance order.  Returns each row's number and the first
-    row of every new value."""
+def _number(numbers: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Number a column's values: known ones as ``numbers`` has them, new
+    ones from ``len(numbers)`` on in first-appearance order.  Returns
+    each row's number, the first row of every new value and the new
+    numbers, which the caller commits into ``numbers``."""
     keys, inverse, first = _distinct(values)
     new = [slot for slot, key in enumerate(keys) if key not in numbers]
-    for slot in new:
-        numbers[keys[slot]] = len(numbers)
-    return np.array([numbers[key] for key in keys])[inverse], first[new]
+    fresh = {keys[slot]: len(numbers) + i for i, slot in enumerate(new)}
+    numbered = np.array([fresh[key] if key in fresh else numbers[key] for key in keys])
+    return numbered[inverse], first[new], fresh
 
 
 class StreamingDataset:
@@ -285,7 +286,9 @@ class StreamingDataset:
         The batch is sorted by (start, botnet_id), and its countries,
         cities, organizations, victims, families and botnets are
         interned once per distinct value, new ones in their order of
-        first appearance.
+        first appearance.  Every new entry and row is worked out before
+        any is committed, so a batch that raises leaves the stream,
+        its registries and its world as they were.
 
         Each non-empty fold counts into ``stream.records_appended`` and
         ``stream.batches`` (labelled by whether it took the in-order
@@ -310,46 +313,44 @@ class StreamingDataset:
         # A new country, city or organization takes its coordinates and
         # ASN from its first row (a country its known centroid, if any).
         world = self._world
-        country_idx, new = _number(self._country_of, cols["country_code"])
-        for code, y, x in zip(cols["country_code"][new], lat[new].tolist(), lon[new].tolist()):
-            y, x = _KNOWN_CENTROIDS.get(code, (y, x))
-            world._country_by_code[code] = index = len(world.countries)
-            world.countries.append(Country(index, code, code, y, x, 1.0))
-            world._cities_by_country[index], world._orgs_by_country[index] = [], []
-        city_idx, new = _number(self._city_of, cols["city"])
-        for name, c, y, x in zip(cols["city"][new], *_lists(new, country_idx, lat, lon)):
-            world._cities_by_country[c].append(len(world.cities))
-            world.cities.append(City(len(world.cities), name, c, y, x, 1.0))
-        org_idx, new = _number(self._org_of, cols["organization"])
-        for name, c, ci, a in zip(
-            cols["organization"][new], *_lists(new, country_idx, city_idx, asn)
-        ):
-            world._orgs_by_country[c].append(len(world.organizations))
-            world.organizations.append(
-                Organization(len(world.organizations), name, "unknown", c, ci, a, 1.0)
+        country_idx, new, countries = _number(self._country_of, cols["country_code"])
+        new_countries = [
+            Country(index, code, code, *_KNOWN_CENTROIDS.get(code, (y, x)), 1.0)
+            for index, code, y, x in zip(
+                countries.values(), cols["country_code"][new], *_lists(new, lat, lon)
             )
-        target_idx, new = _number(self._target_of, cols["target_ip"])
-        for column, values in zip(
-            self._victims.values(),
-            (cols["target_ip"], lat, lon, country_idx, city_idx, org_idx, asn),
-        ):
-            column.append(values[new])
+        ]
+        city_idx, new, cities = _number(self._city_of, cols["city"])
+        new_cities = [
+            City(index, name, c, y, x, 1.0)
+            for index, name, c, y, x in zip(
+                cities.values(), cols["city"][new], *_lists(new, country_idx, lat, lon)
+            )
+        ]
+        org_idx, new, orgs = _number(self._org_of, cols["organization"])
+        new_orgs = [
+            Organization(index, name, "unknown", c, ci, a, 1.0)
+            for index, name, c, ci, a in zip(
+                orgs.values(), cols["organization"][new], *_lists(new, country_idx, city_idx, asn)
+            )
+        ]
+        target_idx, new, targets = _number(self._target_of, cols["target_ip"])
+        new_victims = [
+            values[new].astype(dtype, copy=False)
+            for values, dtype in zip(
+                (cols["target_ip"], lat, lon, country_idx, city_idx, org_idx, asn),
+                _VICTIM.values(),
+            )
+        ]
 
         # Families stay alphabetically sorted (the batch builder's
         # contract), so a new family can land mid-list and shift the
-        # indices after it.  The committed column is rewritten through
-        # replace() so snapshots taken earlier keep their own indexing.
+        # indices after it.
         names, family_slot, _ = _distinct(cols["family"])
         added = [name for name in names if name not in self._family_of]
-        if added:
-            old = self._families
-            self._families = sorted(old + added)
-            self._family_of = {fam: i for i, fam in enumerate(self._families)}
-            remap = np.array([self._family_of[fam] for fam in old], dtype=np.int16)
-            if np.any(remap != np.arange(len(old))):
-                column = attacks["family_idx"]
-                column.replace(remap[column.view()])
-        family_idx = np.array([self._family_of[name] for name in names])[family_slot]
+        families = sorted(self._families + added) if added else self._families
+        family_of = {fam: i for i, fam in enumerate(families)} if added else self._family_of
+        family_idx = np.array([family_of[name] for name in names])[family_slot]
 
         # Botnets: first/last seen in one grouped reduction.  The batch
         # is sorted by start, so a botnet's first row is its earliest
@@ -358,9 +359,52 @@ class StreamingDataset:
         ids, first = np.unique(botnet, return_index=True)
         by_id = np.argsort(botnet, kind="stable")
         last = np.maximum.reduceat(end[by_id], np.searchsorted(botnet[by_id], ids))
-        for bid, fam, lo, hi in zip(
+        seen = list(zip(
             ids.tolist(), cols["family"][first].tolist(), start[first].tolist(), last.tolist()
+        ))
+
+        rows = dict(
+            start=start, end=end, family_idx=family_idx, botnet_id=botnet,
+            protocol=cols["category"], target_idx=target_idx, magnitude=cols["magnitude"],
+        )
+        for name, dtype in _FILLED.items():
+            rows[name] = np.asarray(rows[name]).astype(dtype, copy=False)
+        for name, (dtype, value) in _UNFILLED.items():
+            rows[name] = np.full(n, value, dtype=dtype)
+
+        if self._summary is not None:
+            self._summary.update_arrays(
+                start=start, end=end, family=cols["family"], country=cols["country_code"],
+                victim=cols["target_ip"], botnet=botnet,
+            )
+
+        # Nothing below raises: commit.
+        for country in new_countries:
+            world._country_by_code[country.code] = country.index
+            world.countries.append(country)
+            world._cities_by_country[country.index], world._orgs_by_country[country.index] = [], []
+        for city in new_cities:
+            world._cities_by_country[city.country_index].append(city.index)
+            world.cities.append(city)
+        for org in new_orgs:
+            world._orgs_by_country[org.country_index].append(org.index)
+            world.organizations.append(org)
+        for numbers, fresh in (
+            (self._country_of, countries), (self._city_of, cities),
+            (self._org_of, orgs), (self._target_of, targets),
         ):
+            numbers.update(fresh)
+        for column, values in zip(self._victims.values(), new_victims):
+            column.append(values)
+        if added:
+            # The committed column is rewritten through replace() so
+            # snapshots taken earlier keep their own indexing.
+            remap = np.array([family_of[fam] for fam in self._families], dtype=np.int16)
+            if np.any(remap != np.arange(len(self._families))):
+                column = attacks["family_idx"]
+                column.replace(remap[column.view()])
+            self._families, self._family_of = families, family_of
+        for bid, fam, lo, hi in seen:
             entry = self._botnet_seen.setdefault(bid, [fam, lo, hi])
             entry[1] = min(entry[1], lo)
             entry[2] = max(entry[2], hi)
@@ -369,21 +413,8 @@ class StreamingDataset:
         self._min_start = lo if self._min_start is None else min(self._min_start, lo)
         self._max_end = hi if self._max_end is None else max(self._max_end, hi)
 
-        rows = dict(
-            start=start, end=end, family_idx=family_idx, botnet_id=botnet,
-            protocol=cols["category"], target_idx=target_idx, magnitude=cols["magnitude"],
-        )
-        for name, (dtype, value) in _UNFILLED.items():
-            rows[name] = np.full(n, value, dtype=dtype)
-
         if self._spilled_rows and start[0] <= self._spill_max_start:
             self._spill_dirty = True
-
-        if self._summary is not None:
-            self._summary.update_arrays(
-                start=start, end=end, family=cols["family"], country=cols["country_code"],
-                victim=cols["target_ip"], botnet=botnet,
-            )
 
         for name, values in rows.items():
             attacks[name].append(values)

@@ -81,6 +81,37 @@ class TestAppend:
         assert stream.n_attacks == 5
         assert stream.epoch == 1
 
+    def test_failing_batch_interns_nothing(self, records):
+        # The family sort raises on a non-string family, after the batch's
+        # new countries, cities, organizations and victims were numbered.
+        stream = StreamingDataset()
+        stream.append_batch(records[:10])
+        before = stream.context().dataset
+        world = before.world
+        sizes = (len(world.countries), len(world.cities), len(world.organizations))
+        fresh = [
+            dataclasses.replace(
+                rec, target_ip=10**9 + i, country_code="ZZ", city="Nowhere", organization="none"
+            )
+            for i, rec in enumerate(records[10:14])
+        ]
+        bad = dataclasses.replace(records[14], family=5)
+        with pytest.raises(TypeError):
+            stream.append_batch(fresh + [bad])
+        assert stream.epoch == 1 and stream.n_attacks == 10
+        assert stream.families == before.families
+        assert (len(world.countries), len(world.cities), len(world.organizations)) == sizes
+        assert all(c.code != "ZZ" for c in world.countries)
+        # The next good batch numbers from where the good one left off.
+        stream.append_batch(fresh)
+        after = stream.context().dataset
+        assert after.victims.n_targets == before.victims.n_targets + 4
+        np.testing.assert_array_equal(
+            after.victims.ip[: before.victims.n_targets], before.victims.ip
+        )
+        assert [c.index for c in world.countries] == list(range(len(world.countries)))
+        assert world.countries[-1].code == "ZZ"
+
 
 class TestSnapshots:
     def test_context_cached_per_epoch(self, records):

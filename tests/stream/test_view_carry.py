@@ -13,11 +13,16 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.core import merge
 from repro.core.context import AnalysisContext
 from repro.core.durations import duration_summary
 from repro.core.intervals import interval_summary, simultaneous_attacks
+from repro.core.stats import RankWindows
+from repro.core.targets import OrgTypeCounts
 from repro.experiments.registry import battery_views
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
@@ -239,3 +244,88 @@ def test_rank_windows_rarely_rebuild_on_an_in_order_stream():
     reference = AnalysisContext(dataset_from_records(records, window))
     assert duration_summary(ctx) == duration_summary(reference)
     assert interval_summary(ctx, family="alpha") == interval_summary(reference, family="alpha")
+
+
+def _bitwise(a, b) -> bool:
+    """Equal type, dtype, shape and bytes, and dict keys in the same order.
+
+    Rank windows compare by their own equality: a carried window may keep
+    a different margin around the ranks it reads than a fresh one.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, RankWindows):
+        return a == b
+    if isinstance(a, dict):
+        extra = [(a.first_org, b.first_org)] if isinstance(a, OrgTypeCounts) else []
+        return list(a) == list(b) and all(_bitwise(a[k], b[k]) for k in a) and all(
+            _bitwise(x, y) for x, y in extra
+        )
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        return all(
+            _bitwise(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_bitwise(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+def _carry_records() -> list:
+    """Four families over three days; ``beta`` sorts mid-alphabet and is
+    first seen two thirds of the way in.  Starts repeat (simultaneous
+    events) and targets recur (scan runs) so seams cut through both;
+    victims sit in three countries."""
+    rng = np.random.default_rng(27)
+    starts = np.sort(rng.integers(0, 3 * 86400 - 3600, 48)).astype(float)
+    starts[10:13] = starts[10]
+    starts[30:33] = starts[30]
+    records = []
+    for i, start in enumerate(starts):
+        families = ("alpha", "delta", "gamma") + (("beta",) if i >= 32 else ())
+        target = int(rng.integers(0, 12))
+        rec = _record(i, botnet=int(rng.integers(1, 9)), family=families[i % len(families)],
+                      target=target, start=float(start), duration=float(rng.integers(60, 5000)))
+        records.append(dataclasses.replace(rec, country_code=("US", "DE", "BR")[target % 3]))
+    records.sort(key=lambda rec: (rec.timestamp, rec.botnet_id))
+    return records
+
+
+CARRY_RECORDS = _carry_records()
+
+
+@st.composite
+def _batch_cuts(draw):
+    """Batch sizes covering every record, with at least one one-row batch."""
+    sizes, left = [], len(CARRY_RECORDS)
+    while left:
+        size = min(left, draw(st.integers(1, 12)))
+        sizes.append(size)
+        left -= size
+    single = draw(st.integers(0, len(sizes) - 1))
+    if sizes[single] > 1:
+        sizes[single : single + 1] = [1, sizes[single] - 1]
+    return np.cumsum([0, *sizes]).tolist()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_batch_cuts())
+def test_random_batch_cuts_carry_every_view_bitwise(cuts):
+    stream = StreamingDataset(window=WINDOW)
+    previous = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        stream.append_batch(CARRY_RECORDS[lo:hi])
+        ctx = stream.context()
+        carried = ctx.materialized()
+        if previous is not None:
+            expected = [k for k in battery_views(ctx.dataset.active_families) if k in previous]
+            assert list(carried) == [k for k in expected if k[0] != "dispersion_forecast"]
+        fresh = AnalysisContext(dataset_from_records(CARRY_RECORDS[:hi], WINDOW))
+        for key, value in carried.items():
+            assert _bitwise(value, merge.view_value(fresh, key)), f"{key} at rows {lo}:{hi}"
+        touch_views(ctx)
+        previous = ctx.materialized()
+    assert stream.context().dataset.families == ["alpha", "beta", "delta", "gamma"]
