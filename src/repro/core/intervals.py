@@ -130,7 +130,7 @@ def _simultaneous_tally(
     name, the number of multi-family events and the family-pair
     co-occurrences.  With ``tolerance`` 0 a range cut between two start
     times tallies exactly its own events, so tallies of adjacent ranges
-    add up (see :func:`repro.core.merge.extend_view`).
+    add up (see :func:`repro.core.merge.extend_views`).
     """
     n = hi - lo
     if n <= 0:

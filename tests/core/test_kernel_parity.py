@@ -73,6 +73,13 @@ from ..oracles.kernels import (
 RANDOM_SEEDS = [11, 23, 47, 101]
 
 
+def extend_one(key, old, prev, parts, ctx):
+    """View ``key`` extended from ``prev``'s value ``old`` by ``parts``
+    into ``ctx``: the extend step's rule for one key, in a fold of its
+    own."""
+    return merge._Fold(prev, parts, ctx).extend(key, old)
+
+
 def _record(
     i: int,
     *,
@@ -435,7 +442,7 @@ def _stitched_at_rows(ds, cuts) -> dict:
     parts = [AnalysisContext(_slice_dataset(ds, lo, hi)) for lo, hi in zip(bounds[1:], bounds[2:])]
     ctx = AnalysisContext(ds)
     return {
-        kind: merge.extend_view((kind,), merge.view_value(prev, (kind,)), prev, parts, ctx)
+        kind: extend_one((kind,), merge.view_value(prev, (kind,)), prev, parts, ctx)
         for kind in SCANS
     }
 

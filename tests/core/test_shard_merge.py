@@ -43,7 +43,7 @@ from ..oracles.merge_fold import (
     merge_intervals,
     merged_reference,
 )
-from .test_kernel_parity import _record
+from .test_kernel_parity import _record, extend_one
 
 
 def _assert_view_equal(label: str, got, want) -> None:
@@ -249,7 +249,7 @@ class TestMergeOrderInvariance:
 
 
 class TestCombinePartials:
-    """The weekly (week, bot) pair tables folded by ``extend_view`` over
+    """The weekly (week, bot) pair tables folded by the extend step over
     any row cuts equal the flat table; only the seam week's pairs re-sort."""
 
     @pytest.mark.parametrize("seed", [3, 5, 8])
@@ -278,10 +278,10 @@ class TestCombinePartials:
             # One part per step, as a chain of re-merges folds them ...
             value = first(family)
             for prev, part, ctx in zip(heads, parts[1:], heads[1:]):
-                value = merge.extend_view(key, value, prev, [part], ctx)
+                value = extend_one(key, value, prev, [part], ctx)
             _assert_view_equal(family, value, want)
             # ... and every part at once, as a full merge does.
-            value = merge.extend_view(key, first(family), parts[0], parts[1:], flat)
+            value = extend_one(key, first(family), parts[0], parts[1:], flat)
             _assert_view_equal(family, value, want)
 
 
