@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Union
+from typing import TYPE_CHECKING, Any, Callable, Hashable, NamedTuple, Union
 
 import numpy as np
 
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .scans import ScanEvents
     from .shift import WeeklyShift
 
-__all__ = ["AnalysisContext", "AnalysisSource", "ShardedAnalysisContext"]
+__all__ = ["AnalysisContext", "AnalysisSource", "FamilyPass", "ShardedAnalysisContext"]
 
 #: Anything the analyses accept: the raw dataset or its context.
 AnalysisSource = Union[AttackDataset, "AnalysisContext"]
@@ -61,6 +61,17 @@ AnalysisSource = Union[AttackDataset, "AnalysisContext"]
 #: Attribute used to attach the shared context to a dataset instance.
 _CONTEXT_ATTR = "_analysis_context"
 _ATTACH_LOCK = threading.Lock()
+
+
+class FamilyPass(NamedTuple):
+    """The rows of :meth:`AnalysisContext.family_attack_index` placed back
+    to back: ``runs`` maps a family index to its ``(lo, hi)`` run, and
+    the rows' starts and participant CSR ``(offsets, flat)`` follow."""
+
+    runs: dict[int, tuple[int, int]]
+    starts: np.ndarray
+    offsets: np.ndarray
+    flat: np.ndarray
 
 
 class AnalysisContext:
@@ -98,6 +109,9 @@ class AnalysisContext:
         #: built from scratch; a merge or stream carry passes its store
         #: on, so the next extension of this context grows in place.
         self._columns: "ColumnStore | None" = None
+        #: Built on first use; not a view, so never carried or counted.
+        self._family_pass: FamilyPass | None = None
+        self._family_pass_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
 
@@ -258,6 +272,23 @@ class AnalysisContext:
         fam = self._ds.family_id(family)
         return self.family_attack_index().get(fam, np.zeros(0, dtype=np.int64))
 
+    def family_pass(self) -> FamilyPass:
+        """The :class:`FamilyPass` the per-family accessors slice: built
+        once, under its own lock, and held outside the views."""
+        if self._family_pass is None:
+            groups = self.family_attack_index()
+            with self._family_pass_lock:
+                if self._family_pass is None:
+                    self._family_pass = _build_family_pass(self._ds, groups)
+        return self._family_pass
+
+    def _family_run(self, family: str) -> tuple[FamilyPass, int, int]:
+        """The family pass and ``family``'s ``(lo, hi)`` run in it; an
+        empty run for a family with no rows."""
+        fp = self.family_pass()
+        lo, hi = fp.runs.get(self._ds.family_id(family), (0, 0))
+        return fp, lo, hi
+
     def botnet_attacks(self, botnet_id: int) -> np.ndarray:
         """Attack indices (chronological) launched by one botnet."""
         groups = self._groups_by("botnet_attack_index", self._ds.botnet_id)
@@ -303,11 +334,14 @@ class AnalysisContext:
         )
 
     def family_starts(self, family: str) -> np.ndarray:
-        """Sorted start times of one family's attacks."""
-        return self.view(
-            ("family_starts", family),
-            lambda: np.sort(self._ds.start[self.family_attacks(family)]),
-        )
+        """Sorted start times of one family's attacks (its rows are
+        chronological and the dataset keeps ``start`` sorted)."""
+
+        def build() -> np.ndarray:
+            fp, lo, hi = self._family_run(family)
+            return fp.starts[lo:hi]
+
+        return self.view(("family_starts", family), build)
 
     def family_intervals(self, family: str, include_simultaneous: bool = True) -> np.ndarray:
         """Gaps between consecutive attacks of one family."""
@@ -379,21 +413,9 @@ class AnalysisContext:
         """
 
         def build() -> tuple[np.ndarray, np.ndarray]:
-            ds = self._ds
-            idx = self.family_attacks(family)
-            counts = (ds.part_offsets[idx + 1] - ds.part_offsets[idx]).astype(np.int64)
-            offsets = np.zeros(idx.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            # One gather instead of a per-attack slice loop: element j of
-            # segment k lives at ``part_offsets[idx[k]] + j`` in the
-            # dataset-wide CSR, so the source positions are the segment
-            # bases repeated per element plus each element's within-
-            # segment rank.
-            total = int(offsets[-1])
-            base = np.repeat(ds.part_offsets[idx].astype(np.int64), counts)
-            rank = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-            flat = np.asarray(ds.participants)[base + rank]
-            return offsets, flat
+            fp, lo, hi = self._family_run(family)
+            offsets = fp.offsets[lo : hi + 1]
+            return offsets - offsets[0], fp.flat[offsets[0] : offsets[-1]]
 
         return self.view(("family_participants", family), build)
 
@@ -631,10 +653,16 @@ class AnalysisContext:
             views = self._views
             whole = battery_views(())
             tasks = [[key] for key in whole if key not in views]
+            family_tasks = []
             for family in self._ds.active_families:
                 keys = [k for k in battery_views((family,))[len(whole):] if k not in views]
                 if keys:
-                    tasks.append(keys)
+                    family_tasks.append(keys)
+            # Every family view but the forecast reads the family pass; a
+            # context that holds them (a carried stream epoch) skips it.
+            if any(k[0] != "dispersion_forecast" for keys in family_tasks for k in keys):
+                self.family_pass()
+            tasks += family_tasks
             reg.counter("prewarm.tasks").inc(len(tasks))
             before = set(views)
             if tasks:
@@ -651,6 +679,28 @@ class AnalysisContext:
             seeded = len(set(views) - before)
             reg.counter("prewarm.seeded").inc(seeded)
         return seeded
+
+
+def _build_family_pass(ds: AttackDataset, groups: dict[int, np.ndarray]) -> FamilyPass:
+    """The :class:`FamilyPass` over ``groups`` (a family attack index)."""
+    rows = np.concatenate(list(groups.values())) if groups else np.zeros(0, dtype=np.int64)
+    bounds = np.cumsum([0, *(g.size for g in groups.values())]).tolist()
+    po = ds.part_offsets
+    counts = (po[rows + 1] - po[rows]).astype(np.int64)
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # One gather instead of a per-attack slice loop: element j of
+    # segment k lives at ``part_offsets[rows[k]] + j`` in the
+    # dataset-wide CSR, so the source positions are the segment bases
+    # repeated per element plus each element's within-segment rank.
+    base = np.repeat(po[rows].astype(np.int64), counts)
+    rank = np.arange(int(offsets[-1]), dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    return FamilyPass(
+        {fam: (bounds[i], bounds[i + 1]) for i, fam in enumerate(groups)},
+        ds.start[rows],
+        offsets,
+        np.asarray(ds.participants)[base + rank],
+    )
 
 
 class ShardedAnalysisContext:

@@ -80,35 +80,35 @@ def _segment_dispersions(
     if counts.size == 0 or bots.size == 0:
         return np.zeros(counts.size)
     # Zero-count segments (attacks with no recorded participants, e.g.
-    # on ingested attack-table-only datasets) would index ``reduceat``
-    # out of range and divide by zero.  The clamps keep the kernel total
-    # — positive-count segments are untouched, clamped ones produce
-    # meaningless values that every caller masks via ``counts < 2``.
-    starts = np.minimum(offsets[:-1], bots.size - 1)
-    denom = np.maximum(counts, 1)
+    # on ingested attack-table-only datasets) have nothing to reduce:
+    # the rollups run over the other segments, and theirs stay 0.
+    full = counts > 0
+    starts = offsets[:-1][full]
+    sizes = counts[full]
     # Geographic centre per segment (3-D unit-vector mean).
-    sx = np.add.reduceat(coords.x[bots], starts) / denom
-    sy = np.add.reduceat(coords.y[bots], starts) / denom
-    sz = np.add.reduceat(coords.z[bots], starts) / denom
+    sx = np.add.reduceat(coords.x[bots], starts) / sizes
+    sy = np.add.reduceat(coords.y[bots], starts) / sizes
+    sz = np.add.reduceat(coords.z[bots], starts) / sizes
     norm = np.sqrt(sx * sx + sy * sy + sz * sz)
     norm = np.maximum(norm, 1e-12)
     lat_c = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
     lon_c = np.arctan2(sy, sx)
 
     # Broadcast each segment's centre back onto its participants.
-    dlat = coords.lat[bots] - np.repeat(lat_c, counts)
-    dlon = coords.lon[bots] - np.repeat(lon_c, counts)
+    dlat = coords.lat[bots] - np.repeat(lat_c, sizes)
+    dlon = coords.lon[bots] - np.repeat(lon_c, sizes)
     a = (
         np.sin(dlat / 2.0) ** 2
-        + np.repeat(np.cos(lat_c), counts) * coords.cos_lat[bots] * np.sin(dlon / 2.0) ** 2
+        + np.repeat(np.cos(lat_c), sizes) * coords.cos_lat[bots] * np.sin(dlon / 2.0) ** 2
     )
     dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
     # Paper's sign convention: east positive, west negative; ties by north/south.
     wrapped = np.mod(dlon + np.pi, 2.0 * np.pi) - np.pi
     sign = np.sign(wrapped)
     sign = np.where(sign == 0, np.sign(dlat), sign)
-    sums = np.add.reduceat(sign * dist, starts)
-    return np.abs(sums)
+    values = np.zeros(counts.size)
+    values[full] = np.abs(np.add.reduceat(sign * dist, starts))
+    return values
 
 
 def attack_dispersions(

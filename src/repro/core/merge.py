@@ -20,10 +20,11 @@ down.  The two shard merges call it through :func:`combine_partials`,
 the stream carry through
 :func:`repro.stream.incremental.carry_views`.  The loop runs every key
 through one :class:`_Fold`, so the parts are read once per step, not
-once per key: each part's rows are grouped by family once and its
-pieces memoize for the step without the shared context's locks and
-instruments, and the old values come from one copy of the left
-operand's views.
+once per key: each part's family views are slices of its one family
+pass (:meth:`~repro.core.context.AnalysisContext.family_pass`, which
+the accessors read on every plane), its pieces memoize for the step
+without the shared context's locks and instruments, and the old values
+come from one copy of the left operand's views.
 
 The result must be **bitwise** what a flat
 :class:`~repro.core.context.AnalysisContext` builds over all the rows,
@@ -209,85 +210,22 @@ class _Part(AnalysisContext):
 
     Starts from the views the part's own context holds (a shard's map
     phase built them) and builds any other through the accessor, over
-    the part's rows.  It memoizes in a plain dict: a part lives for one
-    fold on one thread, so it takes none of a shared context's per-key
-    locks, hit/miss counters or build spans.  A part that holds no view
-    (the stream carry's batch) has its family views seeded in one pass
-    over its rows (:meth:`_seed_families`).
+    the part's rows: a part that holds none (the stream carry's batch)
+    slices every family's views from its one family pass.  It memoizes
+    in a plain dict: a part lives for one fold on one thread, so it
+    takes none of a shared context's per-key locks, hit/miss counters or
+    build spans.
     """
 
     def __init__(self, part: AnalysisContext) -> None:
         super().__init__(part.dataset, epoch=part.epoch)
         self._views = part.materialized()
-        if not self._views:
-            self._seed_families()
 
     def view(self, key: Hashable, build: Callable[[], Any]) -> Any:
         views = self._views
         if key not in views:
             views[key] = build()
         return views[key]
-
-    def _seed_families(self) -> None:
-        """Every family's starts, gaps, participant CSR, victim-country
-        marginal and weekly pairs, from one gather of the rows grouped by
-        family.
-
-        Each value is the accessor's own: a family's rows in time order
-        are one run of the grouped rows, so its starts, gaps, attack
-        weeks and CSR are slices of arrays computed once (the offsets
-        rebased to 0), and the marginals come from one sort of (family,
-        country) keys.
-        """
-        ds = self.dataset
-        groups = self.family_attack_index()
-        if not groups:
-            return
-        rows = np.concatenate(list(groups.values()))
-        bounds = np.cumsum([0, *(g.size for g in groups.values())]).tolist()
-        starts = ds.start[rows]
-        gaps = np.diff(starts)
-        po = ds.part_offsets
-        counts = (po[rows + 1] - po[rows]).astype(np.int64)
-        offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        base = np.repeat(po[rows].astype(np.int64), counts)
-        rank = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-        flat = np.asarray(ds.participants)[base + rank]
-        country = ds.victims.country_idx[ds.target_idx[rows]]
-        low = int(country.min())
-        span = int(country.max()) - low + 1
-        slot = np.repeat(np.arange(len(groups)), np.diff(bounds))
-        keys = np.sort(slot * span + (country - low))
-        firsts = np.flatnonzero(_stats._first_of_runs(keys))
-        seen, tally = keys[firsts], np.diff(np.append(firsts, keys.size))
-        cuts = np.searchsorted(seen, np.arange(len(groups) + 1) * span).tolist()
-        weeks = ((starts - ds.window.start) // (7 * 86400)).astype(np.int64)
-        views = self._views
-        for i, fam in enumerate(groups):
-            name, lo, hi = ds.family_name(fam), bounds[i], bounds[i + 1]
-            views[("family_starts", name)] = starts[lo:hi]
-            within = gaps[lo : hi - 1] if hi - lo >= 2 else np.zeros(0)
-            views[("family_intervals", name, True)] = within
-            views[("family_intervals", name, False)] = within[within > 0]
-            views[("family_participants", name)] = (
-                offsets[lo : hi + 1] - offsets[lo],
-                flat[offsets[lo] : offsets[hi]],
-            )
-            views[("family_target_country_counts", name)] = (
-                (seen[cuts[i] : cuts[i + 1]] - (i * span - low)).astype(country.dtype),
-                tally[cuts[i] : cuts[i + 1]],
-            )
-            attack_weeks = weeks[lo:hi]
-            views[("weekly_shift_pairs", name)] = (
-                attack_weeks[_stats._first_of_runs(attack_weeks)],
-                *_stats.unique_pairs(
-                    np.repeat(attack_weeks, counts[lo:hi]),
-                    flat[offsets[lo] : offsets[hi]],
-                    ds.bots.n_bots,
-                ),
-            )
 
 
 class _Fold:

@@ -71,11 +71,11 @@ def _weekly_pairs(
     the global pair table.
     """
     ds = ctx.dataset
-    idx = ctx.family_attacks(family)
-    if idx.size == 0:
+    fp, lo, hi = ctx._family_run(family)
+    if lo == hi:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, np.zeros(0, dtype=np.int64)
-    weeks_of_attack = ((ds.start[idx] - ds.window.start) // (7 * 86400)).astype(np.int64)
+    weeks_of_attack = ((fp.starts[lo:hi] - ds.window.start) // (7 * 86400)).astype(np.int64)
 
     offsets, flat = ctx.family_participants(family)
     counts = np.diff(offsets)

@@ -11,8 +11,9 @@ O(batch) cost, over each view of
 :func:`~repro.experiments.registry.battery_views` the previous context
 has materialised.  :mod:`repro.core.merge` describes the shapes
 those views extend in.  The fold reads the batch once per carry, not
-once per view: the batch's rows are grouped by family once, the pieces
-the rules need are built on the batch in a plain memo (no per-key
+once per view: the batch's family views are slices of one pass over its
+rows (the family pass every accessor reads), and the pieces the rules
+need are built through the accessors into a plain memo (no per-key
 locks, hit/miss counters or build spans).
 
 The concatenation-shaped views grow in a

@@ -24,7 +24,11 @@ from repro.core.intervals import simultaneous_attacks
 from repro.io.colstore import _slice_dataset
 from repro.simulation.clock import ObservationWindow
 
-from .test_kernel_parity import extend_one
+from .test_kernel_parity import (
+    assert_family_views_match_reference,
+    extend_one,
+    thin_participants,
+)
 from .test_shard_merge import _assert_view_equal, render_view_keys
 
 WEEK = 7 * 86400
@@ -191,25 +195,15 @@ def test_busiest_day_top_family_at_a_day_boundary():
 
 
 @pytest.mark.parametrize("cut", [1, 137, -1])
-def test_a_part_without_views_seeds_the_accessors_family_views(small_ds, cut):
-    """A fold's part that holds no view (the stream carry's batch) seeds
-    every family's starts, gaps, participant CSR and country marginal in
-    one pass over its rows; each equals the accessor's own build."""
-    ds = small_ds
-    part = _slice_dataset(ds, cut % ds.n_attacks, ds.n_attacks)
-    seeded = merge._Part(AnalysisContext(part))._views
-    fresh = AnalysisContext(part)
-    checked = 0
-    for family in ds.active_families:
-        if not fresh.family_attacks(family).size:
-            continue
-        for key in (
-            ("family_starts", family),
-            ("family_intervals", family, True),
-            ("family_intervals", family, False),
-            ("family_participants", family),
-            ("family_target_country_counts", family),
-        ):
-            _assert_view_equal(str(key), seeded[key], merge.view_value(fresh, key))
-            checked += 1
-    assert checked
+def test_family_views_match_the_per_family_reference(small_ds, cut):
+    """The family views sliced from one all-families pass equal the
+    per-family builds they replaced, dtypes included: on the rows from
+    ``cut`` on (``-1`` leaves one family with one row), for the families
+    without a row there, and with participant lists that mix empty and
+    full ones."""
+    for ds in (small_ds, thin_participants(small_ds)):
+        part = _slice_dataset(ds, cut % ds.n_attacks, ds.n_attacks)
+        sizes = assert_family_views_match_reference(part)
+        assert 0 in sizes
+        if cut == -1:
+            assert max(sizes) == 1

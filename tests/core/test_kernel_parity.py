@@ -10,7 +10,8 @@ kernels, allclose for the dispersion kernel (its float summation order
 differs) — across randomized datasets and the boundary cases the window
 arithmetic is most likely to get wrong.  The dispersion kernel is also
 pinned byte for byte to its form before the per-bot trigonometry moved
-into the bot geo matrix.
+into the bot geo matrix, and the family views the accessors slice from
+one all-families pass bitwise to the per-family builds they replaced.
 
 The full-scale sweep (marked ``slow``) only runs when
 ``REPRO_BENCH_SCALE`` names a scale, as in the CI parity step.
@@ -51,6 +52,7 @@ from repro.core.shift import _weekly_shift
 from repro.core.targets import organization_affinity
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
+from repro.geo.haversine import dispersion_km
 from repro.io.colstore import ShardedDatasetStore, _slice_dataset
 from repro.io.ingest import dataset_from_records
 from repro.monitor.schemas import DDoSAttackRecord, Protocol
@@ -58,6 +60,7 @@ from repro.simulation.clock import ObservationWindow, to_datetime
 from repro.stream import StreamingDataset
 
 from ..oracles.kernels import (
+    REFERENCE_FAMILY_VIEWS,
     reference_chain_timeline,
     reference_detect_chains,
     reference_detect_collaborations,
@@ -78,6 +81,42 @@ def extend_one(key, old, prev, parts, ctx):
     into ``ctx``: the extend step's rule for one key, in a fold of its
     own."""
     return merge._Fold(prev, parts, ctx).extend(key, old)
+
+
+def assert_family_views_match_reference(ds) -> list[int]:
+    """Every family's five family view kinds, on a fresh context and on a
+    fold's part, equal the per-family reference build, dtypes included.
+    Returns each family's row count."""
+    from .test_shard_merge import _assert_view_equal
+
+    ref = AnalysisContext(ds)
+    ctxs = (AnalysisContext(ds), merge._Part(AnalysisContext(ds)))
+    for family in ds.families:
+        for key in (
+            ("family_starts", family),
+            ("family_intervals", family, True),
+            ("family_intervals", family, False),
+            ("family_participants", family),
+            ("family_target_country_counts", family),
+            ("weekly_shift_pairs", family),
+        ):
+            want = REFERENCE_FAMILY_VIEWS[key[0]](ref, *key[1:])
+            for ctx in ctxs:
+                _assert_view_equal(f"{type(ctx).__name__} {key}", merge.view_value(ctx, key), want)
+    return [ref.family_attacks(f).size for f in ds.families]
+
+
+def thin_participants(ds, every: int = 3):
+    """``ds`` with the participant lists of every ``every``-th attack,
+    and of the last one, emptied."""
+    counts = np.diff(ds.part_offsets)
+    keep = np.arange(ds.n_attacks) % every != 0
+    keep[-1] = False
+    offsets = np.zeros_like(ds.part_offsets)
+    np.cumsum(np.where(keep, counts, 0), out=offsets[1:])
+    return dataclasses.replace(
+        ds, part_offsets=offsets, participants=ds.participants[np.repeat(keep, counts)]
+    )
 
 
 def _record(
@@ -255,6 +294,26 @@ class TestDispersionKernelBytes:
         zeros = np.zeros(3, dtype=np.int64)
         got = geo._segment_dispersions(coords, none, np.zeros(4, np.int64), zeros)
         assert got.tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_empty_segments_leave_the_others_whole(self, seed):
+        """Zero-count segments, a trailing one among them, read 0 and
+        change no other segment's value."""
+        lat, lon, bots, offsets, counts = _random_segments(seed)
+        coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+        got = geo._segment_dispersions(coords, bots, offsets, counts)
+        full = counts > 0
+        packed = np.concatenate(([0], np.cumsum(counts[full])))
+        want = geo._segment_dispersions(coords, bots, packed, counts[full])
+        assert got[full].tobytes() == want.tobytes()
+        assert not got[~full].any()
+
+    def test_trailing_empty_segment_keeps_the_last_bot(self):
+        lat, lon = np.array([10.0, -20.0, 35.0]), np.array([-100.0, 40.0, 120.0])
+        coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+        bots = np.arange(3)
+        got = geo._segment_dispersions(coords, bots, np.array([0, 3, 3]), np.array([3, 0]))
+        np.testing.assert_allclose(got, [dispersion_km(lat, lon), 0.0], rtol=1e-9)
 
     def test_generated_dataset(self, tiny_ds, monkeypatch):
         _assert_dispersions_bytes_equal(
@@ -564,6 +623,20 @@ def test_bench_scale_dispersion_bytes(monkeypatch):
     _assert_dispersions_bytes_equal(
         lambda: AnalysisContext(ds), ds.active_families, monkeypatch
     )
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the bench-scale family view pin",
+)
+def test_bench_scale_family_views():
+    """At bench scale, every family's views sliced from the family pass
+    equal the per-family reference: over all rows, over a live batch's
+    500-row tail, and with participant lists that mix empty and full."""
+    ds = generate_dataset(DatasetConfig(seed=7, scale=float(os.environ["REPRO_BENCH_SCALE"])))
+    for rows in (ds, _slice_dataset(ds, ds.n_attacks - 500, ds.n_attacks), thin_participants(ds)):
+        assert_family_views_match_reference(rows)
 
 
 @pytest.mark.slow

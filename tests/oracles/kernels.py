@@ -8,9 +8,11 @@ are kept here, unchanged, as the comparison target of
 ``tests/core/test_kernel_parity.py``: exact for the integer/tuple
 kernels, ``allclose`` for the dispersion kernel (its float summation
 order differs).  The CSS fit through ``scipy.optimize.minimize`` is the
-bitwise target of ``tests/timeseries/test_arima_vectorized.py``, and the
+bitwise target of ``tests/timeseries/test_arima_vectorized.py``, the
 dispersion kernel as it was before its per-bot trigonometry moved into
-the bot geo matrix is the byte target of the hoisted one.
+the bot geo matrix is the byte target of the hoisted one, and the
+per-family view builds from before the family pass are the bitwise
+target of the accessors that slice it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.collaboration import CollabEvent, PairAnalysis
 from repro.core.consecutive import AttackChain
 from repro.core.context import AnalysisContext, AnalysisSource
 from repro.core.shift import WeeklyShift
+from repro.core.stats import sorted_unique, unique_pairs
 from repro.core.targets import OrganizationSpot, _month_mask
 from repro.geo.haversine import EARTH_RADIUS_KM
 from repro.timeseries.arima import ARIMAFit, _css_residuals, _instability, _make_iir_all_pole
@@ -158,6 +161,80 @@ def reference_weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
     )
 
 
+def reference_family_starts(ctx: AnalysisContext, family: str) -> np.ndarray:
+    """The per-family accessor bodies before the family pass: each
+    family's starts, gaps, participant CSR, victim-country marginal and
+    weekly pairs built from its own attack indices."""
+    return np.sort(ctx.dataset.start[ctx.family_attacks(family)])
+
+
+def reference_family_intervals(
+    ctx: AnalysisContext, family: str, include_simultaneous: bool = True
+) -> np.ndarray:
+    if include_simultaneous:
+        starts = reference_family_starts(ctx, family)
+        if starts.size < 2:
+            return np.zeros(0)
+        return np.diff(starts)
+    gaps = reference_family_intervals(ctx, family, include_simultaneous=True)
+    return gaps[gaps > 0]
+
+
+def reference_family_participants(
+    ctx: AnalysisContext, family: str
+) -> tuple[np.ndarray, np.ndarray]:
+    ds = ctx.dataset
+    idx = ctx.family_attacks(family)
+    counts = (ds.part_offsets[idx + 1] - ds.part_offsets[idx]).astype(np.int64)
+    offsets = np.zeros(idx.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # One gather instead of a per-attack slice loop: element j of
+    # segment k lives at ``part_offsets[idx[k]] + j`` in the
+    # dataset-wide CSR, so the source positions are the segment
+    # bases repeated per element plus each element's within-
+    # segment rank.
+    total = int(offsets[-1])
+    base = np.repeat(ds.part_offsets[idx].astype(np.int64), counts)
+    rank = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    flat = np.asarray(ds.participants)[base + rank]
+    return offsets, flat
+
+
+def reference_family_target_country_counts(
+    ctx: AnalysisContext, family: str
+) -> tuple[np.ndarray, np.ndarray]:
+    return np.unique(ctx.target_country_idx()[ctx.family_attacks(family)], return_counts=True)
+
+
+def reference_weekly_pairs(
+    ctx: AnalysisContext, family: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ds = ctx.dataset
+    idx = ctx.family_attacks(family)
+    if idx.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.int64)
+    weeks_of_attack = ((ds.start[idx] - ds.window.start) // (7 * 86400)).astype(np.int64)
+
+    offsets, flat = reference_family_participants(ctx, family)
+    counts = np.diff(offsets)
+    week_rep = np.repeat(weeks_of_attack, counts)
+
+    # Unique (week, bot) pairs: a bot counts once per active week.
+    u_week, u_bot = unique_pairs(week_rep, flat, ds.bots.n_bots)
+    return sorted_unique(weeks_of_attack), u_week, u_bot
+
+
+#: Family view kind -> its reference build.
+REFERENCE_FAMILY_VIEWS = {
+    "family_starts": reference_family_starts,
+    "family_intervals": reference_family_intervals,
+    "family_participants": reference_family_participants,
+    "family_target_country_counts": reference_family_target_country_counts,
+    "weekly_shift_pairs": reference_weekly_pairs,
+}
+
+
 def reference_snapshot_dispersions(
     source: AnalysisSource, family: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,19 +273,19 @@ def reference_segment_centers(
     y = np.cos(lats_r) * np.sin(lons_r)
     z = np.sin(lats_r)
     # Zero-count segments (attacks with no recorded participants, e.g.
-    # on ingested attack-table-only datasets) would index ``reduceat``
-    # out of range and divide by zero.  The clamps keep the kernel total
-    # — positive-count segments are untouched, clamped ones produce
-    # meaningless centres that every caller masks via ``counts < 2``.
-    starts = np.minimum(offsets[:-1], lats_r.size - 1)
-    denom = np.maximum(counts, 1)
-    sx = np.add.reduceat(x, starts) / denom
-    sy = np.add.reduceat(y, starts) / denom
-    sz = np.add.reduceat(z, starts) / denom
+    # on ingested attack-table-only datasets) have nothing to reduce:
+    # the rollups run over the other segments, and their centres stay 0.
+    full = counts > 0
+    starts = offsets[:-1][full]
+    sx = np.add.reduceat(x, starts) / counts[full]
+    sy = np.add.reduceat(y, starts) / counts[full]
+    sz = np.add.reduceat(z, starts) / counts[full]
     norm = np.sqrt(sx * sx + sy * sy + sz * sz)
     norm = np.maximum(norm, 1e-12)
-    lat_c = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
-    lon_c = np.arctan2(sy, sx)
+    lat_c = np.zeros(counts.size)
+    lon_c = np.zeros(counts.size)
+    lat_c[full] = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
+    lon_c[full] = np.arctan2(sy, sx)
     return lat_c, lon_c
 
 
@@ -238,9 +315,11 @@ def reference_segment_dispersions(
     wrapped = np.mod(dlon + np.pi, 2.0 * np.pi) - np.pi
     sign = np.sign(wrapped)
     sign = np.where(sign == 0, np.sign(dlat), sign)
-    # Same zero-count clamp as in the centre kernel (see above).
-    sums = np.add.reduceat(sign * dist, np.minimum(offsets[:-1], lats_r.size - 1))
-    return np.abs(sums)
+    # Zero-count segments stay 0, as in the centre kernel (see above).
+    full = counts > 0
+    values = np.zeros(counts.size)
+    values[full] = np.abs(np.add.reduceat(sign * dist, offsets[:-1][full]))
+    return values
 
 
 def reference_segment_dispersions_of(coords, bots, offsets, counts) -> np.ndarray:
