@@ -169,16 +169,25 @@ def _text(value) -> str:
     return value
 
 
+def _protocol(value) -> Protocol:
+    return Protocol.from_name(_text(value))
+
+
+def _ip(value) -> int:
+    return str_to_ip(_text(value))
+
+
 #: The DDoSattack row (Table I), one entry per JSONL/CSV key, in column
 #: order: key -> (DDoSAttackRecord field, decoder of one value, column
-#: dtype, encoder of one value); ``_same`` passes a value as it is, and
-#: ``_text`` passes only a string.
+#: dtype, encoder of one value); ``_same`` passes a value as it is,
+#: ``_text`` passes only a string, and the protocol and address decoders
+#: check for a string first.
 ATTACK_ROW = {
     "ddos_id": ("ddos_id", int, np.int64, _same),
     "botnet_id": ("botnet_id", int, np.int32, _same),
     "family": ("family", _text, object, _same),
-    "category": ("category", Protocol.from_name, np.int8, attrgetter("name")),
-    "target_ip": ("target_ip", str_to_ip, np.uint64, ip_to_str),
+    "category": ("category", _protocol, np.int8, attrgetter("name")),
+    "target_ip": ("target_ip", _ip, np.uint64, ip_to_str),
     "timestamp": ("timestamp", float, np.float64, _same),
     "end_time": ("end_time", float, np.float64, _same),
     "asn": ("asn", int, np.int32, _same),

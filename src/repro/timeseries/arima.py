@@ -14,14 +14,21 @@ conditional-sum-of-squares (CSS) estimator:
 * forecast recursively, re-integrating the differenced predictions.
 
 The estimator is validated in the test suite against synthetic AR/MA
-processes with known coefficients.  ``scipy.signal`` is imported on
-first use, so importing this module loads no scipy.
+processes with known coefficients.  Every filter runs in scipy's C
+``_linear_filter``, loaded on first use from its extension file rather
+than through scipy's signal package, so importing this module loads no
+scipy and fitting loads only scipy's top-level package.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+import threading
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
@@ -30,34 +37,66 @@ from .hannan_rissanen import hannan_rissanen
 
 __all__ = ["ARIMA", "ARIMAFit"]
 
+#: Makes the ``sys.modules`` check and clean-up around a load one step.
+_LOAD_LOCK = threading.Lock()
+
 
 @functools.cache
-def _make_iir_all_pole():
-    """Fast all-pole IIR filter ``1 / a(B)`` with zero initial conditions.
+def _load_linear_filter():
+    """scipy's C IIR filter, ``_sigtools._linear_filter(b, a, x, axis[, zi])``.
 
-    ``scipy.signal.lfilter(b, a, x)`` with ``zi=None`` dispatches straight
-    to ``_sigtools._linear_filter`` after argument validation, so calling
-    the C routine directly is bitwise-identical and skips ~30 µs of Python
-    overhead per call — which matters inside the CSS optimiser, where the
-    filter runs thousands of times per fit.  The private entry point is
-    probed once, on first use; any surprise falls back to the public API.
+    With ``len(a) > 1``, ``scipy.signal.lfilter(b, a, x, axis, zi)``
+    returns this routine's result after dtype conversions only, so
+    calling it on float64 arrays gives ``lfilter``'s bits.  Importing
+    ``scipy.signal`` to reach it would also load ``scipy.stats``,
+    ``optimize``, ``sparse`` and more, about a second per process; the
+    extension needs only numpy, so it is loaded from its own file and
+    left out of ``sys.modules``.  A missing or unloadable file falls back
+    to the package import: the same routine, only slower to reach.
     """
-    from scipy import signal
+    import scipy
 
-    b = np.array([1.0])
-    try:
-        from scipy.signal import _sigtools
+    name = "scipy.signal._sigtools"
+    folder = Path(scipy.__file__).parent / "signal"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_sigtools{suffix}"
+        if not path.is_file():
+            continue
+        with _LOAD_LOCK:
+            registered = name in sys.modules
+            try:
+                loader = ExtensionFileLoader(name, str(path))
+                module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                return module._linear_filter
+            except (ImportError, AttributeError):
+                break
+            finally:
+                if not registered:
+                    # A single-phase extension enters itself in sys.modules.
+                    sys.modules.pop(name, None)
+    from scipy.signal import _sigtools
 
-        probe_a = np.array([1.0, 0.5, -0.25])
-        probe_x = np.array([1.0, -2.0, 3.0, 0.5])
-        if np.array_equal(
-            _sigtools._linear_filter(b, probe_a, probe_x, -1),
-            signal.lfilter(b, probe_a, probe_x),
-        ):
-            return lambda a, x: _sigtools._linear_filter(b, a, x, -1)
-    except Exception:
-        pass
-    return lambda a, x: signal.lfilter(b, a, x)
+    return _sigtools._linear_filter
+
+
+def _lfiltic(a: np.ndarray, y) -> np.ndarray:
+    """scipy's ``lfiltic([1.0], a, y)``: the initial state of the
+    all-pole filter ``1 / a(B)`` whose past outputs, newest first, are
+    ``y``.
+
+    A line-for-line port of scipy 1.17 for ``b == [1.0]`` and ``a[0] ==
+    1``: ``y`` is zero-padded to ``len(a) - 1``, and each state entry is
+    ``0.0 - sum`` (not ``-sum``), which keeps scipy's sign of a zero sum.
+    """
+    n = a.size - 1
+    y = np.asarray(y, dtype=float)
+    if y.size < n:
+        y = np.concatenate((y, np.zeros(n - y.size)))
+    zi = np.zeros(n)
+    for m in range(n):
+        zi[m] -= np.sum(a[m + 1 :] * y[: n - m], axis=0)
+    return zi
 
 
 def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
@@ -182,8 +221,8 @@ def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarr
     vectorised: the AR part is a handful of shifted-slice updates, and
     the MA recursion ``eps[t] = z[t] - theta · eps[t-1..t-q]`` is exactly
     an IIR filter with denominator ``[1, theta]``, evaluated in C by
-    :func:`scipy.signal.lfilter` (zero initial conditions match the
-    conditional pre-sample convention).
+    scipy's ``_linear_filter`` (:func:`_load_linear_filter`; zero initial
+    conditions match the conditional pre-sample convention).
     """
     p = phi.size
     q = theta.size
@@ -196,7 +235,7 @@ def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarr
     z[:p] = 0.0
     if q == 0:
         return z
-    return _make_iir_all_pole()(np.concatenate(([1.0], theta)), z)
+    return _load_linear_filter()(np.ones(1), np.concatenate(([1.0], theta)), z, -1)
 
 
 def _min_root_modulus(coeffs: np.ndarray) -> float:
@@ -310,17 +349,16 @@ class ARIMAFit:
         ``steps`` psi-weights by recursion and returns ``(point, lower,
         upper)`` arrays.  Bands assume Gaussian innovations.
         """
-        from scipy import signal
-
         point = self.forecast(steps)
         # psi-weights are the impulse response of theta(B)/phi(B).
         impulse = np.zeros(steps)
         impulse[0] = 1.0
-        psi = signal.lfilter(
-            np.concatenate(([1.0], self.theta)),
-            np.concatenate(([1.0], -self.phi)),
-            impulse,
-        )
+        b = np.concatenate(([1.0], self.theta))
+        if self.phi.size:
+            psi = _load_linear_filter()(b, np.concatenate(([1.0], -self.phi)), impulse, -1)
+        else:
+            # scipy's lfilter convolves when ``a == [1.0]``.
+            psi = np.convolve(b, impulse)[:steps]
         var = self.sigma2 * np.cumsum(psi**2)
         d = self.order[1]
         if d:
@@ -337,11 +375,10 @@ class ARIMAFit:
         The recursion ``pred[h] = const + phi·pred[h-1..] + theta·eps``
         (future innovations zero) is a linear IIR filter: the MA side
         only ever touches the ``q`` stored training innovations, so it
-        collapses to a short input vector, and the AR side runs in C via
-        :func:`scipy.signal.lfilter` seeded from the training tail.
+        collapses to a short input vector, and the AR side runs in scipy's
+        C ``_linear_filter`` seeded from the training tail by
+        :func:`_lfiltic`.
         """
-        from scipy import signal
-
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
         p, d, q = self.order
@@ -352,13 +389,9 @@ class ARIMAFit:
             reach = min(j + 1, steps)  # steps h = 0 .. j see eps_tail[h-1-j]
             drive[:reach] += self.theta[j] * self.eps_tail[np.arange(reach) - 1 - j]
         if p:
-            zi = signal.lfiltic(
-                [1.0], np.concatenate(([1.0], -self.phi)),
-                self.train_tail[::-1][:p],
-            )
-            preds, _ = signal.lfilter(
-                [1.0], np.concatenate(([1.0], -self.phi)), drive, zi=zi
-            )
+            a = np.concatenate(([1.0], -self.phi))
+            zi = _lfiltic(a, self.train_tail[::-1][:p])
+            preds, _ = _load_linear_filter()(np.ones(1), a, drive, -1, zi)
         else:
             preds = drive
         if d:
@@ -372,10 +405,9 @@ class ARIMAFit:
         The fitted coefficients stay fixed; at each step the truth is fed
         back in, exactly the paper's evaluation protocol (train on the
         first half, predict each subsequent point).  Returns an array the
-        same length as ``series``.
+        same length as ``series``; the innovations run through the same
+        seeded C filter as :meth:`forecast`.
         """
-        from scipy import signal
-
         cont = np.asarray(series, dtype=float)
         p, d, q = self.order
         n = cont.size
@@ -404,13 +436,9 @@ class ARIMAFit:
             # eps[t] = (w[t] - const - AR[t]) - theta · eps[t-1..t-q]:
             # an IIR filter seeded with the training innovations.
             z = w - pred_diff
-            zi = signal.lfiltic(
-                [1.0], np.concatenate(([1.0], self.theta)),
-                self.eps_tail[::-1][:q],
-            )
-            eps, _ = signal.lfilter(
-                [1.0], np.concatenate(([1.0], self.theta)), z, zi=zi
-            )
+            a = np.concatenate(([1.0], self.theta))
+            zi = _lfiltic(a, self.eps_tail[::-1][:q])
+            eps, _ = _load_linear_filter()(np.ones(1), a, z, -1, zi)
             pred_diff = w - eps
         return pred_diff + tails_sum if d else pred_diff.copy()
 
@@ -482,7 +510,8 @@ class ARIMA:
         lags = [y[p - 1 - i : n - 1 - i] for i in range(p)]
         a_full = np.empty(q + 1)
         a_full[0] = 1.0
-        iir_all_pole = _make_iir_all_pole()
+        b = np.ones(1)
+        linear_filter = _load_linear_filter()
 
         def objective(x: np.ndarray) -> float:
             const = x[0]
@@ -493,7 +522,7 @@ class ARIMA:
                 z -= phi[i] * lags[i]
             if q:
                 a_full[1:] = theta
-                eps = iir_all_pole(a_full, z)
+                eps = linear_filter(b, a_full, z, -1)
             else:
                 eps = z
             css = float(np.dot(eps, eps))

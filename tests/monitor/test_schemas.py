@@ -106,10 +106,15 @@ class TestRowCodec:
             (lambda row: [row["ddos_id"]], False),
             (lambda row: dict(row, family=5), False),
             (lambda row: dict(row, cc=None), False),
+            (lambda row: dict(row, category=5), False),
+            (lambda row: dict(row, category=None), False),
+            (lambda row: dict(row, target_ip=5), False),
+            (lambda row: dict(row, target_ip=None), False),
         ],
         ids=["missing-key", "null-time", "non-numeric", "nan", "infinity",
              "bad-dotted-quad", "unknown-protocol", "non-object", "numeric-family",
-             "null-country"],
+             "null-country", "numeric-protocol", "null-protocol", "numeric-address",
+             "null-address"],
     )
     def test_columns_and_records_agree(self, rows, spoil, decodes):
         import json
@@ -149,6 +154,22 @@ class TestRowCodec:
             assert stream.append_batch(batch, strict=False) == 3
         assert messages[0] == messages[1] == messages[2]
         assert "record #2" in messages[0] and "not finite" in messages[0]
+
+    @pytest.mark.parametrize("key, value", [("category", 5), ("target_ip", None)])
+    def test_non_string_protocol_or_address_is_a_400(self, rows, key, value):
+        import json
+
+        from repro.serve.routes import Router
+
+        rows = list(rows)
+        rows[1] = dict(rows[1], **{key: value})
+        router = Router()
+        try:
+            response = router.handle("POST", "/v1/ingest", json.dumps({"records": rows}).encode())
+        finally:
+            router.close()
+        assert response.status == 400
+        assert "records[1] is malformed: expected a string" in json.dumps(response.payload)
 
     @pytest.mark.parametrize("key, value", [("botnet_id", 2**40), ("ddos_id", 2**64)])
     def test_number_outside_its_dtype_names_the_row(self, rows, key, value):

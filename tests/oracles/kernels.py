@@ -18,7 +18,7 @@ target of the accessors that slice it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, signal
 
 from repro.core.collaboration import CollabEvent, PairAnalysis
 from repro.core.consecutive import AttackChain
@@ -27,7 +27,7 @@ from repro.core.shift import WeeklyShift
 from repro.core.stats import sorted_unique, unique_pairs
 from repro.core.targets import OrganizationSpot, _month_mask
 from repro.geo.haversine import EARTH_RADIUS_KM
-from repro.timeseries.arima import ARIMAFit, _css_residuals, _instability, _make_iir_all_pole
+from repro.timeseries.arima import ARIMAFit, _instability
 from repro.timeseries.differencing import difference
 from repro.timeseries.hannan_rissanen import hannan_rissanen
 
@@ -451,7 +451,8 @@ def reference_pair_analysis(
 
 def reference_css_fit(order, series, maxiter: int = 500):
     """``ARIMA(order).fit(series, maxiter)`` with every objective call
-    evaluated afresh (no memo); returns ``(fit, optimize result)``."""
+    evaluated afresh (no memo) through the public ``scipy.signal.lfilter``
+    and ``scipy.optimize.minimize``; returns ``(fit, optimize result)``."""
     p, d, q = order
     y_orig = np.asarray(series, dtype=float)
     y = difference(y_orig, d) if d else y_orig.copy()
@@ -474,7 +475,7 @@ def reference_css_fit(order, series, maxiter: int = 500):
             z -= phi[i] * lags[i]
         if q:
             a_full[1:] = theta
-            eps = _make_iir_all_pole()(a_full, z)
+            eps = signal.lfilter([1.0], a_full, z)
         else:
             eps = z
         css = float(np.dot(eps, eps))
@@ -496,7 +497,12 @@ def reference_css_fit(order, series, maxiter: int = 500):
     const = float(best[0])
     phi = np.asarray(best[1 : 1 + p], dtype=float)
     theta = np.asarray(best[1 + p :], dtype=float)
-    eps = _css_residuals(y, const, phi, theta)
+    # ``_css_residuals``, through the public filter.
+    z = y - const
+    for i in range(p):
+        z[p:] -= phi[i] * y[p - 1 - i : n - 1 - i]
+    z[:p] = 0.0
+    eps = signal.lfilter([1.0], np.concatenate(([1.0], theta)), z) if q else z
     n_eff = max(y.size - p, 1)
     sigma2 = max(float(np.dot(eps[p:], eps[p:])) / n_eff, 1e-12)
     loglike = -0.5 * n_eff * (np.log(2.0 * np.pi * sigma2) + 1.0)

@@ -12,20 +12,48 @@ import repro
 from repro import api
 
 
-def test_importing_the_facade_and_cli_loads_no_scipy():
-    """scipy loads on first use (an ARIMA fit or a Ljung-Box p-value),
-    so a subcommand that fits nothing never pays for importing it."""
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this tree's repro."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, repro.api, repro.cli, repro.serve; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_importing_the_facade_and_cli_loads_no_scipy():
+    """scipy loads on first use (an ARIMA fit or a Ljung-Box p-value),
+    so a subcommand that fits nothing never pays for importing it."""
+    code = (
+        "import sys, repro.api, repro.cli, repro.serve; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_a_battery_that_fits_table_iv_loads_no_scipy_signal():
+    """Table IV's ARIMA filter is scipy's C routine loaded from its own
+    extension file, so a battery that fits it loads neither the
+    ``scipy.signal`` package nor the ``optimize`` and ``stats`` packages
+    that it imports; the package route, as in the loader's fallback,
+    would load all three."""
+    code = (
+        "import sys\n"
+        "from repro import api\n"
+        "from repro.datagen.config import DatasetConfig\n"
+        "from repro.datagen.generator import generate_dataset\n"
+        "ds = generate_dataset(DatasetConfig.tiny(seed=7))\n"
+        "results = api.run_all(api.context(ds))\n"
+        "table4 = next(r for r in results if r.experiment_id == 'table4_prediction')\n"
+        "print(sum(row.label.endswith('cosine similarity') for row in table4.rows))\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats')\n"
+        "             if m in sys.modules))\n"
+    )
+    fitted, loaded = _fresh_python(code).splitlines()
+    assert int(fitted) > 0
+    assert loaded == "[]"
 
 
 class TestFacade:

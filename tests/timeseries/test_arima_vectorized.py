@@ -1,13 +1,16 @@
 """The vectorized forecasting paths match the defining recursions.
 
-``ARIMAFit.forecast`` / ``rolling_forecast`` / ``forecast_interval`` are
-implemented with :func:`scipy.signal.lfilter`; these tests pin them
-against straightforward per-step reference loops (the textbook
-recursions) across the whole order grid, pin the CSS fit and its
-Nelder-Mead port bitwise against ``scipy.optimize.minimize`` (the fit
-through ``tests/oracles/kernels.py``), and pin the order search's
-shared-differencing fast path against fitting each candidate from
-scratch.
+``ARIMAFit.forecast`` / ``rolling_forecast`` / ``forecast_interval`` run
+scipy's C ``_linear_filter``, loaded from its extension file, seeded by
+a port of ``scipy.signal.lfiltic``; these tests pin them against
+straightforward per-step reference loops (the textbook recursions)
+across the whole order grid, pin the loaded filter, the ``lfiltic`` port
+and the prediction band's psi-weights bitwise against the public
+``scipy.signal`` functions, pin the CSS fit and its Nelder-Mead port
+bitwise against ``scipy.signal.lfilter`` and ``scipy.optimize.minimize``
+(the fit through ``tests/oracles/kernels.py``), and pin the order
+search's shared-differencing fast path against fitting each candidate
+from scratch.
 """
 
 from __future__ import annotations
@@ -222,6 +225,92 @@ def test_nelder_mead_is_bitwise_scipy(case):
     got = arima._nelder_mead(func, x0, maxiter, xatol, fatol)
     assert got.dtype == want.x.dtype and got.tobytes() == want.x.tobytes()
 
+
+# -- the C filter and its initial state -----------------------------------
+
+
+def _signed_zeros(rng, values: np.ndarray) -> np.ndarray:
+    """``values`` with about a quarter of the entries set to ``±0.0``."""
+    out = values.copy()
+    hit = rng.random(out.size) < 0.25
+    out[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return out
+
+
+def _assert_bitwise(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_loaded_filter_is_bitwise_lfilter(q, seed):
+    """The filter loaded from the extension file is ``lfilter``'s, with
+    and without an initial state, for the all-pole ``b == [1.0]`` the
+    fit uses and for the longer ``b`` of the psi-weights."""
+    from scipy import signal
+
+    rng = np.random.default_rng(seed)
+    linear_filter = arima._load_linear_filter()
+    a = np.concatenate(([1.0], _signed_zeros(rng, rng.normal(0.0, 0.5, q))))
+    x = _signed_zeros(rng, rng.normal(0.0, 10.0, int(rng.integers(1, 40))))
+    for b in (np.ones(1), np.concatenate(([1.0], _signed_zeros(rng, rng.normal(size=q))))):
+        _assert_bitwise(linear_filter(b, a, x, -1), signal.lfilter(b, a, x))
+        zi = _signed_zeros(rng, rng.normal(size=max(a.size, b.size) - 1))
+        got, got_zf = linear_filter(b, a, x, -1, zi)
+        want, want_zf = signal.lfilter(b, a, x, zi=zi)
+        _assert_bitwise(got, want)
+        _assert_bitwise(got_zf, want_zf)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_lfiltic_port_is_bitwise_scipy(q, seed):
+    """Every history length up to ``len(a) - 1``, the shorter ones
+    through the zero padding, with zero coefficients and zero outputs of
+    both signs, whose sums are where ``0.0 - s`` and ``-s`` part."""
+    from scipy import signal
+
+    rng = np.random.default_rng(seed)
+    a = np.concatenate(([1.0], _signed_zeros(rng, rng.normal(0.0, 0.5, q))))
+    y = _signed_zeros(rng, rng.normal(0.0, 10.0, q))
+    for size in range(q + 1):
+        _assert_bitwise(arima._lfiltic(a, y[:size]), signal.lfiltic([1.0], a, y[:size]))
+    for zero in (0.0, -0.0):
+        _assert_bitwise(arima._lfiltic(a, np.full(q, zero)), signal.lfiltic([1.0], a, np.full(q, zero)))
+
+
+@pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 0, 0), (2, 1, 1)])
+def test_interval_is_bitwise_lfilter_psi(series, order):
+    """The band's psi-weights are ``lfilter``'s: at ``p == 0``, where
+    ``a == [1.0]`` and scipy convolves instead of running the C filter,
+    with zero MA coefficients of both signs and horizons shorter than
+    ``b``, as well as at ``p > 0``."""
+    import dataclasses
+
+    from scipy import signal
+
+    fit = ARIMA(order).fit(series[:160])
+    fits = [fit]
+    if fit.theta.size:
+        theta = fit.theta.copy()
+        theta[:2] = [0.0, -0.0][: theta.size]
+        fits.append(dataclasses.replace(fit, theta=theta))
+    for f in fits:
+        for steps in (1, 2, 10):
+            impulse = np.zeros(steps)
+            impulse[0] = 1.0
+            psi = signal.lfilter(
+                np.concatenate(([1.0], f.theta)), np.concatenate(([1.0], -f.phi)), impulse
+            )
+            if f.order[1]:
+                psi = np.cumsum(psi)
+            half = 1.96 * np.sqrt(f.sigma2 * np.cumsum(psi**2))
+            point, lower, upper = f.forecast_interval(steps)
+            _assert_bitwise(point, f.forecast(steps))
+            _assert_bitwise(lower, point - half)
+            _assert_bitwise(upper, point + half)
 
 
 def test_rolling_forecast_empty(series):
