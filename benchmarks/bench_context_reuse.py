@@ -19,12 +19,12 @@ def bench_context_reuse(benchmark, full_ds):
     def two_batteries():
         ctx = AnalysisContext(full_ds)  # unshared: first battery starts cold
         t0 = time.perf_counter()
-        first = run_all(ctx, jobs=1)
+        first = run_all(ctx)
         cold = time.perf_counter() - t0
         views_after_first = ctx.n_views
 
         t0 = time.perf_counter()
-        second = run_all(ctx, jobs=1)
+        second = run_all(ctx)
         warm = time.perf_counter() - t0
         return first, second, views_after_first, ctx.n_views, cold, warm
 

@@ -13,17 +13,8 @@ from repro.experiments.registry import run_all
 
 def bench_run_all_cold(benchmark, full_ds):
     results = benchmark.pedantic(
-        lambda: run_all(AnalysisContext(full_ds), jobs=1), rounds=1, iterations=1
+        lambda: run_all(AnalysisContext(full_ds)), rounds=1, iterations=1
     )
     assert len(results) == 18
     assert results[0].experiment_id == "table2_protocols"
     assert results[-1].experiment_id == "fig18_chains"
-
-
-def bench_run_all_parallel(benchmark, full_ds):
-    results = benchmark.pedantic(
-        lambda: run_all(AnalysisContext(full_ds), jobs=4), rounds=1, iterations=1
-    )
-    assert [r.experiment_id for r in results] == [
-        r.experiment_id for r in run_all(AnalysisContext.of(full_ds), jobs=1)
-    ]

@@ -43,9 +43,8 @@ Warm-path legs per scale (generation is untimed setup here):
   consecutive-chain kernels over the raw dataset;
 * ``snapshot_dispersions`` — the batched hourly-snapshot dispersion
   kernel on the busiest family;
-* ``prewarm_jobs1`` / ``prewarm_jobs{N}`` — :meth:`AnalysisContext.prewarm`
-  on fresh contexts, serial vs the process pool; the seeded-view count
-  is asserted identical before either number is accepted;
+* ``prewarm_jobs1`` — :meth:`AnalysisContext.prewarm` on a fresh
+  context (the key keeps its name so older baselines still compare);
 * ``run_all_cold`` / ``run_all_warm`` — the battery on a fresh context,
   then again on the now-warm one; the rendered outputs are asserted
   byte-identical.
@@ -137,7 +136,6 @@ from repro.io.jsonlio import export_attacks_jsonl, iter_attacks_jsonl
 SCHEMA_VERSION = 1
 SCALES = {"small": 0.02, "full": 1.0}
 PARALLEL_JOBS = 4
-PREWARM_JOBS = (1, 4)
 DEFAULT_OUT = {
     "cold": "BENCH_coldpath.json",
     "warm": "BENCH_warmpath.json",
@@ -198,7 +196,7 @@ def measure_scale(name: str, scale: float, workdir: Path) -> dict:
 
     print(f"[{name}] experiments ...", flush=True)
     t_table4, _ = _timed(lambda: TABLE4.run(AnalysisContext(ds)))
-    t_run_all, results = _timed(lambda: run_all(AnalysisContext(ds), jobs=1))
+    t_run_all, results = _timed(lambda: run_all(AnalysisContext(ds)))
 
     timings = {
         "generate_jobs1": t_gen1,
@@ -262,18 +260,13 @@ def measure_warm_scale(name: str, scale: float) -> dict:
         "chain_scan": t_chains,
         "snapshot_dispersions": t_snap,
     }
-    seeded: dict[int, int] = {}
-    for n in PREWARM_JOBS:
-        print(f"[{name}] prewarm jobs={n} ...", flush=True)
-        timings[f"prewarm_jobs{n}"], seeded[n] = _timed(
-            lambda n=n: AnalysisContext(ds).prewarm(jobs=n)
-        )
-    assert len(set(seeded.values())) == 1, "prewarm seeded count varies with jobs"
+    print(f"[{name}] prewarm ...", flush=True)
+    timings["prewarm_jobs1"], seeded = _timed(lambda: AnalysisContext(ds).prewarm())
 
     print(f"[{name}] battery cold/warm ...", flush=True)
     battery_ctx = AnalysisContext(ds)
-    timings["run_all_cold"], results = _timed(lambda: run_all(battery_ctx, jobs=1))
-    timings["run_all_warm"], rerun = _timed(lambda: run_all(battery_ctx, jobs=1))
+    timings["run_all_cold"], results = _timed(lambda: run_all(battery_ctx))
+    timings["run_all_warm"], rerun = _timed(lambda: run_all(battery_ctx))
     assert [r.render() for r in results] == [r.render() for r in rerun], (
         "warm battery output diverged from cold"
     )
@@ -282,7 +275,7 @@ def measure_warm_scale(name: str, scale: float) -> dict:
         "warm_speedup": round(
             timings["run_all_cold"] / max(timings["run_all_warm"], 1e-9), 2
         ),
-        "prewarm_seeded_views": seeded[PREWARM_JOBS[0]],
+        "prewarm_seeded_views": seeded,
     }
     entry = {
         "scale": scale,
@@ -402,10 +395,10 @@ def measure_scaleout_scale(name: str, scale: float, workdir: Path) -> dict:
     # unsharded one before any timing is accepted — at every scale.
     print(f"[{name}] parity battery (merged vs flat) ...", flush=True)
     timings["run_all_merged"], sharded_results = _timed(
-        lambda: [r.render() for r in run_all(merged, jobs=1)]
+        lambda: [r.render() for r in run_all(merged)]
     )
     timings["run_all_flat"], flat_results = _timed(
-        lambda: [r.render() for r in run_all(AnalysisContext(ds), jobs=1)]
+        lambda: [r.render() for r in run_all(AnalysisContext(ds))]
     )
     assert sharded_results == flat_results, "sharded battery output diverged"
 
@@ -421,8 +414,8 @@ def measure_scaleout_scale(name: str, scale: float, workdir: Path) -> dict:
     timings["append_shard_build"] = t_append_build
     timings["remerge_after_append"] = t_remerge
     if scale < 1.0:
-        appended_results = [r.render() for r in run_all(remerged, jobs=1)]
-        flat_all = [r.render() for r in run_all(AnalysisContext(ds_all), jobs=1)]
+        appended_results = [r.render() for r in run_all(remerged)]
+        flat_all = [r.render() for r in run_all(AnalysisContext(ds_all))]
         assert appended_results == flat_all, "incremental re-merge output diverged"
 
     derived = {

@@ -330,35 +330,31 @@ def run_all(
 ):
     """Run the full experiment battery; results come in registry order.
 
-    ``jobs > 1`` first prewarms the shared context —
-    :meth:`AnalysisContext.prewarm` fans the builds of the views the
-    battery reads across worker processes —
-    then fans the experiments out over threads.  Neither stage changes
-    the output for any ``jobs``.  Pass ``manifest`` to write a
-    :class:`~repro.obs.RunManifest` JSON — stage timings, cache hit/miss
-    counters, per-experiment wall times — after the battery finishes
-    (see ``docs/OBSERVABILITY.md``).
+    Pass ``manifest`` to write a :class:`~repro.obs.RunManifest` JSON —
+    stage timings, cache hit/miss counters, per-experiment wall times —
+    after the battery finishes (see ``docs/OBSERVABILITY.md``).
 
     A :class:`ShardedAnalysisContext` dispatches map-reduce: every shard
-    builds its mergeable views (across ``jobs`` workers), the merge
-    seeds them onto the merged context, and the battery runs there —
-    rendering byte-identically to the unsharded path.
+    builds its mergeable views, the merge seeds them onto the merged
+    context, and the battery runs there — rendering byte-identically to
+    the unsharded path.
+
+    ``jobs`` has no effect: views build in this process.  It stays so
+    the facade's signature is unchanged.
 
     >>> import os, tempfile
     >>> from repro import api
     >>> ctx = api.context(api.generate(scale=0.005))
     >>> path = os.path.join(tempfile.mkdtemp(), "manifest.json")
-    >>> results = api.run_all(ctx, jobs=2, manifest=path)
+    >>> results = api.run_all(ctx, manifest=path)
     >>> len(results), os.path.exists(path)
     (18, True)
     """
     from .experiments.registry import run_all as _run_all
 
     if isinstance(ctx, ShardedAnalysisContext):
-        ctx = ctx.merged(jobs=jobs)
-    if jobs > 1:
-        ctx.prewarm(jobs=jobs)
-    results = _run_all(ctx, jobs=jobs)
+        ctx = ctx.merged()
+    results = _run_all(ctx)
     if manifest is not None:
         from .obs import RunManifest, registry as _obs_registry
 
@@ -392,6 +388,9 @@ def serve(
     ``/v1/sketch`` endpoint — fed by the fixed-memory summary every
     tenant maintains — keeps answering (``docs/STREAMING.md``).
 
+    ``prewarm_jobs`` has no effect: each tenant prewarms in its writer
+    thread.  It stays so the facade's signature is unchanged.
+
     >>> from repro import api
     >>> with api.serve(port=0) as server:
     ...     server.url.startswith("http://127.0.0.1:")
@@ -403,7 +402,6 @@ def serve(
         host=host,
         port=port,
         queue_size=queue_size,
-        prewarm_jobs=prewarm_jobs,
         keep_epochs=keep_epochs,
         max_tenant_bytes=max_tenant_bytes,
     ).start()

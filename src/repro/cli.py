@@ -5,7 +5,7 @@ Subcommands::
     ddos-repro generate  --scale 0.02 --seed 7 --out data/   # export schemas
     ddos-repro convert   attacks.jsonl attacks.npz           # re-store a dataset
     ddos-repro report    --scale 0.02                        # headline + tables
-    ddos-repro experiments [--jobs 4] [--only table4_prediction]
+    ddos-repro experiments [--shards 3] [--only table4_prediction]
     ddos-repro predict   --family pandora                    # ARIMA forecast
     ddos-repro defense   --train-fraction 0.5                # policy backtests
     ddos-repro watch     --path attacks.jsonl                # live report
@@ -16,8 +16,9 @@ Subcommands::
 All subcommands share ``--scale``, ``--seed`` and ``--cache-dir``; the
 dataset is generated once per (scale, seed) and cached on disk (the
 cache directory falls back to ``$REPRO_CACHE_DIR``, then
-``.repro-cache``).  The ``experiments`` battery's ``--jobs N`` fans the
-experiments out over a thread pool without changing the output.
+``.repro-cache``).  Only generation fans out over worker processes
+(``generate --jobs N`` and ``profile --jobs N``); every view builds in
+the calling process.
 
 Every subcommand accepts ``--metrics PATH``: after the command runs,
 the observability registry (stage spans, counters, histograms — see
@@ -194,10 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the full battery of table and figure reproductions (Tables "
             "II-VI, Figures 2-18) against one shared analysis context. Use "
             "--only to run a single experiment, --list to see the ids, "
-            "--jobs to fan out over threads, and --shards to partition the "
-            "dataset and run map-reduce — neither changes the output."
+            "and --shards to partition the dataset and run map-reduce, "
+            "which does not change the output."
         ),
-        epilog="example:\n  ddos-repro experiments --jobs 4 --only table4_prediction",
+        epilog="example:\n  ddos-repro experiments --only table4_prediction",
     )
     exp.add_argument(
         "--only",
@@ -205,10 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a single experiment id (see --list)",
     )
     exp.add_argument("--list", action="store_true", help="list experiment ids and exit")
-    exp.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker threads for the battery, >= 1 (output is identical for any value)",
-    )
     exp.add_argument(
         "--shards", type=_positive_int, default=None, metavar="N",
         help="partition the dataset into N time windows and run the battery "
@@ -329,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pending ingest batches per tenant before 429 backpressure",
     )
     serve.add_argument(
-        "--prewarm-jobs", type=_positive_int, default=1,
-        help="worker threads for view prewarm after each ingest fold",
-    )
-    serve.add_argument(
         "--keep-epochs", type=_positive_int, default=4,
         help="epoch snapshots retained per tenant for pinned reads",
     )
@@ -357,9 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Exercise the full pipeline under the observability layer: "
             "generate the dataset (uncached, so generation is timed), round-"
             "trip it through the ingest path and the columnar binary store, "
-            "build the analysis views, fan the per-family ARIMA forecasts "
-            "across worker processes, then run the experiment battery twice "
-            "— cold and warm — so cache hit/miss counters are populated. "
+            "build the analysis views, prewarm the battery's views (Table IV's "
+            "ARIMA forecasts among them), then run the experiment battery "
+            "twice — prewarmed, and lazily on a fresh context — so cache "
+            "hit/miss counters are populated. "
             "Prints the sorted stage tree and a metrics summary, and writes "
             "the RunManifest JSON next to the cache directory (or to "
             "--metrics PATH)."
@@ -368,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument(
         "--jobs", type=_positive_int, default=None,
-        help="worker processes for generation and the ARIMA fan-out, and "
-             "worker threads for the experiment batteries "
-             "(default: cpu count capped at 8)",
+        help="worker processes for generation (default: cpu count capped at 8)",
     )
     prof.add_argument(
         "--min-seconds", type=float, default=0.0,
@@ -466,7 +458,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         from .io.colstore import ShardedDatasetStore
 
         store = ShardedDatasetStore.partition(ds, shards=args.shards)
-        ctx = ShardedAnalysisContext(store).merged(jobs=args.jobs)
+        ctx = ShardedAnalysisContext(store).merged()
     else:
         ctx = AnalysisContext.of(ds)
     args._manifest_dataset = ctx.dataset
@@ -474,11 +466,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print(get_experiment(args.only).run(ctx).render())
         print()
     else:
-        if args.jobs > 1:
-            # Build the shared views across the worker pool first; the
-            # thread fan-out below then runs against a warm context.
-            ctx.prewarm(jobs=args.jobs)
-        for result in run_all(ctx, jobs=args.jobs):
+        for result in run_all(ctx):
             print(result.render())
             print()
     return 0
@@ -595,7 +583,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_size=args.queue_size,
-        prewarm_jobs=args.prewarm_jobs,
         keep_epochs=args.keep_epochs,
         max_tenant_bytes=(
             args.max_tenant_mb * 1024 * 1024
@@ -632,15 +619,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from . import par
     from .core.context import AnalysisContext
-    from .core.prediction import predict_all_families
     from .datagen.generator import generate_dataset
     from .io.ingest import dataset_from_records
 
     config = _config(args)
     reg = obs_registry()
-    jobs = par.resolve_jobs(args.jobs)
 
-    ds = generate_dataset(config, jobs=jobs)
+    ds = generate_dataset(config, jobs=par.resolve_jobs(args.jobs))
     args._manifest_dataset = ds
 
     streamed = dataset_from_records(ds.iter_attacks(), window=ds.window)
@@ -661,19 +646,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with reg.span("context.views"):
         report.render_headline(ctx)
 
-    with reg.span("par.forecast"):
-        forecasts = predict_all_families(ctx, jobs=jobs)
-    print(f"forecast fan-out: {len(forecasts)} families")
+    # The prewarm builds every view the battery reads, Table IV's
+    # forecasts among them; its per-view ``view:<kind>`` spans land under
+    # ``prewarm`` in the stage tree below.
+    seeded = ctx.prewarm()
+    print(f"prewarm: {seeded} views seeded")
 
-    # A fresh (unshared) context so the prewarm leg measures real view
-    # builds; its per-view ``view:<kind>`` spans land under ``prewarm``
-    # in the stage tree below.
-    warm_ctx = AnalysisContext(ds)
-    seeded = warm_ctx.prewarm(jobs=jobs)
-    print(f"prewarm: {seeded} views seeded (jobs={jobs})")
-
-    for label, battery_ctx in (("battery (prewarmed)", warm_ctx), ("battery (warm)", ctx)):
-        results = run_all(battery_ctx, jobs=jobs)
+    # A fresh (unshared) context makes the second battery build lazily.
+    lazy_ctx = AnalysisContext(ds)
+    for label, battery_ctx in (("battery (prewarmed)", ctx), ("battery (lazy)", lazy_ctx)):
+        results = run_all(battery_ctx)
         print(f"{label}: {len(results)} experiments")
 
     manifest = RunManifest.collect(

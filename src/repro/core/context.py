@@ -12,9 +12,9 @@ policies.
 Design notes:
 
 * Views are lazy: nothing is computed until a consumer asks.
-* Memoization is thread-safe with per-key locks, so independent
-  experiments can run concurrently (``registry.run_all(jobs=N)``) while
-  still computing each shared view exactly once.
+* Memoization is thread-safe with per-key locks, so the service's
+  request threads can read one context concurrently while each shared
+  view is still computed exactly once.
 * The actual analysis code stays in the domain modules (``intervals``,
   ``geolocation``, ``collaboration``, …) as module-private ``_impl``
   functions; the context only orchestrates and caches.  Builders resolve
@@ -222,8 +222,7 @@ class AnalysisContext:
         """Shallow copy of the materialised views.
 
         The extend fold (:func:`repro.core.merge.extend_views`) reads its
-        left operand's views from this, and the prewarm workers return
-        what they built through it.
+        left operand's views from this.
         """
         return dict(self._views)
 
@@ -620,63 +619,35 @@ class AnalysisContext:
 
     # -- prewarm -----------------------------------------------------------
 
-    def prewarm(self, jobs: int | None = 1) -> int:
+    def prewarm(self) -> int:
         """Build the views the battery reads ahead of time.
 
-        The views are :func:`~repro.experiments.registry.battery_views`
-        over the active families, minus those already materialised (for
-        example carried across a streaming epoch).  They are built as
-        one task per whole-dataset view and one per family, fanned
-        across the :mod:`repro.par` pool (``jobs=None`` picks the
-        default worker count; on platforms without ``fork``, or with
-        fewer CPUs than workers, the same tasks run serially).  Results
-        are installed via :meth:`seed_view`, so a materialised view is
-        neither rebuilt nor overwritten.  A Table IV forecast that
-        raises for lack of points is skipped, as the paper skips
-        Darkshell.  Returns the number of views that became
-        materialised; the result set is identical for every ``jobs``.
+        Walks :func:`~repro.experiments.registry.battery_views` over the
+        active families in order and builds each key this context does
+        not hold yet (a view carried across a streaming epoch is held)
+        through its accessor, so a materialised view is neither rebuilt
+        nor overwritten.  A Table IV forecast that raises for lack of
+        points is skipped, as the paper skips Darkshell.  Returns the
+        number of views that became materialised.
 
         Observability: the whole pass runs under a ``prewarm`` stage
-        span; ``prewarm.tasks`` counts the tasks dispatched and
-        ``prewarm.seeded`` the views newly installed.
+        span, and ``prewarm.seeded`` counts the views it materialised.
         """
-        from .. import par
         from ..experiments.registry import battery_views
+        from . import merge as _merge
 
         reg = _obs_registry()
         with reg.span("prewarm"):
-            # Cheap shared dependencies built in the parent so forked
-            # workers inherit them instead of rebuilding per task.
-            self.family_attack_index()
-            self.bot_coords_radians()
-            self.durations()
-            views = self._views
-            whole = battery_views(())
-            tasks = [[key] for key in whole if key not in views]
-            family_tasks = []
-            for family in self._ds.active_families:
-                keys = [k for k in battery_views((family,))[len(whole):] if k not in views]
-                if keys:
-                    family_tasks.append(keys)
-            # Every family view but the forecast reads the family pass; a
-            # context that holds them (a carried stream epoch) skips it.
-            if any(k[0] != "dispersion_forecast" for keys in family_tasks for k in keys):
-                self.family_pass()
-            tasks += family_tasks
-            reg.counter("prewarm.tasks").inc(len(tasks))
-            before = set(views)
-            if tasks:
-                results = par.parallel_map(
-                    _prewarm_worker,
-                    tasks,
-                    jobs=par.resolve_jobs(jobs),
-                    payload=self,
-                    label="prewarm",
-                )
-                for pairs in results:
-                    for key, value in pairs:
-                        self.seed_view(key, value)
-            seeded = len(set(views) - before)
+            before = len(self._views)
+            for key in battery_views(self._ds.active_families):
+                if key in self._views:
+                    continue
+                try:
+                    _merge.view_value(self, key)
+                except ValueError:
+                    if key[0] != "dispersion_forecast":
+                        raise
+            seeded = len(self._views) - before
             reg.counter("prewarm.seeded").inc(seeded)
         return seeded
 
@@ -707,9 +678,8 @@ class ShardedAnalysisContext:
     """Map-reduce analysis over a time-sharded dataset.
 
     Wraps a :class:`~repro.io.colstore.ShardedDatasetStore` and owns one
-    :class:`AnalysisContext` per shard.  :meth:`build` fans the
-    per-shard view derivations across the :mod:`repro.par` pool, and
-    :meth:`merged` combines them — through the
+    :class:`AnalysisContext` per shard.  :meth:`build` derives each
+    shard's views, and :meth:`merged` combines them — through the
     :mod:`repro.core.merge` combinators, bitwise-identically to an
     unsharded build — into a single :class:`AnalysisContext` over the
     concatenated dataset, which downstream consumers (the experiment
@@ -857,50 +827,48 @@ class ShardedAnalysisContext:
         return _merge.view_value(self.shard_context(index), (kind,)).shifted(base)
 
     def build_shard(self, index: int) -> AnalysisContext:
-        """Materialise one shard's mergeable views (idempotent)."""
-        _shard_build_worker(self, index)
-        self._built.add(index)
-        return self.shard_context(index)
+        """Materialise one shard's mergeable views (idempotent).
 
-    def build(self, jobs: int | None = 1) -> int:
+        The views are :func:`~repro.experiments.registry.battery_views`
+        over the shard's families, minus the kinds whose extend step
+        reads the merged context (:data:`repro.core.merge.MERGED_CONTEXT_KINDS`).
+        The scans are built here, through :meth:`shard_scan_events`, so
+        the merge only has to stitch the seams.
+        """
+        from ..experiments.registry import battery_views
+        from . import merge as _merge
+
+        ctx = self.shard_context(index)
+        with _obs_registry().span(f"shard:{index}"):
+            for key in battery_views(self.shard_families(index)):
+                if key[0] in _merge.MERGED_CONTEXT_KINDS:
+                    continue
+                if key[0] in _merge._SCANS:
+                    self.shard_scan_events(index, key[0])
+                else:
+                    _merge.view_value(ctx, key)
+        self._built.add(index)
+        return ctx
+
+    def build(self) -> int:
         """Build the mergeable views of every shard not built yet.
 
-        Fans :func:`_shard_build_worker` across the :mod:`repro.par`
-        pool (same serial fallback rules as prewarm) and seeds each
-        worker's view delta back into the parent's shard contexts.
         Returns the total number of views materialised across shards.
         """
-        from .. import par
-
-        indices = [i for i in range(self.n_shards) if i not in self._built]
         with _obs_registry().span("shard.build"):
-            # Touch every shard context in the parent so forked workers
-            # inherit the datasets (and shared geo matrix) copy-on-write.
-            for index in indices:
-                self.shard_context(index)
-            results = par.parallel_map(
-                _shard_build_worker,
-                indices,
-                jobs=par.resolve_jobs(jobs),
-                payload=self,
-                label="shard_build",
-            )
-            for index, pairs in zip(indices, results):
-                ctx = self.shard_context(index)
-                for key, value in pairs:
-                    ctx.seed_view(key, value)
-            self._built.update(indices)
+            for index in range(self.n_shards):
+                if index not in self._built:
+                    self.build_shard(index)
         return sum(self.shard_context(i).n_views for i in range(self.n_shards))
 
     # -- the reduce step ---------------------------------------------------
 
-    def merged(self, jobs: int | None = 1) -> AnalysisContext:
+    def merged(self, jobs: int = 1) -> AnalysisContext:
         """The merged context: every mergeable view seeded, bitwise equal
         to an unsharded build over the concatenated dataset.
 
-        First :meth:`build` maps the shards not built yet (across
-        ``jobs`` workers); then one left fold,
-        :func:`repro.core.merge.combine_partials`, extends shard 0 by
+        First :meth:`build` maps the shards not built yet; then one left
+        fold, :func:`repro.core.merge.combine_partials`, extends shard 0 by
         shards ``1..K-1``.  The result is kept with the number of shards
         it covers and returned as long as it covers them all.  After
         :meth:`refresh` adopted appended shards, the kept context is the
@@ -917,13 +885,16 @@ class ShardedAnalysisContext:
         re-merge), ``reused`` (shards covered by the extended previous
         merged context, 0 on a full merge) and ``levels`` (1 if anything
         was folded, else 0).
+
+        ``jobs`` has no effect: it stays for callers that pass it
+        (``perfbench/workloads.py`` calls ``merged(jobs=1)``).
         """
         current = self._merged
         if current is not None:
             return current
         from . import merge as _merge
 
-        self.build(jobs)
+        self.build()
         with _obs_registry().span("shard.merge"):
             mode = "full" if self._merge is None else "incremental"
             first, prev = self._merge or (1, self.shard_context(0))
@@ -941,56 +912,3 @@ class ShardedAnalysisContext:
                 "combined": combined,
             }
         return ctx
-
-
-def _shard_build_worker(
-    sctx: "ShardedAnalysisContext", index: int
-) -> list[tuple[Hashable, Any]]:
-    """Build one shard's mergeable views; return the view delta.
-
-    The views are :func:`~repro.experiments.registry.battery_views` over
-    the shard's families, minus the kinds whose extend step reads the
-    merged context (:data:`repro.core.merge.MERGED_CONTEXT_KINDS`).  The
-    scans are built here, in the (parallel) map phase, so the merge only
-    has to stitch the seams.  Runs in-process or in a
-    forked worker (same contract as :func:`_prewarm_worker`): views
-    memoize on the shard's own context, and the delta — minus the
-    pre-seeded shared geo matrix — is the only pickle a forked fan-out
-    pays for.
-    """
-    from . import merge as _merge
-    from ..experiments.registry import battery_views
-
-    ctx = sctx.shard_context(index)
-    before = set(ctx._views)
-    with _obs_registry().span(f"shard:{index}"):
-        for key in battery_views(sctx.shard_families(index)):
-            if key[0] in _merge.MERGED_CONTEXT_KINDS:
-                continue
-            if key[0] in _merge._SCANS:
-                sctx.shard_scan_events(index, key[0])
-            else:
-                _merge.view_value(ctx, key)
-    return [(k, v) for k, v in ctx.materialized().items() if k not in before]
-
-
-def _prewarm_worker(ctx: "AnalysisContext", keys: list) -> list[tuple[Hashable, Any]]:
-    """One prewarm task: build ``keys``, return the view delta.
-
-    Runs in-process (serial mode) or in a forked worker; either way it
-    builds through the context's own accessors, so the views memoize and
-    instrument exactly as a lazy build would.  The return value is the
-    set of views this task materialised — the only pickle a forked
-    fan-out pays for.  Forecasts mirror the paper's Darkshell call:
-    families with too few points are skipped, not raised.
-    """
-    from . import merge as _merge
-
-    before = set(ctx._views)
-    for key in keys:
-        try:
-            _merge.view_value(ctx, key)
-        except ValueError:
-            if key[0] != "dispersion_forecast":
-                raise
-    return [(k, v) for k, v in ctx.materialized().items() if k not in before]

@@ -33,7 +33,6 @@ from .geolocation import SYMMETRY_TOLERANCE_KM
 __all__ = [
     "DispersionForecast",
     "predict_family_dispersion",
-    "predict_all_families",
     "NextAttackPrediction",
     "predict_next_attack_time",
     "MIN_SERIES_POINTS",
@@ -135,52 +134,6 @@ def _predict_family_dispersion(
         comparison=compare_forecast(test, prediction),
         fit=fit,
     )
-
-
-def _forecast_family_task(ctx: AnalysisContext, family: str) -> DispersionForecast:
-    """Worker body for :func:`predict_all_families` (one family per task)."""
-    return _predict_family_dispersion(ctx, family)
-
-
-def predict_all_families(
-    source: AnalysisSource,
-    families: list[str] | None = None,
-    *,
-    jobs: int | None = 1,
-) -> dict[str, DispersionForecast]:
-    """Default-protocol dispersion forecasts for every eligible family.
-
-    The per-family ARIMA fits are independent, so with ``jobs > 1`` they
-    fan out across worker processes via :func:`repro.par.parallel_map`
-    (``jobs=None`` picks the default worker count).  The parent
-    pre-computes each family's dispersion series — the memoized views
-    travel to forked workers for free — and families below
-    :data:`MIN_SERIES_POINTS` are skipped rather than raised, mirroring
-    the paper's treatment of Darkshell.  Results are seeded into the
-    shared context, so a later Table IV run reuses them.
-    """
-    from .. import par
-
-    ctx = AnalysisContext.of(source)
-    if families is None:
-        families = list(ctx.dataset.active_families)
-    eligible = [
-        family
-        for family in families
-        if _dispersion_series(ctx, family, True).size >= MIN_SERIES_POINTS
-    ]
-    forecasts = par.parallel_map(
-        _forecast_family_task,
-        eligible,
-        jobs=par.resolve_jobs(jobs),
-        payload=ctx,
-        label="forecast",
-    )
-    out: dict[str, DispersionForecast] = {}
-    for family, forecast in zip(eligible, forecasts):
-        ctx.view(("dispersion_forecast", family), lambda f=forecast: f)
-        out[family] = forecast
-    return out
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,8 @@
 :func:`run_all` is the battery entry point.  It coerces the source to
 one shared :class:`~repro.core.context.AnalysisContext` so derived views
 (grouped attack indices, dispersion series, collaboration/chain scans)
-are computed once across the whole battery, and can fan the experiments
-out over a thread pool with ``jobs > 1``.  Results always come back in
-paper order regardless of completion order, so the rendered output is
-identical for any job count.
+are computed once across the whole battery.  Results come back in paper
+order.
 
 :func:`battery_views` is the one list of the derived views the battery
 reads.  Shard builds, the shard merge, prewarm and the stream carry all
@@ -16,7 +14,6 @@ lazily, when something asks for it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 from ..core.context import AnalysisContext, AnalysisSource
@@ -133,34 +130,21 @@ def get_experiment(experiment_id: str) -> Experiment:
     raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
 
 
-def run_all(source: AnalysisSource, jobs: int = 1) -> list[ExperimentResult]:
+def run_all(source: AnalysisSource) -> list[ExperimentResult]:
     """Run every experiment against one shared context, in paper order.
 
-    ``jobs > 1`` spreads the experiments over a thread pool (the heavy
-    lifting is numpy, which releases the GIL); the context's per-view
-    locks guarantee each shared view is still computed exactly once.
-    Output order — and, because the views are deterministic, the values
-    themselves — do not depend on ``jobs``.
-
     The battery is observable: every experiment runs under its own stage
-    span nested in an ``experiments`` stage (even on pool threads), the
-    ``experiments.jobs`` gauge records the fan-out, and
+    span nested in an ``experiments`` stage, and
     ``experiments.completed`` counts finished experiments — see
     ``docs/OBSERVABILITY.md``.
     """
     ctx = AnalysisContext.of(source)
     reg = _obs_registry()
-    reg.gauge("experiments.jobs").set(jobs)
     completed = reg.counter("experiments.completed")
-    with reg.span("experiments") as battery:
-
-        def run_one(experiment: Experiment) -> ExperimentResult:
-            with reg.span(experiment.id, parent=battery):
-                result = experiment.run(ctx)
+    results = []
+    with reg.span("experiments"):
+        for experiment in ALL_EXPERIMENTS:
+            with reg.span(experiment.id):
+                results.append(experiment.run(ctx))
             completed.inc()
-            return result
-
-        if jobs <= 1:
-            return [run_one(experiment) for experiment in ALL_EXPERIMENTS]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, ALL_EXPERIMENTS))
+    return results

@@ -11,7 +11,8 @@ import csv
 from pathlib import Path
 
 from ..core.dataset import AttackDataset
-from ..monitor.schemas import ATTACK_ROW, DDoSAttackRecord, record_from_json
+from ..errors import FormatError
+from ..monitor.schemas import _ROW_ERRORS, ATTACK_ROW, DDoSAttackRecord, record_from_json
 
 __all__ = [
     "ATTACK_FIELDS",
@@ -56,14 +57,27 @@ def export_attacks_csv(ds: AttackDataset, path: str | Path) -> int:
 
 
 def read_attacks_csv(path: str | Path) -> list[DDoSAttackRecord]:
-    """Read a DDoSattack CSV back into records."""
+    """Read a DDoSattack CSV back into records.
+
+    A row that does not decode (a short row, a non-numeric timestamp, …)
+    raises :class:`~repro.errors.FormatError` (a ``ValueError``) naming
+    ``path`` and its line number.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(ATTACK_FIELDS) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"attack CSV missing columns: {sorted(missing)}")
-        return [record_from_json(row) for row in reader]
+        records = []
+        for row in reader:
+            try:
+                records.append(record_from_json(row))
+            except _ROW_ERRORS as exc:
+                raise FormatError(
+                    f"{path}:{reader.line_num}: malformed row: {type(exc).__name__}: {exc}"
+                ) from exc
+        return records
 
 
 def export_botlist_csv(ds: AttackDataset, path: str | Path, limit: int | None = None) -> int:

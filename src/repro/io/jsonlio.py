@@ -13,7 +13,8 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from ..core.dataset import AttackDataset
-from ..monitor.schemas import DDoSAttackRecord, record_from_json, record_to_json
+from ..errors import FormatError
+from ..monitor.schemas import _ROW_ERRORS, DDoSAttackRecord, record_from_json, record_to_json
 
 __all__ = [
     "export_attacks_jsonl",
@@ -29,8 +30,9 @@ __all__ = [
 def records_of_lines(lines, path, start: int = 1) -> Iterator[DDoSAttackRecord]:
     """Decode JSONL lines (``str`` or ``bytes``), numbered from ``start``.
 
-    Blank lines are skipped; a line that is not JSON raises
-    ``ValueError`` naming ``path`` and its line number.
+    Blank lines are skipped; a line that is not JSON, or not a row of
+    the attack schema, raises :class:`~repro.errors.FormatError` (a
+    ``ValueError``) naming ``path`` and its line number.
     """
     for lineno, line in enumerate(lines, start=start):
         line = line.strip()
@@ -39,8 +41,14 @@ def records_of_lines(lines, path, start: int = 1) -> Iterator[DDoSAttackRecord]:
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        yield record_from_json(row)
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            record = record_from_json(row)
+        except _ROW_ERRORS as exc:
+            raise FormatError(
+                f"{path}:{lineno}: malformed row: {type(exc).__name__}: {exc}"
+            ) from exc
+        yield record
 
 
 def export_attacks_jsonl(ds: AttackDataset, path: str | Path) -> int:

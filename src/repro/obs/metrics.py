@@ -67,7 +67,7 @@ class Gauge:
     """A value that goes up and down (jobs in flight, lag seconds, …).
 
     >>> from repro.obs import MetricsRegistry
-    >>> g = MetricsRegistry().gauge("experiments.jobs")
+    >>> g = MetricsRegistry().gauge("par.jobs")
     >>> g.set(4)
     >>> g.value
     4.0

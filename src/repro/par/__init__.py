@@ -1,4 +1,4 @@
-"""``repro.par``: process-parallel execution for the cold path.
+"""``repro.par``: process-parallel execution for dataset generation.
 
 See :mod:`repro.par.pool` for the execution model (fork-inherited
 payloads, serial fallback, parent-side instrumentation).

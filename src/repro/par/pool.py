@@ -1,7 +1,9 @@
 """Process-parallel map with a fork-inherited payload and a serial fallback.
 
-The cold path (generation, participant sampling, ARIMA order search)
-fans out through :func:`parallel_map`.  The design keeps the hand-off
+Dataset generation (its per-family shards and participant sampling)
+fans out through :func:`parallel_map`; it is the package's only
+fan-out, because every derived view builds faster in the calling
+process than across workers.  The design keeps the hand-off
 pickle-light:
 
 * the shared read-only state (world, bot pools, planned columns) is

@@ -120,7 +120,6 @@ class AnalysisServer:
         host: str = "127.0.0.1",
         port: int = 0,
         queue_size: int = 64,
-        prewarm_jobs: int = 1,
         keep_epochs: int = 4,
         max_tenant_bytes: int | None = None,
     ) -> None:
@@ -131,7 +130,6 @@ class AnalysisServer:
         self.router = Router(
             TenantRegistry(
                 queue_size=queue_size,
-                prewarm_jobs=prewarm_jobs,
                 keep_epochs=keep_epochs,
                 max_tenant_bytes=max_tenant_bytes,
             )

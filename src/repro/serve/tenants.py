@@ -14,7 +14,8 @@ guarantees: a snapshot's views are immutable once materialised, so a
 reader mid-battery is unaffected by concurrent appends.
 
 Prewarm-on-ingest: the writer builds the snapshot's views *before*
-publishing (``StreamingDataset.context(prewarm_jobs=...)`` — the O(batch)
+publishing (``StreamingDataset.context()`` then
+:meth:`~repro.core.context.AnalysisContext.prewarm` — the O(batch)
 carry plus an eager rebuild of the views it dropped), so by the time a
 reader can see an epoch, its expensive views are already warm and a
 battery render is cheap.  Rendered experiment output is additionally
@@ -62,7 +63,6 @@ class Tenant:
         name: str,
         *,
         queue_size: int = 64,
-        prewarm_jobs: int = 1,
         keep_epochs: int = 4,
         max_tenant_bytes: int | None = None,
     ) -> None:
@@ -75,7 +75,6 @@ class Tenant:
 
         self.name = name
         self.created_at = time.time()
-        self._prewarm_jobs = prewarm_jobs
         self._keep_epochs = max(1, keep_epochs)
         self._max_tenant_bytes = max_tenant_bytes
         self._stream = StreamingDataset(sketches=True)
@@ -155,9 +154,8 @@ class Tenant:
             try:
                 with reg.span("serve.ingest"):
                     n = self._stream.append_batch(batch)
-                    ctx = self._stream.context(
-                        prewarm_jobs=self._prewarm_jobs if self._prewarm_jobs else None
-                    )
+                    ctx = self._stream.context()
+                    ctx.prewarm()
                 epoch = self._stream.epoch
                 if n:
                     self._publish(epoch, ctx)
@@ -313,7 +311,7 @@ class Tenant:
             if cached is None:
                 from ..experiments.registry import run_all
 
-                cached = [(r.experiment_id, r.render()) for r in run_all(ctx, jobs=1)]
+                cached = [(r.experiment_id, r.render()) for r in run_all(ctx)]
                 with self._lock:
                     if epoch in self._epochs:  # do not cache for evicted epochs
                         self._renders[epoch] = cached
@@ -342,13 +340,11 @@ class TenantRegistry:
         self,
         *,
         queue_size: int = 64,
-        prewarm_jobs: int = 1,
         keep_epochs: int = 4,
         max_tenant_bytes: int | None = None,
     ) -> None:
         self._config = dict(
             queue_size=queue_size,
-            prewarm_jobs=prewarm_jobs,
             keep_epochs=keep_epochs,
             max_tenant_bytes=max_tenant_bytes,
         )

@@ -511,7 +511,7 @@ class StreamingDataset:
             ),
         )
 
-    def context(self, *, prewarm_jobs: int | None = None) -> AnalysisContext:
+    def context(self) -> AnalysisContext:
         """The current snapshot's shared analysis context.
 
         Cached per epoch: repeated calls between appends return the same
@@ -523,13 +523,10 @@ class StreamingDataset:
         change.  The forecasts, which have no extend rule, are left to
         rebuild under the new epoch tag.
 
-        ``prewarm_jobs`` builds the views the new snapshot still lacks
-        via :meth:`AnalysisContext.prewarm` when a *new* snapshot is
-        materialised: the prewarm seeds via ``seed_view``, so carried
-        views are untouched, and after an in-order append only the
-        forecasts (and a new family's views) are built (pass 1 for
-        serial, N for the worker-pool fan-out).  A cached snapshot is
-        returned as-is — its views are already warm.
+        :meth:`AnalysisContext.prewarm` on the result builds the views
+        the new snapshot still lacks: carried views are held, so after
+        an in-order append only the forecasts (and a new family's views)
+        are built.
 
         A carry counts the views it seeded into ``stream.views_carried``
         and the ones it had to drop into ``stream.views_invalidated``,
@@ -551,8 +548,6 @@ class StreamingDataset:
         self._snapshot_ctx = ctx
         self._snapshot_epoch = self._epoch
         self._carry_ok = True
-        if prewarm_jobs is not None:
-            ctx.prewarm(jobs=prewarm_jobs)
         return ctx
 
     def dataset(self) -> AttackDataset:

@@ -185,13 +185,8 @@ class TestViewsMatchScratch:
 
 
 class TestRunAllParity:
-    def test_jobs_do_not_change_output(self, small_ds):
-        sequential = run_all(AnalysisContext(small_ds), jobs=1)
-        parallel = run_all(AnalysisContext(small_ds), jobs=4)
-        assert [r.render() for r in sequential] == [r.render() for r in parallel]
-
     def test_order_is_paper_order(self, small_ds):
-        ids = [r.experiment_id for r in run_all(AnalysisContext(small_ds), jobs=3)]
+        ids = [r.experiment_id for r in run_all(AnalysisContext(small_ds))]
         assert ids[0] == "table2_protocols"
         assert ids[-1] == "fig18_chains"
         assert len(ids) == 18

@@ -469,23 +469,55 @@ class TestEdgeCases:
 
 
 class TestPrewarmIdentity:
-    def test_result_identical_for_any_jobs(self, tiny_ds):
+    def test_prewarmed_battery_renders_as_lazy(self, tiny_ds):
         from repro.experiments.registry import run_all
 
-        baseline_ctx = AnalysisContext(tiny_ds)
-        baseline = [r.render() for r in run_all(baseline_ctx, jobs=1)]
-        seeded = {}
-        for jobs in (1, 4):
-            ctx = AnalysisContext(tiny_ds)
-            seeded[jobs] = ctx.prewarm(jobs=jobs)
-            assert [r.render() for r in run_all(ctx, jobs=1)] == baseline
-        assert seeded[1] == seeded[4]
+        lazy = [r.render() for r in run_all(AnalysisContext(tiny_ds))]
+        ctx = AnalysisContext(tiny_ds)
+        assert ctx.prewarm() == ctx.n_views > 0
+        assert [r.render() for r in run_all(ctx)] == lazy
+
+    def test_prewarmed_forecast_is_predict_family_dispersion(self, small_ds):
+        from repro.core.prediction import predict_family_dispersion
+
+        ctx = AnalysisContext(small_ds)  # unshared: keep session fixtures clean
+        ctx.prewarm()
+        forecasts = {
+            key[1]: value
+            for key, value in ctx.materialized().items()
+            if key[0] == "dispersion_forecast"
+        }
+        assert forecasts  # at least one family has enough points at this scale
+        for family, forecast in forecasts.items():
+            # Table IV's memoized accessor returns the prewarmed value.
+            assert ctx.dispersion_forecast(family) is forecast
+            direct = predict_family_dispersion(AnalysisContext(small_ds), family)
+            np.testing.assert_array_equal(forecast.prediction, direct.prediction)
+            assert forecast.comparison == direct.comparison
+
+    def test_prewarm_skips_short_forecast_series(self, small_ds):
+        from repro.core.prediction import MIN_SERIES_POINTS, _dispersion_series
+        from repro.experiments.table4_prediction import PAPER_TABLE4
+
+        ctx = AnalysisContext(small_ds)
+        ctx.prewarm()
+        eligible = {
+            family
+            for family in small_ds.active_families
+            if family in PAPER_TABLE4
+            and _dispersion_series(ctx, family, True).size >= MIN_SERIES_POINTS
+        }
+        held = {k[1] for k in ctx.view_keys() if k[0] == "dispersion_forecast"}
+        assert held == eligible
+        assert set(small_ds.active_families) & set(PAPER_TABLE4) - eligible, (
+            "no family is too short at this scale: the skip went untested"
+        )
 
     def test_prewarm_skips_materialized_views(self, tiny_ds):
         ctx = AnalysisContext(tiny_ds)
-        ctx.prewarm(jobs=1)
+        ctx.prewarm()
         keys = set(ctx.view_keys())
-        assert ctx.prewarm(jobs=1) == 0
+        assert ctx.prewarm() == 0
         assert set(ctx.view_keys()) == keys
 
 
@@ -605,7 +637,7 @@ def test_bench_scale_scan_stitches():
     )
     assert detect_chains(flat) == reference_detect_chains(ds, CHAIN_MARGIN_SECONDS, 2)
     sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(ds, shards=8))
-    sctx.build(jobs=1)
+    sctx.build()
     merged = sctx.merged()
     for kind in SCANS:
         assert merge.view_value(merged, (kind,)) == merge.view_value(flat, (kind,)), kind

@@ -175,7 +175,7 @@ class TestMergedParity:
             ds = small_ds
             store = ShardedDatasetStore.partition(ds, shards=k)
         sctx = ShardedAnalysisContext(store)
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         fresh = AnalysisContext(ds)
         assert merged.dataset.attack_columns_equal(ds)
@@ -189,20 +189,20 @@ class TestMergedParity:
     def test_merged_views_are_seeded_not_rebuilt(self, small_ds):
         """merged() must seed the scan results, not leave them lazy."""
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=3))
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         keys = set(merged.view_keys())
         assert ("collaborations",) in keys
         assert ("chains",) in keys
         assert ("attack_intervals",) in keys
-        run_all(merged, jobs=1)
+        run_all(merged)
         assert _unread_view_keys(sctx, merged) == []
 
     @pytest.mark.parametrize("k", [4, 8])
     def test_battery_renders_identically(self, small_ds, k):
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
-        sharded = [r.render() for r in run_all(sctx.merged(), jobs=1)]
-        flat = [r.render() for r in run_all(AnalysisContext(small_ds), jobs=1)]
+        sharded = [r.render() for r in run_all(sctx.merged())]
+        flat = [r.render() for r in run_all(AnalysisContext(small_ds))]
         assert sharded == flat
 
 
@@ -305,7 +305,7 @@ class TestBoundaryStitching:
         store = ShardedDatasetStore.partition(ds, shards=2)
         assert [int(c) for c in store._counts] == [2, 2]
         sctx = ShardedAnalysisContext(store)
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         flat = AnalysisContext(ds)
         assert merged.collaborations() == flat.collaborations()
@@ -325,7 +325,7 @@ class TestBoundaryStitching:
         store = ShardedDatasetStore.partition(ds, shards=2)
         assert [int(c) for c in store._counts] == [2, 2]
         sctx = ShardedAnalysisContext(store)
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         flat = AnalysisContext(ds)
         assert merged.chains() == flat.chains()
@@ -347,7 +347,7 @@ class TestBoundaryStitching:
         store = ShardedDatasetStore.partition(ds, shards=3)
         assert [int(c) for c in store._counts] == [1, 1, 1]
         sctx = ShardedAnalysisContext(store)
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         assert merged.chains() == AnalysisContext(ds).chains()
         assert [c.attack_indices for c in detect_chains(merged)] == [(0, 2)]
@@ -426,13 +426,13 @@ class TestIncrementalRemerge:
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
         if k == "gaps":
             assert [int(sctx.store._counts[i]) for i in (0, 3, 5)] == [0, 0, 0]
-        sctx.build(jobs=1)
+        sctx.build()
         before = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "full"
 
         append_shard(tmp_path / "store", tail)
         assert sctx.refresh() == 1
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "incremental"
         # The re-merge copied only the new shard: the previous merged
@@ -464,7 +464,7 @@ class TestIncrementalRemerge:
         leaves them lazy."""
         tail = _append_store(tmp_path / "store", small_ds, 4)
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
-        sctx.build(jobs=1)
+        sctx.build()
         before = sctx.merged()
         assert not any(k[0] in ("rank_windows", "interval_buckets") for k in before.view_keys())
         head = _slice_dataset(small_ds, 0, before.dataset.n_attacks)
@@ -472,7 +472,7 @@ class TestIncrementalRemerge:
 
         append_shard(tmp_path / "store", tail)
         assert sctx.refresh() == 1
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "incremental"
         assert_render_views_match(merged, AnalysisContext(small_ds), before)
@@ -482,15 +482,15 @@ class TestIncrementalRemerge:
     def test_remerge_builds_no_unread_views(self, small_ds, tmp_path):
         tail = _append_store(tmp_path / "store", small_ds, 4)
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
-        sctx.build(jobs=1)
-        run_all(sctx.merged(), jobs=1)
+        sctx.build()
+        run_all(sctx.merged())
 
         append_shard(tmp_path / "store", tail)
         assert sctx.refresh() == 1
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "incremental"
-        run_all(merged, jobs=1)
+        run_all(merged)
         assert _unread_view_keys(sctx, merged) == []
 
     def test_family_first_seen_only_in_appended_shard(self, small_ds, tmp_path):
@@ -517,7 +517,7 @@ class TestIncrementalRemerge:
         tail = colstore_mod._slice_dataset(small_ds, cut, small_ds.n_attacks)
         append_shard(tmp_path / "store", head)
         sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
-        sctx.build(jobs=1)
+        sctx.build()
         prev = sctx.merged()
         # Simulate the battery touching the not-yet-seen family.
         assert prev.family_starts(family).size == 0
@@ -531,7 +531,7 @@ class TestIncrementalRemerge:
 
         append_shard(tmp_path / "store", tail)
         assert sctx.refresh() == 1
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         assert sctx.last_merge_stats["mode"] == "incremental"
 
@@ -577,7 +577,7 @@ class TestReferenceFoldParity:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_merge_matches_reference_fold(self, small_ds, k):
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
-        sctx.build(jobs=1)
+        sctx.build()
         merged = sctx.merged()
         reference = merged_reference(sctx)
         families = [
@@ -587,15 +587,6 @@ class TestReferenceFoldParity:
         want = _collect_views(reference, families)
         for label in want:
             _assert_view_equal(label, got[label], want[label])
-
-    def test_jobs_invariance(self, small_ds):
-        sctx1 = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=5))
-        sctx1.build(jobs=1)
-        sctx4 = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=5))
-        sctx4.build(jobs=4)
-        one = [r.render() for r in run_all(sctx1.merged(jobs=1), jobs=1)]
-        four = [r.render() for r in run_all(sctx4.merged(jobs=4), jobs=4)]
-        assert one == four
 
 
 @pytest.mark.slow
@@ -607,9 +598,9 @@ def test_full_scale_sharded_battery_byte_identical():
     scale = float(os.environ["REPRO_BENCH_SCALE"])
     ds = generate_dataset(DatasetConfig(seed=7, scale=scale))
     sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(ds, shards=8))
-    sctx.build(jobs=1)
-    sharded = [r.render() for r in run_all(sctx.merged(), jobs=1)]
-    flat = [r.render() for r in run_all(AnalysisContext(ds), jobs=1)]
+    sctx.build()
+    sharded = [r.render() for r in run_all(sctx.merged())]
+    flat = [r.render() for r in run_all(AnalysisContext(ds))]
     assert sharded == flat
 
 
@@ -626,11 +617,11 @@ def test_full_scale_remerge_extends_render_views(tmp_path):
     ds = generate_dataset(DatasetConfig(seed=7, scale=scale))
     tail = _append_store(tmp_path / "store", ds, 8)
     sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
-    sctx.build(jobs=1)
-    run_all(sctx.merged(), jobs=1)
+    sctx.build()
+    run_all(sctx.merged())
     append_shard(tmp_path / "store", tail)
     assert sctx.refresh() == 1
-    sctx.build(jobs=1)
+    sctx.build()
     merged = sctx.merged()
     assert sctx.last_merge_stats["mode"] == "incremental"
     fresh = AnalysisContext(ds)
@@ -638,5 +629,5 @@ def test_full_scale_remerge_extends_render_views(tmp_path):
     assert held, "the battery on the previous merge built no render views"
     for key in held:
         _assert_view_equal(str(key), merge.view_value(merged, key), merge.view_value(fresh, key))
-    remerged = [r.render() for r in run_all(merged, jobs=1)]
-    assert remerged == [r.render() for r in run_all(fresh, jobs=1)]
+    remerged = [r.render() for r in run_all(merged)]
+    assert remerged == [r.render() for r in run_all(fresh)]

@@ -65,7 +65,7 @@ def _may_go_unread(ctx: AnalysisContext, key: tuple) -> bool:
 def assert_list_is_what_the_battery_reads(ctx: AnalysisContext) -> None:
     declared = battery_views(ctx.dataset.active_families)
     assert len(set(declared)) == len(declared), "a key is listed twice"
-    run_all(ctx, jobs=1)
+    run_all(ctx)
     read = set(ctx.view_keys())
     assert read - set(declared) == set(), "the battery read keys off the list"
     unread = [key for key in declared if key not in read]
@@ -77,9 +77,10 @@ def assert_prewarmed_epochs_build_nothing(records, window, batch: int) -> None:
     stream = StreamingDataset(window=window)
     for lo in range(0, len(records), batch):
         stream.append_batch(records[lo : lo + batch])
-        ctx = stream.context(prewarm_jobs=1)
+        ctx = stream.context()
+        ctx.prewarm()
         before = set(ctx.view_keys())
-        run_all(ctx, jobs=1)
+        run_all(ctx)
         assert set(ctx.view_keys()) - before == set(), f"epoch {stream.epoch}"
 
 
@@ -87,10 +88,10 @@ def assert_no_unread_family_views(ds) -> None:
     """Shard builds, the merge and prewarm build no per-family durations
     or daily distributions: no experiment reads them."""
     sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(ds, shards=4))
-    sctx.build(jobs=1)
+    sctx.build()
     ctxs = [sctx.merged(), *(sctx.shard_context(k) for k in range(sctx.n_shards))]
     warm = AnalysisContext(ds)
-    warm.prewarm(jobs=1)
+    warm.prewarm()
     ctxs.append(warm)
     for ctx in ctxs:
         unread = [
@@ -162,15 +163,17 @@ def test_no_plane_builds_event_objects(small_ds, monkeypatch):
             cls, "__init__", lambda self, *a, _init=init, **kw: built.append(1) or _init(self, *a, **kw)
         )
     flat = AnalysisContext(small_ds)
-    run_all(flat, jobs=1)
+    run_all(flat)
     sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=4))
-    sctx.build(jobs=1)
-    run_all(sctx.merged(), jobs=1)
+    sctx.build()
+    run_all(sctx.merged())
     records = list(small_ds.iter_attacks())
     stream = StreamingDataset(window=small_ds.window)
     for lo in range(0, len(records), 400):
         stream.append_batch(records[lo : lo + 400])
-        run_all(stream.context(prewarm_jobs=1), jobs=1)
+        ctx = stream.context()
+        ctx.prewarm()
+        run_all(ctx)
     assert built == []
     assert len(detect_collaborations(flat)) + len(detect_chains(flat)) == len(built) > 0
 

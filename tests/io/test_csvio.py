@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import FormatError
 from repro.io.csvio import (
     ATTACK_FIELDS,
     export_attacks_csv,
@@ -37,6 +38,24 @@ class TestAttacksCsv:
         path = tmp_path / "bad.csv"
         path.write_text("ddos_id,botnet_id\n1,2\n")
         with pytest.raises(ValueError):
+            read_attacks_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cells: cells[:3],
+            lambda cells: [*cells[:5], "abc", *cells[6:]],
+            lambda cells: [*cells[:-1], "x"],
+        ],
+        ids=["short-row", "bad-timestamp", "bad-magnitude"],
+    )
+    def test_malformed_row_names_its_line(self, tiny_ds, tmp_path, edit):
+        path = tmp_path / "attacks.csv"
+        export_attacks_csv(tiny_ds, path)
+        header, first, second, *_ = path.read_text().splitlines()
+        assert header.split(",")[5] == "timestamp"
+        path.write_text("\n".join([header, first, ",".join(edit(second.split(",")))]) + "\n")
+        with pytest.raises(FormatError, match=rf"^{path}:3: malformed row: "):
             read_attacks_csv(path)
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.io.jsonlio import export_attacks_jsonl, read_attacks_jsonl
+from repro.errors import FormatError
+from repro.io.jsonlio import export_attacks_jsonl, read_attacks_jsonl, record_to_json
 
 
 class TestJsonl:
@@ -30,4 +31,26 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(ValueError, match="invalid JSON"):
+            read_attacks_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[1, 2]",
+            "5",
+            "null",
+            lambda row: {k: v for k, v in row.items() if k != "timestamp"},
+            lambda row: dict(row, timestamp="abc"),
+            lambda row: dict(row, category=5),
+        ],
+        ids=["array", "number", "null", "missing-key", "bad-float", "bad-protocol"],
+    )
+    def test_malformed_row_names_its_line(self, tiny_ds, tmp_path, bad):
+        import json
+
+        row = record_to_json(tiny_ds.attack(0))
+        line = bad if isinstance(bad, str) else json.dumps(bad(row))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n\n" + line + "\n")
+        with pytest.raises(FormatError, match=rf"^{path}:3: malformed row: "):
             read_attacks_jsonl(path)

@@ -178,9 +178,9 @@ class TestStreamSpill:
             reset = registries(merged.dataset) != registries(prev)
             assert sctx.last_merge_stats["mode"] == ("full" if reset else "incremental")
             modes.append(sctx.last_merge_stats["mode"])
-            got = [r.render() for r in run_all(merged, jobs=1)]
+            got = [r.render() for r in run_all(merged)]
             want = [
-                r.render() for r in run_all(AnalysisContext(store.merged_dataset()), jobs=1)
+                r.render() for r in run_all(AnalysisContext(store.merged_dataset()))
             ]
             assert got == want
             prev = merged.dataset

@@ -48,14 +48,14 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
         api.generate(config=tiny_config)
 
         # experiment battery: context views + experiment spans
-        api.run_all(api.context(ds), jobs=2)
+        api.run_all(api.context(ds))
 
         # sharded map-reduce: store round-trip, per-shard builds, merge
         from repro.io.colstore import save_sharded_npz
 
         save_sharded_npz(ds, tmp_path / "store", shards=2)
         sctx = api.context(api.load(tmp_path / "store"))
-        api.run_all(sctx, jobs=1)
+        api.run_all(sctx)
 
         # ingest round-trip
         api.ingest(ds.iter_attacks(), window=ds.window)

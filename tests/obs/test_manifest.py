@@ -13,7 +13,7 @@ def _populated_registry():
         with reg.span("fig2_daily", parent=battery):
             pass
     reg.counter("ingest.records").inc(10)
-    reg.gauge("experiments.jobs").set(2)
+    reg.gauge("par.jobs").set(2)
     reg.histogram("context.view.build_seconds", view="durations").observe(0.01)
     return reg
 
@@ -49,7 +49,7 @@ def test_json_round_trip(tmp_path):
     assert data["schema_version"] == 1
     assert data["seed"] == 7
     assert "experiments" in data["stages"]["children"]
-    assert data["metrics"]["experiments.jobs"][0]["value"] == 2.0
+    assert data["metrics"]["par.jobs"][0]["value"] == 2.0
 
 
 def test_stage_tree_rehydrates():

@@ -135,7 +135,8 @@ class TestSnapshots:
 
         warmed_stream = StreamingDataset()
         warmed_stream.append_batch(records[:60])
-        warmed = warmed_stream.context(prewarm_jobs=1)
+        warmed = warmed_stream.context()
+        warmed.prewarm()
         assert set(warmed.view_keys()) >= plain_keys
         assert warmed.collaborations() == plain.collaborations()
 
@@ -143,14 +144,16 @@ class TestSnapshots:
         # prewarm only fills the invalidated keys; results still match a
         # scratch build over the same records.
         warmed_stream.append_batch(records[60:80])
-        ctx2 = warmed_stream.context(prewarm_jobs=1)
+        ctx2 = warmed_stream.context()
+        ctx2.prewarm()
         assert ctx2.epoch == 2
         scratch = StreamingDataset()
         scratch.append_batch(records[:80])
         assert ctx2.chains() == scratch.context().chains()
         assert ctx2.collaborations() == scratch.context().collaborations()
         # cached-epoch call returns the same, already-warm context
-        assert warmed_stream.context(prewarm_jobs=1) is ctx2
+        assert warmed_stream.context() is ctx2
+        assert ctx2.prewarm() == 0
 
     def test_old_snapshot_survives_append(self, records):
         stream = StreamingDataset()
@@ -234,7 +237,7 @@ def test_wire_columns_fold_like_records(records):
         )
     assert by_wire.families == fams
     rendered = [
-        [r.render() for r in api.run_all(stream.context(), jobs=1)]
+        [r.render() for r in api.run_all(stream.context())]
         for stream in (by_wire, by_records)
     ]
     assert rendered[0] == rendered[1]

@@ -150,7 +150,8 @@ def test_bench_scale_stream_carry_matches_scratch():
     previous = None
     for lo in range(0, len(records), 500):
         stream.append_batch(records[lo : lo + 500])
-        ctx = stream.context(prewarm_jobs=1)
+        ctx = stream.context()
+        ctx.prewarm()
         fresh = AnalysisContext(stream.dataset())
         assert ctx.collaborations() == fresh.collaborations(), f"epoch {stream.epoch}"
         assert ctx.chains() == fresh.chains(), f"epoch {stream.epoch}"
@@ -167,6 +168,6 @@ def test_bench_scale_stream_carry_matches_scratch():
         assert_render_views_match(ctx, fresh, previous)
         previous = ctx
     scratch = dataset_from_records(records, window=ds.window)
-    streamed = [r.render() for r in api.run_all(stream.context(), jobs=1)]
-    flat = [r.render() for r in api.run_all(AnalysisContext(scratch), jobs=1)]
+    streamed = [r.render() for r in api.run_all(stream.context())]
+    flat = [r.render() for r in api.run_all(AnalysisContext(scratch))]
     assert streamed == flat

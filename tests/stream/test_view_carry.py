@@ -110,8 +110,9 @@ def test_in_order_epoch_drops_no_view(small_ds):
     cut = max(first_seen.values()) + 1 + (len(records) - max(first_seen.values())) // 2
     stream = StreamingDataset()
     stream.append_batch(records[:cut])
-    ctx = stream.context(prewarm_jobs=1)
-    run_all(ctx, jobs=1)
+    ctx = stream.context()
+    ctx.prewarm()
+    run_all(ctx)
     touch_views(ctx)
     invalidated = obs.registry().counter("stream.views_invalidated")
     before = invalidated.value

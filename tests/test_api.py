@@ -163,8 +163,8 @@ class TestShardedDispatch:
         from repro.io.colstore import ShardedDatasetStore
 
         store = ShardedDatasetStore.partition(tiny_ds, shards=2)
-        sharded = [r.render() for r in api.run_all(api.context(store), jobs=1)]
-        flat = [r.render() for r in api.run_all(api.context(tiny_ds), jobs=1)]
+        sharded = [r.render() for r in api.run_all(api.context(store))]
+        flat = [r.render() for r in api.run_all(api.context(tiny_ds))]
         assert sharded == flat
 
 

@@ -84,16 +84,25 @@ class TestCli:
         )
         assert code == 2
 
-    def test_experiments_jobs_zero_rejected(self, capsys):
+    def test_generate_jobs_zero_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            main([*BASE, "experiments", "--jobs", "0"])
+            main([*BASE, "generate", "--jobs", "0"])
         assert exc_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_experiments_jobs_not_an_int(self, capsys):
+    def test_generate_jobs_not_an_int(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            main([*BASE, "experiments", "--jobs", "two"])
+            main([*BASE, "generate", "--jobs", "two"])
         assert exc_info.value.code == 2
+
+    def test_convert_malformed_row_is_an_error_line(self, capsys, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        src.write_text("[1, 2]\n")
+        code = main(["convert", str(src), str(tmp_path / "out.npz")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {src}:1: malformed row")
+        assert "Traceback" not in err
 
     def test_watch_with_max_polls(self, capsys, cache_dir, tmp_path):
         from repro.datagen.config import DatasetConfig
