@@ -657,20 +657,16 @@ def _build_family_pass(ds: AttackDataset, groups: dict[int, np.ndarray]) -> Fami
     rows = np.concatenate(list(groups.values())) if groups else np.zeros(0, dtype=np.int64)
     bounds = np.cumsum([0, *(g.size for g in groups.values())]).tolist()
     po = ds.part_offsets
-    counts = (po[rows + 1] - po[rows]).astype(np.int64)
+    firsts = po[rows]
     offsets = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # One gather instead of a per-attack slice loop: element j of
-    # segment k lives at ``part_offsets[rows[k]] + j`` in the
-    # dataset-wide CSR, so the source positions are the segment bases
-    # repeated per element plus each element's within-segment rank.
-    base = np.repeat(po[rows].astype(np.int64), counts)
-    rank = np.arange(int(offsets[-1]), dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    np.cumsum(po[rows + 1] - firsts, out=offsets[1:])
+    # One gather instead of a per-attack slice loop: segment k copies the
+    # dataset-wide CSR from ``part_offsets[rows[k]]`` on.
     return FamilyPass(
         {fam: (bounds[i], bounds[i + 1]) for i, fam in enumerate(groups)},
         ds.start[rows],
         offsets,
-        np.asarray(ds.participants)[base + rank],
+        np.asarray(ds.participants)[_stats.segment_positions(firsts, offsets)],
     )
 
 

@@ -9,7 +9,11 @@ value means the bots are geographically symmetric around their centre.
 
 Everything here is vectorised over the dataset's CSR participant layout;
 the full 50k-attack dataset (≈2.7 M participations) profiles in well
-under a second.  The per-family dispersion series is memoized on the
+under a second.  The kernel walks the segments in runs of whole
+segments of at most ``_RUN_PARTICIPATIONS`` participations, so its
+per-participation temporaries stay a few MB whatever the trace's size,
+and every value is the one an all-at-once pass gives, to the byte.
+The per-family dispersion series is memoized on the
 :class:`AnalysisContext`, so the profile, CDF, histogram and the ARIMA
 predictor all share one computation.
 """
@@ -23,7 +27,7 @@ import numpy as np
 
 from ..geo.haversine import EARTH_RADIUS_KM
 from .context import AnalysisContext, AnalysisSource
-from .stats import ecdf, unique_pairs
+from .stats import ecdf, segment_positions, unique_pairs
 
 __all__ = [
     "SYMMETRY_TOLERANCE_KM",
@@ -67,24 +71,54 @@ def bot_coords(bots) -> BotCoords:
     )
 
 
+#: Participations one run of :func:`_segment_dispersions` evaluates at
+#: once.  A run allocates about fifteen float64 temporaries of its length,
+#: so this bounds the kernel's working set near 4 MB at any trace size.
+_RUN_PARTICIPATIONS = 1 << 15
+
+
 def _segment_dispersions(
     coords: BotCoords, bots: np.ndarray, offsets: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Geolocation-distribution value per CSR segment of bot indices.
 
     The shared kernel behind the per-attack and per-snapshot dispersion
-    analyses: segment centres via the 3-D unit-vector mean, a broadcast
-    signed haversine from every point to its segment's centre, and one
+    analyses.  The non-empty segments are cut into runs of consecutive
+    whole segments of at most ``_RUN_PARTICIPATIONS`` participations (a
+    larger segment is a run of its own), and :func:`_run_dispersions`
+    evaluates one run at a time, so the per-participation temporaries
+    stay run-sized however many participations the segments hold.  Every
+    segment is still reduced over its own contiguous slice by the same
+    expressions in the same order, so the values do not depend on the
+    cut.  Zero-count segments (attacks with no recorded participants,
+    e.g. on ingested attack-table-only datasets) read 0.
+    """
+    values = np.zeros(counts.size)
+    full = np.flatnonzero(counts)
+    starts = offsets[full]
+    stops = starts + counts[full]
+    lo = 0
+    while lo < full.size:
+        hi = int(np.searchsorted(stops, starts[lo] + _RUN_PARTICIPATIONS, side="right"))
+        hi = max(hi, lo + 1)
+        first = starts[lo]
+        values[full[lo:hi]] = _run_dispersions(
+            coords, bots[first : stops[hi - 1]], starts[lo:hi] - first, counts[full[lo:hi]]
+        )
+        lo = hi
+    return values
+
+
+def _run_dispersions(
+    coords: BotCoords, bots: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Dispersion of each segment of one run: ``bots`` split at
+    ``starts`` into non-empty segments of ``sizes``.
+
+    Segment centres via the 3-D unit-vector mean, a broadcast signed
+    haversine from every point to its segment's centre, and one
     ``np.add.reduceat`` rollup of the signed sums.
     """
-    if counts.size == 0 or bots.size == 0:
-        return np.zeros(counts.size)
-    # Zero-count segments (attacks with no recorded participants, e.g.
-    # on ingested attack-table-only datasets) have nothing to reduce:
-    # the rollups run over the other segments, and theirs stay 0.
-    full = counts > 0
-    starts = offsets[:-1][full]
-    sizes = counts[full]
     # Geographic centre per segment (3-D unit-vector mean).
     sx = np.add.reduceat(coords.x[bots], starts) / sizes
     sy = np.add.reduceat(coords.y[bots], starts) / sizes
@@ -106,9 +140,7 @@ def _segment_dispersions(
     wrapped = np.mod(dlon + np.pi, 2.0 * np.pi) - np.pi
     sign = np.sign(wrapped)
     sign = np.where(sign == 0, np.sign(dlat), sign)
-    values = np.zeros(counts.size)
-    values[full] = np.abs(np.add.reduceat(sign * dist, starts))
-    return values
+    return np.abs(np.add.reduceat(sign * dist, starts))
 
 
 def attack_dispersions(
@@ -191,17 +223,14 @@ def _snapshot_dispersions(
     for c0 in range(0, ts.size, chunk):
         c1 = min(c0 + chunk, ts.size)
         plo = offsets[lo[c0:c1]]
-        phi = offsets[hi[c0:c1]]
-        sizes = phi - plo
-        total = int(sizes.sum())
-        if total == 0:
+        sizes = offsets[hi[c0:c1]] - plo
+        seg = np.concatenate(([0], np.cumsum(sizes)))
+        if seg[-1] == 0:
             # Attacks with zero recorded participants (e.g. ingested
             # attack-table-only datasets) contribute no snapshot sets.
             continue
         snap = np.repeat(np.arange(c1 - c0), sizes)
-        seg_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        pos = np.repeat(plo, sizes) + (np.arange(total) - np.repeat(seg_starts, sizes))
-        bots = np.asarray(flat)[pos]
+        bots = np.asarray(flat)[segment_positions(plo, seg)]
 
         # Per-snapshot unique bot sets (the 24-hour reports are sets).
         u_snap, u_bot = unique_pairs(snap, bots, coords.lat.size)

@@ -22,6 +22,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .stats import segment_positions
+
 __all__ = ["ScanEvents", "in_scan_order"]
 
 
@@ -126,11 +128,8 @@ class ScanEvents:
         """The events at ``index`` (positions, in that order)."""
         index = np.asarray(index, dtype=np.int64)
         firsts = self.offsets[index]
-        sizes = self.offsets[index + 1] - firsts
-        offsets = _offsets(sizes)
-        gather = np.repeat(firsts - offsets[:-1], sizes)
-        gather += np.arange(offsets[-1], dtype=np.int64)
-        return ScanEvents(self.rows[gather], offsets)
+        offsets = _offsets(self.offsets[index + 1] - firsts)
+        return ScanEvents(self.rows[segment_positions(firsts, offsets)], offsets)
 
     def split(self, cut: int) -> tuple["ScanEvents", "ScanEvents"]:
         """The first ``cut`` events and the rest (views, not copies)."""

@@ -17,6 +17,7 @@ __all__ = [
     "extend_rank_windows",
     "sorted_unique",
     "unique_pairs",
+    "segment_positions",
 ]
 
 
@@ -90,6 +91,20 @@ def unique_pairs(major, minor, bound: int) -> tuple[np.ndarray, np.ndarray]:
         u_major.astype(major.dtype, copy=False),
         u_minor.astype(minor.dtype, copy=False),
     )
+
+
+def segment_positions(firsts, offsets: np.ndarray) -> np.ndarray:
+    """Source positions of CSR segments gathered into one array.
+
+    Segment ``k`` of the gathered CSR ``offsets`` copies ``offsets[k + 1]
+    - offsets[k]`` consecutive source elements from position
+    ``firsts[k]`` on; element ``j`` of the gather reads ``firsts[k] + (j -
+    offsets[k])``.  Built as one repeated int64 array plus an in-place
+    ``arange``, so its working set is two full-length temporaries.
+    """
+    pos = np.repeat(np.asarray(firsts, dtype=np.int64) - offsets[:-1], np.diff(offsets))
+    pos += np.arange(pos.size, dtype=np.int64)
+    return pos
 
 
 # -- rank windows ----------------------------------------------------------

@@ -23,6 +23,7 @@ scipy and fitting loads only scipy's top-level package.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -107,8 +108,11 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float)
     options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})`` runs
     it (non-adaptive, no bounds, no ``maxfev``): the same initial simplex,
     the same sorts, the same convergence test and the same numpy
-    expressions in the same order, so every vertex is bit for bit
-    scipy's.  ``func`` must be pure and must not modify its argument.
+    expressions in the same order (ndarray methods stand in for the
+    ``np.take``/``np.argsort``/``np.max`` wrappers; the sorts stay numpy's
+    ``argsort``, whose tie order a Python sort would not keep), so every
+    vertex is bit for bit scipy's.  ``func`` must be pure and must not
+    modify its argument.
 
     It adds one exit.  The next pass depends only on ``(sim, fsim)``, and
     so does the convergence test; a pass that leaves both bitwise
@@ -139,20 +143,20 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float)
     fsim = np.full((N + 1,), np.inf, dtype=float)
     for k in range(N + 1):
         fsim[k] = func(sim[k])
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
+    ind = fsim.argsort()
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind, 0)
 
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
+    ind = fsim.argsort()
+    fsim = fsim.take(ind, 0)
     # sort so sim[0,:] has the lowest function value
-    sim = np.take(sim, ind, 0)
+    sim = sim.take(ind, 0)
 
     state = sim.tobytes() + fsim.tobytes()
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol and
+                np.abs(fsim[0] - fsim[1:]).max() <= fatol):
             break
 
         xbar = np.add.reduce(sim[:-1], 0) / N
@@ -201,9 +205,9 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float)
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                         fsim[j] = func(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
         # The fixed-point exit (see the docstring).
         prev, state = state, sim.tobytes() + fsim.tobytes()
         if state == prev:
@@ -238,7 +242,7 @@ def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarr
     return _load_linear_filter()(np.ones(1), np.concatenate(([1.0], theta)), z, -1)
 
 
-def _min_root_modulus(coeffs: np.ndarray) -> float:
+def _min_root_modulus(coeffs) -> float:
     """Smallest ``|z|`` over the roots of ``1 - c1 z - ... - cp z^p``.
 
     Degree ≤ 2 (every order the pipeline searches) is solved in closed
@@ -247,12 +251,13 @@ def _min_root_modulus(coeffs: np.ndarray) -> float:
     to cancellation.  Higher degrees fall back to the companion-matrix
     eigenvalues (``np.roots``), exactly the original path.  Returns
     ``inf`` when the polynomial has no roots (all coefficients zero),
-    matching ``np.roots`` returning an empty array.
+    matching ``np.roots`` returning an empty array.  ``coeffs`` is any
+    float sequence; the closed forms run on Python floats.
     """
     # np.roots trims leading zeros of the reversed polynomial, i.e. the
     # highest-order coefficients here; mirror that so the degenerate
     # cases (c2 == 0, all zeros) agree exactly.
-    m = coeffs.size
+    m = len(coeffs)
     while m and coeffs[m - 1] == 0.0:
         m -= 1
     if m == 0:
@@ -267,27 +272,28 @@ def _min_root_modulus(coeffs: np.ndarray) -> float:
         disc = c1 * c1 + 4.0 * c2
         if disc < 0.0:
             # Conjugate pair: |z|^2 = |product| = 1/|c2|.
-            return float(np.sqrt(1.0 / abs(c2)))
-        sq = float(np.sqrt(disc))
+            return math.sqrt(1.0 / abs(c2))
+        sq = math.sqrt(disc)
         qq = -0.5 * (c1 + (sq if c1 >= 0.0 else -sq))
         # qq == 0 requires c1 == 0 and disc == 0, i.e. c2 == 0 — already
         # reduced to the linear case above.
         return min(abs(qq / c2), abs(1.0 / qq))
-    poly = np.concatenate(([1.0], -coeffs[:m]))
+    poly = np.concatenate(([1.0], -np.asarray(coeffs[:m], dtype=float)))
     roots = np.roots(poly[::-1])
     return float(np.min(np.abs(roots)))
 
 
-def _instability(coeffs: np.ndarray) -> float:
+def _instability(coeffs) -> float:
     """Violation of the stationarity/invertibility constraint.
 
     Returns 0 when every root of ``1 - c1 z - ... - cp z^p`` lies outside
     a small safety margin of the unit circle, and grows quadratically as
-    roots move inside.  The CSS objective scales this *multiplicatively*
-    — an additive penalty would drown in the sum-of-squares magnitude
-    and let the optimiser pick explosive recursions.
+    roots move inside; ``coeffs`` is any float sequence.  The CSS
+    objective scales this *multiplicatively* — an additive penalty would
+    drown in the sum-of-squares magnitude and let the optimiser pick
+    explosive recursions.
     """
-    if coeffs.size == 0:
+    if len(coeffs) == 0:
         return 0.0
     min_mod = _min_root_modulus(coeffs)
     if min_mod >= 1.02:
@@ -504,29 +510,34 @@ class ARIMA:
         # zero and the filter's zero initial conditions make the leading
         # ``p`` innovations zero, so dropping them before the arithmetic
         # (instead of after) produces bitwise-identical residuals while
-        # skipping the dead prefix.  The lag views are precomputed once.
+        # skipping the dead prefix.  The lag views and the ``z`` buffers
+        # are allocated once; ``x`` is unpacked to Python floats, on which
+        # the stability penalties run (the array ops see the same float64
+        # values either way).
         n = y.size
         y_tail = y[p:]
         lags = [y[p - 1 - i : n - 1 - i] for i in range(p)]
+        z = np.empty(y_tail.size)
+        term = np.empty(y_tail.size)
         a_full = np.empty(q + 1)
         a_full[0] = 1.0
         b = np.ones(1)
         linear_filter = _load_linear_filter()
 
         def objective(x: np.ndarray) -> float:
-            const = x[0]
-            phi = x[1 : 1 + p]
-            theta = x[1 + p :]
-            z = y_tail - const
+            const, *coeffs = x.tolist()
+            phi, theta = coeffs[:p], coeffs[p:]
+            np.subtract(y_tail, const, out=z)
             for i in range(p):
-                z -= phi[i] * lags[i]
+                np.multiply(phi[i], lags[i], out=term)
+                np.subtract(z, term, out=z)
             if q:
                 a_full[1:] = theta
                 eps = linear_filter(b, a_full, z, -1)
             else:
                 eps = z
             css = float(np.dot(eps, eps))
-            violation = _instability(phi) + _instability(-theta)
+            violation = _instability(phi) + _instability([-t for t in theta])
             return css * (1.0 + 1e4 * violation)
 
         if x0.size == 1:

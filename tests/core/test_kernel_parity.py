@@ -13,8 +13,10 @@ pinned byte for byte to its form before the per-bot trigonometry moved
 into the bot geo matrix, and the family views the accessors slice from
 one all-families pass bitwise to the per-family builds they replaced.
 
-The full-scale sweep (marked ``slow``) only runs when
-``REPRO_BENCH_SCALE`` names a scale, as in the CI parity step.
+The dispersion kernel's runs are pinned the same way with the run size
+cut to a few participations.  The full-scale sweep and the battery's
+heap guard (marked ``slow``) only run when ``REPRO_BENCH_SCALE`` names a
+scale, as in the CI parity step.
 """
 
 from __future__ import annotations
@@ -316,6 +318,53 @@ class TestDispersionKernelBytes:
         np.testing.assert_allclose(got, [dispersion_km(lat, lon), 0.0], rtol=1e-9)
 
     def test_generated_dataset(self, tiny_ds, monkeypatch):
+        _assert_dispersions_bytes_equal(
+            lambda: AnalysisContext(tiny_ds), tiny_ds.active_families, monkeypatch
+        )
+
+    @pytest.mark.parametrize("run", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS + [5, 6, 7, 8])
+    def test_runs_of_a_few_participations(self, seed, run, monkeypatch):
+        """Runs of a few participations cut every layout many times, and
+        segments longer than a run stand alone: still the oracle's bytes."""
+        monkeypatch.setattr(geo, "_RUN_PARTICIPATIONS", run)
+        lat, lon, bots, offsets, counts = _random_segments(seed)
+        assert counts.max() > run and counts.sum() > 4 * run
+        coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+        got = geo._segment_dispersions(coords, bots, offsets, counts)
+        want = reference_segment_dispersions(
+            np.radians(lat)[bots], np.radians(lon)[bots], offsets, counts
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_run_edges(self, monkeypatch):
+        """Runs hold whole non-empty segments, at most the run size of
+        them unless one segment alone is longer; zero-count segments at
+        run edges and at the end read 0."""
+        monkeypatch.setattr(geo, "_RUN_PARTICIPATIONS", 5)
+        seen = []
+        run_dispersions = geo._run_dispersions
+
+        def spy(coords, bots, starts, sizes):
+            seen.append(sizes.tolist())
+            return run_dispersions(coords, bots, starts, sizes)
+
+        monkeypatch.setattr(geo, "_run_dispersions", spy)
+        lat, lon, _, _, _ = _random_segments(RANDOM_SEEDS[1])
+        counts = np.array([0, 2, 3, 0, 0, 12, 1, 0, 4, 4, 0, 5, 6, 0])
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        bots = np.random.default_rng(3).integers(0, lat.size, int(counts.sum()))
+        coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+        got = geo._segment_dispersions(coords, bots, offsets, counts)
+        want = reference_segment_dispersions(
+            np.radians(lat)[bots], np.radians(lon)[bots], offsets, counts
+        )
+        assert got.tobytes() == want.tobytes()
+        assert seen == [[2, 3], [12], [1, 4], [4], [5], [6]]
+        assert not got[counts == 0].any()
+
+    def test_generated_dataset_in_short_runs(self, tiny_ds, monkeypatch):
+        monkeypatch.setattr(geo, "_RUN_PARTICIPATIONS", 64)
         _assert_dispersions_bytes_equal(
             lambda: AnalysisContext(tiny_ds), tiny_ds.active_families, monkeypatch
         )
@@ -692,3 +741,42 @@ def test_full_scale_parity():
     for family in ds.active_families:
         _assert_affinity_parity(ctx, family)
     _assert_render_pass_parity(ctx)
+
+
+#: Traced heap an experiment of the flat battery may allocate, at scale
+#: 0.05, beyond what it leaves held.  The run-sized dispersion kernel
+#: and the two-temporary family pass stay near 2.2 MB (Fig 9); an
+#: all-at-once dispersion kernel reads 6.7 MB there, and a family pass
+#: holding four full-length gather arrays 3.4 MB at Fig 3.
+HEAP_OVERSHOOT_BYTES = 3_000_000
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the bench-scale heap guard",
+)
+def test_bench_scale_battery_heap_peak():
+    """Each experiment of the flat battery, at scale 0.05 (the bound's
+    scale, whatever ``REPRO_BENCH_SCALE`` names), peaks at most
+    ``HEAP_OVERSHOOT_BYTES`` of traced heap above what the context holds
+    after it: no view builder allocates per-participation temporaries
+    over the whole trace at once."""
+    import tracemalloc
+
+    from repro.experiments.registry import ALL_EXPERIMENTS
+
+    ctx = AnalysisContext(generate_dataset(DatasetConfig(seed=7, scale=0.05)))
+    over = {}
+    results = []
+    tracemalloc.start()
+    try:
+        for experiment in ALL_EXPERIMENTS:
+            tracemalloc.reset_peak()
+            results.append(experiment.run(ctx))
+            held, peak = tracemalloc.get_traced_memory()
+            over[experiment.id] = peak - held
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(ALL_EXPERIMENTS)
+    assert {k: v for k, v in over.items() if v > HEAP_OVERSHOOT_BYTES} == {}, over
