@@ -654,19 +654,29 @@ class AnalysisContext:
 
 def _build_family_pass(ds: AttackDataset, groups: dict[int, np.ndarray]) -> FamilyPass:
     """The :class:`FamilyPass` over ``groups`` (a family attack index)."""
+    from .geolocation import _RUN_PARTICIPATIONS
+
     rows = np.concatenate(list(groups.values())) if groups else np.zeros(0, dtype=np.int64)
     bounds = np.cumsum([0, *(g.size for g in groups.values())]).tolist()
     po = ds.part_offsets
     firsts = po[rows]
     offsets = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(po[rows + 1] - firsts, out=offsets[1:])
-    # One gather instead of a per-attack slice loop: segment k copies the
-    # dataset-wide CSR from ``part_offsets[rows[k]]`` on.
+    # Segment k copies the dataset-wide CSR from ``part_offsets[rows[k]]``
+    # on.  One gather per run of whole segments, so the int64 positions
+    # stay run-sized.
+    participants = np.asarray(ds.participants)
+    flat = np.empty(int(offsets[-1]), dtype=participants.dtype)
+    for lo, hi in _stats.segment_runs(offsets[:-1], offsets[1:], _RUN_PARTICIPATIONS):
+        run = offsets[lo : hi + 1]
+        flat[run[0] : run[-1]] = participants[
+            _stats.segment_positions(firsts[lo:hi], run - run[0])
+        ]
     return FamilyPass(
         {fam: (bounds[i], bounds[i + 1]) for i, fam in enumerate(groups)},
         ds.start[rows],
         offsets,
-        np.asarray(ds.participants)[_stats.segment_positions(firsts, offsets)],
+        flat,
     )
 
 

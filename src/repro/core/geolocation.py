@@ -27,7 +27,7 @@ import numpy as np
 
 from ..geo.haversine import EARTH_RADIUS_KM
 from .context import AnalysisContext, AnalysisSource
-from .stats import ecdf, segment_positions, unique_pairs
+from .stats import ecdf, segment_positions, segment_runs, unique_pairs
 
 __all__ = [
     "SYMMETRY_TOLERANCE_KM",
@@ -72,9 +72,14 @@ def bot_coords(bots) -> BotCoords:
 
 
 #: Participations one run of :func:`_segment_dispersions` evaluates at
-#: once.  A run allocates about fifteen float64 temporaries of its length,
-#: so this bounds the kernel's working set near 4 MB at any trace size.
+#: once, and one run of the family pass's CSR gather
+#: (``context._build_family_pass``) copies.  A dispersion run holds five
+#: float64 buffers of its length plus one transient gather or repeat at a
+#: time, about 2 MB; a gather run one int64 positions array.  So both
+#: working sets stay the same at any trace size.
 _RUN_PARTICIPATIONS = 1 << 15
+
+_TWO_PI = 2.0 * np.pi
 
 
 def _segment_dispersions(
@@ -97,15 +102,11 @@ def _segment_dispersions(
     full = np.flatnonzero(counts)
     starts = offsets[full]
     stops = starts + counts[full]
-    lo = 0
-    while lo < full.size:
-        hi = int(np.searchsorted(stops, starts[lo] + _RUN_PARTICIPATIONS, side="right"))
-        hi = max(hi, lo + 1)
+    for lo, hi in segment_runs(starts, stops, _RUN_PARTICIPATIONS):
         first = starts[lo]
         values[full[lo:hi]] = _run_dispersions(
             coords, bots[first : stops[hi - 1]], starts[lo:hi] - first, counts[full[lo:hi]]
         )
-        lo = hi
     return values
 
 
@@ -117,7 +118,10 @@ def _run_dispersions(
 
     Segment centres via the 3-D unit-vector mean, a broadcast signed
     haversine from every point to its segment's centre, and one
-    ``np.add.reduceat`` rollup of the signed sums.
+    ``np.add.reduceat`` rollup of the signed sums.  The haversine runs
+    in place in run-sized buffers; ``* 0.5`` for ``/ 2.0`` and ``a *= a``
+    for ``a ** 2`` round the same, so the values are the ones the
+    expression form gives, to the byte.
     """
     # Geographic centre per segment (3-D unit-vector mean).
     sx = np.add.reduceat(coords.x[bots], starts) / sizes
@@ -129,18 +133,56 @@ def _run_dispersions(
     lon_c = np.arctan2(sy, sx)
 
     # Broadcast each segment's centre back onto its participants.
-    dlat = coords.lat[bots] - np.repeat(lat_c, sizes)
-    dlon = coords.lon[bots] - np.repeat(lon_c, sizes)
-    a = (
-        np.sin(dlat / 2.0) ** 2
-        + np.repeat(np.cos(lat_c), sizes) * coords.cos_lat[bots] * np.sin(dlon / 2.0) ** 2
-    )
-    dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-    # Paper's sign convention: east positive, west negative; ties by north/south.
-    wrapped = np.mod(dlon + np.pi, 2.0 * np.pi) - np.pi
-    sign = np.sign(wrapped)
-    sign = np.where(sign == 0, np.sign(dlat), sign)
-    return np.abs(np.add.reduceat(sign * dist, starts))
+    dlat = coords.lat[bots]
+    dlat -= np.repeat(lat_c, sizes)
+    dlon = coords.lon[bots]
+    dlon -= np.repeat(lon_c, sizes)
+    # sin²(dlat/2) + cos(lat_c)·cos(lat)·sin²(dlon/2), in that order.
+    dist = np.multiply(dlat, 0.5)
+    np.sin(dist, out=dist)
+    dist *= dist
+    term = np.multiply(dlon, 0.5)
+    np.sin(term, out=term)
+    term *= term
+    cos_prod = np.repeat(np.cos(lat_c), sizes)
+    cos_prod *= coords.cos_lat[bots]
+    term *= cos_prod
+    dist += term
+    np.clip(dist, 0.0, 1.0, out=dist)
+    np.sqrt(dist, out=dist)
+    np.arcsin(dist, out=dist)
+    dist *= 2.0 * EARTH_RADIUS_KM
+
+    # Paper's sign convention: east positive, west negative; ties by
+    # north/south.  The sign is that of mod(dlon + π, 2π) − π.
+    wrapped = _wrap_2pi(np.add(dlon, np.pi, out=term))
+    wrapped -= np.pi
+    # Out of place: numpy's in-place ``sign`` misses its SIMD loop.
+    sign = np.sign(wrapped, out=cos_prod)
+    np.sign(dlat, out=sign, where=sign == 0)
+    sign *= dist
+    return np.abs(np.add.reduceat(sign, starts))
+
+
+def _wrap_2pi(t: np.ndarray) -> np.ndarray:
+    """``np.mod(t, 2π)`` in place, to the bit for every ``t`` but −0.0
+    (which ``dlon + π`` never is: an exact cancellation rounds to +0.0).
+
+    For ``t`` in (−2π, 4π) numpy's remainder is ``t + 2π`` where ``t <
+    0`` (the same rounded sum), ``t − 2π`` where ``t ≥ 2π`` (exact by
+    Sterbenz's lemma) and ``t`` elsewhere, so two masked in-place ops
+    give it; the upper mask is taken before the add, since ``t + 2π``
+    may round up to 2π itself.  A run whose ``t`` leaves that range (a
+    longitude far outside ±180°, which ingested rows may carry) or holds
+    a NaN takes ``np.mod``.
+    """
+    if t.min() > -_TWO_PI and t.max() < 2.0 * _TWO_PI:
+        over = t >= _TWO_PI
+        np.add(t, _TWO_PI, out=t, where=t < 0)
+        np.subtract(t, _TWO_PI, out=t, where=over)
+    else:
+        np.mod(t, _TWO_PI, out=t)
+    return t
 
 
 def attack_dispersions(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
-from .stats import sorted_unique, unique_pairs
 
 __all__ = ["WeeklyShift", "weekly_shift", "aggregate_shift"]
 
@@ -64,11 +63,19 @@ def _weekly_pairs(
 
     Returns ``(weeks_u, u_week, u_bot)``: the sorted week indices with
     any attack (participant-less weeks included) and the unique
-    (week, bot) participation pairs sorted by week then bot.  All three
+    (week, bot) participation pairs sorted by week then bot, in
+    :func:`~repro.core.stats.unique_pairs`' order and dtypes.  All three
     are empty for a family with no attacks — unlike the finished shift,
     this half never raises, so per-shard results union cleanly: the
     sharded merge concatenates parts, re-sorts, and dedupes to exactly
     the global pair table.
+
+    A family's rows are chronological, so each week's participations
+    are one slice of the family CSR.  Each slice is deduped by marking
+    its bots in one reused bool bitmap and reading the marks back over
+    the week's bot span (``np.flatnonzero`` yields them sorted): a first
+    pass counts each week's bots, a second fills outputs of that size,
+    so no full-length sort key or per-week piece outlives its week.
     """
     ds = ctx.dataset
     fp, lo, hi = ctx._family_run(family)
@@ -76,26 +83,46 @@ def _weekly_pairs(
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, np.zeros(0, dtype=np.int64)
     weeks_of_attack = ((fp.starts[lo:hi] - ds.window.start) // (7 * 86400)).astype(np.int64)
-
     offsets, flat = ctx.family_participants(family)
-    counts = np.diff(offsets)
-    week_rep = np.repeat(weeks_of_attack, counts)
 
-    # Unique (week, bot) pairs: a bot counts once per active week.
-    u_week, u_bot = unique_pairs(week_rep, flat, ds.bots.n_bots)
-    return sorted_unique(weeks_of_attack), u_week, u_bot
+    # Each week's attacks are one run of rows, so their participations
+    # are one slice of ``flat``.
+    firsts = np.flatnonzero(np.diff(weeks_of_attack, prepend=weeks_of_attack[0] - 1))
+    bounds = offsets[np.append(firsts, weeks_of_attack.size)].tolist()
+    n_bots = ds.bots.n_bots
+    marks = np.zeros(n_bots, dtype=bool)
+    hits = np.zeros(firsts.size, dtype=np.int64)
+    spans = []
+    for k, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if b0 == b1:
+            continue
+        bots = flat[b0:b1]
+        low, high = int(bots.min()), int(bots.max()) + 1
+        if low < 0 or high > n_bots:
+            raise ValueError(f"bot indices must lie in [0, {n_bots})")
+        marks[bots] = True
+        hits[k] = np.count_nonzero(marks[low:high])
+        marks[low:high] = False
+        spans.append((k, bots, low, high))
+    # A bot counts once per active week.
+    u_week = np.repeat(weeks_of_attack[firsts], hits)
+    u_bot = np.empty(u_week.size, dtype=flat.dtype)
+    at = 0
+    for k, bots, low, high in spans:
+        marks[bots] = True
+        week = u_bot[at : at + hits[k]]
+        week[:] = np.flatnonzero(marks[low:high])
+        week += low
+        marks[low:high] = False
+        at += hits[k]
+    return weeks_of_attack[firsts], u_week, u_bot
 
 
 def _weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
     """Sweep-line form of the weekly shift: one pass over (week, bot) pairs.
 
-    The per-week loop with an accumulating ``seen`` set is equivalent to
-    labelling every country with the week it first appears: a unique
-    (week, bot) participation counts as "existing" when its country's
-    first week is strictly earlier (or the week is the family's baseline
-    week), "new" otherwise.  Counts are integers, so this is exactly
-    equal to the per-week loop in ``tests/oracles/kernels.py`` (pinned
-    by the parity tests).
+    Counts are integers, so this is exactly equal to the per-week loop
+    in ``tests/oracles/kernels.py`` (pinned by the parity tests).
     """
     weeks_u, u_week, u_bot = ctx.weekly_shift_pairs(family)
     return _finish_weekly_shift(ctx.dataset, family, weeks_u, u_week, u_bot)
@@ -104,38 +131,43 @@ def _weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
 def _finish_weekly_shift(
     ds, family: str, weeks_u: np.ndarray, u_week: np.ndarray, u_bot: np.ndarray
 ) -> WeeklyShift:
-    """Integer reduction from (week, bot) pairs to the Fig 8 series."""
+    """Integer reduction from (week, bot) pairs to the Fig 8 series.
+
+    The pairs are sorted by week, so each week is one slice of them, and
+    the weeks are swept in order with a bitmap of the countries seen so
+    far: a unique (week, bot) participation counts as "existing" when its
+    country was seen in an earlier week, "new" otherwise, and a country
+    counts once as new in the first week it appears in.  The baseline,
+    the first week with any participants, is all "existing" and enters
+    no new country; the loop form's ``seen`` set stays empty across the
+    participant-less weeks before it.  Every temporary is one week's size.
+    """
     if weeks_u.size == 0:
         raise ValueError(f"family {family!r} launched no attacks")
-    u_country = ds.bots.country_idx[u_bot]
-
-    # The baseline is the first week with any participants: the loop
-    # form's ``seen`` set stays empty across participant-less weeks.
-    baseline = u_week[0] if u_week.size else weeks_u[0]
     n_weeks = weeks_u.size
-
-    # First week each present country appears in.
-    n_countries = int(u_country.max()) + 1 if u_country.size else 0
-    first_week = np.full(n_countries, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_week, u_country, u_week)
-
-    known = (u_week == baseline) | (first_week[u_country] < u_week)
-    wpos = np.searchsorted(weeks_u, u_week)
-    bots_existing = np.bincount(wpos[known], minlength=n_weeks)
-    bots_new = np.bincount(wpos[~known], minlength=n_weeks)
-
-    present = np.flatnonzero(first_week < np.iinfo(np.int64).max)
-    fresh_weeks = first_week[present]
-    fresh_weeks = fresh_weeks[fresh_weeks > baseline]
-    new_countries = np.bincount(
-        np.searchsorted(weeks_u, fresh_weeks), minlength=n_weeks
-    )
+    bots_existing = np.zeros(n_weeks, dtype=np.int64)
+    bots_new = np.zeros(n_weeks, dtype=np.int64)
+    new_countries = np.zeros(n_weeks, dtype=np.int64)
+    country_idx = ds.bots.country_idx
+    seen = np.zeros(int(country_idx.max(initial=-1)) + 1, dtype=bool)
+    bounds = np.append(np.searchsorted(u_week, weeks_u), u_week.size).tolist()
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
+            continue
+        countries = country_idx[u_bot[lo:hi]]
+        before = np.count_nonzero(seen)
+        known = np.count_nonzero(seen[countries]) if before else hi - lo
+        seen[countries] = True
+        bots_existing[k] = known
+        bots_new[k] = hi - lo - known
+        if before:
+            new_countries[k] = np.count_nonzero(seen) - before
     return WeeklyShift(
         family=family,
         weeks=weeks_u.astype(np.int64),
-        bots_existing=bots_existing.astype(np.int64),
-        bots_new=bots_new.astype(np.int64),
-        new_countries=new_countries.astype(np.int64),
+        bots_existing=bots_existing,
+        bots_new=bots_new,
+        new_countries=new_countries,
     )
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "sorted_unique",
     "unique_pairs",
     "segment_positions",
+    "segment_runs",
 ]
 
 
@@ -105,6 +106,22 @@ def segment_positions(firsts, offsets: np.ndarray) -> np.ndarray:
     pos = np.repeat(np.asarray(firsts, dtype=np.int64) - offsets[:-1], np.diff(offsets))
     pos += np.arange(pos.size, dtype=np.int64)
     return pos
+
+
+def segment_runs(starts: np.ndarray, stops: np.ndarray, bound: int):
+    """Cut consecutive segments ``[starts[k], stops[k])`` into runs.
+
+    Yields ``(lo, hi)``: segments ``lo..hi-1`` span at most ``bound``
+    elements, from ``starts[lo]`` to ``stops[hi - 1]``, unless one
+    segment alone is longer and forms a run by itself.  ``stops`` must be
+    non-decreasing.
+    """
+    lo = 0
+    while lo < starts.size:
+        hi = int(np.searchsorted(stops, starts[lo] + bound, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 # -- rank windows ----------------------------------------------------------

@@ -207,3 +207,15 @@ def test_family_views_match_the_per_family_reference(small_ds, cut):
         assert 0 in sizes
         if cut == -1:
             assert max(sizes) == 1
+
+
+@pytest.mark.parametrize("run", [1, 5, 64])
+def test_family_pass_gathers_in_short_runs(tiny_ds, run, monkeypatch):
+    """The family pass gathers its CSR in runs of whole segments; runs of
+    a few participations, with empty lists among the segments, give the
+    same views as the per-family reference."""
+    from repro.core import geolocation
+
+    monkeypatch.setattr(geolocation, "_RUN_PARTICIPATIONS", run)
+    for ds in (tiny_ds, thin_participants(tiny_ds)):
+        assert_family_views_match_reference(ds)

@@ -6,17 +6,20 @@ Figs 16 and 18's per-event and per-chain passes among them) replaced
 straightforward Python
 loops; the originals are kept in ``tests/oracles/kernels.py`` and these
 tests pin the two implementations equal — exactly for the integer/tuple
-kernels, allclose for the dispersion kernel (its float summation order
-differs) — across randomized datasets and the boundary cases the window
-arithmetic is most likely to get wrong.  The dispersion kernel is also
-pinned byte for byte to its form before the per-bot trigonometry moved
-into the bot geo matrix, and the family views the accessors slice from
-one all-families pass bitwise to the per-family builds they replaced.
+kernels, ``allclose`` only for the per-snapshot dispersion loop (its
+float summation order differs) — across randomized datasets and the
+boundary cases the window arithmetic is most likely to get wrong.  The
+per-attack dispersion kernel is pinned byte for byte to its form before
+the per-bot trigonometry moved into the bot geo matrix, and the family
+views the accessors slice from one all-families pass bitwise to the
+per-family builds they replaced.
 
 The dispersion kernel's runs are pinned the same way with the run size
-cut to a few participations.  The full-scale sweep and the battery's
-heap guard (marked ``slow``) only run when ``REPRO_BENCH_SCALE`` names a
-scale, as in the CI parity step.
+cut to a few participations, and its ``np.mod``-free sign at the wrap
+points.  The weekly pairs' per-week bitmap is pinned to ``unique_pairs``
+on random layouts.  The bench-scale pins, the full-scale sweep and the
+battery's heap guard (marked ``slow``) only run when
+``REPRO_BENCH_SCALE`` names a scale, as in the CI parity step.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.core.consecutive import (
     detect_chains,
 )
 from repro.core.context import AnalysisContext, ShardedAnalysisContext
-from repro.core.shift import _weekly_shift
+from repro.core.shift import _weekly_pairs, _weekly_shift
 from repro.core.targets import organization_affinity
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
@@ -68,10 +71,12 @@ from ..oracles.kernels import (
     reference_detect_collaborations,
     reference_organization_affinity,
     reference_pair_analysis,
+    reference_segment_centers,
     reference_segment_dispersions,
     reference_segment_dispersions_of,
     reference_snapshot_dispersions,
     reference_stable_chain_count,
+    reference_weekly_pairs,
     reference_weekly_shift,
 )
 
@@ -257,6 +262,53 @@ def _random_segments(seed: int):
     return lat, lon, bots, offsets, counts
 
 
+def _wrap_point_segments():
+    """Segments of equator bots (longitudes in degrees) whose ``dlon + π``
+    lands on 0, π, 2π and 3π and on their neighbours, then two that
+    leave the sign's fast domain: a longitude of 700° and a NaN one.
+
+    A tiny longitude tilts a segment's centre off 0 or −π by an ulp or
+    two; ±180° and one ulp inside it reach the wrap points themselves,
+    and three ulps past 180° reach the ulp above 3π (the centre cannot
+    lie below −π).
+    """
+    inside = np.nextafter(180.0, 0.0)
+    past = 180.0
+    for _ in range(3):
+        past = np.nextafter(past, 360.0)
+    in_domain = [
+        [0.0, 0.0, 4e-14, -180.0],
+        [0.0, 0.0, 0.0, -180.0],
+        [0.0, 0.0, 1e-14, -inside],
+        [0.0, 0.0, 0.0, inside],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -inside],
+        [0.0, 0.0, 0.0, 180.0],
+        [0.0, 0.0, -1e-14, np.nextafter(180.0, 360.0)],
+        [-180.0, -180.0, -179.9999999999998, inside],
+        [-180.0, -180.0, -180.0, 180.0],
+        [-180.0, -180.0, -180.0, past],
+    ]
+    return in_domain, [[0.0, 0.0, 10.0, 700.0], [0.0, np.nan, 30.0]]
+
+
+def _equator_layout(segments):
+    """Bot coordinates (degrees) and CSR layout of ``segments``."""
+    lon = np.array([v for seg in segments for v in seg])
+    counts = np.array([len(seg) for seg in segments])
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return np.zeros(lon.size), lon, np.arange(lon.size), offsets, counts
+
+
+def _wrap_arguments(segments):
+    """``dlon + π`` of every bot of ``segments``, with the oracle's
+    segment centres."""
+    lat, lon, _, offsets, counts = _equator_layout(segments)
+    lat_r, lon_r = np.radians(lat), np.radians(lon)
+    _, lon_c = reference_segment_centers(lat_r, lon_r, offsets, counts)
+    return (lon_r - np.repeat(lon_c, counts)) + np.pi
+
+
 def _assert_dispersions_bytes_equal(ctx_factory, families, monkeypatch):
     """Per-attack and per-snapshot dispersions equal, byte for byte, a
     build on a fresh context whose kernel is the pre-hoist oracle."""
@@ -368,6 +420,114 @@ class TestDispersionKernelBytes:
         _assert_dispersions_bytes_equal(
             lambda: AnalysisContext(tiny_ds), tiny_ds.active_families, monkeypatch
         )
+
+
+    @pytest.mark.parametrize("run", [1, None])
+    def test_sign_at_its_wrap_points(self, run, monkeypatch):
+        """The sign's masked wrap is ``np.mod``'s, to the byte: on ``dlon
+        + π`` of 0, π, 2π and 3π and their neighbours, and through the
+        ``np.mod`` fallback for a longitude outside ±180° and a NaN one.
+        With one segment per run each segment takes its own path; in one
+        run, the in-domain segments alone take the masked wrap and all of
+        them together the fallback."""
+        in_domain, fallback = _wrap_point_segments()
+        t = _wrap_arguments(in_domain)
+        ulp_pi = np.spacing(np.pi)
+        for value in (-ulp_pi, 0.0, ulp_pi):
+            assert value in t, value
+        for point in (np.pi, 2 * np.pi, 3 * np.pi):
+            for value in (np.nextafter(point, 0.0), point, np.nextafter(point, 10.0)):
+                assert value in t, value
+        assert -2 * np.pi < t.min() and t.max() < 4 * np.pi
+        assert _wrap_arguments(fallback[:1]).max() >= 4 * np.pi
+
+        if run is not None:
+            monkeypatch.setattr(geo, "_RUN_PARTICIPATIONS", run)
+        for segments in (in_domain, in_domain + fallback):
+            lat, lon, bots, offsets, counts = _equator_layout(segments)
+            coords = geo.bot_coords(SimpleNamespace(lat=lat, lon=lon))
+            got = geo._segment_dispersions(coords, bots, offsets, counts)
+            want = reference_segment_dispersions(
+                np.radians(lat), np.radians(lon), offsets, counts
+            )
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+
+
+def _random_participants(ds, seed: int, dtype=np.int64):
+    """``ds`` with a random participant CSR of ``dtype``.
+
+    Half the draws come from a pool of eight bots, so bots repeat within
+    attacks and weeks; the first and last bot indices both occur; the
+    attack counts include zeros, and unless the rows span one week,
+    every attack of one mid-trace week has none.
+    """
+    rng = np.random.default_rng(seed)
+    n_bots = ds.bots.n_bots
+    counts = rng.integers(0, 7, ds.n_attacks)
+    weeks = (ds.start - ds.window.start) // (7 * 86400)
+    mid = weeks == weeks[ds.n_attacks // 2]
+    if not mid.all():
+        counts[mid] = 0
+    total = int(counts.sum())
+    bots = np.where(
+        rng.random(total) < 0.5,
+        rng.choice(rng.integers(0, n_bots, 8), total),
+        rng.integers(0, n_bots, total),
+    )
+    bots[[0, -1]] = [0, n_bots - 1]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return dataclasses.replace(ds, part_offsets=offsets, participants=bots.astype(dtype))
+
+
+def _assert_weekly_pairs_match_reference(ds) -> list[tuple]:
+    """Every family's weekly pairs, dtypes included, and its finished
+    shift equal the references.  Returns the families' pairs."""
+    from .test_shard_merge import _assert_view_equal
+
+    ctx = AnalysisContext(ds)
+    pairs = []
+    for family in ds.families:
+        got = _weekly_pairs(ctx, family)
+        _assert_view_equal(family, got, reference_weekly_pairs(ctx, family))
+        if ctx.family_attacks(family).size:
+            _assert_shift_equal(_weekly_shift(ctx, family), reference_weekly_shift(ctx, family))
+        pairs.append(got)
+    return pairs
+
+
+class TestWeeklyPairs:
+    """The per-week bitmap dedupe is ``unique_pairs``' pair table."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_random_layouts(self, tiny_ds, seed, dtype):
+        ds = _random_participants(tiny_ds, seed, dtype)
+        pairs = _assert_weekly_pairs_match_reference(ds)
+        u_bot = np.concatenate([p[2] for p in pairs])
+        assert {0, ds.bots.n_bots - 1} <= set(u_bot.tolist())
+        # Repeats were deduped, and some week with attacks kept no pair.
+        assert u_bot.size < ds.participants.size
+        assert any(np.setdiff1d(p[0], p[1]).size for p in pairs)
+
+    def test_one_week_families(self, tiny_ds):
+        week_end = tiny_ds.window.start + 7 * 86400
+        rows = _slice_dataset(tiny_ds, 0, int(np.searchsorted(tiny_ds.start, week_end)))
+        for weeks_u, _, _ in _assert_weekly_pairs_match_reference(rows):
+            assert weeks_u.size <= 1
+        _assert_weekly_pairs_match_reference(_random_participants(rows, 3))
+
+    def test_thin_participants(self, tiny_ds):
+        _assert_weekly_pairs_match_reference(thin_participants(tiny_ds))
+
+    def test_bot_out_of_range_raises(self, tiny_ds):
+        ds = _random_participants(tiny_ds, 5)
+        ds.participants[-1] = ds.bots.n_bots
+        owner = np.searchsorted(ds.part_offsets, ds.participants.size - 1, side="right") - 1
+        family = ds.family_name(int(ds.family_idx[owner]))
+        for pairs in (_weekly_pairs, reference_weekly_pairs):
+            with pytest.raises(ValueError):
+                pairs(AnalysisContext(ds), family)
 
 
 def _assert_render_pass_parity(ctx):
@@ -718,6 +878,20 @@ def test_bench_scale_family_views():
     ds = generate_dataset(DatasetConfig(seed=7, scale=float(os.environ["REPRO_BENCH_SCALE"])))
     for rows in (ds, _slice_dataset(ds, ds.n_attacks - 500, ds.n_attacks), thin_participants(ds)):
         assert_family_views_match_reference(rows)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the bench-scale weekly pairs pin",
+)
+def test_bench_scale_weekly_pairs():
+    """At bench scale, every family's weekly pairs and shift equal the
+    references: on the generated participants, on a random layout of
+    int32 bots, and with every third attack's participants emptied."""
+    ds = generate_dataset(DatasetConfig(seed=7, scale=float(os.environ["REPRO_BENCH_SCALE"])))
+    for rows in (ds, _random_participants(ds, 11, np.int32), thin_participants(ds)):
+        _assert_weekly_pairs_match_reference(rows)
 
 
 @pytest.mark.slow
