@@ -19,7 +19,7 @@ import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
 from .scans import ScanEvents, in_scan_order
-from .stats import sorted_unique
+from .stats import linked_runs, sorted_unique
 
 __all__ = [
     "START_WINDOW_SECONDS",
@@ -89,53 +89,62 @@ def detect_collaborations(
     )
 
 
-def _detect_collaborations(ds, start_window: float, duration_window: float) -> ScanEvents:
+def _detect_collaborations(
+    ds, start_window: float, duration_window: float, order: np.ndarray | None = None
+) -> ScanEvents:
     """The raw scan behind :func:`detect_collaborations`.
 
-    A sweep-line kernel over the ``(target, start)``-sorted attack
-    columns: one boundary mask splits the sweep into candidate runs
-    (target change *or* start gap beyond the window), the per-run
-    botnet dedupe is a second lexsort plus a first-occurrence mask,
-    and the duration filter broadcasts each run's first-member duration
-    with ``np.repeat``.  The surviving members of the runs with two or
-    more of them are the events' rows, as they lie in the sweep, so the
-    events come out in NumPy alone.  Pinned equal to the per-target
-    loop in ``tests/oracles/kernels.py`` by the parity tests.
+    A sweep-line kernel over the rows in ``(target, start)`` order:
+    ``order``, a context's shared
+    :meth:`~repro.core.context.AnalysisContext.target_order`, or the
+    kernel's own ``lexsort`` when none is given (the seam rescan's row
+    slices).  One boundary mask splits the sweep into candidate runs
+    (target change *or* start gap beyond the window).  A run of one row
+    keeps at most one member, so it can never become an event, and only
+    the rows of runs of two or more go on: over those rows alone, in
+    sweep order, the duration filter broadcasts each run's first-member
+    duration with ``np.repeat``, the per-run botnet dedupe is a second
+    lexsort plus a first-occurrence mask, and a ``bincount`` counts each
+    run's survivors.  The survivors of the runs that keep two or more
+    are the events' rows, as they lie in the sweep, so the events come
+    out in NumPy alone.  Pinned equal to the per-target loop in
+    ``tests/oracles/kernels.py`` by the parity tests.
     """
     n = ds.n_attacks
     if n == 0:
         return ScanEvents.empty()
-    order = np.lexsort((ds.start, ds.target_idx))
+    if order is None:
+        order = np.lexsort((ds.start, ds.target_idx))
     targets = ds.target_idx[order]
     starts = ds.start[order]
-    durations = (ds.end - ds.start)[order]
-    botnets = ds.botnet_id[order]
 
     # Candidate runs: maximal stretches on one target whose successive
     # starts are within the window.
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (targets[1:] != targets[:-1]) | (
-        starts[1:] - starts[:-1] > start_window
+    pos, new_run = linked_runs(
+        (targets[1:] == targets[:-1]) & ~(starts[1:] - starts[:-1] > start_window)
     )
+    if pos.size == 0:
+        return ScanEvents.empty()
+    rows = order[pos]
     run_id = np.cumsum(new_run) - 1
     n_runs = int(run_id[-1]) + 1
     run_first = np.flatnonzero(new_run)
-    run_sizes = np.diff(np.append(run_first, n))
+    run_sizes = np.diff(np.append(run_first, pos.size))
+    durations = ds.end[rows] - ds.start[rows]
+    botnets = ds.botnet_id[rows]
 
     # Duration filter: within a run, members stray at most
     # ``duration_window`` from the *first* member's duration.  It runs
     # before the dedupe — a botnet whose earliest attack fails the
     # filter may still contribute a later, conforming attack.
     base = np.repeat(durations[run_first], run_sizes)
-    dur_ok = np.abs(durations - base) <= duration_window
-    ok_pos = np.flatnonzero(dur_ok)
+    ok_pos = np.flatnonzero(np.abs(durations - base) <= duration_window)
 
     # Botnet dedupe among the survivors: a botnet cannot collaborate
     # with itself, so only its first conforming attack per run counts.
     # lexsort is stable, so the first position within each
     # (run, botnet) block is the earliest.
-    keep = np.zeros(n, dtype=bool)
+    keep = np.zeros(pos.size, dtype=bool)
     if ok_pos.size:
         ok_runs = run_id[ok_pos]
         ok_bots = botnets[ok_pos]
@@ -150,7 +159,7 @@ def _detect_collaborations(ds, start_window: float, duration_window: float) -> S
     kept_per_run = np.bincount(run_id[keep], minlength=n_runs)
     good = kept_per_run >= 2
     members = keep & good[run_id]
-    events = ScanEvents.from_sizes(order[members], kept_per_run[good])
+    events = ScanEvents.from_sizes(rows[members], kept_per_run[good])
     return in_scan_order(ds, events)
 
 

@@ -85,10 +85,15 @@ def detect_chains(
     return attack_chains(ctx.dataset, _detect_chains(ctx.dataset, margin, min_length))
 
 
-def _detect_chains(ds, margin: float, min_length: int) -> ScanEvents:
+def _detect_chains(
+    ds, margin: float, min_length: int, order: np.ndarray | None = None
+) -> ScanEvents:
     """The raw scan behind :func:`detect_chains`.
 
-    A sweep-line kernel: in ``(target, start)`` order, attack ``k``
+    A sweep-line kernel: in ``(target, start)`` order (``order``, the
+    context's shared
+    :meth:`~repro.core.context.AnalysisContext.target_order`, or the
+    kernel's own lexsort when none is given), attack ``k``
     links to its immediate predecessor exactly when they share a target,
     ``start[k]`` is within ``margin`` of ``end[k-1]`` and the starts are
     more than a second apart (simultaneous attacks are collaborations,
@@ -101,7 +106,8 @@ def _detect_chains(ds, margin: float, min_length: int) -> ScanEvents:
     n = ds.n_attacks
     if n == 0:
         return ScanEvents.empty()
-    order = np.lexsort((ds.start, ds.target_idx))
+    if order is None:
+        order = np.lexsort((ds.start, ds.target_idx))
     targets = ds.target_idx[order]
     starts = ds.start[order]
     ends = ds.end[order]

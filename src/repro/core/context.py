@@ -109,9 +109,11 @@ class AnalysisContext:
         #: built from scratch; a merge or stream carry passes its store
         #: on, so the next extension of this context grows in place.
         self._columns: "ColumnStore | None" = None
-        #: Built on first use; not a view, so never carried or counted.
+        #: Built on first use; not views, so never carried or counted.
         self._family_pass: FamilyPass | None = None
         self._family_pass_lock = threading.Lock()
+        self._target_order: np.ndarray | None = None
+        self._target_order_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
 
@@ -298,6 +300,23 @@ class AnalysisContext:
         groups = self._groups_by("target_attack_index", self._ds.target_idx)
         return groups.get(int(target_index), np.zeros(0, dtype=np.int64))
 
+    def target_order(self) -> np.ndarray:
+        """The rows in ``(target, start)`` order: ``np.lexsort((start,
+        target_idx))``, the sweep order of both §V scans and of
+        :meth:`target_links`.
+
+        Built once, under its own lock, and held outside the views like
+        :meth:`family_pass`: it is never carried, merged or counted, so
+        a merged or streamed context holds the same views a flat build
+        does.  The dataset keeps ``start`` sorted, so this is also the
+        stable sort by target alone.
+        """
+        if self._target_order is None:
+            with self._target_order_lock:
+                if self._target_order is None:
+                    self._target_order = np.lexsort((self._ds.start, self._ds.target_idx))
+        return self._target_order
+
     def target_links(self) -> tuple[np.ndarray, np.ndarray]:
         """``(last, prev)`` attack indices along each victim's attacks.
 
@@ -306,11 +325,20 @@ class AnalysisContext:
         The scan stitch of :func:`repro.core.merge.extend_views` probes
         these, so finding where appended rows continue earlier runs costs
         O(appended rows), not O(targets).
+
+        The walk follows :meth:`target_order`, which equals
+        ``np.argsort(target_idx, kind="stable")`` because
+        :class:`~repro.core.dataset.AttackDataset` rejects unsorted
+        starts.  A NaN start would pass that check and sort last in the
+        lexsort, but no constructor admits one: ingest goes through
+        :class:`~repro.stream.StreamingDataset`, whose row check
+        (``stream.builder._checked``) rejects non-finite times, and the
+        generator and the column store load only what they wrote.
         """
 
         def build() -> tuple[np.ndarray, np.ndarray]:
             targets = self._ds.target_idx
-            order = np.argsort(targets, kind="stable")
+            order = self.target_order()
             same = targets[order[1:]] == targets[order[:-1]]
             prev = np.full(order.size, -1, dtype=np.int64)
             prev[order[1:][same]] = order[:-1][same]
@@ -393,8 +421,9 @@ class AnalysisContext:
     # -- participants and geolocation --------------------------------------
 
     def bot_coords_radians(self) -> BotCoords:
-        """Every bot's lat/lon in radians and the per-bot columns the
-        dispersion kernel gathers — the participant geo matrix."""
+        """The participant geo matrix: one row-major ``(lat, lon, x, y, z,
+        cos_lat)`` row per bot, in radians, which the dispersion kernel
+        gathers with one ``take``."""
 
         def build() -> BotCoords:
             from .geolocation import bot_coords
@@ -579,6 +608,7 @@ class AnalysisContext:
                 self._ds,
                 _collaboration.START_WINDOW_SECONDS,
                 _collaboration.DURATION_WINDOW_SECONDS,
+                self.target_order(),
             )
 
         return self.view(("collaborations",), build)
@@ -595,7 +625,7 @@ class AnalysisContext:
             from . import consecutive as _consecutive
 
             return _consecutive._detect_chains(
-                self._ds, _consecutive.CHAIN_MARGIN_SECONDS, 2
+                self._ds, _consecutive.CHAIN_MARGIN_SECONDS, 2, self.target_order()
             )
 
         return self.view(("chains",), build)
@@ -702,7 +732,11 @@ class ShardedAnalysisContext:
     in a :class:`~repro.core.columns.ColumnStore` the merged
     context keeps, so a re-merge grows them in place.  Interval arrays
     gain the boundary gaps, and the collaboration/chain scans
-    regenerate only the runs that cross a seam.  Which views are built
+    regenerate only the runs that cross a seam.  Each shard's scans and
+    its ``target_links`` walk share one ``(target, start)`` sort, its
+    :meth:`AnalysisContext.target_order`, which is held outside the
+    views and so neither merged nor carried; all shards share one bot
+    geo matrix (:meth:`_shared_bot_coords`).  Which views are built
     per shard and merged comes from
     :func:`~repro.experiments.registry.battery_views`.  Views no
     experiment reads — the hourly-snapshot dispersions, the per-family
@@ -783,7 +817,9 @@ class ShardedAnalysisContext:
     # -- per-shard layer ---------------------------------------------------
 
     def _shared_bot_coords(self) -> BotCoords:
-        """The bot geo matrix, computed once (registries are shared)."""
+        """The bot geo matrix (see
+        :meth:`AnalysisContext.bot_coords_radians`), computed once:
+        the registries are shared."""
         if self._shared_coords is None:
             from .geolocation import bot_coords
 

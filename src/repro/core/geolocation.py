@@ -48,17 +48,22 @@ SYMMETRY_TOLERANCE_KM = 100.0
 class BotCoords(NamedTuple):
     """Per-bot geo columns, radians: the participant geo matrix.
 
-    The dispersion kernel gathers these by bot index, so its per-bot
-    trigonometry runs once per bot rather than once per participation.
+    ``matrix`` holds one row-major row per bot, ``(lat, lon, x, y, z,
+    cos_lat)`` with ``(x, y, z)`` the bot's 3-D unit vector, so the
+    dispersion kernel gathers all six with one ``take`` by bot index and
+    its per-bot trigonometry runs once per bot rather than once per
+    participation.  The named columns are strided views of it.
     """
 
-    lat: np.ndarray
-    lon: np.ndarray
-    #: The bot's 3-D unit vector.
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    cos_lat: np.ndarray
+    matrix: np.ndarray
+
+    @property
+    def lat(self) -> np.ndarray:
+        return self.matrix[:, 0]
+
+    @property
+    def lon(self) -> np.ndarray:
+        return self.matrix[:, 1]
 
 
 def bot_coords(bots) -> BotCoords:
@@ -66,16 +71,23 @@ def bot_coords(bots) -> BotCoords:
     lat = np.radians(bots.lat)
     lon = np.radians(bots.lon)
     cos_lat = np.cos(lat)
-    return BotCoords(
-        lat, lon, cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat), cos_lat
-    )
+    # Column by column, so at most one full-length temporary is alive
+    # beside the matrix and its three inputs.
+    matrix = np.empty((lat.size, 6), dtype=np.result_type(lat, 1.0))
+    matrix[:, 0] = lat
+    matrix[:, 1] = lon
+    matrix[:, 2] = cos_lat * np.cos(lon)
+    matrix[:, 3] = cos_lat * np.sin(lon)
+    matrix[:, 4] = np.sin(lat)
+    matrix[:, 5] = cos_lat
+    return BotCoords(matrix)
 
 
 #: Participations one run of :func:`_segment_dispersions` evaluates at
 #: once, and one run of the family pass's CSR gather
-#: (``context._build_family_pass``) copies.  A dispersion run holds five
-#: float64 buffers of its length plus one transient gather or repeat at a
-#: time, about 2 MB; a gather run one int64 positions array.  So both
+#: (``context._build_family_pass``) copies.  A dispersion run holds at
+#: most its gathered six-column geo rows and three float64 buffers of its
+#: length, about 2.3 MB; a gather run one int64 positions array.  So both
 #: working sets stay the same at any trace size.
 _RUN_PARTICIPATIONS = 1 << 15
 
@@ -123,20 +135,26 @@ def _run_dispersions(
     for ``a ** 2`` round the same, so the values are the ones the
     expression form gives, to the byte.
     """
+    rows = coords.matrix.take(bots, axis=0)
+    lat, lon, x, y, z, cos_lat = rows.T
     # Geographic centre per segment (3-D unit-vector mean).
-    sx = np.add.reduceat(coords.x[bots], starts) / sizes
-    sy = np.add.reduceat(coords.y[bots], starts) / sizes
-    sz = np.add.reduceat(coords.z[bots], starts) / sizes
+    sx = np.add.reduceat(x, starts) / sizes
+    sy = np.add.reduceat(y, starts) / sizes
+    sz = np.add.reduceat(z, starts) / sizes
     norm = np.sqrt(sx * sx + sy * sy + sz * sz)
     norm = np.maximum(norm, 1e-12)
     lat_c = np.arcsin(np.clip(sz / norm, -1.0, 1.0))
     lon_c = np.arctan2(sy, sx)
 
-    # Broadcast each segment's centre back onto its participants.
-    dlat = coords.lat[bots]
-    dlat -= np.repeat(lat_c, sizes)
-    dlon = coords.lon[bots]
-    dlon -= np.repeat(lon_c, sizes)
+    # Broadcast each segment's centre back onto its participants, then
+    # let the gathered rows go before the haversine's two buffers.
+    dlat = np.repeat(lat_c, sizes)
+    np.subtract(lat, dlat, out=dlat)
+    dlon = np.repeat(lon_c, sizes)
+    np.subtract(lon, dlon, out=dlon)
+    cos_prod = np.repeat(np.cos(lat_c), sizes)
+    np.multiply(cos_prod, cos_lat, out=cos_prod)
+    del rows, lat, lon, x, y, z, cos_lat
     # sin²(dlat/2) + cos(lat_c)·cos(lat)·sin²(dlon/2), in that order.
     dist = np.multiply(dlat, 0.5)
     np.sin(dist, out=dist)
@@ -144,8 +162,6 @@ def _run_dispersions(
     term = np.multiply(dlon, 0.5)
     np.sin(term, out=term)
     term *= term
-    cos_prod = np.repeat(np.cos(lat_c), sizes)
-    cos_prod *= coords.cos_lat[bots]
     term *= cos_prod
     dist += term
     np.clip(dist, 0.0, 1.0, out=dist)

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .context import AnalysisContext, AnalysisSource
-from .stats import SeriesSummary, ecdf, summarize
+from .stats import SeriesSummary, ecdf, linked_runs, summarize
 
 __all__ = [
     "attack_intervals",
@@ -131,6 +131,14 @@ def _simultaneous_tally(
     co-occurrences.  With ``tolerance`` 0 a range cut between two start
     times tallies exactly its own events, so tallies of adjacent ranges
     add up (see :func:`repro.core.merge.extend_views`).
+
+    One gap mask over the sorted starts labels the events.  An event of
+    one row is not simultaneous, so the ``(event, family)`` dedupe that
+    finds each event's distinct families runs only over the rows whose
+    start ties a neighbour's within ``tolerance``.  Only multi-family
+    events (a handful) reach Python.  Pinned to a loop over start-time
+    groups, ``reference_simultaneous_tally`` in
+    ``tests/oracles/kernels.py``.
     """
     n = hi - lo
     if n <= 0:
@@ -138,30 +146,27 @@ def _simultaneous_tally(
     starts = ds.start[lo:hi]
     order = np.argsort(starts, kind="stable")
     sorted_starts = starts[order]
-    # Sweep-line event labelling: a new event wherever the gap exceeds
-    # the tolerance; per-event distinct families via one (event, family)
-    # dedupe pass.  Only multi-family events (a handful) reach Python.
-    new_event = np.empty(n, dtype=bool)
-    new_event[0] = True
-    new_event[1:] = np.diff(sorted_starts) > tolerance
+    # A new event wherever the gap exceeds the tolerance; the tied rows
+    # go on.
+    pos, new_event = linked_runs(~(np.diff(sorted_starts) > tolerance))
+    if pos.size == 0:
+        return {}, 0, {}
     event_id = np.cumsum(new_event) - 1
     n_events = int(event_id[-1]) + 1
-    event_sizes = np.bincount(event_id, minlength=n_events)
 
-    fams = ds.family_idx[lo:hi][order]
+    fams = ds.family_idx[lo:hi][order[pos]]
     o = np.lexsort((fams, event_id))
     e_sorted = event_id[o]
     f_sorted = fams[o]
-    first = np.empty(n, dtype=bool)
+    first = np.empty(pos.size, dtype=bool)
     first[0] = True
     first[1:] = (e_sorted[1:] != e_sorted[:-1]) | (f_sorted[1:] != f_sorted[:-1])
     u_event = e_sorted[first]
     u_fam = f_sorted[first]
     fams_per_event = np.bincount(u_event, minlength=n_events)
 
-    eligible = event_sizes >= 2
-    single_mask = eligible & (fams_per_event == 1)
-    multi_mask = eligible & (fams_per_event >= 2)
+    single_mask = fams_per_event == 1
+    multi_mask = fams_per_event >= 2
 
     per_family = np.bincount(u_fam[single_mask[u_event]])
     single = {ds.family_name(int(f)): int(per_family[f]) for f in np.flatnonzero(per_family)}

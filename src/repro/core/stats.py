@@ -19,6 +19,7 @@ __all__ = [
     "unique_pairs",
     "segment_positions",
     "segment_runs",
+    "linked_runs",
 ]
 
 
@@ -122,6 +123,29 @@ def segment_runs(starts: np.ndarray, stops: np.ndarray, bound: int):
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
+
+
+def linked_runs(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the runs of two or more rows, and the runs' heads.
+
+    ``linked[k]`` says row ``k + 1`` continues row ``k``'s run.  Returns
+    ``pos``, the ascending positions of the rows whose run holds two or
+    more rows (those linked to a neighbour), and a mask over ``pos``
+    that is True at each such run's first row.  A run of one row drops
+    out, so a sweep that only reads runs of two or more can run over
+    ``pos`` alone.
+
+    >>> pos, head = linked_runs(np.array([True, False, False, True, True]))
+    >>> pos.tolist(), head.tolist()
+    ([0, 1, 3, 4, 5], [True, False, True, False, False])
+    """
+    member = np.zeros(linked.size + 1, dtype=bool)
+    member[1:] = linked
+    member[:-1] |= linked
+    pos = np.flatnonzero(member)
+    head = np.ones(pos.size, dtype=bool)
+    head[1:] = ~linked[pos[1:] - 1]
+    return pos, head
 
 
 # -- rank windows ----------------------------------------------------------

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core import collaboration, consecutive, geolocation
-from repro.core.context import AnalysisContext
+from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.core.collaboration import detect_collaborations
 from repro.core.consecutive import detect_chains
 from repro.core.geolocation import attack_dispersions
 from repro.experiments.registry import run_all
+from repro.io.colstore import ShardedDatasetStore
 
 
 @pytest.fixture()
@@ -182,6 +183,73 @@ class TestViewsMatchScratch:
             ctx.dataset, consecutive.CHAIN_MARGIN_SECONDS, 2
         )
         assert ctx.chains() == raw
+
+
+def _stable_sort_target_links(ds) -> tuple[np.ndarray, np.ndarray]:
+    """``("target_links",)`` as built from a stable sort by target alone,
+    before the scans and the walk shared one target order."""
+    targets = ds.target_idx
+    order = np.argsort(targets, kind="stable")
+    same = targets[order[1:]] == targets[order[:-1]]
+    prev = np.full(order.size, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    last = np.full(ds.victims.n_targets, -1, dtype=np.int64)
+    if order.size:
+        tails = order[np.append(~same, True)]
+        last[targets[tails]] = tails
+    return last, prev
+
+
+def _order_keys(ctx: AnalysisContext) -> list:
+    return [key for key in ctx.view_keys() if "order" in repr(key)]
+
+
+class TestTargetOrder:
+    """One ``(target, start)`` sort per context, held outside the views."""
+
+    @pytest.mark.parametrize("fixture", ["tiny_ds", "small_ds"])
+    def test_order_is_the_stable_target_sort(self, fixture, request):
+        ds = request.getfixturevalue(fixture)
+        order = AnalysisContext(ds).target_order()
+        want = np.argsort(ds.target_idx, kind="stable")
+        assert order.dtype == want.dtype and order.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fixture", ["tiny_ds", "small_ds"])
+    def test_target_links_keep_their_bytes(self, fixture, request):
+        ds = request.getfixturevalue(fixture)
+        for got, want in zip(AnalysisContext(ds).target_links(), _stable_sort_target_links(ds)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_both_scans_read_the_shared_order(self, ctx, monkeypatch):
+        seen = []
+        for module, name in ((collaboration, "_detect_collaborations"),
+                             (consecutive, "_detect_chains")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _real=real: seen.append(a[-1]) or _real(*a)
+            )
+        ctx.collaborations()
+        ctx.chains()
+        ctx.target_links()
+        assert len(seen) == 2 and all(order is ctx.target_order() for order in seen)
+
+    def test_order_is_not_a_view(self, small_ds):
+        ctx = AnalysisContext(small_ds)
+        ctx.prewarm()
+        list(run_all(ctx))
+        n_views = ctx.n_views
+        ctx.target_order()
+        assert ctx.n_views == n_views
+        assert _order_keys(ctx) == []
+        assert all("order" not in repr(key) for key in ctx.materialized())
+
+    def test_sharded_contexts_hold_no_order_view(self, tiny_ds):
+        sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(tiny_ds, shards=3))
+        merged = sctx.merged()
+        list(run_all(merged))
+        for index in range(sctx.n_shards):
+            assert _order_keys(sctx.shard_context(index)) == []
+        assert _order_keys(merged) == []
 
 
 class TestRunAllParity:

@@ -17,7 +17,11 @@ per-family builds they replaced.
 The dispersion kernel's runs are pinned the same way with the run size
 cut to a few participations, and its ``np.mod``-free sign at the wrap
 points.  The weekly pairs' per-week bitmap is pinned to ``unique_pairs``
-on random layouts.  The bench-scale pins, the full-scale sweep and the
+on random layouts.  The collaboration sweep that skips runs of one row,
+and both scans over a context's shared target order, are pinned to the
+reference loops on layouts built from the shapes the pruning must not
+misread, and Fig 3's simultaneous-start tally, which skips untied rows,
+to a loop over start-time groups.  The bench-scale pins, the full-scale sweep and the
 battery's heap guard (marked ``slow``) only run when
 ``REPRO_BENCH_SCALE`` names a scale, as in the CI parity step.
 """
@@ -53,6 +57,8 @@ from repro.core.consecutive import (
     detect_chains,
 )
 from repro.core.context import AnalysisContext, ShardedAnalysisContext
+from repro.core.intervals import _simultaneous_tally
+from repro.core.scans import ScanEvents
 from repro.core.shift import _weekly_pairs, _weekly_shift
 from repro.core.targets import organization_affinity
 from repro.datagen.config import DatasetConfig
@@ -74,6 +80,7 @@ from ..oracles.kernels import (
     reference_segment_centers,
     reference_segment_dispersions,
     reference_segment_dispersions_of,
+    reference_simultaneous_tally,
     reference_snapshot_dispersions,
     reference_stable_chain_count,
     reference_weekly_pairs,
@@ -235,6 +242,146 @@ class TestRandomizedParity:
             np.testing.assert_array_equal(ts, ref_ts)
             np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-6)
             _assert_affinity_parity(ctx, family)
+
+
+#: The run shapes :func:`_pruning_layout` draws from.
+PRUNING_SHAPES = (
+    "singleton",
+    "all_but_first_fail_duration",
+    "botnet_repeated",
+    "equal_starts_one_target",
+    "equal_starts_across_targets",
+    "gap_of_exactly_60s",
+)
+
+
+def _pruning_layout(seed: int, *, linked: bool = True):
+    """An attack table built block by block from :data:`PRUNING_SHAPES`,
+    and the shapes drawn.
+
+    Each block is one shape the candidate-only collaboration sweep must
+    read as the reference loop does: a run of one row (on a target of
+    its own), a run whose members all fail the duration filter but the
+    first, one botnet attacking again inside a run, equal starts on one
+    target and across targets, and two starts exactly 60.0 s apart on
+    one target (linked: the split is ``>``).  Blocks start 0 s to
+    5,000 s apart, so runs on one target may grow across blocks and
+    runs on different targets interleave.  With ``linked`` False every
+    attack gets a target of its own, so no two rows are linked.
+    """
+    rng = np.random.default_rng(seed)
+    fresh = iter(range(100, 100_000))
+    rows: list[tuple[float, int, int, float]] = []  # start, botnet, target, duration
+    shapes = []
+    t = 100.0
+    for _ in range(int(rng.integers(10, 24))):
+        shape = PRUNING_SHAPES[int(rng.integers(len(PRUNING_SHAPES)))]
+        shapes.append(shape)
+        target = int(rng.integers(1, 4))
+        duration = float(rng.choice([60.0, 600.0, 1800.0, 4000.0]))
+        size = int(rng.integers(2, 5))
+        if shape == "singleton":
+            rows.append((t, int(rng.integers(1, 6)), next(fresh), duration))
+        elif shape == "all_but_first_fail_duration":
+            rows.append((t, 1, target, duration))
+            rows.extend((t + 10.0 * k, 1 + k, target, duration + 1800.5 + 100.0 * k)
+                        for k in range(1, size))
+        elif shape == "botnet_repeated":
+            botnet = int(rng.integers(1, 6))
+            rows.extend((t + 20.0 * k, botnet, target, duration) for k in range(size))
+            if rng.random() < 0.5:
+                rows.append((t + 5.0, botnet % 5 + 1, target, duration))
+        elif shape == "equal_starts_one_target":
+            rows.extend((t, 1 + k, target, duration) for k in range(size))
+        elif shape == "equal_starts_across_targets":
+            rows.extend((t, int(rng.integers(1, 6)), 1 + k, duration) for k in range(size))
+        else:
+            rows.extend([(t, 1, target, duration), (t + 60.0, 2, target, duration)])
+        t += float(rng.choice([0.0, 30.0, 60.0, 61.0, 400.0, 5000.0]))
+    rows.sort(key=lambda r: r[0])
+    records = [
+        _record(
+            i,
+            botnet=botnet,
+            family=("alpha", "beta", "gamma")[botnet % 3],
+            target=target if linked else next(fresh),
+            start=start,
+            duration=duration,
+        )
+        for i, (start, botnet, target, duration) in enumerate(rows)
+    ]
+    return dataset_from_records(records), shapes
+
+
+def _assert_pruned_parity(ds):
+    """Both scans, with and without a context's shared target order,
+    equal the reference loops; the order is the kernels' own lexsort."""
+    _assert_dataset_parity(ds)
+    order = AnalysisContext(ds).target_order()
+    assert order.tobytes() == np.lexsort((ds.start, ds.target_idx)).tobytes()
+    for start_window, duration_window in ((START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS),
+                                          (120.0, 300.0)):
+        shared = _detect_collaborations(ds, start_window, duration_window, order)
+        assert shared == _detect_collaborations(ds, start_window, duration_window)
+        assert collab_events(ds, shared) == reference_detect_collaborations(
+            ds, start_window, duration_window
+        )
+    for margin, min_length in ((CHAIN_MARGIN_SECONDS, 2), (15.0, 3)):
+        shared = _detect_chains(ds, margin, min_length, order)
+        assert shared == _detect_chains(ds, margin, min_length)
+        assert attack_chains(ds, shared) == reference_detect_chains(ds, margin, min_length)
+
+
+class TestPrunedScans:
+    """The collaboration sweep over runs of two or more rows only, and
+    both scans over a shared target order, are the reference loops'."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_layouts(self, seed):
+        ds, _shapes = _pruning_layout(seed)
+        _assert_pruned_parity(ds)
+
+    def test_layouts_draw_every_shape(self):
+        drawn = {shape for seed in range(16) for shape in _pruning_layout(seed)[1]}
+        assert drawn == set(PRUNING_SHAPES)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_linked_pair(self, seed):
+        ds, _shapes = _pruning_layout(seed, linked=False)
+        assert np.unique(ds.target_idx).size == ds.n_attacks
+        assert _detect_collaborations(ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS) == (
+            ScanEvents.empty()
+        )
+        _assert_pruned_parity(ds)
+
+    def test_one_shape_per_dataset(self):
+        """Each shape alone, next to a lone attack on another target."""
+
+        def table(rows):
+            lone = _record(99, botnet=9, family="beta", target=9, start=5.0, duration=60.0)
+            return dataset_from_records(
+                [lone] + [
+                    _record(i, botnet=b, family="alpha", target=1, start=s, duration=d)
+                    for i, (s, b, d) in enumerate(rows)
+                ]
+            )
+
+        cases = {
+            # The second start lies exactly 60.0 s after the first: linked.
+            "gap_of_exactly_60s": ([(10.0, 1, 600.0), (70.0, 2, 600.0)], [(1, 2)]),
+            "gap_past_60s": ([(10.0, 1, 600.0), (70.5, 2, 600.0)], []),
+            "all_but_first_fail_duration": (
+                [(10.0, 1, 600.0), (20.0, 2, 2400.5), (30.0, 3, 3000.0)], []),
+            "botnet_repeated": ([(10.0, 1, 600.0), (20.0, 1, 600.0)], []),
+            "botnet_repeated_beside_another": (
+                [(10.0, 1, 600.0), (20.0, 1, 600.0), (30.0, 2, 600.0)], [(1, 3)]),
+            "equal_starts_one_target": ([(10.0, 1, 600.0), (10.0, 2, 600.0)], [(1, 2)]),
+        }
+        for name, (rows, want) in cases.items():
+            ds = table(rows)
+            got = _collabs(ds, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS)
+            assert [e.attack_indices for e in got] == want, name
+            _assert_pruned_parity(ds)
 
 
 def _random_segments(seed: int):
@@ -528,6 +675,99 @@ class TestWeeklyPairs:
         for pairs in (_weekly_pairs, reference_weekly_pairs):
             with pytest.raises(ValueError):
                 pairs(AnalysisContext(ds), family)
+
+
+def _assert_tally_equal(got, want, label=""):
+    """Equal tallies: the same contents, key order and element types."""
+    assert got == want, label
+    for g, w in ((got[0], want[0]), (got[2], want[2])):
+        assert list(g) == list(w), label
+        assert all(type(v) is int for v in g.values()), label
+    assert type(got[1]) is int, label
+
+
+def _tied_table(seed: int):
+    """A random attack table whose starts tie often: gaps of 0, 0.5, 1
+    and 30 s, four families, so single- and multi-family events of
+    every size occur, and events cross the random cuts."""
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    records = []
+    for i in range(int(rng.integers(60, 200))):
+        t += float(rng.choice([0.0, 0.0, 0.0, 0.5, 1.0, 30.0, 400.0]))
+        records.append(
+            _record(
+                i,
+                botnet=int(rng.integers(1, 9)),
+                family=str(rng.choice(["alpha", "beta", "gamma", "delta"])),
+                target=int(rng.integers(1, 50)),
+                start=t,
+                duration=60.0,
+            )
+        )
+    return dataset_from_records(records)
+
+
+def _tally_ranges(ds, seed: int, count: int = 12) -> list[tuple[int, int]]:
+    """The whole range, ranges cut inside an event (between two tied
+    starts) on either side, and random ranges."""
+    rng = np.random.default_rng(seed)
+    n = ds.n_attacks
+    ranges = [(0, n), (0, 0), (n // 2, n // 2 + 1)]
+    ties = np.flatnonzero(np.diff(ds.start) == 0) + 1
+    for cut in rng.choice(ties, min(count, ties.size), replace=False).tolist():
+        ranges += [(int(rng.integers(0, cut)), cut), (cut, int(rng.integers(cut + 1, n + 1)))]
+    for _ in range(count):
+        lo, hi = sorted(rng.integers(0, n + 1, 2).tolist())
+        ranges.append((lo, hi))
+    return ranges
+
+
+def _assert_tallies_match_reference(ds, seed: int, tolerances=(0.0,)) -> int:
+    """Every range of :func:`_tally_ranges` tallies as the reference loop
+    does, under each tolerance.  Returns the multi-family events seen."""
+    multi = 0
+    for lo, hi in _tally_ranges(ds, seed):
+        for tolerance in tolerances:
+            got = _simultaneous_tally(ds, lo, hi, tolerance)
+            _assert_tally_equal(
+                got, reference_simultaneous_tally(ds, lo, hi, tolerance), (lo, hi, tolerance)
+            )
+            multi += got[1]
+    return multi
+
+
+class TestSimultaneousTally:
+    """The tally over tied rows only is the loop over start-time groups."""
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_random_ranges(self, seed):
+        ds = _tied_table(seed)
+        assert _assert_tallies_match_reference(ds, seed) > 0
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_tolerance(self, seed):
+        ds = _tied_table(seed)
+        _assert_tallies_match_reference(ds, seed, (0.5, 1.0, 30.0, 1000.0))
+
+    def test_generated_dataset(self, small_ds):
+        assert _assert_tallies_match_reference(small_ds, 5, (0.0, 60.0)) > 0
+
+    def test_all_unique_starts(self):
+        ds = dataset_from_records(
+            [_record(i, botnet=i % 3 + 1, family=("alpha", "beta")[i % 2], target=1,
+                     start=10.0 * i, duration=5.0) for i in range(12)]
+        )
+        for lo, hi in ((0, 12), (3, 9), (5, 6)):
+            for tolerance in (0.0, 9.5):
+                got = _simultaneous_tally(ds, lo, hi, tolerance)
+                assert got == ({}, 0, {})
+                _assert_tally_equal(got, reference_simultaneous_tally(ds, lo, hi, tolerance))
+        # A tolerance that spans the 10 s gaps makes one event of them all.
+        _assert_tally_equal(
+            _simultaneous_tally(ds, 0, 12, 10.0), reference_simultaneous_tally(ds, 0, 12, 10.0)
+        )
+        assert _simultaneous_tally(ds, 0, 12, 10.0)[1] == 1
 
 
 def _assert_render_pass_parity(ctx):
@@ -917,9 +1157,25 @@ def test_full_scale_parity():
     _assert_render_pass_parity(ctx)
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_BENCH_SCALE"),
+    reason="set REPRO_BENCH_SCALE to run the bench-scale simultaneous tally pin",
+)
+def test_bench_scale_simultaneous_tally():
+    """At bench scale, the tally of the whole trace, of ranges cut inside
+    an event and of random ranges equals the loop over start-time
+    groups, with and without a tolerance; both scans over the shared
+    target order equal the reference loops."""
+    ds = generate_dataset(DatasetConfig(seed=7, scale=float(os.environ["REPRO_BENCH_SCALE"])))
+    assert _assert_tallies_match_reference(ds, 13, (0.0, 60.0)) > 0
+    _assert_pruned_parity(ds)
+
+
 #: Traced heap an experiment of the flat battery may allocate, at scale
-#: 0.05, beyond what it leaves held.  The run-sized dispersion kernel
-#: and the two-temporary family pass stay near 2.2 MB (Fig 9); an
+#: 0.05, beyond what it leaves held.  The run-sized dispersion kernel,
+#: whose run gathers six-column geo rows, and the two-temporary family
+#: pass stay near 2.4 MB (Fig 9); an
 #: all-at-once dispersion kernel reads 6.7 MB there, and a family pass
 #: holding four full-length gather arrays 3.4 MB at Fig 3.
 HEAP_OVERSHOOT_BYTES = 3_000_000

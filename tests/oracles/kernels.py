@@ -1,6 +1,7 @@
 """Reference loops for the vectorised analysis kernels.
 
-The sweep-line collaboration and chain scans, the weekly-shift pass,
+The sweep-line collaboration and chain scans, Fig 3's simultaneous-start
+tally, the weekly-shift pass,
 the batched snapshot-dispersion kernel, Fig 14's per-organization
 target count, Fig 16's per-event pair walk and Fig 18's per-chain dot
 and magnitude loops replaced these straightforward Python loops.  They
@@ -16,6 +17,8 @@ target of the accessors that slice it.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 from scipy import optimize, signal
@@ -121,6 +124,45 @@ def reference_detect_chains(ds, margin: float, min_length: int) -> list[AttackCh
         flush()
     chains.sort(key=lambda c: c.start)
     return chains
+
+
+def reference_simultaneous_tally(
+    ds, lo: int, hi: int, tolerance: float = 0.0
+) -> tuple[dict[str, int], int, dict[tuple[str, str], int]]:
+    """Reference loop over the start-time groups of rows ``[lo, hi)``.
+
+    Rows are taken in start order (ties in row order); a row joins the
+    open group when its start is within ``tolerance`` of the previous
+    row's.  A group of two or more rows is an event: single-family when
+    one family holds all its rows, else one co-occurrence for every
+    unordered pair of its families.  Returns ``(single, multi, pairs)``
+    as ``intervals._simultaneous_tally`` does: ``single`` keyed by
+    family name in family-index order, ``pairs`` in the order the
+    events first credit them.
+    """
+    starts = [float(s) for s in ds.start[lo:hi]]
+    fams = [int(f) for f in ds.family_idx[lo:hi]]
+    groups: list[list[int]] = []
+    for i in sorted(range(len(starts)), key=lambda k: starts[k]):
+        if groups and not starts[i] - starts[groups[-1][-1]] > tolerance:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    single_by_index: dict[int, int] = {}
+    multi = 0
+    pairs: dict[tuple[str, str], int] = {}
+    for group in groups:
+        if len(group) < 2:
+            continue
+        present = sorted({fams[i] for i in group})
+        if len(present) == 1:
+            single_by_index[present[0]] = single_by_index.get(present[0], 0) + 1
+            continue
+        multi += 1
+        for pair in combinations(sorted(ds.family_name(f) for f in present), 2):
+            pairs[pair] = pairs.get(pair, 0) + 1
+    single = {ds.family_name(f): single_by_index[f] for f in sorted(single_by_index)}
+    return single, multi, pairs
 
 
 def reference_weekly_shift(ctx: AnalysisContext, family: str) -> WeeklyShift:
