@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geo.haversine import EARTH_RADIUS_KM
+from ..simulation.clock import SECONDS_PER_HOUR
 from .context import AnalysisContext, AnalysisSource
 from .stats import ecdf, segment_positions, segment_runs, unique_pairs
 
@@ -43,6 +44,10 @@ __all__ = [
 #: paper's histograms bin distances in km; sub-tolerance residuals land
 #: in the zero bin.
 SYMMETRY_TOLERANCE_KM = 100.0
+
+#: An hourly monitoring snapshot holds the bots of the attacks that
+#: started in the trailing 24 hours (§II-B).
+LOOKBACK_SECONDS = 24 * SECONDS_PER_HOUR
 
 
 class BotCoords(NamedTuple):
@@ -68,18 +73,26 @@ class BotCoords(NamedTuple):
 
 def bot_coords(bots) -> BotCoords:
     """The :class:`BotCoords` of a bot registry."""
+    # Column by column through two reused full-length buffers, so no
+    # more than those two are alive beside the matrix.  Every ufunc
+    # reads a contiguous buffer, never a strided matrix column, so each
+    # value rounds as in the plain expression form.
     lat = np.radians(bots.lat)
-    lon = np.radians(bots.lon)
-    cos_lat = np.cos(lat)
-    # Column by column, so at most one full-length temporary is alive
-    # beside the matrix and its three inputs.
     matrix = np.empty((lat.size, 6), dtype=np.result_type(lat, 1.0))
     matrix[:, 0] = lat
-    matrix[:, 1] = lon
-    matrix[:, 2] = cos_lat * np.cos(lon)
-    matrix[:, 3] = cos_lat * np.sin(lon)
-    matrix[:, 4] = np.sin(lat)
+    tmp = np.sin(lat)
+    matrix[:, 4] = tmp
+    cos_lat = np.cos(lat, out=lat)
     matrix[:, 5] = cos_lat
+    lon = np.radians(bots.lon, out=tmp)
+    matrix[:, 1] = lon
+    np.cos(lon, out=tmp)
+    tmp *= cos_lat
+    matrix[:, 2] = tmp
+    np.radians(bots.lon, out=tmp)
+    np.sin(tmp, out=tmp)
+    tmp *= cos_lat
+    matrix[:, 3] = tmp
     return BotCoords(matrix)
 
 
@@ -251,9 +264,6 @@ def _snapshot_dispersions(
 
     Evaluates every snapshot on the window's hourly grid.
     """
-    from ..monitor.snapshots import LOOKBACK_SECONDS
-    from ..simulation.clock import SECONDS_PER_HOUR
-
     ds = ctx.dataset
     idx = ctx.family_attacks(family)
     if idx.size == 0:

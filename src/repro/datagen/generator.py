@@ -11,9 +11,9 @@
    family's attacks (waves/sessions, staged collaborations, chains, the
    2012-08-30 surge), assigns protocols (exact Table II multisets) and
    targets (Table V country weights, full coverage of the victim
-   registry), resolves (botnet, target) timing conflicts, and replays
-   its attacks through the discrete-event monitor with the 60 s
-   segmentation rule;
+   registry), resolves (botnet, target) timing conflicts, cuts its
+   attacks into raw pulses labelled by the family's roster, and joins
+   them back with the 60 s segmentation rule;
 5. merge the shards deterministically (concatenate in family order,
    stable sort by start, renumber collaboration groups);
 6. sample per-attack participants from the bot pools, fanned across the
@@ -41,13 +41,11 @@ from ..core.dataset import AttackDataset, BotRegistry
 from ..geo.ipam import IPAllocator, SequentialAssigner
 from ..geo.mapping import GeoIPService
 from ..geo.world import World
-from ..monitor.collector import Collector
 from ..monitor.labeling import FamilyLabeler
 from ..monitor.schemas import AttackPulse, BotnetRecord, Protocol
+from ..monitor.segmentation import segment_pulses
 from ..obs import registry as _obs_registry
 from ..simulation.clock import ObservationWindow
-from ..simulation.engine import SimulationEngine
-from ..simulation.events import EventKind
 from ..simulation.rng import SeededStreams, derive_seed
 from .config import DatasetConfig
 from .victims import TargetPool, build_victims
@@ -263,12 +261,25 @@ def _clamp_to_window(attacks: list[PlannedAttack], window: ObservationWindow) ->
 
 def _emit_pulses(
     attacks: list[PlannedAttack],
-    engine: SimulationEngine,
+    labeler: FamilyLabeler,
     rng: np.random.Generator,
     split_prob: float,
-) -> None:
-    """Schedule each planned attack as 1-3 raw pulses on the engine."""
+) -> list[AttackPulse]:
+    """Cut each planned attack into 1-3 raw pulses, labelled by ``labeler``.
+
+    The label is the verification step of §II-B: a pulse is recorded
+    only under the family its botnet is attributed to, so a botnet
+    missing from the roster is a generation bug.
+    """
+    pulses: list[AttackPulse] = []
     for tag, attack in enumerate(attacks):
+        try:
+            family = labeler.label(attack.botnet_id)
+        except KeyError:
+            raise GenerationError(
+                f"{attack.family}: botnet {attack.botnet_id} is not on the "
+                "family's roster"
+            ) from None
         # Splitting carves short (<= 50 s) gaps strictly *inside* the
         # planned span, so the merged record reproduces the attack
         # exactly and never bleeds into a neighbouring attack.
@@ -285,16 +296,18 @@ def _emit_pulses(
                     edge = attack.start + float(center + gap / 2.0)
                 cuts.append((edge, attack.end))
         for lo, hi in cuts:
-            pulse = AttackPulse(
-                botnet_id=attack.botnet_id,
-                family=attack.family,
-                target_index=attack.target_index,
-                start=lo,
-                end=hi,
-                protocol=attack.protocol,
-                attack_tag=tag,
+            pulses.append(
+                AttackPulse(
+                    botnet_id=attack.botnet_id,
+                    family=family,
+                    target_index=attack.target_index,
+                    start=lo,
+                    end=hi,
+                    protocol=attack.protocol,
+                    attack_tag=tag,
+                )
             )
-            engine.schedule(lo, EventKind.ATTACK_PULSE, pulse)
+    return pulses
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +418,13 @@ def _family_shard(payload: _ShardPayload, name: str) -> _ShardResult:
     _resolve_conflicts(attacks, window, streams.stream(f"conflicts.{name}"))
 
     # Monitoring round trip.  Segmentation groups by (botnet, target) and
-    # botnets belong to exactly one family, so per-family replay produces
-    # the same segments a global replay would.
+    # botnets belong to exactly one family, so per-family segmentation
+    # produces the same segments a global pass would.
     labeler = FamilyLabeler({int(bid): name for bid in roster.ids})
-    engine = SimulationEngine(start_time=window.start)
-    collector = Collector(labeler, gap_seconds=payload.gap_seconds)
-    collector.attach(engine)
-    _emit_pulses(attacks, engine, streams.stream(f"pulses.{name}"), payload.pulse_split_prob)
-    engine.run()
-    segments = collector.segment()
+    pulses = _emit_pulses(
+        attacks, labeler, streams.stream(f"pulses.{name}"), payload.pulse_split_prob
+    )
+    segments = segment_pulses(pulses, payload.gap_seconds)
 
     if len(segments) != len(attacks):
         raise GenerationError(

@@ -1,17 +1,11 @@
-"""Monitoring-service substrate: schemas, collection, segmentation, labeling."""
+"""Monitoring-service substrate: schemas, segmentation, labeling."""
 
-from .collector import Collector
 from .labeling import FamilyLabeler
-from .reports import read_hourly_reports, write_hourly_reports
 from .schemas import AttackPulse, BotnetRecord, BotRecord, DDoSAttackRecord, Protocol
 from .segmentation import DEFAULT_GAP_SECONDS, SegmentedAttack, segment_pulses
-from .snapshots import LOOKBACK_SECONDS, Snapshot, iter_hourly_snapshots
 
 __all__ = [
-    "Collector",
     "FamilyLabeler",
-    "read_hourly_reports",
-    "write_hourly_reports",
     "AttackPulse",
     "BotnetRecord",
     "BotRecord",
@@ -20,7 +14,4 @@ __all__ = [
     "DEFAULT_GAP_SECONDS",
     "SegmentedAttack",
     "segment_pulses",
-    "LOOKBACK_SECONDS",
-    "Snapshot",
-    "iter_hourly_snapshots",
 ]

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 from .schemas import AttackPulse, Protocol
 
-__all__ = [
-    "SegmentedAttack",
-    "segment_pulses",
-    "segment_with_members",
-    "DEFAULT_GAP_SECONDS",
-]
+__all__ = ["SegmentedAttack", "segment_pulses", "DEFAULT_GAP_SECONDS"]
 
 DEFAULT_GAP_SECONDS = 60.0
 
@@ -47,23 +42,17 @@ def _merge_group(
     target_index: int,
     group: list[AttackPulse],
     gap_seconds: float,
-) -> list[tuple[SegmentedAttack, list[AttackPulse]]]:
-    """Merge one (botnet, target) pulse group; keep each attack's members.
-
-    The member lists let an incremental caller (``Collector.drain_segments``)
-    put the pulses of a still-open attack back into its buffer.
-    """
+) -> list[SegmentedAttack]:
+    """Merge one (botnet, target) pulse group into attacks."""
     group.sort(key=lambda p: (p.start, p.end))
-    merged: list[tuple[SegmentedAttack, list[AttackPulse]]] = []
+    merged: list[SegmentedAttack] = []
     current: SegmentedAttack | None = None
-    members: list[AttackPulse] = []
     for pulse in group:
         if current is not None and pulse.start <= current.end + gap_seconds:
             current.end = max(current.end, pulse.end)
             current.pulse_count += 1
             if pulse.attack_tag not in current.tags:
                 current.tags.append(pulse.attack_tag)
-            members.append(pulse)
         else:
             current = SegmentedAttack(
                 botnet_id=botnet_id,
@@ -75,26 +64,8 @@ def _merge_group(
                 pulse_count=1,
                 tags=[pulse.attack_tag],
             )
-            members = [pulse]
-            merged.append((current, members))
+            merged.append(current)
     return merged
-
-
-def segment_with_members(
-    pulses: list[AttackPulse], gap_seconds: float = DEFAULT_GAP_SECONDS
-) -> list[tuple[SegmentedAttack, list[AttackPulse]]]:
-    """Like :func:`segment_pulses`, but pairs each attack with its pulses."""
-    if gap_seconds < 0:
-        raise ValueError(f"gap_seconds must be non-negative, got {gap_seconds}")
-    by_key: dict[tuple[int, int], list[AttackPulse]] = {}
-    for pulse in pulses:
-        by_key.setdefault((pulse.botnet_id, pulse.target_index), []).append(pulse)
-
-    pairs: list[tuple[SegmentedAttack, list[AttackPulse]]] = []
-    for (botnet_id, target_index), group in by_key.items():
-        pairs.extend(_merge_group(botnet_id, target_index, group, gap_seconds))
-    pairs.sort(key=lambda pair: (pair[0].start, pair[0].botnet_id, pair[0].target_index))
-    return pairs
 
 
 def segment_pulses(
@@ -108,4 +79,14 @@ def segment_pulses(
     opens a new one.  The output is sorted by ``(start, botnet_id,
     target_index)``.
     """
-    return [attack for attack, _ in segment_with_members(pulses, gap_seconds)]
+    if gap_seconds < 0:
+        raise ValueError(f"gap_seconds must be non-negative, got {gap_seconds}")
+    by_key: dict[tuple[int, int], list[AttackPulse]] = {}
+    for pulse in pulses:
+        by_key.setdefault((pulse.botnet_id, pulse.target_index), []).append(pulse)
+
+    attacks: list[SegmentedAttack] = []
+    for (botnet_id, target_index), group in by_key.items():
+        attacks.extend(_merge_group(botnet_id, target_index, group, gap_seconds))
+    attacks.sort(key=lambda a: (a.start, a.botnet_id, a.target_index))
+    return attacks

@@ -1,4 +1,4 @@
-"""Deterministic simulation substrate: seeded RNG streams, time base, DES engine."""
+"""Deterministic simulation substrate: seeded RNG streams and the time base."""
 
 from .clock import (
     OBSERVATION_DAYS,
@@ -11,8 +11,6 @@ from .clock import (
     from_datetime,
     to_datetime,
 )
-from .engine import SimulationEngine, SimulationError
-from .events import Event, EventKind
 from .rng import SeededStreams, derive_seed
 
 __all__ = [
@@ -25,10 +23,6 @@ __all__ = [
     "ObservationWindow",
     "from_datetime",
     "to_datetime",
-    "SimulationEngine",
-    "SimulationError",
-    "Event",
-    "EventKind",
     "SeededStreams",
     "derive_seed",
 ]

@@ -1,10 +1,10 @@
-"""Tests for lazy hourly snapshots."""
+"""Tests for the hourly snapshot oracle behind the snapshot-dispersion parity."""
 
 import numpy as np
 import pytest
 
-from repro.monitor.snapshots import iter_hourly_snapshots
 from repro.simulation.clock import SECONDS_PER_HOUR, ObservationWindow
+from ..oracles.kernels import iter_hourly_snapshots
 
 
 def make_window(hours=48):

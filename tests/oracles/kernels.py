@@ -2,7 +2,9 @@
 
 The sweep-line collaboration and chain scans, Fig 3's simultaneous-start
 tally, the weekly-shift pass,
-the batched snapshot-dispersion kernel, Fig 14's per-organization
+the batched snapshot-dispersion kernel (over the hourly
+24-hour-cumulative snapshots of §II-B, tested on their own in
+``tests/monitor/test_snapshots.py``), Fig 14's per-organization
 target count, Fig 16's per-event pair walk and Fig 18's per-chain dot
 and magnitude loops replaced these straightforward Python loops.  They
 are kept here, unchanged, as the comparison target of
@@ -18,7 +20,9 @@ target of the accessors that slice it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 from scipy import optimize, signal
@@ -26,10 +30,12 @@ from scipy import optimize, signal
 from repro.core.collaboration import CollabEvent, PairAnalysis
 from repro.core.consecutive import AttackChain
 from repro.core.context import AnalysisContext, AnalysisSource
+from repro.core.geolocation import LOOKBACK_SECONDS
 from repro.core.shift import WeeklyShift
 from repro.core.stats import sorted_unique, unique_pairs
 from repro.core.targets import OrganizationSpot, _month_mask
 from repro.geo.haversine import EARTH_RADIUS_KM
+from repro.simulation.clock import SECONDS_PER_HOUR, ObservationWindow
 from repro.timeseries.arima import ARIMAFit, _instability
 from repro.timeseries.differencing import difference
 from repro.timeseries.hannan_rissanen import hannan_rissanen
@@ -277,6 +283,53 @@ REFERENCE_FAMILY_VIEWS = {
 }
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """One hourly report: bots of a family active in the last 24 hours."""
+
+    family: str
+    timestamp: float
+    bot_indices: np.ndarray
+
+    @property
+    def n_bots(self) -> int:
+        return self.bot_indices.size
+
+
+def iter_hourly_snapshots(
+    attack_starts: np.ndarray,
+    participant_offsets: np.ndarray,
+    participants: np.ndarray,
+    window: ObservationWindow,
+    family: str = "",
+    skip_empty: bool = True,
+) -> Iterator[Snapshot]:
+    """Yield hourly 24-hour-cumulative snapshots of attack participants.
+
+    ``attack_starts`` must be sorted ascending; ``participant_offsets``
+    (length ``n+1``) and ``participants`` are the CSR layout of per-attack
+    bot indices.  Each snapshot at hour boundary ``t`` contains the union
+    of participants of attacks that *started* in ``(t - 24h, t]``.
+    """
+    starts = np.asarray(attack_starts, dtype=float)
+    if starts.size > 1 and np.any(np.diff(starts) < 0):
+        raise ValueError("attack_starts must be sorted ascending")
+    offsets = np.asarray(participant_offsets)
+    if offsets.size != starts.size + 1:
+        raise ValueError("participant_offsets must have length len(attack_starts) + 1")
+    for hour in range(1, window.n_hours + 1):
+        t = window.start + hour * SECONDS_PER_HOUR
+        lo = int(np.searchsorted(starts, t - LOOKBACK_SECONDS, side="right"))
+        hi = int(np.searchsorted(starts, t, side="right"))
+        if hi <= lo:
+            if skip_empty:
+                continue
+            bots = np.zeros(0, dtype=participants.dtype)
+        else:
+            bots = np.unique(participants[offsets[lo] : offsets[hi]])
+        yield Snapshot(family=family, timestamp=float(t), bot_indices=bots)
+
+
 def reference_snapshot_dispersions(
     source: AnalysisSource, family: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +340,6 @@ def reference_snapshot_dispersions(
     than bitwise equality.
     """
     from repro.geo.haversine import dispersion_km
-    from repro.monitor.snapshots import iter_hourly_snapshots
 
     ctx = AnalysisContext.of(source)
     ds = ctx.dataset
