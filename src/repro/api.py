@@ -36,7 +36,7 @@ from .stream import StreamingDataset, WatchSession
 #: version): the major bumps only on a breaking change to a documented
 #: ``api.*`` signature, the minor on additive growth.  ``docs/API.md``
 #: records each symbol's stability note against this number.
-__version__ = "2.1"
+__version__ = "3.0"
 
 #: What :func:`load` returns: one flat in-memory dataset, or the lazy
 #: handle onto a time-partitioned store (pass either to :func:`context`
@@ -266,16 +266,14 @@ def watch(
     *,
     window: ObservationWindow | None = None,
     sketch: bool = False,
-    exact_window: int = 50_000,
 ) -> WatchSession:
     """A poll-driven session tailing a JSONL attack log.
 
     Each ``poll()`` ingests newly appended records and returns the
     re-rendered headline report, or ``None`` when nothing changed.
     With ``sketch=True`` the session runs at fixed memory: records fold
-    into an :class:`AttackStreamSummary` (plus a trailing window of
-    ``exact_window`` verbatim records) instead of materialising exact
-    columns forever, and the rendered report is the approximate one —
+    into an :class:`AttackStreamSummary` instead of materialising exact
+    columns forever, and the rendered report is the sketch one —
     see ``docs/STREAMING.md`` for the memory model and error contract.
 
     >>> from repro import api
@@ -283,9 +281,7 @@ def watch(
     >>> session.poll() is None              # log file does not exist yet
     True
     """
-    return WatchSession(
-        path, window=window, sketch=sketch, exact_window=exact_window
-    )
+    return WatchSession(path, window=window, sketch=sketch)
 
 
 def context(ds) -> AnalysisContext | ShardedAnalysisContext:
@@ -414,6 +410,8 @@ def sketch(source=None, **params) -> AttackStreamSummary:
 
     * ``None`` — a fresh empty :class:`AttackStreamSummary` (feed it
       with ``update`` / ``update_arrays``);
+    * an :class:`AttackStreamSummary` — returned as is (``params``
+      must be empty: the summary already fixed them);
     * an :class:`AttackDataset` — one vectorised pass over its columns
       (:func:`repro.sketch.summarize_dataset`);
     * a :class:`~repro.io.colstore.ShardedDatasetStore` — each shard is
@@ -426,8 +424,7 @@ def sketch(source=None, **params) -> AttackStreamSummary:
       snapshot dataset is summarised like a flat dataset;
     * any other iterable of records — folded via ``update``.
 
-    ``params`` (``epsilon``, ``delta``, ``precision``, ``k``,
-    ``reservoir_size``, ``seed``) forward to
+    ``params`` (``precision``, ``k``, ``seed``) forward to
     :class:`AttackStreamSummary`; the defaults give the documented
     contract in ``docs/STREAMING.md``.
 
@@ -445,6 +442,11 @@ def sketch(source=None, **params) -> AttackStreamSummary:
     if source is None:
         return AttackStreamSummary(**params)
     if isinstance(source, AttackStreamSummary):
+        if params:
+            raise FormatError(
+                "an AttackStreamSummary already fixes its sketch parameters; "
+                "drop the overrides or build a new summary"
+            )
         return source
     if isinstance(source, ShardedDatasetStore):
         return sketch_summaries(

@@ -256,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
             "re-renders when something changed. The status line shows the "
             "attack count, the stream epoch and the ingest lag in seconds. "
             "With --sketch the session runs at fixed memory forever: "
-            "records fold into bounded-memory sketches (Count-Min, "
-            "HyperLogLog, KLL) instead of exact columns, and the report "
-            "shows approximate answers with their documented error budget "
-            "(docs/STREAMING.md)."
+            "records fold into exact family and country counters and "
+            "bounded-memory sketches (HyperLogLog, KLL) instead of exact "
+            "columns, and the report shows the sketch answers with their "
+            "documented error budget (docs/STREAMING.md)."
         ),
         epilog="example:\n  ddos-repro watch --path attacks.jsonl --interval 2",
     )
@@ -275,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--sketch", action="store_true",
         help="bounded-memory mode: sketch summaries instead of exact columns",
-    )
-    watch.add_argument(
-        "--exact-window", type=_positive_int, default=50_000,
-        help="with --sketch, how many recent records to keep verbatim",
     )
 
     shard = _add_command(
@@ -530,9 +526,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
     from .stream import WatchSession
 
-    session = WatchSession(
-        args.path, sketch=args.sketch, exact_window=args.exact_window
-    )
+    session = WatchSession(args.path, sketch=args.sketch)
     polls = 0
     try:
         while args.max_polls is None or polls < args.max_polls:

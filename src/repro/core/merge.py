@@ -892,8 +892,8 @@ def sketch_summaries(summaries):
     """Reduce per-shard :class:`~repro.sketch.AttackStreamSummary` values.
 
     The sketch counterpart of the exact combinators above: every member
-    structure merges under its own associative algebra (Count-Min adds,
-    HLL maxes, KLL compacts), so any merge tree over the same shards
+    structure merges under its own associative algebra (exact counters
+    add, HLL maxes, KLL compacts), so any merge tree over the same shards
     answers queries under the same documented error contract.  The only
     boundary artefact is the one inter-attack interval spanning each
     shard edge, which no shard observed (see

@@ -2,42 +2,36 @@
 
 The streaming layer's exact path (:class:`~repro.stream.StreamingDataset`)
 materialises every attack forever; this package is the fixed-memory
-alternative for indefinitely-running ingestion (ROADMAP item 2):
+alternative for indefinitely-running ingestion:
 
-* :class:`~repro.sketch.cms.CountMinSketch` — per-key frequencies
-  (attacks per family / victim / country);
 * :class:`~repro.sketch.hll.HyperLogLog` — distinct cardinalities
-  (botnets, victims, countries);
-* :class:`~repro.sketch.quantiles.KLLSketch` /
-  :class:`~repro.sketch.quantiles.ReservoirSample` — duration and
+  (botnets, victims);
+* :class:`~repro.sketch.quantiles.KLLSketch` — duration and
   inter-attack-interval distributions;
-* :class:`~repro.sketch.summary.AttackStreamSummary` — all of the above
-  bundled into one mergeable, serialisable value, consumed by
-  ``stream.watch --sketch``, ``StreamingDataset(sketches=True)``, and
-  the service's ``/v1/sketch`` endpoint.
+* :class:`~repro.sketch.summary.AttackStreamSummary` — both, plus exact
+  per-family and per-country attack counts, bundled into one mergeable,
+  serialisable value, consumed by ``stream.watch --sketch``,
+  ``StreamingDataset(sketches=True)``, and the service's ``/v1/sketch``
+  endpoint.
 
 Every structure exposes the same algebra — ``update(batch)``,
 ``merge(other)``, ``estimate``-style queries, ``to_dict``/``from_dict``
 — and every merge is associative and commutative, so sketches compose
 with the shard layer's map-reduce exactly like the exact merge
 combinators in :mod:`repro.core.merge`.  The accuracy contract of each
-structure (epsilon/delta, RSE, rank error) is documented in
-``docs/STREAMING.md`` and pinned by full-scale exact-vs-sketch parity
-tests.
+structure (RSE, rank error) is documented in ``docs/STREAMING.md`` and
+pinned by full-scale exact-vs-sketch parity tests.
 """
 
-from .cms import CountMinSketch
 from .hll import HyperLogLog
-from .quantiles import KLLSketch, ReservoirSample
+from .quantiles import KLLSketch
 from .report import render_sketch_report
 from .summary import AttackStreamSummary, summarize_dataset
 
 __all__ = [
     "AttackStreamSummary",
-    "CountMinSketch",
     "HyperLogLog",
     "KLLSketch",
-    "ReservoirSample",
     "render_sketch_report",
     "summarize_dataset",
 ]

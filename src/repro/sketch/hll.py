@@ -17,6 +17,11 @@ truth with ~99.7 % probability over the hash choice.
 Merging two HLLs with the same ``(precision, seed)`` is element-wise
 register max — associative, commutative, idempotent — so distinct
 counts compose across shards and tenants without double counting.
+
+Keys are integers (victim IPs, botnet ids), hashed in bulk by a seeded
+SplitMix64 finalizer, so estimates reproduce across processes and
+machines.  Python's builtin ``hash`` is avoided because it is salted
+per process (``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
@@ -26,11 +31,21 @@ import math
 
 import numpy as np
 
-from .hashing import codes_of, hash_codes
-
 __all__ = ["HyperLogLog"]
 
 _U64 = np.uint64
+
+#: SplitMix64 increment (odd), used to derive per-seed hash functions.
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+
+
+def _hash_codes(codes: np.ndarray, seed: int) -> np.ndarray:
+    """The SplitMix64 finalizer over ``codes`` offset by a seed (wrapping)."""
+    with np.errstate(over="ignore"):
+        z = codes + _GOLDEN * _U64(2 * seed + 1)
+        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+        return z ^ (z >> _U64(31))
 
 
 def _alpha(m: int) -> float:
@@ -109,11 +124,13 @@ class HyperLogLog:
     # -- updates -----------------------------------------------------------
 
     def update(self, keys) -> None:
-        """Fold a batch of keys (ints or strings) into the registers."""
-        codes = codes_of(keys)
+        """Fold a batch of integer keys into the registers."""
+        codes = np.asarray(keys)
         if codes.size == 0:
             return
-        hashed = hash_codes(codes, seed=self._seed)
+        if codes.dtype.kind not in "iu":
+            raise TypeError(f"HyperLogLog keys must be integers, got {codes.dtype}")
+        hashed = _hash_codes(codes.astype(np.uint64), self._seed)
         p = _U64(self._precision)
         idx = (hashed >> _U64(64 - self._precision)).astype(np.intp)
         # Sentinel bit below the usable suffix: guarantees _clz64 sees a

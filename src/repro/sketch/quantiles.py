@@ -1,25 +1,18 @@
-"""Quantile and sample sketches for duration / inter-arrival streams.
+"""Quantile sketch for duration / inter-arrival streams.
 
-Two bounded-memory summaries of a numeric stream:
+:class:`KLLSketch` is a KLL-style compactor hierarchy (Karnin, Lang,
+Liberty 2016).  Level ``l`` holds items of weight ``2**l``; when a
+level overflows its capacity ``k * (2/3) ** (H - 1 - l)`` it sorts,
+keeps every other item (even or odd positions, chosen by a seeded RNG),
+and promotes the survivors one level up.  Rank queries are answered
+from the weighted union of all levels.  At the default ``k=200`` the
+additive *rank* error is about ``2.3 / k**0.9`` ≈ 2 % at 99 %
+confidence — the contract documented in ``docs/STREAMING.md`` and
+asserted by the full-scale parity tests.
 
-* :class:`KLLSketch` — a KLL-style compactor hierarchy (Karnin, Lang,
-  Liberty 2016).  Level ``l`` holds items of weight ``2**l``; when a
-  level overflows its capacity ``k * (2/3) ** (H - 1 - l)`` it sorts,
-  keeps every other item (even or odd positions, chosen by a seeded
-  RNG), and promotes the survivors one level up.  Rank queries are
-  answered from the weighted union of all levels.  At the default
-  ``k=200`` the additive *rank* error is about ``2.3 / k**0.9`` ≈ 2 %
-  at 99 % confidence — the contract documented in
-  ``docs/STREAMING.md`` and asserted by the full-scale parity tests.
-* :class:`ReservoirSample` — a fixed-size uniform sample, useful when a
-  raw subsample of values (not just quantiles) is wanted, e.g. to
-  re-fit a distribution.  Merging two reservoirs draws each slot from
-  the union in proportion to the populations seen, so a merged
-  reservoir is again (approximately) a uniform sample of the union.
-
-Both use ``numpy.random.default_rng`` seeded at construction, so a
-given stream order reproduces bit-identical state; both merge with
-same-parameter peers, composing with the shard layer's map-reduce.
+The RNG is ``numpy.random.default_rng`` seeded at construction, so a
+given stream order reproduces bit-identical state; the sketch merges
+with same-parameter peers, composing with the shard layer's map-reduce.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ import base64
 
 import numpy as np
 
-__all__ = ["KLLSketch", "ReservoirSample"]
+__all__ = ["KLLSketch"]
 
 
 def _level_capacity(k: int, depth: int, level: int) -> int:
@@ -135,25 +128,24 @@ class KLLSketch:
         Returns ``nan`` on an empty sketch.  ``q=0`` / ``q=1`` return
         the exact tracked min / max.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
+        return self.quantiles([q])[0]
+
+    def quantiles(self, qs) -> list:
+        """:meth:`quantile` at each fraction in ``qs``, sorting once."""
+        qs = [float(q) for q in qs]
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"q must be in [0, 1], got {q}")
         if self._n == 0:
-            return float("nan")
-        if q == 0.0:
-            return float(self._min)
-        if q == 1.0:
-            return float(self._max)
+            return [float("nan")] * len(qs)
         items, weights = self._weighted_items()
         order = np.argsort(items, kind="stable")
         items, weights = items[order], weights[order]
         ranks = np.cumsum(weights) - 0.5 * weights
-        target = q * float(np.sum(weights))
-        pos = int(np.searchsorted(ranks, target))
-        return float(items[min(pos, items.size - 1)])
-
-    def quantiles(self, qs) -> list:
-        """Vectorised :meth:`quantile` over a sequence of fractions."""
-        return [self.quantile(float(q)) for q in qs]
+        targets = np.asarray(qs, dtype=np.float64) * float(np.sum(weights))
+        pos = np.minimum(np.searchsorted(ranks, targets), items.size - 1)
+        extremes = {0.0: float(self._min), 1.0: float(self._max)}
+        return [extremes.get(q, float(items[p])) for q, p in zip(qs, pos.tolist())]
 
     def rank(self, value: float) -> float:
         """The estimated fraction of the stream that is ``<= value``."""
@@ -247,162 +239,3 @@ class KLLSketch:
         kll._min = np.inf if state["min"] is None else float(state["min"])
         kll._max = -np.inf if state["max"] is None else float(state["max"])
         return kll
-
-
-class ReservoirSample:
-    """A fixed-size uniform random sample of an unbounded stream.
-
-    >>> from repro.sketch import ReservoirSample
-    >>> res = ReservoirSample(size=64, seed=7)
-    >>> res.update(range(10000))
-    >>> len(res.values()) == 64 and res.n == 10000
-    True
-    """
-
-    __slots__ = ("_size", "_seed", "_rng", "_sample", "_n")
-
-    def __init__(self, *, size: int = 4096, seed: int = 7) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self._size = int(size)
-        self._seed = int(seed)
-        self._rng = np.random.default_rng(seed)
-        self._sample = np.zeros(0, dtype=np.float64)
-        self._n = 0
-
-    # -- shape -------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """The reservoir capacity (sample size once the stream exceeds it)."""
-        return self._size
-
-    @property
-    def seed(self) -> int:
-        """The sampling-RNG seed; merges require equal seeds."""
-        return self._seed
-
-    @property
-    def n(self) -> int:
-        """Stream length seen so far (exact)."""
-        return self._n
-
-    @property
-    def memory_bytes(self) -> int:
-        """Resident size of the retained sample."""
-        return int(self._sample.nbytes)
-
-    # -- updates -----------------------------------------------------------
-
-    def update(self, values) -> None:
-        """Fold a batch of numeric values into the reservoir (algorithm R,
-        batched: each incoming item replaces a random slot with
-        probability ``size / seen_so_far``)."""
-        batch = np.asarray(list(values) if not hasattr(values, "__len__") else values,
-                           dtype=np.float64).ravel()
-        if batch.size == 0:
-            return
-        i = 0
-        if self._sample.size < self._size:
-            take = min(self._size - self._sample.size, batch.size)
-            self._sample = np.concatenate([self._sample, batch[:take]])
-            self._n += take
-            i = take
-        if i < batch.size:
-            rest = batch[i:]
-            positions = np.arange(self._n + 1, self._n + rest.size + 1)
-            draws = self._rng.integers(0, positions, size=rest.size)
-            hits = draws < self._size
-            # Later stream items overwrite earlier within the batch,
-            # matching sequential algorithm R exactly.
-            for value, slot in zip(rest[hits], draws[hits]):
-                self._sample[slot] = value
-            self._n += int(rest.size)
-
-    # -- queries -----------------------------------------------------------
-
-    def values(self) -> np.ndarray:
-        """A copy of the current sample (length ``min(size, n)``)."""
-        return self._sample.copy()
-
-    # -- algebra -----------------------------------------------------------
-
-    def _check_compatible(self, other: "ReservoirSample") -> None:
-        if not isinstance(other, ReservoirSample):
-            raise TypeError(
-                f"cannot merge ReservoirSample with {type(other).__name__}"
-            )
-        if (self._size, self._seed) != (other._size, other._seed):
-            raise ValueError(
-                "cannot merge reservoirs with different (size, seed): "
-                f"{(self._size, self._seed)} vs {(other._size, other._seed)}"
-            )
-
-    def merge(self, other: "ReservoirSample") -> "ReservoirSample":
-        """Fold another reservoir in; returns ``self``.
-
-        Each slot of the merged sample is drawn from the two inputs in
-        proportion to their populations, so the result approximates a
-        uniform sample of the combined stream.
-        """
-        self._check_compatible(other)
-        if other._n == 0:
-            return self
-        if self._n == 0:
-            self._sample = other._sample.copy()
-            self._n = other._n
-            return self
-        total = self._n + other._n
-        merged_len = min(self._size, self._sample.size + other._sample.size)
-        from_other = self._rng.random(merged_len) < (other._n / total)
-        merged = np.empty(merged_len, dtype=np.float64)
-        n_other = int(from_other.sum())
-        if n_other:
-            merged[from_other] = self._rng.choice(
-                other._sample, size=n_other, replace=n_other > other._sample.size
-            )
-        n_self = merged_len - n_other
-        if n_self:
-            merged[~from_other] = self._rng.choice(
-                self._sample, size=n_self, replace=n_self > self._sample.size
-            )
-        self._sample = merged
-        self._n = total
-        return self
-
-    def copy(self) -> "ReservoirSample":
-        """An independent deep copy (same parameters, sample, RNG state)."""
-        dup = ReservoirSample(size=self._size, seed=self._seed)
-        dup._rng = np.random.default_rng()
-        dup._rng.bit_generator.state = self._rng.bit_generator.state
-        dup._sample = self._sample.copy()
-        dup._n = self._n
-        return dup
-
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-able state (sample base64-encoded little-endian float64).
-
-        Like :meth:`KLLSketch.to_dict`, the RNG state restarts from the
-        seed on revival.
-        """
-        return {
-            "kind": "reservoir",
-            "size": self._size,
-            "seed": self._seed,
-            "n": self._n,
-            "sample": base64.b64encode(
-                np.ascontiguousarray(self._sample, dtype="<f8").tobytes()
-            ).decode("ascii"),
-        }
-
-    @classmethod
-    def from_dict(cls, state: dict) -> "ReservoirSample":
-        """Rebuild a reservoir from :meth:`to_dict` output."""
-        res = cls(size=state["size"], seed=state["seed"])
-        res._sample = np.frombuffer(
-            base64.b64decode(state["sample"]), dtype="<f8"
-        ).astype(np.float64)
-        res._n = int(state["n"])
-        return res

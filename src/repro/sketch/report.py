@@ -4,9 +4,10 @@ The sketch-mode counterpart of :mod:`repro.core.report`: where the exact
 reports render from an :class:`~repro.core.context.AnalysisContext`,
 this renders straight from a summary's :meth:`estimate` dict — the
 ``stream.watch --sketch`` screen and the ``/v1/sketch`` endpoint's
-human-readable sibling.  Every number shown is approximate except the
-record count; the footer restates the error budget so a screenshot of
-the report carries its own caveats.
+human-readable sibling.  The record count and the family and country
+counts are exact; the distinct botnet and victim counts and the
+quantiles are approximate, and the footer restates their error budget
+so a screenshot of the report carries its own caveats.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def _fmt_seconds(value: float) -> str:
 
 
 def render_sketch_report(summary) -> str:
-    """A compact terminal report of a summary's approximate answers.
+    """A compact terminal report of a summary's answers.
 
     >>> from repro.sketch import AttackStreamSummary
     >>> from repro.sketch.report import render_sketch_report
@@ -41,19 +42,19 @@ def render_sketch_report(summary) -> str:
         "",
         f"distinct botnets ~{est['distinct']['botnets']}  "
         f"victims ~{est['distinct']['victims']}  "
-        f"countries ~{est['distinct']['countries']}",
+        f"countries {est['distinct']['countries']}",
         "",
-        "attacks per family (Count-Min):",
+        "attacks per family:",
     ]
     families = sorted(est["families"].items(), key=lambda kv: (-kv[1], kv[0]))
     for fam, count in families[:12]:
-        lines.append(f"  {fam:<16} ~{count}")
+        lines.append(f"  {fam:<16} {count}")
     if len(families) > 12:
         lines.append(f"  ... and {len(families) - 12} more families")
     lines.append("")
-    lines.append("top target countries (Count-Min):")
+    lines.append("top target countries:")
     for code, count in est["top_countries"].items():
-        lines.append(f"  {code:<4} ~{count}")
+        lines.append(f"  {code:<4} {count}")
     dur = est["duration_seconds"]
     gap = est["interval_seconds"]
     lines += [
@@ -67,9 +68,7 @@ def render_sketch_report(summary) -> str:
             _fmt_seconds(gap["p99"]),
         ),
         "",
-        "error budget: cms +{:.2%} of stream (delta {:.0%}); "
-        "hll +-{:.2%} rse; kll rank +-{:.2%}".format(
-            contract["cms"]["epsilon"], contract["cms"]["delta"],
+        "error budget: hll +-{:.2%} rse; kll rank +-{:.2%}".format(
             contract["hll"]["relative_standard_error"],
             contract["kll"]["rank_error"],
         ),

@@ -1,21 +1,16 @@
 """AttackStreamSummary: the paper's questions at fixed memory.
 
-One object bundling every sketch the streaming layer maintains, keyed
-to the quantities the DSN 2015 characterization actually reports:
+One object bundling what the streaming layer maintains, keyed to the
+quantities the DSN 2015 characterization actually reports:
 
-* **per-key frequencies** (Count-Min): attacks per family, per victim
-  IP, per target country;
-* **distinct cardinalities** (HyperLogLog): botnets, victim IPs, and
-  target countries seen;
-* **distributions** (KLL + reservoir): attack duration and inter-attack
-  interval seconds — the paper's Fig. 4/5 axes.
-
-Family and country *name sets* are kept exactly — those domains are
-tiny (23 families, ~200 ISO codes) and bounded by the world, not the
-stream — which lets :meth:`AttackStreamSummary.estimate` enumerate
-per-family and per-country counts without a heavy-hitters structure.
-Everything keyed by stream-sized domains (victim IPs, botnet ids) stays
-strictly approximate.
+* **per-key counts** (exact): attacks per family and per target
+  country.  Both domains are fixed by the world, not the stream (23
+  families, ~200 ISO codes), so a plain counter per name stays small
+  however long the stream runs;
+* **distinct cardinalities** (HyperLogLog): botnets and victim IPs seen
+  — the domains that grow with the stream;
+* **distributions** (KLL): attack duration and inter-attack interval
+  seconds — the paper's Fig. 4/5 axes.
 
 The summary is itself a mergeable value: :meth:`AttackStreamSummary.merge`
 folds a peer built with the same parameters, so per-shard summaries
@@ -28,17 +23,33 @@ is not observed (each side only knows its own arrivals).
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
 
 from ..monitor.schemas import columns_of_records
 from ..obs import registry as _obs_registry
-from .cms import CountMinSketch
 from .hll import HyperLogLog
-from .quantiles import KLLSketch, ReservoirSample
+from .quantiles import KLLSketch
 
 __all__ = ["AttackStreamSummary", "summarize_dataset"]
 
 _QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+_QUANTILE_KEYS = tuple(f"p{int(q * 100)}" for q in _QUANTILES)
+
+
+def _count(counter: Counter, keys) -> None:
+    """Add one batch's per-key attack counts to ``counter``."""
+    labels, counts = np.unique(np.asarray(keys, dtype=object), return_counts=True)
+    counter.update(dict(zip(labels.tolist(), counts.tolist())))
+
+
+def _counter_bytes(counter: Counter) -> int:
+    """Resident bytes of a name counter: its table, keys and counts."""
+    return sys.getsizeof(counter) + sum(
+        sys.getsizeof(key) + sys.getsizeof(count) for key, count in counter.items()
+    )
 
 
 class AttackStreamSummary:
@@ -59,54 +70,28 @@ class AttackStreamSummary:
 
     __slots__ = (
         "_params",
-        "cms_family",
-        "cms_victim",
-        "cms_country",
         "hll_botnets",
         "hll_victims",
-        "hll_countries",
         "kll_duration",
         "kll_interval",
-        "reservoir_duration",
         "_families",
         "_countries",
         "_n_records",
         "_last_start",
     )
 
-    def __init__(
-        self,
-        *,
-        epsilon: float = 0.001,
-        delta: float = 0.01,
-        precision: int = 12,
-        k: int = 200,
-        reservoir_size: int = 4096,
-        seed: int = 7,
-    ) -> None:
-        self._params = {
-            "epsilon": float(epsilon),
-            "delta": float(delta),
-            "precision": int(precision),
-            "k": int(k),
-            "reservoir_size": int(reservoir_size),
-            "seed": int(seed),
-        }
-        self.cms_family = CountMinSketch(epsilon=epsilon, delta=delta, seed=seed)
-        self.cms_victim = CountMinSketch(epsilon=epsilon, delta=delta, seed=seed + 1)
-        self.cms_country = CountMinSketch(epsilon=epsilon, delta=delta, seed=seed + 2)
+    def __init__(self, *, precision: int = 12, k: int = 200, seed: int = 7) -> None:
+        self._params = {"precision": int(precision), "k": int(k), "seed": int(seed)}
         self.hll_botnets = HyperLogLog(precision=precision, seed=seed)
         self.hll_victims = HyperLogLog(precision=precision, seed=seed + 1)
-        self.hll_countries = HyperLogLog(precision=precision, seed=seed + 2)
         self.kll_duration = KLLSketch(k=k, seed=seed)
         self.kll_interval = KLLSketch(k=k, seed=seed + 1)
-        self.reservoir_duration = ReservoirSample(size=reservoir_size, seed=seed)
-        self._families: set[str] = set()
-        self._countries: set[str] = set()
+        #: Exact attacks per family name and per target-country code.
+        self._families: Counter = Counter()
+        self._countries: Counter = Counter()
         self._n_records = 0
         self._last_start = -np.inf
         reg = _obs_registry()
-        reg.gauge("sketch.error_budget", structure="cms").set(self.cms_family.epsilon)
         reg.gauge("sketch.error_budget", structure="hll").set(
             self.hll_botnets.relative_error
         )
@@ -137,17 +122,14 @@ class AttackStreamSummary:
         return sorted(self._countries)
 
     def memory_bytes(self) -> int:
-        """Total resident bytes across all member sketches."""
+        """Total resident bytes across the member sketches and counters."""
         return int(
-            self.cms_family.memory_bytes
-            + self.cms_victim.memory_bytes
-            + self.cms_country.memory_bytes
+            _counter_bytes(self._families)
+            + _counter_bytes(self._countries)
             + self.hll_botnets.memory_bytes
             + self.hll_victims.memory_bytes
-            + self.hll_countries.memory_bytes
             + self.kll_duration.memory_bytes
             + self.kll_interval.memory_bytes
-            + self.reservoir_duration.memory_bytes
         )
 
     # -- updates -----------------------------------------------------------
@@ -187,25 +169,11 @@ class AttackStreamSummary:
             return 0
         end = np.asarray(end, dtype=np.float64)
 
-        fam_labels, fam_counts = np.unique(np.asarray(family, dtype=object),
-                                           return_counts=True)
-        self.cms_family.update(fam_labels.tolist(), fam_counts)
-        self._families.update(fam_labels.tolist())
-
-        cc_labels, cc_counts = np.unique(np.asarray(country, dtype=object),
-                                         return_counts=True)
-        self.cms_country.update(cc_labels.tolist(), cc_counts)
-        self.hll_countries.update(cc_labels.tolist())
-        self._countries.update(cc_labels.tolist())
-
-        victim = np.asarray(victim).astype(np.uint64, copy=False)
-        self.cms_victim.update(victim)
-        self.hll_victims.update(victim)
+        _count(self._families, family)
+        _count(self._countries, country)
+        self.hll_victims.update(np.asarray(victim).astype(np.uint64, copy=False))
         self.hll_botnets.update(np.asarray(botnet).astype(np.int64, copy=False))
-
-        durations = end - start
-        self.kll_duration.update(durations)
-        self.reservoir_duration.update(durations)
+        self.kll_duration.update(end - start)
 
         intervals = np.diff(start)
         if np.isfinite(self._last_start):
@@ -224,24 +192,19 @@ class AttackStreamSummary:
     # -- queries -----------------------------------------------------------
 
     def estimate(self, *, top_countries: int = 10) -> dict:
-        """The paper-shaped approximate answers, as one JSON-able dict.
+        """The paper-shaped answers, as one JSON-able dict.
 
-        Keys: exact ``n_records``; per-family attack counts (every
-        family — the set is exact, the counts are Count-Min estimates);
-        the ``top_countries`` most-attacked target countries; distinct
-        botnet/victim/country cardinalities (HLL); duration and
-        inter-attack-interval quantiles (KLL).
+        Keys: exact ``n_records``; exact per-family attack counts (every
+        family); the ``top_countries`` most-attacked target countries
+        (exact counts; ties list the later code first); distinct
+        botnet/victim cardinalities (HLL) and the exact distinct country
+        count; duration and inter-attack-interval quantiles (KLL).
         """
-        families = {
-            fam: int(est)
-            for fam, est in zip(
-                self.families, self.cms_family.estimate_many(self.families)
-            )
-        }
+        families = {fam: self._families[fam] for fam in self.families}
         cc = self.countries
-        cc_est = self.cms_country.estimate_many(cc)
-        order = np.argsort(cc_est, kind="stable")[::-1][:top_countries]
-        countries = {cc[i]: int(cc_est[i]) for i in order}
+        cc_count = np.asarray([self._countries[c] for c in cc], dtype=np.int64)
+        order = np.argsort(cc_count, kind="stable")[::-1][:top_countries]
+        countries = {cc[i]: int(cc_count[i]) for i in order}
         return {
             "n_records": self._n_records,
             "families": families,
@@ -249,34 +212,26 @@ class AttackStreamSummary:
             "distinct": {
                 "botnets": round(self.hll_botnets.estimate()),
                 "victims": round(self.hll_victims.estimate()),
-                "countries": round(self.hll_countries.estimate()),
+                "countries": len(self._countries),
             },
-            "duration_seconds": {
-                f"p{int(q * 100)}": self.kll_duration.quantile(q)
-                for q in _QUANTILES
-            },
-            "interval_seconds": {
-                f"p{int(q * 100)}": self.kll_interval.quantile(q)
-                for q in _QUANTILES
-            },
+            "duration_seconds": dict(
+                zip(_QUANTILE_KEYS, self.kll_duration.quantiles(_QUANTILES))
+            ),
+            "interval_seconds": dict(
+                zip(_QUANTILE_KEYS, self.kll_interval.quantiles(_QUANTILES))
+            ),
         }
 
     def contract(self) -> dict:
-        """The accuracy contract of every member structure, as data.
+        """The accuracy contract of every approximate member, as data.
 
         Mirrors the table in ``docs/STREAMING.md`` (the docs test keeps
-        the two in sync): Count-Min over-counts by at most
-        ``epsilon * total`` w.p. ``>= 1 - delta``; HLL is within
-        ``3 * rse`` relative w.p. ~99.7 %; KLL quantile *ranks* are off
-        by at most ``rank_error`` (additive) w.p. ~99 %.
+        the two in sync): HLL is within ``3 * rse`` relative w.p.
+        ~99.7 %; KLL quantile *ranks* are off by at most ``rank_error``
+        (additive) w.p. ~99 %.  The family and country counts are exact,
+        so they carry no entry.
         """
         return {
-            "cms": {
-                "epsilon": self.cms_family.epsilon,
-                "delta": self.cms_family.delta,
-                "bound": "true <= estimate <= true + epsilon * total, "
-                         "w.p. >= 1 - delta",
-            },
             "hll": {
                 "relative_standard_error": self.hll_botnets.relative_error,
                 "bound": "|estimate - true| <= 3 * rse * true, w.p. ~99.7%",
@@ -293,9 +248,9 @@ class AttackStreamSummary:
         """Fold another summary in; returns ``self``.
 
         Requires equal construction params.  All member sketches merge
-        under their own algebra; the exact family/country sets union;
-        the one interval spanning the boundary between the two summaries
-        is dropped (neither side observed it).  Counts into
+        under their own algebra; the exact counters add; the one
+        interval spanning the boundary between the two summaries is
+        dropped (neither side observed it).  Counts into
         ``sketch.merges``.
         """
         if not isinstance(other, AttackStreamSummary):
@@ -307,17 +262,12 @@ class AttackStreamSummary:
                 "cannot merge summaries with different params: "
                 f"{self._params} vs {other._params}"
             )
-        self.cms_family.merge(other.cms_family)
-        self.cms_victim.merge(other.cms_victim)
-        self.cms_country.merge(other.cms_country)
         self.hll_botnets.merge(other.hll_botnets)
         self.hll_victims.merge(other.hll_victims)
-        self.hll_countries.merge(other.hll_countries)
         self.kll_duration.merge(other.kll_duration)
         self.kll_interval.merge(other.kll_interval)
-        self.reservoir_duration.merge(other.reservoir_duration)
-        self._families |= other._families
-        self._countries |= other._countries
+        self._families.update(other._families)
+        self._countries.update(other._countries)
         self._n_records += other._n_records
         self._last_start = max(self._last_start, other._last_start)
         reg = _obs_registry()
@@ -328,17 +278,12 @@ class AttackStreamSummary:
     def copy(self) -> "AttackStreamSummary":
         """An independent deep copy (same params and state)."""
         dup = AttackStreamSummary(**self._params)
-        dup.cms_family = self.cms_family.copy()
-        dup.cms_victim = self.cms_victim.copy()
-        dup.cms_country = self.cms_country.copy()
         dup.hll_botnets = self.hll_botnets.copy()
         dup.hll_victims = self.hll_victims.copy()
-        dup.hll_countries = self.hll_countries.copy()
         dup.kll_duration = self.kll_duration.copy()
         dup.kll_interval = self.kll_interval.copy()
-        dup.reservoir_duration = self.reservoir_duration.copy()
-        dup._families = set(self._families)
-        dup._countries = set(self._countries)
+        dup._families = Counter(self._families)
+        dup._countries = Counter(self._countries)
         dup._n_records = self._n_records
         dup._last_start = self._last_start
         return dup
@@ -346,43 +291,31 @@ class AttackStreamSummary:
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-able state: params + every member sketch's own state."""
+        """JSON-able state: params, the exact counters, every sketch's state."""
         return {
             "kind": "attack_stream_summary",
             "params": dict(self._params),
             "n_records": self._n_records,
             "last_start": None if not np.isfinite(self._last_start)
             else float(self._last_start),
-            "families": self.families,
-            "countries": self.countries,
-            "cms_family": self.cms_family.to_dict(),
-            "cms_victim": self.cms_victim.to_dict(),
-            "cms_country": self.cms_country.to_dict(),
+            "families": {fam: self._families[fam] for fam in self.families},
+            "countries": {cc: self._countries[cc] for cc in self.countries},
             "hll_botnets": self.hll_botnets.to_dict(),
             "hll_victims": self.hll_victims.to_dict(),
-            "hll_countries": self.hll_countries.to_dict(),
             "kll_duration": self.kll_duration.to_dict(),
             "kll_interval": self.kll_interval.to_dict(),
-            "reservoir_duration": self.reservoir_duration.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, state: dict) -> "AttackStreamSummary":
         """Rebuild a summary from :meth:`to_dict` output."""
         summary = cls(**state["params"])
-        summary.cms_family = CountMinSketch.from_dict(state["cms_family"])
-        summary.cms_victim = CountMinSketch.from_dict(state["cms_victim"])
-        summary.cms_country = CountMinSketch.from_dict(state["cms_country"])
         summary.hll_botnets = HyperLogLog.from_dict(state["hll_botnets"])
         summary.hll_victims = HyperLogLog.from_dict(state["hll_victims"])
-        summary.hll_countries = HyperLogLog.from_dict(state["hll_countries"])
         summary.kll_duration = KLLSketch.from_dict(state["kll_duration"])
         summary.kll_interval = KLLSketch.from_dict(state["kll_interval"])
-        summary.reservoir_duration = ReservoirSample.from_dict(
-            state["reservoir_duration"]
-        )
-        summary._families = set(state["families"])
-        summary._countries = set(state["countries"])
+        summary._families = Counter(state["families"])
+        summary._countries = Counter(state["countries"])
         summary._n_records = int(state["n_records"])
         summary._last_start = (
             -np.inf if state["last_start"] is None else float(state["last_start"])

@@ -17,16 +17,14 @@ Sessions come in two memory models (``docs/STREAMING.md``):
 * **exact** (default) — every record is materialised into a
   :class:`StreamingDataset`; memory grows with the log.
 * **sketch** (``sketch=True``, the CLI's ``--sketch``) — records fold
-  into an :class:`~repro.sketch.AttackStreamSummary` and only the most
-  recent ``exact_window`` records are retained verbatim; memory is
-  fixed no matter how long the log grows, and the rendered report is
-  the approximate one with its error budget in the footer.
+  into an :class:`~repro.sketch.AttackStreamSummary` and none is
+  retained; memory is fixed no matter how long the log grows, and the
+  rendered report is the sketch one with its error budget in the footer.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from pathlib import Path
 
 from ..monitor.schemas import DDoSAttackRecord
@@ -97,9 +95,9 @@ class WatchSession:
     >>> (session.n_attacks, session.epoch)
     (0, 0)
 
-    With ``sketch=True`` the session never materialises exact columns
-    beyond the trailing ``exact_window`` records; ``render`` produces
-    the approximate report instead (``repro.sketch.render_sketch_report``).
+    With ``sketch=True`` the session never materialises exact columns;
+    ``render`` produces the sketch report instead
+    (``repro.sketch.render_sketch_report``).
     """
 
     def __init__(
@@ -107,23 +105,16 @@ class WatchSession:
         path: str | Path,
         *,
         window: ObservationWindow | None = None,
-        renderer=None,
         sketch: bool = False,
-        exact_window: int = 50_000,
     ) -> None:
         self._tail = JsonlTail(path)
-        self._renderer = renderer
         self._stream: StreamingDataset | None = None
         self._summary = None
-        self._recent: deque | None = None
         self._epoch_count = 0
         if sketch:
             from ..sketch import AttackStreamSummary
 
-            if exact_window < 0:
-                raise ValueError(f"exact_window must be >= 0, got {exact_window}")
             self._summary = AttackStreamSummary()
-            self._recent = deque(maxlen=exact_window)
         else:
             self._stream = StreamingDataset(window=window)
 
@@ -136,15 +127,6 @@ class WatchSession:
     def sketch(self):
         """The sketch-mode summary, or ``None`` in exact mode."""
         return self._summary
-
-    @property
-    def recent(self) -> list:
-        """Sketch mode's trailing exact-record window (newest last).
-
-        Empty in exact mode — there the full record history lives in
-        :attr:`stream`.
-        """
-        return list(self._recent) if self._recent is not None else []
 
     @property
     def n_attacks(self) -> int:
@@ -204,10 +186,8 @@ class WatchSession:
         round-tripping through a log file.  Returns the number folded.
         """
         if self._summary is not None:
-            batch = sorted(records, key=lambda r: r.timestamp)
-            folded = self._summary.update(batch)
+            folded = self._summary.update(records)
             if folded:
-                self._recent.extend(batch)
                 self._epoch_count += 1
             return folded
         return self._stream.append_batch(records)
@@ -216,21 +196,16 @@ class WatchSession:
         """The report for the current state.
 
         Exact mode renders the headline + protocol mix from the snapshot
-        context; sketch mode renders the approximate summary report
-        (with its error budget in the footer).  A custom ``renderer``
-        callable receives the context (exact) or summary (sketch).
+        context; sketch mode renders the summary report (with its error
+        budget in the footer).
         """
         if self.n_attacks == 0:
             return "(no attacks ingested yet)"
         if self._summary is not None:
-            if self._renderer is not None:
-                return self._renderer(self._summary)
             from ..sketch import render_sketch_report
 
             return render_sketch_report(self._summary)
         ctx = self._stream.context()
-        if self._renderer is not None:
-            return self._renderer(ctx)
         from ..core import report
 
         return "\n\n".join(

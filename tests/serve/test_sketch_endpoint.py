@@ -45,7 +45,7 @@ class TestSketchEndpoint:
         assert sketch["epoch"] == body["epoch"]
         assert sketch["n_records"] == 50
         assert sketch["estimate"]["n_records"] == 50
-        assert set(sketch["contract"]) == {"cms", "hll", "kll"}
+        assert set(sketch["contract"]) == {"hll", "kll"}
         assert 0 < sketch["sketch_bytes"] <= sketch["resident_bytes"]
 
     def test_epoch_pinning(self, server, rows):
@@ -95,8 +95,9 @@ class TestSketchEndpoint:
 
 class TestMemoryCeiling:
     def test_ingest_429_past_ceiling(self, rows):
-        # A fresh sketch-enabled tenant sits around 340 KiB resident;
-        # a 1 MiB ceiling trips after a bounded number of batches.
+        # A fresh sketch-enabled tenant sits around 14 KiB resident and
+        # its columns grow with every batch, so a 1 MiB ceiling trips
+        # after a bounded number of batches.
         with AnalysisServer(port=0, max_tenant_bytes=1 << 20) as srv:
             code = headers = None
             for _ in range(2_000):

@@ -3,9 +3,11 @@
 Mirrors ``tests/core/test_shard_merge.py``: a summary reduced over
 K ∈ {1, 2, 5} time-window shards must answer like the one-pass summary
 over the unsharded stream, merge order must not matter for the
-order-free members (CMS / HLL are exactly commutative and associative),
-and the ``slow``-marked sweep re-pins the documented epsilon/delta
-bounds at the scale named by ``REPRO_BENCH_SCALE``.
+order-free members (the exact counters and HLL are exactly commutative
+and associative), the family and country counts equal the ``np.unique``
+truth under any batch cut and any merge order, and the ``slow``-marked
+sweep re-pins the documented bounds at the scale named by
+``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,25 @@ from repro.sketch import AttackStreamSummary, summarize_dataset
 def _shard_summaries(ds, k: int) -> list:
     store = ShardedDatasetStore.partition(ds, shards=k)
     return [summarize_dataset(store.load_shard(i)) for i in range(store.n_shards)]
+
+
+def _truth(ds) -> tuple[dict, dict]:
+    """Exact attacks per family and per target country, by ``np.unique``."""
+    family = np.asarray(ds.families, dtype=object)[ds.family_idx]
+    codes = np.asarray([c.code for c in ds.world.countries], dtype=object)
+    country = codes[np.asarray(ds.victims.country_idx)[ds.target_idx]]
+    return tuple(
+        dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
+        for keys in (family, country)
+    )
+
+
+def _assert_exact_counts(summary, ds) -> None:
+    families, countries = _truth(ds)
+    est = summary.estimate(top_countries=len(countries))
+    assert est["families"] == families
+    assert est["top_countries"] == countries
+    assert est["distinct"]["countries"] == len(countries)
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +82,7 @@ class TestOrderInvariance:
         assert ef["families"] == er["families"]
         assert ef["distinct"] == er["distinct"]
         assert ef["n_records"] == er["n_records"]
-        np.testing.assert_array_equal(
-            forward.cms_victim._table, reversed_.cms_victim._table
-        )
+        assert ef["top_countries"] == er["top_countries"]
         np.testing.assert_array_equal(
             forward.hll_victims._registers, reversed_.hll_victims._registers
         )
@@ -72,7 +91,8 @@ class TestOrderInvariance:
         a, b, c = _shard_summaries(tiny_ds, 3)
         left = a.copy().merge(b.copy()).merge(c.copy())
         right = a.copy().merge(b.copy().merge(c.copy()))
-        np.testing.assert_array_equal(left.cms_family._table, right.cms_family._table)
+        assert left.to_dict()["families"] == right.to_dict()["families"]
+        assert left.to_dict()["countries"] == right.to_dict()["countries"]
         np.testing.assert_array_equal(
             left.hll_botnets._registers, right.hll_botnets._registers
         )
@@ -80,20 +100,41 @@ class TestOrderInvariance:
 
     def test_merge_does_not_mutate_right_operand(self, tiny_ds):
         a, b = _shard_summaries(tiny_ds, 2)
-        b_records = b.n_records
-        b_table = b.cms_family._table.copy()
+        b_state = b.to_dict()
         a.merge(b)
-        assert b.n_records == b_records
-        np.testing.assert_array_equal(b.cms_family._table, b_table)
+        assert b.to_dict() == b_state
 
     def test_merge_rejects_mismatched_params(self, tiny_ds):
         a = summarize_dataset(tiny_ds)
-        with pytest.raises(ValueError, match="different params"):
-            a.merge(AttackStreamSummary(epsilon=0.01))
+        for params in ({"precision": 10}, {"k": 100}, {"seed": 8}):
+            with pytest.raises(ValueError, match="different params"):
+                a.merge(AttackStreamSummary(**params))
 
     def test_reduce_rejects_empty(self):
         with pytest.raises(ValueError):
             sketch_summaries([])
+
+
+class TestExactCounts:
+    """Family and country counts equal the truth, however the stream is cut."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batch_cuts(self, tiny_ds, seed):
+        rng = np.random.default_rng(seed)
+        records = sorted(tiny_ds.iter_attacks(), key=lambda r: r.timestamp)
+        cuts = np.sort(rng.choice(len(records), size=6, replace=False))
+        summary = AttackStreamSummary()
+        for lo, hi in zip([0, *cuts], [*cuts, len(records)]):
+            summary.update(records[lo:hi])
+        _assert_exact_counts(summary, tiny_ds)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_merge_order(self, tiny_ds, k, seed):
+        parts = _shard_summaries(tiny_ds, k)
+        order = np.random.default_rng(seed).permutation(k)
+        merged = sketch_summaries([parts[i] for i in order])
+        _assert_exact_counts(merged, tiny_ds)
 
 
 @pytest.mark.slow
@@ -101,8 +142,8 @@ class TestOrderInvariance:
     not os.environ.get("REPRO_BENCH_SCALE"),
     reason="set REPRO_BENCH_SCALE to run the full-scale sketch parity sweep",
 )
-def test_full_scale_epsilon_bounds():
-    """The documented epsilon/delta contract at benchmark scale."""
+def test_full_scale_bounds():
+    """The documented contract at benchmark scale."""
     from repro import api
 
     scale = float(os.environ["REPRO_BENCH_SCALE"])
@@ -110,14 +151,9 @@ def test_full_scale_epsilon_bounds():
     summary = summarize_dataset(ds)
     assert summary.n_records == ds.n_attacks
 
-    # CMS: the one-sided bound holds for every family, deterministically.
+    # Family and country counts: exact.
+    _assert_exact_counts(summary, ds)
     est = summary.estimate()
-    idx = np.asarray(ds.family_idx)
-    slack = summary.cms_family.epsilon * summary.cms_family.total
-    for i, fam in enumerate(ds.families):
-        true = int(np.sum(idx == i))
-        if true:
-            assert true <= est["families"][fam] <= true + slack, fam
 
     # HLL: distincts within the 3-sigma band.
     true_botnets = len(set(r.botnet_id for r in ds.iter_attacks()))

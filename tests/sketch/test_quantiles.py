@@ -1,11 +1,11 @@
-"""KLL quantiles and reservoir sampling: rank error, algebra, state."""
+"""KLL quantiles: rank error, algebra, state."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.sketch import KLLSketch, ReservoirSample
+from repro.sketch import KLLSketch
 
 
 def _true_rank(sorted_values: np.ndarray, value: float) -> float:
@@ -114,50 +114,42 @@ class TestKLLState:
         assert kll.n == 3 and kll.quantile(1.0) == 3.0
 
 
-class TestReservoir:
-    def test_below_capacity_keeps_everything(self):
-        res = ReservoirSample(size=100, seed=7)
-        res.update(np.arange(60, dtype=np.float64))
-        np.testing.assert_array_equal(np.sort(res.values()), np.arange(60))
-        assert res.n == 60
+class TestKLLQuantiles:
+    """``quantiles(qs)`` is ``[quantile(q) for q in qs]``, bit for bit."""
 
-    def test_capacity_and_count(self):
-        res = ReservoirSample(size=64, seed=7)
-        res.update(np.arange(10_000))
-        assert res.values().size == 64
-        assert res.n == 10_000
-        assert res.memory_bytes == 64 * 8
+    QS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
 
-    def test_sample_is_roughly_uniform(self):
-        res = ReservoirSample(size=2_000, seed=7)
-        res.update(np.arange(100_000, dtype=np.float64))
-        # A uniform sample's mean sits near the stream mean.
-        assert abs(res.values().mean() - 49_999.5) < 5_000
+    @staticmethod
+    def _assert_same(kll: KLLSketch, qs) -> None:
+        batch = kll.quantiles(qs)
+        single = [kll.quantile(q) for q in qs]
+        assert np.asarray(batch).tobytes() == np.asarray(single).tobytes()
 
-    def test_merge_tracks_population(self):
-        a = ReservoirSample(size=500, seed=7)
-        b = ReservoirSample(size=500, seed=7)
-        a.update(np.zeros(9_000))
-        b.update(np.ones(1_000))
-        a.merge(b)
-        assert a.n == 10_000
-        frac_ones = float(a.values().mean())
-        assert 0.02 <= frac_ones <= 0.25  # ~0.1 expected
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        kll = KLLSketch(k=int(rng.integers(8, 300)), seed=seed)
+        for _ in range(int(rng.integers(1, 20))):
+            kll.update(rng.lognormal(3.0, 1.5, int(rng.integers(0, 5_000))))
+        qs = list(self.QS) + rng.uniform(0, 1, 16).tolist()
+        self._assert_same(kll, qs)
 
-    def test_merge_with_empty_is_identity(self):
-        a = ReservoirSample(size=10, seed=7)
-        a.update(np.arange(5, dtype=np.float64))
-        before = np.sort(a.values())
-        a.merge(ReservoirSample(size=10, seed=7))
-        np.testing.assert_array_equal(np.sort(a.values()), before)
+    def test_empty_sketch(self):
+        kll = KLLSketch(seed=7)
+        assert all(np.isnan(kll.quantiles(self.QS)))
+        self._assert_same(kll, self.QS)
 
-    def test_roundtrip(self):
-        res = ReservoirSample(size=32, seed=7)
-        res.update(np.arange(1_000))
-        revived = ReservoirSample.from_dict(res.to_dict())
-        assert revived.n == res.n
-        np.testing.assert_array_equal(revived.values(), res.values())
+    def test_merged_sketch(self):
+        rng = np.random.default_rng(11)
+        parts = [KLLSketch(k=64, seed=3) for _ in range(4)]
+        for part in parts:
+            part.update(rng.uniform(-50, 50, int(rng.integers(100, 20_000))))
+        merged = parts[0]
+        for part in parts[1:]:
+            merged.merge(part)
+        self._assert_same(merged, self.QS)
 
-    def test_rejects_bad_size(self):
+    def test_rejects_out_of_range(self):
+        kll = KLLSketch(seed=7)
         with pytest.raises(ValueError):
-            ReservoirSample(size=0)
+            kll.quantiles([0.5, -0.1])

@@ -3,7 +3,7 @@
 Covers the two memory models documented in ``docs/STREAMING.md``:
 ``StreamingDataset(sketches=True)`` (exact columns *plus* a running
 summary with per-epoch snapshots) and ``WatchSession(sketch=True)``
-(summary plus a bounded deque of recent records — no exact columns).
+(the summary alone — no exact columns, no retained records).
 """
 
 from __future__ import annotations
@@ -74,39 +74,24 @@ class TestStreamingDatasetSketches:
 
 class TestWatchSketchMode:
     def test_fold_and_render(self, records):
-        session = WatchSession("never-written.jsonl", sketch=True, exact_window=50)
+        session = WatchSession("never-written.jsonl", sketch=True)
         assert session.fold(records[:120]) == 120
         assert session.n_attacks == 120
         assert session.stream is None  # no exact columns in sketch mode
-        assert len(session.recent) == 50
-        assert session.recent[-1].ddos_id == records[119].ddos_id
         text = session.render()
         assert text.startswith("Sketch summary over 120 attacks")
 
     def test_poll_tails_into_summary(self, tmp_path, records):
         path = tmp_path / "log.jsonl"
-        session = WatchSession(path, sketch=True, exact_window=10)
+        session = WatchSession(path, sketch=True)
         append_attacks_jsonl(records[:25], path)
         rendered = session.poll()
         assert rendered and rendered.startswith("Sketch summary over 25 attacks")
         assert session.sketch.n_records == 25
-        assert len(session.recent) == 10
         assert session.poll() is None  # nothing new -> no re-render
         append_attacks_jsonl(records[25:30], path)
         assert session.poll() is not None
         assert session.sketch.n_records == 30
-
-    def test_custom_renderer_receives_summary(self, records):
-        seen = []
-
-        def renderer(summary):
-            seen.append(summary.n_records)
-            return f"custom:{summary.n_records}"
-
-        session = WatchSession("never.jsonl", sketch=True, renderer=renderer)
-        session.fold(records[:7])
-        assert session.render() == "custom:7"
-        assert seen == [7]
 
     def test_exact_mode_unchanged(self, records):
         session = WatchSession("never.jsonl")
@@ -124,11 +109,14 @@ class TestWatchSketchMode:
         session.fold([])  # empty fold is not an epoch
         assert session.epoch == 2
 
-    def test_memory_is_bounded_by_window_not_stream(self, records):
-        session = WatchSession("never.jsonl", sketch=True, exact_window=16)
-        for _ in range(5):
+    def test_memory_is_fixed_as_the_stream_grows(self, records):
+        session = WatchSession("never.jsonl", sketch=True)
+        session.fold(records)
+        first = session.sketch.memory_bytes()
+        for _ in range(4):
             session.fold(records)
-        assert len(session.recent) == 16
         assert session.n_attacks == 5 * len(records)
+        assert session.epoch == 5
         # The summary's resident bytes do not scale with n_attacks.
-        assert session.sketch.memory_bytes() < 1 << 20
+        assert session.sketch.memory_bytes() <= first * 1.25
+        assert session.sketch.memory_bytes() < 32 << 10

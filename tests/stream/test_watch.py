@@ -79,12 +79,6 @@ class TestWatchSession:
         # 20 + 5, not 20 + 25: the first batch was never re-ingested.
         assert session.n_attacks == 25
 
-    def test_custom_renderer(self, tmp_path, records):
-        path = tmp_path / "log.jsonl"
-        session = WatchSession(path, renderer=lambda ctx: f"n={ctx.dataset.n_attacks}")
-        append_attacks_jsonl(records[:7], path)
-        assert session.poll() == "n=7"
-
     def test_render_before_any_data(self, tmp_path):
         session = WatchSession(tmp_path / "log.jsonl")
         assert "no attacks" in session.render()

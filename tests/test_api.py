@@ -221,6 +221,36 @@ class TestOpen:
             api.open(object())
 
 
+class TestSketch:
+    """``api.sketch`` dispatch and its parameter checks."""
+
+    def test_summary_passes_through(self, tiny_ds):
+        summary = api.sketch(tiny_ds)
+        assert api.sketch(summary) is summary
+
+    def test_params_with_a_summary_rejected(self, tiny_ds):
+        from repro.errors import FormatError
+
+        summary = api.sketch(tiny_ds)
+        with pytest.raises(FormatError, match="already fixes"):
+            api.sketch(summary, k=100)
+
+    def test_params_with_a_sketch_enabled_stream_rejected(self, tiny_ds):
+        from repro.errors import FormatError
+        from repro.stream import StreamingDataset
+
+        stream = StreamingDataset(sketches=True)
+        stream.append_batch(list(tiny_ds.iter_attacks())[:20])
+        assert api.sketch(stream).n_records == 20
+        with pytest.raises(FormatError, match="fixes its own"):
+            api.sketch(stream, seed=3)
+
+    def test_params_forward_to_a_fresh_summary(self):
+        assert api.sketch(precision=10, k=50, seed=3).params == {
+            "precision": 10, "k": 50, "seed": 3,
+        }
+
+
 class TestSurface:
     """The documented facade surface: version, alias, doc coverage."""
 

@@ -3,7 +3,7 @@
 Three guarantees: every fenced ``python`` block in the document
 executes (in order, sharing one namespace — the blocks form one
 narrative); every relative markdown link resolves to a real file; and
-the ε/δ literals quoted in the accuracy-contract table match the
+the parameter literals quoted in the accuracy-contract table match the
 library defaults, so the documented contract cannot drift from the
 code.
 """
@@ -45,12 +45,9 @@ def test_documented_literals_match_defaults():
     text = DOC.read_text()
     summary = AttackStreamSummary()
     contract = summary.contract()
-    # The table quotes the construction defaults...
-    assert f"`epsilon={contract['cms']['epsilon']}`" in text
-    assert f"`delta={contract['cms']['delta']}`" in text
-    assert f"`precision={summary.params['precision']}`" in text
-    assert f"`k={summary.params['k']}`" in text
-    assert f"`reservoir_size={summary.params['reservoir_size']}`" in text
+    # The table quotes every construction default...
+    for name, value in summary.params.items():
+        assert f"`{name}={value}`" in text, name
     # ...and the derived error budgets to two significant figures.
     rse_pct = contract["hll"]["relative_standard_error"] * 100
     assert f"±{rse_pct:.2f} % RSE" in text
